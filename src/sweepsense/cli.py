@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from sweepsense import archcomp
 from sweepsense.core import (
     AliasingError,
     BandError,
-    ChirpConfig,
     DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
@@ -158,37 +156,6 @@ def parse_antenna(cfg: dict) -> AntennaModel:
         return AntennaModel(length=length, two_way=two_way)
     except ValueError as exc:
         raise ConfigError(f"antenna: {exc}") from None
-
-
-def parse_chirp(cfg: dict, plan: FrequencyPlan) -> ChirpConfig:
-    sec = cfg.get("chirp")
-    if sec is None:
-        return ChirpConfig.for_plan(plan)
-    _check_keys(
-        "chirp",
-        sec,
-        {"duration_s", "guard_s", "n_samples", "sample_rate_hz"},
-        {"slope_hz_per_s"},
-    )
-    duration = _number("chirp", "duration_s", sec["duration_s"])
-    try:
-        if "slope_hz_per_s" in sec:
-            return ChirpConfig(
-                duration=duration,
-                guard=_number("chirp", "guard_s", sec["guard_s"]),
-                slope=_number("chirp", "slope_hz_per_s", sec["slope_hz_per_s"]),
-                n_samples=_integer("chirp", "n_samples", sec["n_samples"]),
-                sample_rate=_number("chirp", "sample_rate_hz", sec["sample_rate_hz"]),
-            )
-        return ChirpConfig(
-            duration=duration,
-            guard=_number("chirp", "guard_s", sec["guard_s"]),
-            slope=plan.step / duration,
-            n_samples=_integer("chirp", "n_samples", sec["n_samples"]),
-            sample_rate=_number("chirp", "sample_rate_hz", sec["sample_rate_hz"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"chirp: {exc}") from None
 
 
 _TARGET_KEYS_REQ = {"x_m", "y_m", "z_m"}
@@ -426,13 +393,7 @@ def run_sweep(
 
     points = []
     for snr_idx, snr in enumerate(snrs):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors = list(
-                    pool.map(lambda t: one_trial(snr_idx, snr, t), range(trials))
-                )
-        else:
-            errors = [one_trial(snr_idx, snr, t) for t in range(trials)]
+        errors = [one_trial(snr_idx, snr, t) for t in range(trials)]
         rmse = math.sqrt(sum(e * e for e in errors) / trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
@@ -461,6 +422,12 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
@@ -478,7 +445,7 @@ def cmd_dict(args) -> int:
     model = parse_dispersion(cfg, plan, Path(args.config).parent)
     antenna = parse_antenna(cfg)
     grid = parse_grid(cfg)
-    dictionary = build_dictionary(grid, plan, model, antenna, workers=args.workers)
+    dictionary = build_dictionary(grid, plan, model, antenna, workers=_workers(args))
     if args.out is None or args.out == "-":
         sys.stdout.write(dictionary_to_csv(dictionary))
     else:
@@ -487,6 +454,7 @@ def cmd_dict(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    workers = _workers(args)
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
     if args.dict is not None:
@@ -503,7 +471,7 @@ def cmd_localize(args) -> int:
         model = parse_dispersion(cfg, plan, Path(args.config).parent)
         antenna = parse_antenna(cfg)
         grid = parse_grid(cfg)
-        dictionary = build_dictionary(grid, plan, model, antenna, workers=args.workers)
+        dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
     meas = read_measurement_csv(args.measurement, plan)
     result = localize(meas, dictionary)
     payload = {
@@ -579,6 +547,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    workers = _workers(args)
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
     model = parse_dispersion(cfg, plan, Path(args.config).parent)
@@ -601,7 +570,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--trials must be >= 1")
     try:
         points = run_sweep(
-            plan, model, antenna, scene, grid, snrs, args.trials, workers=args.workers
+            plan, model, antenna, scene, grid, snrs, args.trials, workers=workers
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -670,8 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "--axis -0.3,0.2,1.0" as two options; attach the value.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--p0", "--axis"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -125,21 +125,27 @@ class ChirpConfig:
         )
 
 
+# libm's atan2 per element, not np.arctan2: that differs by one ulp on ~1 % of
+# positions, which the Gaussian wings of the antenna gain amplify to ~1e-15.
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 class ChannelAxis(enum.Enum):
     """The two orthogonal scanning channels of the dual-fed antenna."""
 
     X_SCAN = "x"
     Y_SCAN = "y"
 
-    def target_angle(self, position) -> float:
+    def target_angle(self, position) -> float | np.ndarray:
         """In-plane angle of a position for this channel's scan plane.
 
-        X_SCAN measures azimuth atan2(x, z); Y_SCAN elevation atan2(y, z).
+        X_SCAN measures azimuth atan2(x, z); Y_SCAN elevation atan2(y, z);
+        xyz on the last axis.
         """
-        x, y, z = position
-        if self is ChannelAxis.X_SCAN:
-            return math.atan2(x, z)
-        return math.atan2(y, z)
+        p = np.asarray(position, dtype=float)
+        side = p[..., 0] if self is ChannelAxis.X_SCAN else p[..., 1]
+        angle = np.asarray(_ATAN2(side, p[..., 2]), dtype=float)
+        return float(angle) if angle.ndim == 0 else angle
 
 
 @dataclass(frozen=True)
@@ -222,10 +228,11 @@ class Measurement:
         object.__setattr__(self, "s_y", s_y)
 
 
-def range_of(position) -> float:
-    """Euclidean distance from the phase center (monostatic range)."""
-    x, y, z = position
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
+def range_of(position) -> float | np.ndarray:
+    """Euclidean distance from the phase center; xyz on the last axis."""
+    p = np.asarray(position, dtype=float)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    r = np.sqrt(x * x + y * y + z * z)
+    if (r == 0.0).any():
         raise GeometryError("zero-length position vector has no defined range")
-    return r
+    return float(r) if r.ndim == 0 else r

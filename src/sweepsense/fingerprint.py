@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,18 +21,15 @@ import numpy as np
 from sweepsense.core import (
     DegenerateMeasurementError,
     FrequencyPlan,
-    GeometryError,
     Measurement,
-    NoiseConfig,
-    Scene,
-    Target,
+    range_of,
 )
 from sweepsense.dispersion import DispersionModel
-from sweepsense.synth import AntennaModel, simulate_measurement
+from sweepsense.synth import AntennaModel, echo
 
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
-_NOISELESS = NoiseConfig(snr_db=None, seed=0)
+_CHUNK_ROWS = 1024  # positions per echo batch: amortises calls, bounds temporaries
 
 
 @dataclass(frozen=True)
@@ -64,15 +60,31 @@ class Fingerprint:
         return self.vector[self.plan.n_points :]
 
 
+def _normalize(s: np.ndarray, describe) -> np.ndarray:
+    """Unit-normalize each channel of (N, 2, M) echoes into (N, 2M) rows.
+
+    A zero-norm channel raises DegenerateMeasurementError naming the first
+    such row i as ``describe(i)``.
+    """
+    norms = np.linalg.norm(s, axis=-1, keepdims=True)
+    if not norms.all():
+        i = int(np.argmin(norms.min(axis=(1, 2))))
+        raise DegenerateMeasurementError(f"{describe(i)} has a zero-norm channel")
+    return (s / norms).reshape(len(s), -1)
+
+
 def build_fingerprint(meas: Measurement) -> Fingerprint:
     """Normalize each channel to unit norm and concatenate."""
-    norm_x = np.linalg.norm(meas.s_x)
-    norm_y = np.linalg.norm(meas.s_y)
-    if norm_x == 0.0 or norm_y == 0.0:
-        raise DegenerateMeasurementError(
-            "cannot fingerprint a measurement with a zero-norm channel"
-        )
-    return Fingerprint(np.concatenate([meas.s_x / norm_x, meas.s_y / norm_y]), meas.plan)
+    rows = _normalize(np.stack([meas.s_x, meas.s_y])[None], lambda _: "measurement")
+    return Fingerprint(rows[0], meas.plan)
+
+
+def _scores(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Similarity of each (2M,) fingerprint row to ``ref``: mean channel |<row, ref>|."""
+    m = ref.shape[-1] // 2
+    return 0.5 * (
+        np.abs(rows[:, :m] @ np.conj(ref[:m])) + np.abs(rows[:, m:] @ np.conj(ref[m:]))
+    )
 
 
 def similarity(a: Fingerprint, b: Fingerprint) -> float:
@@ -85,9 +97,7 @@ def similarity(a: Fingerprint, b: Fingerprint) -> float:
         raise ValueError(
             f"fingerprint size mismatch: {a.plan.n_points} vs {b.plan.n_points} points"
         )
-    return 0.5 * (
-        abs(np.vdot(b.x_half, a.x_half)) + abs(np.vdot(b.y_half, a.y_half))
-    )
+    return float(_scores(a.vector[None], b.vector)[0])
 
 
 @dataclass(frozen=True)
@@ -167,11 +177,17 @@ class Dictionary:
         return self.grid.size
 
 
-def _unit_fingerprint(
-    position, plan: FrequencyPlan, model: DispersionModel, antenna: AntennaModel
-) -> Fingerprint:
-    scene = Scene(targets=(Target(tuple(position), 1.0 + 0.0j),), noise=_NOISELESS)
-    return build_fingerprint(simulate_measurement(scene, plan, model, antenna))
+def _fingerprint_rows(
+    positions: np.ndarray,
+    plan: FrequencyPlan,
+    model: DispersionModel,
+    antenna: AntennaModel,
+    describe,
+):
+    """Yield (start, rows): unit-reflectivity fingerprints, _CHUNK_ROWS at a time."""
+    for start in range(0, len(positions), _CHUNK_ROWS):
+        s = echo(positions[start : start + _CHUNK_ROWS], 1.0, plan, model, antenna)
+        yield start, _normalize(s, lambda i: describe(start + i))
 
 
 def build_dictionary(
@@ -183,27 +199,21 @@ def build_dictionary(
 ) -> Dictionary:
     """Fingerprint every grid position (noiseless, unit reflectivity).
 
-    Entries are deterministic and ordered by grid index regardless of
-    ``workers``; each position is computed independently. Grid points must lie
-    far enough inside the scanned field of view that at least one frequency
-    point has non-vanishing gain.
+    Entries are ordered by grid index; ``workers`` (>= 1) changes neither
+    result nor code path. Grid points must lie far enough inside the scanned
+    field of view that every channel has non-vanishing gain somewhere.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     positions = grid.points()
+    entries = np.empty((grid.size, 2 * plan.n_points), dtype=np.complex128)
 
-    def entry(pos: np.ndarray) -> np.ndarray:
-        return _unit_fingerprint(pos, plan, model, antenna).vector
+    def describe(i: int) -> str:
+        return f"grid index {i} at position {tuple(positions[i].tolist())}"
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(entry, positions))
-    else:
-        rows = [entry(pos) for pos in positions]
-    return Dictionary(
-        grid=grid,
-        n_points=plan.n_points,
-        positions=positions,
-        entries=np.vstack(rows),
-    )
+    for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
+        entries[start : start + len(rows)] = rows
+    return Dictionary(grid=grid, n_points=plan.n_points, positions=positions, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -224,12 +234,7 @@ def localize(meas: Measurement, dictionary: Dictionary) -> LocalizationResult:
             f"measurement has {meas.plan.n_points} frequency points but the "
             f"dictionary was built with {dictionary.n_points}"
         )
-    fp = build_fingerprint(meas)
-    m = dictionary.n_points
-    scores = 0.5 * (
-        np.abs(dictionary.entries[:, :m] @ np.conj(fp.x_half))
-        + np.abs(dictionary.entries[:, m:] @ np.conj(fp.y_half))
-    )
+    scores = _scores(dictionary.entries, build_fingerprint(meas).vector)
     idx = int(np.argmax(scores))  # first maximum == lowest grid index
     return LocalizationResult(
         position=dictionary.positions[idx].copy(),
@@ -238,26 +243,23 @@ def localize(meas: Measurement, dictionary: Dictionary) -> LocalizationResult:
     )
 
 
-def _displace(p0: np.ndarray, axis, delta: float) -> np.ndarray:
+def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
+    """Positions p0 displaced by each of ``deltas`` along ``axis``, shape (K, 3)."""
     if isinstance(axis, str):
         kind = axis.lower()
         x, y, z = p0
         if kind == "range":
-            r = math.sqrt(x * x + y * y + z * z)
-            if r == 0.0:
-                raise GeometryError("range probe undefined at the origin")
-            return p0 * (1.0 + delta / r)
+            return p0 * (1.0 + deltas / range_of(p0))[:, None]
+        c, s = np.cos(deltas), np.sin(deltas)
         if kind == "azimuth":  # rotate in the x-z plane, range preserved
-            c, s = math.cos(delta), math.sin(delta)
-            return np.array([x * c + z * s, y, -x * s + z * c])
+            return np.column_stack([x * c + z * s, np.full_like(c, y), -x * s + z * c])
         if kind == "elevation":  # rotate in the y-z plane
-            c, s = math.cos(delta), math.sin(delta)
-            return np.array([x, y * c + z * s, -y * s + z * c])
+            return np.column_stack([np.full_like(c, x), y * c + z * s, -y * s + z * c])
         raise ValueError(f"unknown probe axis {axis!r}")
     direction = np.asarray(axis, dtype=float)
     if direction.shape != (3,) or not np.any(direction):
         raise ValueError("probe direction must be a nonzero 3-vector")
-    return p0 + delta * direction / np.linalg.norm(direction)
+    return p0 + deltas[:, None] * direction / np.linalg.norm(direction)
 
 
 def half_power_width(
@@ -314,11 +316,16 @@ def ambiguity_probe(
     """
     p0 = np.asarray(p0, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    ref = _unit_fingerprint(p0, plan, model, antenna)
+    [(_, ref)] = _fingerprint_rows(p0[None], plan, model, antenna, lambda _: "reference p0")
+    positions = _displace(p0, axis, offsets)
     sims = np.empty(offsets.shape, dtype=float)
-    for i, delta in enumerate(offsets):
-        probe = _displace(p0, axis, float(delta))
-        sims[i] = similarity(ref, _unit_fingerprint(probe, plan, model, antenna))
+    unit = "rad" if isinstance(axis, str) and axis.lower() != "range" else "m"
+
+    def describe(i: int) -> str:
+        return f"probe offset {offsets[i]:g} {unit}"
+
+    for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
+        sims[start : start + len(rows)] = _scores(rows, ref[0])
     return AmbiguityCurve(
         offsets=offsets, similarities=sims, width=half_power_width(offsets, sims)
     )

@@ -6,8 +6,9 @@ The per-frequency-point echo model is
 
 with the antenna's directional response folded into ``gain`` and the exact
 spherical two-way phase 4 pi f R / c carrying the near-field curvature that
-makes positions separable. Noise is added per complex sample from
-counter-based substreams so results never depend on evaluation order.
+makes positions separable; ``echo`` evaluates it for batches of positions.
+Noise is added per complex sample from counter-based substreams so results
+never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -81,6 +82,29 @@ def synthesize_sample(f, position, refl: complex, gain) -> complex | np.ndarray:
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
+         antenna: AntennaModel) -> np.ndarray:
+    """Noiseless echoes refl * gain * exp(-j 4 pi f R / c), shape (N, 2, M).
+
+    ``positions`` is (N, 3); ``refl`` holds per-channel (x, y) reflectivities
+    broadcasting to (N, 2). Entries depend only on their own position, so
+    any split of the batch gives the same bits.
+    """
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    if not (np.isfinite(positions).all() and (positions[:, 2] > 0.0).all()):
+        bad = ~np.isfinite(positions).all(axis=1) | (positions[:, 2] <= 0.0)
+        where = tuple(positions[bad.argmax()].tolist())
+        raise GeometryError(f"position {where} is not finite or not in the half-space z > 0")
+    freqs = frequency_grid(plan)
+    thetas = np.atleast_1d(model.beam_angle(freqs))
+    rows = positions[:, None, :]  # (N, 1, 3) against the (M,) frequency axis
+    carrier = np.exp(-1j * phase_curvature(freqs, rows))
+    gain = np.stack([antenna.gain(freqs, thetas, rows, axis) for axis in ChannelAxis], axis=1)
+    refl = np.asarray(refl, dtype=np.complex128)[..., None]  # against the M axis
+    # Adding to zeros turns the -0.0 of an underflowed gain into +0.0.
+    return np.zeros(gain.shape, dtype=np.complex128) + refl * gain * carrier[:, None, :]
+
+
 def simulate_measurement(
     scene: Scene,
     plan: FrequencyPlan,
@@ -89,28 +113,16 @@ def simulate_measurement(
 ) -> Measurement:
     """Dual-channel measurement of a scene over the full frequency sweep.
 
-    Target echoes superpose linearly per Eq.-style sample synthesis; additive
-    noise (when configured) is circular complex Gaussian with per-sample
-    variance sigma^2 = P_sig / 10^(snr_db/10), where P_sig is the mean
-    noiseless per-sample power across both channels. Each noise sample comes
-    from the substream keyed by (seed, channel, index), making measurements
-    bit-identical regardless of threading or evaluation order.
+    Target echoes superpose linearly; additive noise (when configured) is
+    circular complex Gaussian with per-sample variance
+    sigma^2 = P_sig / 10^(snr_db/10), where P_sig is the mean noiseless
+    per-sample power across both channels. Each noise sample comes from the
+    substream keyed by (seed, channel, index), making measurements
+    bit-identical regardless of evaluation order.
     """
-    freqs = frequency_grid(plan)
-    thetas = np.atleast_1d(model.beam_angle(freqs))
-    channels: dict[ChannelAxis, np.ndarray] = {
-        ChannelAxis.X_SCAN: np.zeros(plan.n_points, dtype=np.complex128),
-        ChannelAxis.Y_SCAN: np.zeros(plan.n_points, dtype=np.complex128),
-    }
-    for target in scene.targets:
-        phase = phase_curvature(freqs, target.position)
-        carrier = np.exp(-1j * np.asarray(phase))
-        for axis, refl in (
-            (ChannelAxis.X_SCAN, target.refl_x),
-            (ChannelAxis.Y_SCAN, target.refl_y),
-        ):
-            g = antenna.gain(freqs, thetas, target.position, axis)
-            channels[axis] = channels[axis] + refl * g * carrier
+    refl = np.array([(t.refl_x, t.refl_y) for t in scene.targets], dtype=np.complex128)
+    echoes = echo([t.position for t in scene.targets], refl.reshape(-1, 2), plan, model, antenna)
+    channels = dict(zip(ChannelAxis, echoes.sum(axis=0)))
 
     noise = scene.noise
     if not noise.noiseless:

@@ -250,6 +250,21 @@ class TestProbe:
         )
         assert rc == 2
 
+    def test_negative_vectors_in_space_and_equals_form(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        runs = []
+        for name, vector_flags in (
+            ("space", ["--p0", "-0.1,0,3", "--axis", "-0.3,0.2,1.0"]),
+            ("equals", ["--p0=-0.1,0,3", "--axis=-0.3,0.2,1.0"]),
+        ):
+            out = tmp_path / f"{name}.csv"
+            rc = cli.main(["probe", "--config", path, *vector_flags, "--span", "0.2",
+                           "--steps", "21", "--out", str(out)])
+            assert rc == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["p0_m"] == [-0.1, 0.0, 3.0]
+
 
 class TestCompare:
     def test_report_rows_and_echo(self, tmp_path, config_path, capsys):
@@ -325,6 +340,47 @@ class TestSweep:
              "--trials", "2", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("verb", ["dict", "localize", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_below_one_exits_2_naming_flag(self, tmp_path, config_path, capsys, verb, workers):
+        path = config_path(base_config())
+        extra = {
+            "dict": [],
+            "localize": ["--measurement", str(tmp_path / "meas.csv")],
+            "sweep": ["--snr", "0", "--trials", "2"],
+        }[verb]
+        rc = cli.main([verb, "--config", path, *extra, "--workers", workers,
+                       "--out", str(tmp_path / "x.out")])
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_library_rejects_workers_below_one(self):
+        plan = FrequencyPlan(60e9, 66e9, 8)
+        model = LinearSineDispersion.for_plan(plan)
+        scene = Scene(targets=(Target((0.0, 0.0, 3.0)),))
+        grid = PositionGrid((0.0, 0.0), (0.0, 0.0), (3.0, 3.0), 1, 1, 1)
+        with pytest.raises(ValueError, match="workers"):
+            cli.run_sweep(plan, model, AntennaModel(), scene, grid, [None], 1, workers=0)
+
+
+class TestDegenerateDictionary:
+    def test_point_outside_field_of_view_named(self, tmp_path, config_path, capsys):
+        # x = 50 m at z = 1 m sits 89 deg off boresight, far beyond the 60 deg
+        # scan: the 12 cm antenna's x-channel gain underflows to zero there.
+        cfg = base_config(antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"] = {
+            "x_min_m": 0.0, "x_max_m": 50.0, "nx": 2,
+            "y_min_m": 0.0, "y_max_m": 0.0, "ny": 1,
+            "z_min_m": 1.0, "z_max_m": 1.0, "nz": 1,
+        }
+        rc = cli.main(["dict", "--config", config_path(cfg), "--out", str(tmp_path / "d.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "grid index 1" in err
+        assert "(50.0, 0.0, 1.0)" in err
 
 
 class TestLookupDispersionConfig:

@@ -175,6 +175,14 @@ class TestDictionary:
         np.testing.assert_allclose(np.linalg.norm(d.entries[:, :m], axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(d.entries[:, m:], axis=1), 1.0, atol=1e-12)
 
+    def test_rows_across_chunk_boundary_match_single_target_fingerprints(self):
+        grid = PositionGrid((-0.3, 0.3), (-0.3, 0.3), (2.5, 3.5), nx=11, ny=11, nz=11)
+        d = build_dictionary(grid, PLAN8, MODEL8, ANT)
+        assert d.size == 1331  # more rows than one echo batch
+        for row, pos in zip(d.entries, d.positions):
+            direct = build_fingerprint(unit_measurement(pos))
+            np.testing.assert_array_equal(row, direct.vector)
+
     def test_parallel_build_bit_identical(self):
         grid = PositionGrid((-0.2, 0.2), (-0.2, 0.2), (2.5, 3.5), nx=3, ny=3, nz=3)
         serial = build_dictionary(grid, PLAN8, MODEL8, ANT)
@@ -331,6 +339,12 @@ class TestAmbiguityProbe:
 
         with pytest.raises(GeometryError):
             ambiguity_probe((0, 0, 0.1), "range", np.array([-0.2]), PLAN8, MODEL8, ANT)
+
+    def test_zero_norm_error_names_offset(self):
+        # a 1.5 rad azimuth turn leaves the 60 deg scan: the x-channel gain
+        # underflows to zero there
+        with pytest.raises(DegenerateMeasurementError, match="offset 1.5 rad"):
+            ambiguity_probe((0, 0, 3.0), "azimuth", np.array([0.0, 1.5]), PLAN8, MODEL8, ANT)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):

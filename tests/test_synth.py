@@ -11,6 +11,7 @@ from sweepsense.core import (
     ChannelAxis,
     ChirpConfig,
     FrequencyPlan,
+    GeometryError,
     NoiseConfig,
     Scene,
     Target,
@@ -21,6 +22,7 @@ from sweepsense.streams import substream
 from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
+    echo,
     frame_schedule,
     phase_curvature,
     simulate_measurement,
@@ -203,6 +205,34 @@ class TestSimulateMeasurement:
                 ) / (2 * PLAN.n_points)
             measured = acc / n_seeds
             assert measured == pytest.approx(p_sig * 10 ** (-snr / 10), rel=rel)
+
+
+class TestEcho:
+    def test_rows_match_single_target_simulation(self):
+        targets = (
+            Target((0.1, -0.2, 3.0), refl_x=2.0 + 1.0j, refl_y=0.5j),
+            Target((-0.3, 0.2, 3.5), refl_x=1.0 - 2.0j),
+        )
+        rows = echo(
+            [t.position for t in targets],
+            [(t.refl_x, t.refl_y) for t in targets],
+            PLAN, MODEL, ANT,
+        )
+        assert rows.shape == (2, 2, PLAN.n_points)
+        for row, target in zip(rows, targets):
+            meas = simulate_measurement(Scene(targets=(target,)), PLAN, MODEL, ANT)
+            np.testing.assert_array_equal(row[0], meas.s_x)
+            np.testing.assert_array_equal(row[1], meas.s_y)
+
+    def test_empty_batch(self):
+        assert echo(np.empty((0, 3)), 1.0, PLAN, MODEL, ANT).shape == (0, 2, PLAN.n_points)
+
+    @pytest.mark.parametrize(
+        "bad", [(0.0, 0.0, 0.0), (0.1, 0.0, -1.0), (math.nan, 0.0, 3.0), (0.0, math.inf, 3.0)]
+    )
+    def test_rejects_positions_a_target_rejects(self, bad):
+        with pytest.raises(GeometryError):
+            echo([(0.0, 0.0, 3.0), bad], 1.0, PLAN, MODEL, ANT)
 
 
 class TestDechirp:
