@@ -23,6 +23,7 @@ import numpy as np
 
 from sweepsense import archcomp
 from sweepsense.core import (
+    FLOAT_FMT,
     AliasingError,
     BandError,
     DegenerateMeasurementError,
@@ -33,6 +34,9 @@ from sweepsense.core import (
     Scene,
     Target,
     frequency_grid,
+    line_error,
+    read_table,
+    write_table,
 )
 from sweepsense.dispersion import (
     DispersionModel,
@@ -43,15 +47,12 @@ from sweepsense.fingerprint import (
     PositionGrid,
     ambiguity_probe,
     build_dictionary,
-    dictionary_to_csv,
     export_dictionary,
     import_dictionary,
     localize,
 )
 from sweepsense.streams import derive_seed
 from sweepsense.synth import AntennaModel, simulate_measurement
-
-_FMT = "{:.9e}"
 
 
 class ConfigError(ValueError):
@@ -90,13 +91,17 @@ def load_config(path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+    def non_finite(name: str):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    known = {"plan", "dispersion", "antenna", "chirp", "scene", "grid", "architectures"}
+    known = {"plan", "dispersion", "antenna", "scene", "grid", "architectures"}
     unknown = set(cfg) - known
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
@@ -294,55 +299,36 @@ _MEAS_HEADER = "m,f_hz,theta_deg,sx_re,sx_im,sy_re,sy_im"
 def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
     freqs = frequency_grid(meas.plan)
     thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
-    lines = [_MEAS_HEADER]
-    for i in range(meas.plan.n_points):
-        lines.append(
-            ",".join(
-                [str(i)]
-                + [
-                    _FMT.format(v)
-                    for v in (
-                        freqs[i],
-                        thetas[i],
-                        meas.s_x[i].real,
-                        meas.s_x[i].imag,
-                        meas.s_y[i].real,
-                        meas.s_y[i].imag,
-                    )
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    s = np.stack([meas.s_x, meas.s_y], axis=1).view(np.float64)  # sx_re, sx_im, sy_re, sy_im
+    table = np.column_stack([np.arange(len(freqs)), freqs, thetas, s])
+    return write_table(None, _MEAS_HEADER, table, n_int=1)
 
 
 def read_measurement_csv(path, plan: FrequencyPlan) -> Measurement:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read measurement {path}: {exc}") from None
-    if not lines or lines[0].strip() != _MEAS_HEADER:
-        raise ConfigError(f"{path}: line 1: expected header '{_MEAS_HEADER}'")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != plan.n_points:
-        raise ConfigError(
-            f"{path}: has {len(rows)} data rows but the plan expects {plan.n_points}"
+    """Read a measurement CSV; rows must be m = 0..M-1 on the plan's frequency grid.
+
+    A malformed file raises ValueError naming its line.
+    """
+    header, body = read_table(path)
+    if ",".join(header) != _MEAS_HEADER:
+        raise ValueError(f"{path}: line 1: expected header '{_MEAS_HEADER}'")
+    if len(body) != plan.n_points:
+        raise ValueError(
+            f"{path}: has {len(body)} data rows but the plan expects {plan.n_points}"
         )
-    s_x = np.zeros(plan.n_points, dtype=np.complex128)
-    s_y = np.zeros(plan.n_points, dtype=np.complex128)
-    for lineno, line in enumerate(rows, start=2):
-        cells = line.split(",")
-        if len(cells) != 7:
-            raise ConfigError(f"{path}: line {lineno}: expected 7 fields, got {len(cells)}")
-        try:
-            i = int(cells[0])
-            vals = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: non-numeric field") from None
-        if not 0 <= i < plan.n_points:
-            raise ConfigError(f"{path}: line {lineno}: index {i} out of range")
-        s_x[i] = vals[2] + 1j * vals[3]
-        s_y[i] = vals[4] + 1j * vals[5]
-    return Measurement(plan, s_x, s_y)
+    freqs = frequency_grid(plan)
+    # Printed with 10 significant digits, f_hz is within 5e-10 (relative) of the plan's.
+    off_plan = body[:, 0] != np.arange(plan.n_points)
+    off_plan |= np.abs(body[:, 1] - freqs) > 1e-9 * freqs
+    if off_plan.any():
+        i = int(np.argmax(off_plan))
+        message = (
+            f"expected m = {i} at f_hz = {FLOAT_FMT % freqs[i]} (the plan's grid), "
+            f"got m = {body[i, 0]:g} at f_hz = {FLOAT_FMT % body[i, 1]}"
+        )
+        raise line_error(path, i, message)
+    s = np.ascontiguousarray(body[:, 3:]).view(np.complex128)  # columns s_x, s_y
+    return Measurement(plan, s[:, 0], s[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +343,7 @@ class SweepPoint:
 
     @property
     def label(self) -> str:
-        return "noiseless" if self.snr_db is None else _FMT.format(self.snr_db)
+        return "noiseless" if self.snr_db is None else FLOAT_FMT % self.snr_db
 
 
 def run_sweep(
@@ -402,7 +388,7 @@ def run_sweep(
 def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
     lines = ["snr_db,rmse_m,trials"]
     for p in points:
-        lines.append(f"{p.label},{_FMT.format(p.rmse)},{trials}")
+        lines.append(f"{p.label},{FLOAT_FMT % p.rmse},{trials}")
     return "\n".join(lines) + "\n"
 
 
@@ -446,10 +432,7 @@ def cmd_dict(args) -> int:
     antenna = parse_antenna(cfg)
     grid = parse_grid(cfg)
     dictionary = build_dictionary(grid, plan, model, antenna, workers=_workers(args))
-    if args.out is None or args.out == "-":
-        sys.stdout.write(dictionary_to_csv(dictionary))
-    else:
-        export_dictionary(dictionary, args.out)
+    export_dictionary(dictionary, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -457,22 +440,21 @@ def cmd_localize(args) -> int:
     workers = _workers(args)
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
-    if args.dict is not None:
-        try:
-            dictionary = import_dictionary(args.dict)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        if dictionary.n_points != plan.n_points:
-            raise ConfigError(
-                f"dictionary has {dictionary.n_points} frequency points but the "
-                f"plan expects {plan.n_points}"
-            )
-    else:
+    try:
+        dictionary = None if args.dict is None else import_dictionary(args.dict)
+        meas = read_measurement_csv(args.measurement, plan)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    if dictionary is None:
         model = parse_dispersion(cfg, plan, Path(args.config).parent)
         antenna = parse_antenna(cfg)
         grid = parse_grid(cfg)
         dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
-    meas = read_measurement_csv(args.measurement, plan)
+    elif dictionary.n_points != plan.n_points:
+        raise ConfigError(
+            f"dictionary has {dictionary.n_points} frequency points but the "
+            f"plan expects {plan.n_points}"
+        )
     result = localize(meas, dictionary)
     payload = {
         "estimate": [float(v) for v in result.position],
@@ -516,10 +498,8 @@ def cmd_probe(args) -> int:
     except GeometryError as exc:
         raise ConfigError(f"probe geometry: {exc}") from None
     file_offsets = np.degrees(curve.offsets) if angular else curve.offsets
-    lines = ["offset,similarity"]
-    for off, simval in zip(file_offsets, curve.similarities):
-        lines.append(f"{_FMT.format(off)},{_FMT.format(simval)}")
-    _write_output(args.out, "\n".join(lines) + "\n")
+    table = np.column_stack([file_offsets, curve.similarities])
+    _write_output(args.out, write_table(None, "offset,similarity", table))
     summary = {
         "axis": args.axis,
         "p0_m": list(p0),

@@ -1,4 +1,4 @@
-"""Shared domain types, physical constants, and geometry conventions.
+"""Shared domain types, physical constants, geometry conventions, CSV tables.
 
 Coordinate convention used throughout: the antenna phase center sits at the
 origin, boresight points along +z, the x-scan channel steers in the x-z plane
@@ -10,7 +10,10 @@ meters, all frequencies Hz.
 from __future__ import annotations
 
 import enum
+import io
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,3 +239,78 @@ def range_of(position) -> float | np.ndarray:
     if (r == 0.0).any():
         raise GeometryError("zero-length position vector has no defined range")
     return float(r) if r.ndim == 0 else r
+
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: a header line, then one line of numbers per row. Every CSV the
+# CLI reads or writes goes through read_table and write_table.
+
+FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
+
+
+def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | None:
+    """Write ``header`` and one CSV line per row of the 2-D ``table``.
+
+    The first ``n_int`` columns print as integers, the rest with FLOAT_FMT.
+    ``dest`` is a path or an open text file; with None the text is returned.
+    """
+    out = io.StringIO() if dest is None else dest
+    fmt = ["%d"] * n_int + [FLOAT_FMT] * (table.shape[1] - n_int)
+    np.savetxt(out, table, fmt=fmt, delimiter=",", header=header, comments="")
+    return out.getvalue() if dest is None else None
+
+
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header fields and float body, shape (rows, fields), of a CSV file.
+
+    Empty lines are skipped. A row whose field count differs from the
+    header's, a cell that is not a finite number, or a file without rows
+    raises ValueError naming the path and the line of the file.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns about an empty body
+        header = [f.strip() for f in fh.readline().split(",")]
+        try:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            raise _first_bad_line(path, len(header)) from None
+        if not body.size:
+            raise ValueError(f"{path}: no data rows after line 1")
+        if body.shape[1] != len(header) or not np.isfinite(body).all():
+            raise _first_bad_line(path, len(header))
+    return header, body
+
+
+def line_error(path, row: int, message: str) -> ValueError:
+    """ValueError naming the line of the file that holds body row ``row``."""
+    lineno, _ = next(itertools.islice(_body_lines(path), row, None))
+    return ValueError(f"{path}: line {lineno}: {message}")
+
+
+def _body_lines(path):
+    """(line number, text) of each non-empty line after the header."""
+    with open(path) as fh:
+        yield from ((n, line) for n, line in enumerate(fh, start=1) if n > 1 and line != "\n")
+
+
+def _first_bad_line(path, n_fields: int) -> ValueError:
+    """The error for the first body line read_table rejects; rescans the file."""
+
+    def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
+        try:
+            values = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return False
+        return values.size > 0 and bool(np.isfinite(values).all())
+
+    for lineno, line in _body_lines(path):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != n_fields:
+            message = f"expected {n_fields} fields, got {len(cells)}"
+            return ValueError(f"{path}: line {lineno}: {message}")
+        if not finite(line):
+            col = next(i for i, cell in enumerate(cells) if not finite(cell))
+            message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
+            return ValueError(f"{path}: line {lineno}: {message}")
+    return ValueError(f"{path}: unreadable CSV body")

@@ -8,14 +8,12 @@ schedule applied in their respective scan planes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from sweepsense.core import BandError, ChannelAxis, FrequencyPlan, frequency_grid
+from sweepsense.core import BandError, ChannelAxis, FrequencyPlan, frequency_grid, read_table
 
 _HALF_PI = math.pi / 2.0
 
@@ -94,25 +92,12 @@ class LookupTableDispersion:
     @classmethod
     def from_csv(cls, path) -> "LookupTableDispersion":
         """Load a two-column CSV (frequency_hz, angle_deg); header mandatory."""
-        with open(Path(path), newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"{path}: empty dispersion table")
-        header = [c.strip().lower() for c in rows[0]]
-        if header != ["frequency_hz", "angle_deg"]:
+        header, body = read_table(path)
+        if [c.lower() for c in header] != ["frequency_hz", "angle_deg"]:
             raise ValueError(
-                f"{path}: expected header 'frequency_hz,angle_deg', got {rows[0]!r}"
+                f"{path}: line 1: expected header 'frequency_hz,angle_deg', got {header!r}"
             )
-        freqs, angs = [], []
-        for i, row in enumerate(rows[1:], start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {i}: expected 2 fields, got {len(row)}")
-            try:
-                freqs.append(float(row[0]))
-                angs.append(math.radians(float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {i}: {exc}") from None
-        return cls(np.array(freqs), np.array(angs))
+        return cls(body[:, 0], np.radians(body[:, 1]))
 
     @property
     def band(self) -> tuple[float, float]:

@@ -10,19 +10,20 @@ displaced from a reference point.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from sweepsense.core import (
+    FLOAT_FMT,
     DegenerateMeasurementError,
     FrequencyPlan,
     Measurement,
+    line_error,
     range_of,
+    read_table,
+    write_table,
 )
 from sweepsense.dispersion import DispersionModel
 from sweepsense.synth import AntennaModel, echo
@@ -331,73 +332,58 @@ def ambiguity_probe(
     )
 
 
-_FLOAT_FMT = "{:.9e}"
+def _csv_header(m: int) -> str:
+    pairs = [f"{part}_{q}" for q in range(2 * m) for part in ("re", "im")]
+    return ",".join(["ix", "iy", "iz", "x", "y", "z"] + pairs)
 
 
-def export_dictionary(dictionary: Dictionary, path) -> None:
-    """Write a dictionary as portable CSV (indices, position, re/im pairs)."""
-    with open(Path(path), "w", newline="\n") as fh:
-        fh.write(dictionary_to_csv(dictionary))
+def export_dictionary(dictionary: Dictionary, path) -> str | None:
+    """Write a dictionary as portable CSV (indices, position, re/im pairs).
+
+    ``path`` may also be an open text file such as sys.stdout; with None the
+    text is returned instead.
+    """
+    entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
+    table = np.hstack([dictionary.grid.indices(), dictionary.positions, entries])
+    return write_table(path, _csv_header(dictionary.n_points), table, n_int=3)
 
 
 def dictionary_to_csv(dictionary: Dictionary) -> str:
-    m = dictionary.n_points
-    header = ["ix", "iy", "iz", "x", "y", "z"]
-    for q in range(2 * m):
-        header += [f"re_{q}", f"im_{q}"]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for idx, pos, row in zip(
-        dictionary.grid.indices(), dictionary.positions, dictionary.entries
-    ):
-        cells = [str(int(v)) for v in idx]
-        cells += [_FLOAT_FMT.format(v) for v in pos]
-        for v in row:
-            cells.append(_FLOAT_FMT.format(v.real))
-            cells.append(_FLOAT_FMT.format(v.imag))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    return export_dictionary(dictionary, None)
 
 
 def import_dictionary(path) -> Dictionary:
-    """Load a dictionary CSV written by export_dictionary."""
-    with open(Path(path), newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty dictionary file")
-    header = rows[0]
-    if header[:6] != ["ix", "iy", "iz", "x", "y", "z"] or (len(header) - 6) % 4 != 0:
-        raise ValueError(f"{path}: malformed dictionary header")
+    """Load a dictionary CSV written by export_dictionary.
+
+    Rows must list the grid in index order (x fastest) at the grid's positions
+    and hold unit-norm channel halves; any other row raises ValueError naming
+    its line.
+    """
+    header, body = read_table(path)
     m = (len(header) - 6) // 4
-    indices, positions, entries = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            indices.append([int(v) for v in row[:3]])
-            positions.append([float(v) for v in row[3:6]])
-            vals = np.array([float(v) for v in row[6:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        entries.append(vals[0::2] + 1j * vals[1::2])
-    indices = np.asarray(indices, dtype=int)
-    positions = np.asarray(positions, dtype=float)
-    entries = np.vstack(entries)
-    counts = indices.max(axis=0) + 1 if len(indices) else np.array([0, 0, 0])
-    if len(indices) != counts.prod():
-        raise ValueError(f"{path}: dictionary rows do not fill the index grid")
-    grid = PositionGrid(
-        x_range=(positions[:, 0].min(), positions[:, 0].max()),
-        y_range=(positions[:, 1].min(), positions[:, 1].max()),
-        z_range=(positions[:, 2].min(), positions[:, 2].max()),
-        nx=int(counts[0]),
-        ny=int(counts[1]),
-        nz=int(counts[2]),
-    )
-    for half in (entries[:, :m], entries[:, m:]):
-        norms = np.linalg.norm(half, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError(f"{path}: dictionary halves are not unit-norm")
+    if m < 1 or ",".join(header) != _csv_header(m):
+        raise ValueError(f"{path}: line 1: malformed dictionary header")
+    indices, positions = body[:, :3], body[:, 3:6].copy()
+    # Clipped: an absurd index must not size a grid beyond the row count.
+    counts = (np.clip(indices.max(axis=0), 0, len(body)).astype(int) + 1).tolist()
+    if math.prod(counts) != len(body):
+        shape = "x".join(map(str, counts))
+        raise ValueError(f"{path}: {len(body)} rows do not fill the {shape} index grid")
+    grid = PositionGrid(*zip(positions.min(axis=0), positions.max(axis=0)), *counts)
+    points, expected = grid.points(), grid.indices()
+    # Printing rounds positions and range ends to 10 significant digits, so a
+    # written row lies within 1e-9 times its axis' largest |value| of the grid.
+    off_grid = np.abs(positions - points) > 2e-9 * np.abs(points).max(axis=0)
+    misplaced = (indices != expected).any(axis=1) | off_grid.any(axis=1)
+    if misplaced.any():
+        i = int(np.argmax(misplaced))
+        ijk = ",".join(map(str, expected[i]))
+        xyz = ",".join(FLOAT_FMT % v for v in points[i])
+        message = f"rows must follow grid order: expected ix,iy,iz = {ijk} at x,y,z = {xyz}"
+        raise line_error(path, i, message)
+    halves = body[:, 6:].reshape(len(body), 2, 2 * m)  # re/im pairs per channel
+    off_unit = (np.abs(np.einsum("ijk,ijk->ij", halves, halves) - 1.0) > 2e-6).any(axis=1)
+    if off_unit.any():
+        raise line_error(path, int(np.argmax(off_unit)), "dictionary halves are not unit-norm")
+    entries = np.ascontiguousarray(body[:, 6:]).view(np.complex128)
     return Dictionary(grid=grid, n_points=m, positions=positions, entries=entries)

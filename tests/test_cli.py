@@ -400,3 +400,87 @@ class TestLookupDispersionConfig:
             ["simulate", "--config", config_path(cfg), "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "section, key, constant",
+        [("scene", "snr_db", "NaN"), ("plan", "f_max_hz", "Infinity"),
+         ("plan", "f_min_hz", "-Infinity")],
+    )
+    def test_non_finite_constant_exits_2_naming_it(
+        self, tmp_path, config_path, capsys, section, key, constant
+    ):
+        cfg = base_config()
+        cfg[section][key] = "@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"@"', constant))
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"non-finite number {constant}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_chirp_section_rejected(self, tmp_path, config_path, capsys):
+        cfg = base_config(chirp={"duration_s": -1.0, "bogus_key": 3})
+        rc = cli.main(["simulate", "--config", config_path(cfg), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "unknown section(s) ['chirp']" in capsys.readouterr().err
+
+
+class TestMeasurementBoundary:
+    def localize(self, tmp_path, config, meas):
+        return cli.main(["localize", "--config", config, "--measurement", str(meas),
+                         "--out", str(tmp_path / "loc.json")])
+
+    def simulated(self, tmp_path, config):
+        meas = tmp_path / "meas.csv"
+        assert cli.main(["simulate", "--config", config, "--out", str(meas)]) == 0
+        return meas
+
+    def test_duplicated_m_exits_2(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        lines = meas.read_text().splitlines()
+        lines[5] = "3" + lines[5][1:]  # m = 4 relabelled as a second m = 3
+        meas.write_text("\n".join(lines) + "\n")
+        assert self.localize(tmp_path, path, meas) == 2
+        assert "line 6: expected m = 4" in capsys.readouterr().err
+
+    def test_other_band_exits_2(self, tmp_path, config_path, capsys):
+        other = base_config()
+        other["plan"]["f_max_hz"] = 65e9
+        meas = self.simulated(tmp_path, config_path(other, "other.json"))
+        assert self.localize(tmp_path, config_path(base_config()), meas) == 2
+        assert "line 2: expected m = 0 at f_hz = 6.009375000e+10" in capsys.readouterr().err
+
+    def test_bad_line_after_blank_line_named(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        lines = meas.read_text().splitlines()
+        lines[5] = "oops"  # physical line 6, line 7 once the blank line is in
+        lines.insert(2, "")
+        meas.write_text("\n".join(lines) + "\n")
+        assert self.localize(tmp_path, path, meas) == 2
+        assert "line 7: expected 7 fields, got 1" in capsys.readouterr().err
+
+
+class TestDictionaryBoundary:
+    def test_reversed_rows_exit_2(self, tmp_path, config_path, capsys):
+        cfg = base_config()
+        cfg["grid"].update(nx=3, ny=1, nz=2)
+        path = config_path(cfg)
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        cli.main(["simulate", "--config", path, "--out", str(meas)])
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        lines = dict_csv.read_text().splitlines()
+        dict_csv.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        rc = cli.main(["localize", "--config", path, "--measurement", str(meas),
+                       "--dict", str(dict_csv), "--out", str(tmp_path / "loc.json")])
+        assert rc == 2
+        assert "line 2: rows must follow grid order" in capsys.readouterr().err
+
+    def test_stdout_matches_file(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        assert cli.main(["dict", "--config", path, "--out", str(tmp_path / "d.csv")]) == 0
+        assert cli.main(["dict", "--config", path, "--out", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "d.csv").read_text()

@@ -1,0 +1,232 @@
+"""CSV tables: the shared reader and writer and the formats built on them."""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sweepsense.cli import measurement_to_csv, read_measurement_csv
+from sweepsense.core import FrequencyPlan, Measurement, line_error, read_table, write_table
+from sweepsense.dispersion import LinearSineDispersion
+from sweepsense.fingerprint import (
+    Dictionary,
+    PositionGrid,
+    build_dictionary,
+    dictionary_to_csv,
+    export_dictionary,
+    import_dictionary,
+)
+from sweepsense.synth import AntennaModel
+
+PLAN8 = FrequencyPlan(60e9, 66e9, 8)
+MODEL8 = LinearSineDispersion.for_plan(PLAN8)
+ANT = AntennaModel()
+PROPERTY = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestWriteTable:
+    def test_path_file_and_text_agree(self, tmp_path):
+        table = np.array([[0, 1.5, -0.0], [12, 2.5e-300, 1e300]])
+        text = write_table(None, "i,a,b", table, n_int=1)
+        assert text == (
+            "i,a,b\n"
+            "0,1.500000000e+00,-0.000000000e+00\n"
+            "12,2.500000000e-300,1.000000000e+300\n"
+        )
+        write_table(tmp_path / "t.csv", "i,a,b", table, n_int=1)
+        buf = io.StringIO()
+        write_table(buf, "i,a,b", table, n_int=1)
+        assert (tmp_path / "t.csv").read_text() == buf.getvalue() == text
+
+
+class TestReadTable:
+    def write(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        return path
+
+    def test_header_and_body(self, tmp_path):
+        header, body = read_table(self.write(tmp_path, "a, b\n1,2\n\n3,4e1\n"))
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(body, [[1.0, 2.0], [3.0, 40.0]])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("a,b\n1,2\n1,2,3\n", "line 3: expected 2 fields, got 3"),
+            ("a,b\n1,2\n\n\n1\n", "line 5: expected 2 fields, got 1"),
+            ("a,b\n1,2\n   \n", "line 3: expected 2 fields, got 1"),
+            ("a,b\n\n1,nan\n", "line 3: field 2 is not a finite number: 'nan'"),
+            ("a,b\n1,2\n-inf,2\n", "line 3: field 1 is not a finite number: '-inf'"),
+            ("a,b\n1, x \n", "line 2: field 2 is not a finite number: 'x'"),
+            ("a,b\n1,\n", "line 2: field 2 is not a finite number: ''"),
+            ("a,b,c\n1,2\n3,4\n", "line 2: expected 3 fields, got 2"),
+            ("a,b\n\n", "no data rows after line 1"),
+            ("", "no data rows after line 1"),
+        ],
+    )
+    def test_rejects_naming_the_line(self, tmp_path, text, match):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"{path}: {match}"):
+            read_table(path)
+
+    def test_line_error_counts_skipped_lines(self, tmp_path):
+        path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
+        assert [str(line_error(path, i, "bad")) for i in range(3)] == [
+            f"{path}: line {n}: bad" for n in (2, 4, 7)
+        ]
+
+
+def small_dictionary():
+    grid = PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=2)
+    return build_dictionary(grid, PLAN8, MODEL8, ANT)
+
+
+def rewrite(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestDictionaryImport:
+    def exported(self, tmp_path):
+        path = tmp_path / "dict.csv"
+        export_dictionary(small_dictionary(), path)
+        return path
+
+    def test_reversed_rows_rejected(self, tmp_path):
+        path = self.exported(tmp_path)
+
+        def reverse(lines):
+            lines[1:] = lines[:0:-1]
+
+        rewrite(path, reverse)
+        with pytest.raises(ValueError, match="line 2: rows must follow grid order"):
+            import_dictionary(path)
+
+    def test_duplicated_row_rejected(self, tmp_path):
+        path = self.exported(tmp_path)
+        rewrite(path, lambda lines: lines.__setitem__(4, lines[3]))
+        with pytest.raises(ValueError, match="line 5: rows must follow grid order"):
+            import_dictionary(path)
+
+    def test_position_off_grid_rejected(self, tmp_path):
+        path = self.exported(tmp_path)
+
+        def shift_x(lines):
+            cells = lines[3].split(",")
+            cells[3] = "1.000000001e-01"  # grid x is 0.0 here
+            lines[3] = ",".join(cells)
+
+        rewrite(path, shift_x)
+        with pytest.raises(ValueError, match="line 4: .*ix,iy,iz = 2,0,0"):
+            import_dictionary(path)
+
+    def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
+        path = self.exported(tmp_path)
+        rewrite(path, lambda lines: lines.__setitem__(2, "1000000000000" + lines[2][1:]))
+        with pytest.raises(ValueError, match="6 rows do not fill the 7x1x2 index grid"):
+            import_dictionary(path)
+
+    def test_non_unit_row_named(self, tmp_path):
+        path = self.exported(tmp_path)
+
+        def scale(lines):
+            cells = lines[6].split(",")
+            cells[6:] = [f"{2 * float(c):.9e}" for c in cells[6:]]
+            lines[6] = ",".join(cells)
+
+        rewrite(path, scale)
+        with pytest.raises(ValueError, match="line 7: dictionary halves are not unit-norm"):
+            import_dictionary(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self.exported(tmp_path)
+        text = path.read_text()
+        rewrite(path, lambda lines: lines.insert(3, ""))
+        assert dictionary_to_csv(import_dictionary(path)) == text
+
+
+@st.composite
+def dictionaries(draw):
+    def axis(lo, hi):
+        a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+        return (a, b)
+
+    grid = PositionGrid(
+        axis(-2.0, 2.0), axis(-2.0, 2.0), axis(0.1, 5.0),
+        nx=draw(st.integers(1, 3)), ny=draw(st.integers(1, 3)), nz=draw(st.integers(1, 3)),
+    )
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=(grid.size, 2, m)) + 1j * rng.normal(size=(grid.size, 2, m))
+    entries = (raw / np.linalg.norm(raw, axis=2, keepdims=True)).reshape(grid.size, 2 * m)
+    return Dictionary(grid=grid, n_points=m, positions=grid.points(), entries=entries)
+
+
+@st.composite
+def measurements(draw):
+    f_min = draw(st.floats(1e9, 100e9))
+    plan = FrequencyPlan(f_min, f_min * (1.0 + draw(st.floats(1e-3, 1.0))), draw(st.integers(1, 8)))
+    # Bounded: near the largest double, rounding to 10 digits can print a
+    # number above it, which parses back as inf.
+    values = st.floats(-1e300, 1e300)
+    s = [complex(draw(values), draw(values)) for _ in range(2 * plan.n_points)]
+    return Measurement(plan, s[::2], s[1::2])
+
+
+def corrupt(draw, text):
+    """Replace one random body cell with a bad value, insert one empty line,
+    and return the new text with the physical line of the bad cell."""
+    lines = text.splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(["nan", "inf", "-inf", "x"]))
+    lines[row] = ",".join(cells)
+    at = draw(st.integers(1, len(lines)))
+    lines.insert(at, "")
+    return "\n".join(lines) + "\n", row + (at <= row) + 1
+
+
+class TestRoundTripProperties:
+    @PROPERTY
+    @given(d=dictionaries())
+    def test_dictionary_emit_import_emit(self, tmp_path, d):
+        path = tmp_path / "dict.csv"
+        export_dictionary(d, path)
+        text = path.read_text()
+        assert dictionary_to_csv(d) == text
+        assert dictionary_to_csv(import_dictionary(path)) == text
+
+    @PROPERTY
+    @given(d=dictionaries(), data=st.data())
+    def test_dictionary_bad_cell_names_line(self, tmp_path, d, data):
+        text, lineno = corrupt(data.draw, dictionary_to_csv(d))
+        path = tmp_path / "dict.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {lineno}: field"):
+            import_dictionary(path)
+
+    @PROPERTY
+    @given(meas=measurements())
+    def test_measurement_emit_read_emit(self, tmp_path, meas):
+        model = LinearSineDispersion.for_plan(meas.plan)
+        text = measurement_to_csv(meas, model)
+        path = tmp_path / "meas.csv"
+        path.write_text(text)
+        assert measurement_to_csv(read_measurement_csv(path, meas.plan), model) == text
+
+    @PROPERTY
+    @given(meas=measurements(), data=st.data())
+    def test_measurement_bad_cell_names_line(self, tmp_path, meas, data):
+        model = LinearSineDispersion.for_plan(meas.plan)
+        text, lineno = corrupt(data.draw, measurement_to_csv(meas, model))
+        path = tmp_path / "meas.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {lineno}: field"):
+            read_measurement_csv(path, meas.plan)
+
