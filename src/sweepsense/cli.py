@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +44,18 @@ from sweepsense.dispersion import (
     LookupTableDispersion,
 )
 from sweepsense.fingerprint import (
+    SCORE_CELLS,
     PositionGrid,
+    _normalize,
     ambiguity_probe,
     build_dictionary,
     export_dictionary,
     import_dictionary,
     localize,
+    localize_batch,
 )
 from sweepsense.streams import derive_seed
-from sweepsense.synth import AntennaModel, simulate_measurement
+from sweepsense.synth import AntennaModel, noise, noise_sigma, scene_echo, simulate_measurement
 
 
 class ConfigError(ValueError):
@@ -304,10 +307,12 @@ def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
     return write_table(None, _MEAS_HEADER, table, n_int=1)
 
 
-def read_measurement_csv(path, plan: FrequencyPlan) -> Measurement:
+def read_measurement_csv(path, plan: FrequencyPlan,
+                         model: DispersionModel | None = None) -> Measurement:
     """Read a measurement CSV; rows must be m = 0..M-1 on the plan's frequency grid.
 
-    A malformed file raises ValueError naming its line.
+    Given a dispersion model, each theta_deg must also be its beam angle at
+    that frequency. A malformed file raises ValueError naming its line.
     """
     header, body = read_table(path)
     if ",".join(header) != _MEAS_HEADER:
@@ -327,6 +332,17 @@ def read_measurement_csv(path, plan: FrequencyPlan) -> Measurement:
             f"got m = {body[i, 0]:g} at f_hz = {FLOAT_FMT % body[i, 1]}"
         )
         raise line_error(path, i, message)
+    if model is not None:
+        thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
+        # Printing rounds each angle by at most 5e-10 of the column's largest |value|.
+        off_beam = np.abs(body[:, 2] - thetas) > 1e-9 * np.abs(thetas).max()
+        if off_beam.any():
+            i = int(np.argmax(off_beam))
+            message = (
+                f"expected theta_deg = {FLOAT_FMT % thetas[i]} at m = {i} (the dispersion "
+                f"model's beam angle), got {FLOAT_FMT % body[i, 2]}"
+            )
+            raise line_error(path, i, message)
     s = np.ascontiguousarray(body[:, 3:]).view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 
@@ -358,28 +374,36 @@ def run_sweep(
 ) -> list[SweepPoint]:
     """Monte-Carlo localization RMSE per SNR point.
 
-    Trial noise seeds derive from (scene seed, snr index, trial index), so a
-    given trial's outcome never depends on trial count, ordering, or workers.
-    The first configured target is the ground truth.
+    Trial k of SNR point i is the clean scene plus the noise keyed by
+    derive_seed(scene seed, i, k), localized against one dictionary: the
+    same result as simulating and localizing that trial on its own, so a
+    given trial's outcome never depends on trial count, ordering, or
+    workers. Trials are scored in batches of about SCORE_CELLS dictionary
+    scores. The first configured target is the ground truth; every SNR
+    must be finite, or None for noiseless.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not scene.targets:
         raise ValueError("sweep needs at least one target as ground truth")
+    clean = scene_echo(scene.targets, plan, model, antenna)
+    sigmas = [noise_sigma(clean, snr) for snr in snrs]
     dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
     truth = np.asarray(scene.targets[0].position)
-
-    def one_trial(snr_idx: int, snr: float | None, trial: int) -> float:
-        noise = NoiseConfig(
-            snr_db=snr, seed=derive_seed(scene.noise.seed, snr_idx, trial)
-        )
-        meas = simulate_measurement(replace(scene, noise=noise), plan, model, antenna)
-        result = localize(meas, dictionary)
-        return float(np.linalg.norm(result.position - truth))
+    # One 3-vector norm per entry, as a single localize result's error is taken.
+    miss = np.array([np.linalg.norm(p - truth) for p in dictionary.positions])
+    batch = max(1, SCORE_CELLS // dictionary.size)
 
     points = []
-    for snr_idx, snr in enumerate(snrs):
-        errors = [one_trial(snr_idx, snr, t) for t in range(trials)]
+    for snr_idx, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+        indices = np.empty(trials, dtype=np.intp)
+        for start in range(0, trials, batch):
+            stop = min(start + batch, trials)
+            seeds = [derive_seed(scene.noise.seed, snr_idx, t) for t in range(start, stop)]
+            measured = clean + noise(seeds, sigma, plan.n_points)
+            block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
+            indices[start:stop], _ = localize_batch(block, dictionary)
+        errors = miss[indices].tolist()
         rmse = math.sqrt(sum(e * e for e in errors) / trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
@@ -440,13 +464,13 @@ def cmd_localize(args) -> int:
     workers = _workers(args)
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
+    model = parse_dispersion(cfg, plan, Path(args.config).parent)
     try:
         dictionary = None if args.dict is None else import_dictionary(args.dict)
-        meas = read_measurement_csv(args.measurement, plan)
+        meas = read_measurement_csv(args.measurement, plan, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if dictionary is None:
-        model = parse_dispersion(cfg, plan, Path(args.config).parent)
         antenna = parse_antenna(cfg)
         grid = parse_grid(cfg)
         dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
@@ -541,9 +565,14 @@ def cmd_sweep(args) -> int:
             snrs.append(None)
         else:
             try:
-                snrs.append(float(token))
+                value = float(token)
             except ValueError:
                 raise ConfigError(f"--snr: bad value {token!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"--snr: {token!r} is not a finite number of dB; use 'noiseless' for no noise"
+                )
+            snrs.append(value)
     if not snrs:
         raise ConfigError("--snr: need at least one value")
     if args.trials < 1:

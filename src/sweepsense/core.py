@@ -262,23 +262,24 @@ def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | N
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Header fields and float body, shape (rows, fields), of a CSV file.
+    """Header fields and float body, shape (rows, fields), of a UTF-8 CSV file.
 
-    Empty lines are skipped. A row whose field count differs from the
-    header's, a cell that is not a finite number, or a file without rows
-    raises ValueError naming the path and the line of the file.
+    Empty lines are skipped. A line that is not UTF-8 text, a row whose field
+    count differs from the header's, a cell that is not a finite number, or
+    a file without rows raises ValueError naming the path and the line of
+    the file.
     """
-    with open(path) as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns about an empty body
-        header = [f.strip() for f in fh.readline().split(",")]
         try:
+            header = [f.strip() for f in fh.readline().split(",")]
             body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            raise _first_bad_line(path, len(header)) from None
-        if not body.size:
-            raise ValueError(f"{path}: no data rows after line 1")
-        if body.shape[1] != len(header) or not np.isfinite(body).all():
-            raise _first_bad_line(path, len(header))
+        except ValueError:  # UnicodeDecodeError included
+            raise _first_bad_line(path) from None
+    if not body.size:
+        raise ValueError(f"{path}: no data rows after line 1")
+    if body.shape[1] != len(header) or not np.isfinite(body).all():
+        raise _first_bad_line(path)
     return header, body
 
 
@@ -288,14 +289,29 @@ def line_error(path, row: int, message: str) -> ValueError:
     return ValueError(f"{path}: line {lineno}: {message}")
 
 
+def _lines(path):
+    """(line number, text) of every line, split as text mode splits them.
+
+    Each line is decoded on its own, so a line that is not UTF-8 text raises
+    ValueError naming it.
+    """
+    with open(path, "rb") as fh:
+        raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
+                raise ValueError(f"{path}: line {lineno}: {message}") from None
+
+
 def _body_lines(path):
     """(line number, text) of each non-empty line after the header."""
-    with open(path) as fh:
-        yield from ((n, line) for n, line in enumerate(fh, start=1) if n > 1 and line != "\n")
+    return ((n, line) for n, line in _lines(path) if n > 1 and line)
 
 
-def _first_bad_line(path, n_fields: int) -> ValueError:
-    """The error for the first body line read_table rejects; rescans the file."""
+def _first_bad_line(path) -> ValueError:
+    """The error for the first line read_table rejects; rescans the file."""
 
     def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
         try:
@@ -304,13 +320,17 @@ def _first_bad_line(path, n_fields: int) -> ValueError:
             return False
         return values.size > 0 and bool(np.isfinite(values).all())
 
-    for lineno, line in _body_lines(path):
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != n_fields:
-            message = f"expected {n_fields} fields, got {len(cells)}"
-            return ValueError(f"{path}: line {lineno}: {message}")
-        if not finite(line):
-            col = next(i for i, cell in enumerate(cells) if not finite(cell))
-            message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
-            return ValueError(f"{path}: line {lineno}: {message}")
+    try:
+        n_fields = len(next(_lines(path), (1, ""))[1].split(","))
+        for lineno, line in _body_lines(path):
+            cells = line.split(",")
+            if len(cells) != n_fields:
+                message = f"expected {n_fields} fields, got {len(cells)}"
+                return ValueError(f"{path}: line {lineno}: {message}")
+            if not finite(line):
+                col = next(i for i, cell in enumerate(cells) if not finite(cell))
+                message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
+                return ValueError(f"{path}: line {lineno}: {message}")
+    except ValueError as exc:  # from _lines: a line that is not UTF-8 text
+        return exc
     return ValueError(f"{path}: unreadable CSV body")

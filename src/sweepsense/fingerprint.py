@@ -31,6 +31,7 @@ from sweepsense.synth import AntennaModel, echo
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
 _CHUNK_ROWS = 1024  # positions per echo batch: amortises calls, bounds temporaries
+SCORE_CELLS = 2**14  # entry x trial scores per sweep batch: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,17 @@ def build_fingerprint(meas: Measurement) -> Fingerprint:
     return Fingerprint(rows[0], meas.plan)
 
 
-def _scores(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Similarity of each (2M,) fingerprint row to ``ref``: mean channel |<row, ref>|."""
-    m = ref.shape[-1] // 2
-    return 0.5 * (
-        np.abs(rows[:, :m] @ np.conj(ref[:m])) + np.abs(rows[:, m:] @ np.conj(ref[m:]))
-    )
+def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Similarity of each (2M,) row to each fingerprint of the (T, 2M) ``block``.
+
+    Returns (N, T): the mean over channels of |<row, fingerprint>|, from one
+    matrix product per channel. ``rows`` is passed to BLAS as strided halves,
+    without a copy; with T = 1 the product is a matrix-vector one.
+    """
+    m = block.shape[-1] // 2
+    x = rows[:, :m] @ np.conj(block[:, :m]).T
+    y = rows[:, m:] @ np.conj(block[:, m:]).T
+    return 0.5 * (np.abs(x) + np.abs(y))
 
 
 def similarity(a: Fingerprint, b: Fingerprint) -> float:
@@ -98,7 +104,7 @@ def similarity(a: Fingerprint, b: Fingerprint) -> float:
         raise ValueError(
             f"fingerprint size mismatch: {a.plan.n_points} vs {b.plan.n_points} points"
         )
-    return float(_scores(a.vector[None], b.vector)[0])
+    return float(_scores(a.vector[None], b.vector[None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -224,23 +230,33 @@ class LocalizationResult:
     index: int
 
 
+def localize_batch(block: np.ndarray, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+    """Best-matching dictionary entry for each fingerprint of a (T, 2M) block.
+
+    Returns the grid indices and their similarity scores, both of length T.
+    Ties resolve to the lowest grid index.
+    """
+    if block.shape[-1] != 2 * dictionary.n_points:
+        raise ValueError(
+            f"measurement has {block.shape[-1] // 2} frequency points but the "
+            f"dictionary was built with {dictionary.n_points}"
+        )
+    scores = _scores(dictionary.entries, block)
+    indices = np.argmax(scores, axis=0)  # first maximum == lowest grid index
+    return indices, scores[indices, np.arange(len(indices))]
+
+
 def localize(meas: Measurement, dictionary: Dictionary) -> LocalizationResult:
     """Best-matching dictionary position for a measurement.
 
-    Ties resolve to the lowest grid index. The score is the similarity of the
-    measurement's fingerprint to the winning entry.
+    The one-measurement case of ``localize_batch``. The score is the
+    similarity of the measurement's fingerprint to the winning entry.
     """
-    if meas.plan.n_points != dictionary.n_points:
-        raise ValueError(
-            f"measurement has {meas.plan.n_points} frequency points but the "
-            f"dictionary was built with {dictionary.n_points}"
-        )
-    scores = _scores(dictionary.entries, build_fingerprint(meas).vector)
-    idx = int(np.argmax(scores))  # first maximum == lowest grid index
+    [idx], [score] = localize_batch(build_fingerprint(meas).vector[None], dictionary)
     return LocalizationResult(
         position=dictionary.positions[idx].copy(),
-        score=float(scores[idx]),
-        index=idx,
+        score=float(score),
+        index=int(idx),
     )
 
 
@@ -326,7 +342,7 @@ def ambiguity_probe(
         return f"probe offset {offsets[i]:g} {unit}"
 
     for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
-        sims[start : start + len(rows)] = _scores(rows, ref[0])
+        sims[start : start + len(rows)] = _scores(rows, ref)[:, 0]
     return AmbiguityCurve(
         offsets=offsets, similarities=sims, width=half_power_width(offsets, sims)
     )

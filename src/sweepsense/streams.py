@@ -1,9 +1,10 @@
 """Counter-based random substreams for order-independent reproducibility.
 
-Every noise draw and Monte-Carlo trial gets its own stream keyed by a root
-seed plus a path of labels (channel name, sample index, trial index, ...).
-The key is hashed into a Philox counter-based generator, so values depend
-only on (seed, path) and never on evaluation order or worker count.
+A stream is keyed by a root seed plus a path of labels: a measurement's
+noise reads one stream per (seed, channel name), and each Monte-Carlo trial
+gets its own seed from derive_seed(seed, SNR index, trial index). The key is
+hashed into a Philox counter-based generator, so values depend only on
+(seed, path) and never on evaluation order or worker count.
 """
 
 from __future__ import annotations

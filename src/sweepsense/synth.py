@@ -7,8 +7,9 @@ The per-frequency-point echo model is
 with the antenna's directional response folded into ``gain`` and the exact
 spherical two-way phase 4 pi f R / c carrying the near-field curvature that
 makes positions separable; ``echo`` evaluates it for batches of positions.
-Noise is added per complex sample from counter-based substreams so results
-never depend on evaluation order.
+Noise is circular complex Gaussian, drawn per (seed, channel) from one
+counter-based substream, so results never depend on evaluation order;
+``noise`` draws it for a batch of seeds at once.
 """
 
 from __future__ import annotations
@@ -105,6 +106,50 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
     return np.zeros(gain.shape, dtype=np.complex128) + refl * gain * carrier[:, None, :]
 
 
+def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
+               antenna: AntennaModel) -> np.ndarray:
+    """Noiseless dual-channel measurement of ``targets``, shape (2, M).
+
+    Target echoes superpose linearly; an empty scene is all zeros.
+    """
+    refl = np.array([(t.refl_x, t.refl_y) for t in targets], dtype=np.complex128)
+    echoes = echo([t.position for t in targets], refl.reshape(-1, 2), plan, model, antenna)
+    return echoes.sum(axis=0)
+
+
+def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
+    """Per-component noise standard deviation for a clean (2, M) measurement.
+
+    The per-sample variance is sigma_c^2 = P_sig / 10^(snr_db/10), where P_sig
+    is the mean noiseless per-sample power across both channels; each of the
+    real and imaginary parts gets half of it. Noiseless (None) or a
+    zero-power scene gives 0. A non-finite snr_db raises ValueError.
+    """
+    if snr_db is None:
+        return 0.0
+    if not math.isfinite(snr_db):
+        raise ValueError(f"SNR must be a finite number of dB, got {snr_db!r}")
+    var = float(np.mean(np.abs(clean) ** 2)) * 10.0 ** (-float(snr_db) / 10.0)
+    return math.sqrt(var / 2.0)
+
+
+def noise(seeds, sigma: float, m: int) -> np.ndarray:
+    """Circular complex Gaussian noise for each seed, shape (T, 2, M).
+
+    Row t, channel c is the stream substream(seeds[t], c.value) read as M
+    interleaved (re, im) normals of standard deviation ``sigma``, so a row
+    depends only on its own seed. With sigma 0 the block is zeros and no
+    stream is drawn.
+    """
+    out = np.zeros((len(seeds), 2, m), dtype=np.complex128)
+    if sigma:
+        for t, seed in enumerate(seeds):
+            for c, axis in enumerate(ChannelAxis):
+                draw = substream(seed, axis.value).normal(0.0, sigma, 2 * m)
+                out[t, c] = draw.view(np.complex128)
+    return out
+
+
 def simulate_measurement(
     scene: Scene,
     plan: FrequencyPlan,
@@ -113,34 +158,14 @@ def simulate_measurement(
 ) -> Measurement:
     """Dual-channel measurement of a scene over the full frequency sweep.
 
-    Target echoes superpose linearly; additive noise (when configured) is
-    circular complex Gaussian with per-sample variance
-    sigma^2 = P_sig / 10^(snr_db/10), where P_sig is the mean noiseless
-    per-sample power across both channels. Each noise sample comes from the
-    substream keyed by (seed, channel, index), making measurements
-    bit-identical regardless of evaluation order.
+    The clean scene (``scene_echo``) plus, when configured, the noise row
+    keyed by the scene's seed at the ``noise_sigma`` of its SNR. The result
+    is bit-identical regardless of evaluation order.
     """
-    refl = np.array([(t.refl_x, t.refl_y) for t in scene.targets], dtype=np.complex128)
-    echoes = echo([t.position for t in scene.targets], refl.reshape(-1, 2), plan, model, antenna)
-    channels = dict(zip(ChannelAxis, echoes.sum(axis=0)))
-
-    noise = scene.noise
-    if not noise.noiseless:
-        s_x, s_y = channels[ChannelAxis.X_SCAN], channels[ChannelAxis.Y_SCAN]
-        p_sig = (np.sum(np.abs(s_x) ** 2) + np.sum(np.abs(s_y) ** 2)) / (
-            2.0 * plan.n_points
-        )
-        var = float(p_sig) * 10.0 ** (-float(noise.snr_db) / 10.0)
-        if var > 0.0:
-            sigma = math.sqrt(var / 2.0)
-            for axis in (ChannelAxis.X_SCAN, ChannelAxis.Y_SCAN):
-                drawn = np.empty(plan.n_points, dtype=np.complex128)
-                for m in range(plan.n_points):
-                    re, im = substream(noise.seed, axis.value, m).normal(0.0, sigma, 2)
-                    drawn[m] = re + 1j * im
-                channels[axis] = channels[axis] + drawn
-
-    return Measurement(plan, channels[ChannelAxis.X_SCAN], channels[ChannelAxis.Y_SCAN])
+    clean = scene_echo(scene.targets, plan, model, antenna)
+    sigma = noise_sigma(clean, scene.noise.snr_db)
+    s_x, s_y = clean + noise([scene.noise.seed], sigma, plan.n_points)[0]
+    return Measurement(plan, s_x, s_y)
 
 
 def dechirp_range_profile(

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from sweepsense import cli
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
-from sweepsense.fingerprint import PositionGrid
-from sweepsense.synth import AntennaModel
+from sweepsense.fingerprint import SCORE_CELLS, PositionGrid, build_dictionary, localize
+from sweepsense.streams import derive_seed
+from sweepsense.synth import AntennaModel, simulate_measurement
 
 
 def base_config(**overrides):
@@ -332,6 +334,47 @@ class TestSweep:
             assert a.errors == b.errors
             assert a.rmse == b.rmse
 
+    def test_trials_equal_one_at_a_time_localization(self):
+        plan = FrequencyPlan(60e9, 66e9, 32)
+        model = LinearSineDispersion.for_plan(plan)
+        antenna = AntennaModel(length=0.012)
+        scene = Scene(
+            targets=(Target((0.125, -0.25, 3.0), 0.7 - 0.3j),), noise=NoiseConfig(seed=5)
+        )
+        grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
+        trials = 2 * (SCORE_CELLS // grid.size) + 1  # three score batches, the last of one
+        snrs = [None, -10.0, 10.0]
+        points = cli.run_sweep(plan, model, antenna, scene, grid, snrs, trials)
+        dictionary = build_dictionary(grid, plan, model, antenna)
+        truth = np.asarray(scene.targets[0].position)
+        for k, (snr, point) in enumerate(zip(snrs, points)):
+            expected = []
+            for t in range(trials):
+                noise = NoiseConfig(snr, derive_seed(scene.noise.seed, k, t))
+                meas = simulate_measurement(replace(scene, noise=noise), plan, model, antenna)
+                expected.append(float(np.linalg.norm(localize(meas, dictionary).position - truth)))
+            assert point.errors == tuple(expected)
+        assert points[0].rmse == 0.0 < points[1].rmse
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "inf"])
+    def test_non_finite_snr_exits_2_naming_it(self, tmp_path, config_path, capsys, token):
+        rc = cli.main(
+            ["sweep", "--config", config_path(base_config()), "--snr", f"0,{token}",
+             "--trials", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 2
+        assert f"--snr: '{token}' is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, math.inf])
+    def test_library_rejects_non_finite_snr(self, snr):
+        plan = FrequencyPlan(60e9, 66e9, 8)
+        model = LinearSineDispersion.for_plan(plan)
+        scene = Scene(targets=(Target((0.0, 0.0, 3.0)),))
+        grid = PositionGrid((0.0, 0.0), (0.0, 0.0), (3.0, 3.0), 1, 1, 1)
+        with pytest.raises(ValueError, match="finite"):
+            cli.run_sweep(plan, model, AntennaModel(), scene, grid, [0.0, snr], 1)
+
     def test_sweep_without_targets_exits_2(self, tmp_path, config_path):
         cfg = base_config()
         cfg["scene"]["targets"] = []
@@ -462,6 +505,40 @@ class TestMeasurementBoundary:
         meas.write_text("\n".join(lines) + "\n")
         assert self.localize(tmp_path, path, meas) == 2
         assert "line 7: expected 7 fields, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_utf8_file_names_path_and_line(self, tmp_path, config_path, capsys, line):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        if line == 1:
+            meas.write_bytes(np.random.default_rng(0).bytes(300))
+        else:
+            lines = meas.read_bytes().split(b"\n")
+            lines[2] = b"\x93" + lines[2]
+            meas.write_bytes(b"\n".join(lines))
+        assert self.localize(tmp_path, path, meas) == 2
+        assert f"{meas}: line {line}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reuse_dict", [False, True])
+    def test_theta_off_the_dispersion_model_exits_2(
+        self, tmp_path, config_path, capsys, reuse_dict
+    ):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        lines = meas.read_text().splitlines()
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[2] = "0.000000000e+00"
+            lines[i] = ",".join(cells)
+        meas.write_text("\n".join(lines) + "\n")
+        extra = []
+        if reuse_dict:
+            assert cli.main(["dict", "--config", path, "--out", str(tmp_path / "d.csv")]) == 0
+            extra = ["--dict", str(tmp_path / "d.csv")]
+        rc = cli.main(["localize", "--config", path, "--measurement", str(meas), *extra,
+                       "--out", str(tmp_path / "loc.json")])
+        assert rc == 2
+        assert "line 2: expected theta_deg = " in capsys.readouterr().err
 
 
 class TestDictionaryBoundary:

@@ -28,6 +28,7 @@ from sweepsense.fingerprint import (
     half_power_width,
     import_dictionary,
     localize,
+    localize_batch,
     similarity,
 )
 from sweepsense.synth import AntennaModel, simulate_measurement
@@ -282,6 +283,21 @@ class TestLocalize:
             entries=np.vstack([entry, entry]),
         )
         assert localize(unit_measurement((0.0, 0.0, 3.0)), d).index == 0
+
+    def test_localize_is_the_one_row_batch(self, dictionary):
+        rng = np.random.default_rng(5)
+        positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(6, 3))
+        measurements = [unit_measurement(p, antenna=ANT_WIDE) for p in positions]
+        block = np.stack([build_fingerprint(m).vector for m in measurements])
+        indices, scores = localize_batch(block, dictionary)
+        for t, m in enumerate(measurements):
+            result = localize(m, dictionary)
+            [idx], [score] = localize_batch(block[t : t + 1], dictionary)
+            assert (result.index, result.score) == (idx, score)
+            np.testing.assert_array_equal(result.position, dictionary.positions[idx])
+            # a wider batch is one matrix product: same winner, scores to rounding
+            assert indices[t] == idx
+            assert scores[t] == pytest.approx(score, rel=1e-12)
 
     def test_size_mismatch_rejected(self, dictionary):
         plan4 = FrequencyPlan(60e9, 66e9, 4)
