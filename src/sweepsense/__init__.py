@@ -25,8 +25,6 @@ from sweepsense.core import (
 from sweepsense.dispersion import (
     LinearSineDispersion,
     LookupTableDispersion,
-    VirtualElement,
-    virtual_aperture,
 )
 from sweepsense.fingerprint import (
     AmbiguityCurve,
@@ -50,7 +48,6 @@ from sweepsense.synth import (
     frame_schedule,
     phase_curvature,
     simulate_measurement,
-    synthesize_sample,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +75,6 @@ __all__ = [
     "PositionGrid",
     "Scene",
     "Target",
-    "VirtualElement",
     "ambiguity_probe",
     "build_dictionary",
     "build_fingerprint",
@@ -92,6 +88,4 @@ __all__ = [
     "range_of",
     "simulate_measurement",
     "similarity",
-    "synthesize_sample",
-    "virtual_aperture",
 ]

@@ -262,8 +262,8 @@ def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonRe
     """Derive every metric row plus pairwise efficiency ratios."""
     if not specs:
         raise ValueError("need at least one architecture spec")
-    if r_query <= 0.0:
-        raise ValueError("query range must be positive")
+    if not 0.0 < r_query < math.inf:
+        raise ValueError(f"query range must be finite and positive, got {r_query}")
     rows = tuple(_architecture_row(spec, r_query) for spec in specs)
     ratios_c: dict[str, float] = {}
     ratios_r: dict[str, float] = {}

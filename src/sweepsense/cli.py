@@ -6,8 +6,9 @@ byte-identical output files. Exit codes: 0 success, 2 configuration/parse
 error, 3 runtime or numerical error.
 
 Config files are a single JSON document with unit-suffixed keys (`*_hz`,
-`*_m`, `*_s`, `*_deg`); unknown keys are rejected to catch typos. Angles in
-files and flags are degrees; internal math is radians.
+`*_m`, `*_s`, `*_deg`); unknown keys are rejected to catch typos, and every
+value is checked against its kind. Angles in files and flags are degrees;
+internal math is radians.
 """
 
 from __future__ import annotations
@@ -66,27 +67,57 @@ class ConfigError(ValueError):
 # config parsing
 
 
-def _check_keys(name: str, obj: dict, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
+# The kinds a config value can have, and how a wrong one is described.
+_KINDS = {
+    float: "a finite number",
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    list: "a list",
+}
+
+
+def _checked(kind: type, value):
+    """``value`` as ``kind``, or None if it is not of that kind.
+
+    A bool counts only as a bool. A float must be finite; a JSON integer is
+    one too, and one beyond the range of a double counts as infinite.
+    """
+    if isinstance(value, bool) != (kind is bool):
+        return None
+    if kind is float and isinstance(value, int):
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
+        return None
+    return value
+
+
+def _read(name: str, sec, kinds: dict, optional=()) -> dict:
+    """Check section ``name`` against its key -> kind map; return its checked values.
+
+    Every key of ``kinds`` not in ``optional`` is required.
+    """
+    if not isinstance(sec, dict):
         raise ConfigError(f"section '{name}' must be a JSON object")
-    unknown = set(obj) - required - set(optional)
+    unknown = set(sec) - set(kinds)
     if unknown:
         raise ConfigError(f"section '{name}': unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = set(kinds) - set(optional) - set(sec)
     if missing:
         raise ConfigError(f"section '{name}': missing key(s) {sorted(missing)}")
+    values = {key: _checked(kinds[key], value) for key, value in sec.items()}
+    for key, value in values.items():
+        if value is None:
+            raise ConfigError(f"section '{name}': key '{key}' must be {_KINDS[kinds[key]]}")
+    return values
 
 
-def _number(name: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"section '{name}': key '{key}' must be a number")
-    return float(value)
-
-
-def _integer(name: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"section '{name}': key '{key}' must be an integer")
-    return value
+def _build(where: str, make, *args, **kwargs):
+    """Call ``make``; a ValueError or OSError it raises becomes a ConfigError naming ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path) -> dict:
@@ -118,16 +149,9 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def parse_plan(cfg: dict) -> FrequencyPlan:
-    sec = _section(cfg, "plan")
-    _check_keys("plan", sec, {"f_min_hz", "f_max_hz", "n_points"})
-    try:
-        return FrequencyPlan(
-            f_min=_number("plan", "f_min_hz", sec["f_min_hz"]),
-            f_max=_number("plan", "f_max_hz", sec["f_max_hz"]),
-            n_points=_integer("plan", "n_points", sec["n_points"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from None
+    kinds = {"f_min_hz": float, "f_max_hz": float, "n_points": int}
+    v = _read("plan", _section(cfg, "plan"), kinds)
+    return _build("plan", FrequencyPlan, v["f_min_hz"], v["f_max_hz"], v["n_points"])
 
 
 def parse_dispersion(cfg: dict, plan: FrequencyPlan, base_dir: Path) -> DispersionModel:
@@ -135,127 +159,78 @@ def parse_dispersion(cfg: dict, plan: FrequencyPlan, base_dir: Path) -> Dispersi
     if not isinstance(sec, dict) or "kind" not in sec:
         raise ConfigError("dispersion: missing 'kind'")
     kind = sec["kind"]
-    try:
-        if kind == "linear_sine":
-            _check_keys("dispersion", sec, {"kind", "theta_max_deg"}, {"theta_min_deg"})
-            theta_max = math.radians(_number("dispersion", "theta_max_deg", sec["theta_max_deg"]))
-            theta_min = (
-                math.radians(_number("dispersion", "theta_min_deg", sec["theta_min_deg"]))
-                if "theta_min_deg" in sec
-                else None
-            )
-            return LinearSineDispersion.for_plan(plan, theta_max=theta_max, theta_min=theta_min)
-        if kind == "lookup_table":
-            _check_keys("dispersion", sec, {"kind", "table_path"})
-            return LookupTableDispersion.from_csv(base_dir / sec["table_path"])
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"dispersion: {exc}") from None
+    if kind == "linear_sine":
+        kinds = {"kind": str, "theta_max_deg": float, "theta_min_deg": float}
+        v = _read("dispersion", sec, kinds, optional={"theta_min_deg"})
+        theta_min = math.radians(v["theta_min_deg"]) if "theta_min_deg" in v else None
+        return _build("dispersion", LinearSineDispersion.for_plan, plan,
+                      math.radians(v["theta_max_deg"]), theta_min)
+    if kind == "lookup_table":
+        v = _read("dispersion", sec, {"kind": str, "table_path": str})
+        return _build("dispersion", LookupTableDispersion.from_csv, base_dir / v["table_path"])
     raise ConfigError(f"dispersion: unknown kind {kind!r}")
 
 
 def parse_antenna(cfg: dict) -> AntennaModel:
-    sec = cfg.get("antenna", {})
-    _check_keys("antenna", sec, set(), {"length_m", "two_way"})
-    length = _number("antenna", "length_m", sec.get("length_m", 0.12))
-    two_way = sec.get("two_way", True)
-    if not isinstance(two_way, bool):
-        raise ConfigError("antenna: 'two_way' must be a boolean")
-    try:
-        return AntennaModel(length=length, two_way=two_way)
-    except ValueError as exc:
-        raise ConfigError(f"antenna: {exc}") from None
+    kinds = {"length_m": float, "two_way": bool}
+    v = _read("antenna", cfg.get("antenna", {}), kinds, optional=kinds)
+    return _build("antenna", AntennaModel, v.get("length_m", 0.12), v.get("two_way", True))
 
 
-_TARGET_KEYS_REQ = {"x_m", "y_m", "z_m"}
-_TARGET_KEYS_OPT = {
-    "alpha_re",
-    "alpha_im",
-    "alpha_x_re",
-    "alpha_x_im",
-    "alpha_y_re",
-    "alpha_y_im",
-}
+# alpha_re/_im, and the per-channel alpha_x_* and alpha_y_* that override them
+_ALPHA_KEYS = {f"alpha{ch}_{part}": float for ch in ("", "_x", "_y") for part in ("re", "im")}
+_TARGET_KEYS = {"x_m": float, "y_m": float, "z_m": float, **_ALPHA_KEYS}
 
 
-def _parse_target(i: int, sec: dict) -> Target:
+def _parse_target(i: int, sec) -> Target:
     name = f"scene.targets[{i}]"
-    _check_keys(name, sec, _TARGET_KEYS_REQ, _TARGET_KEYS_OPT)
-    pos = tuple(_number(name, k, sec[k]) for k in ("x_m", "y_m", "z_m"))
-    alpha = complex(
-        _number(name, "alpha_re", sec.get("alpha_re", 1.0)),
-        _number(name, "alpha_im", sec.get("alpha_im", 0.0)),
+    v = _read(name, sec, _TARGET_KEYS, optional=_ALPHA_KEYS)
+    alpha = complex(v.get("alpha_re", 1.0), v.get("alpha_im", 0.0))
+    refl_x, refl_y = (
+        complex(v.get(f"alpha_{ch}_re", alpha.real), v.get(f"alpha_{ch}_im", alpha.imag))
+        for ch in "xy"
     )
-    refl_x = alpha
-    refl_y = alpha
-    if "alpha_x_re" in sec or "alpha_x_im" in sec:
-        refl_x = complex(
-            _number(name, "alpha_x_re", sec.get("alpha_x_re", alpha.real)),
-            _number(name, "alpha_x_im", sec.get("alpha_x_im", alpha.imag)),
-        )
-    if "alpha_y_re" in sec or "alpha_y_im" in sec:
-        refl_y = complex(
-            _number(name, "alpha_y_re", sec.get("alpha_y_re", alpha.real)),
-            _number(name, "alpha_y_im", sec.get("alpha_y_im", alpha.imag)),
-        )
-    try:
-        return Target(position=pos, refl_x=refl_x, refl_y=refl_y)
-    except GeometryError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    return _build(name, Target, (v["x_m"], v["y_m"], v["z_m"]), refl_x, refl_y)
 
 
 def parse_scene(cfg: dict, seed_override: int | None = None) -> Scene:
     sec = _section(cfg, "scene")
-    _check_keys("scene", sec, {"targets", "snr_db", "seed"})
-    if not isinstance(sec["targets"], list):
-        raise ConfigError("scene: 'targets' must be a list")
-    targets = tuple(_parse_target(i, t) for i, t in enumerate(sec["targets"]))
-    snr = sec["snr_db"]
-    if snr == "noiseless":
-        snr_db = None
-    else:
-        snr_db = _number("scene", "snr_db", snr)
-    seed = _integer("scene", "seed", sec["seed"])
-    if seed_override is not None:
-        seed = seed_override
-    try:
-        return Scene(targets=targets, noise=NoiseConfig(snr_db=snr_db, seed=seed))
-    except ValueError as exc:
-        raise ConfigError(f"scene: {exc}") from None
+    noiseless = isinstance(sec, dict) and sec.get("snr_db") == "noiseless"
+    v = _read("scene", sec, {"targets": list, "snr_db": str if noiseless else float, "seed": int})
+    targets = tuple(_parse_target(i, t) for i, t in enumerate(v["targets"]))
+    seed = v["seed"] if seed_override is None else seed_override
+    noise = _build("scene", NoiseConfig, None if noiseless else v["snr_db"], seed)
+    return Scene(targets=targets, noise=noise)
 
 
 def parse_grid(cfg: dict) -> PositionGrid:
-    sec = _section(cfg, "grid")
-    keys = {"x_min_m", "x_max_m", "nx", "y_min_m", "y_max_m", "ny", "z_min_m", "z_max_m", "nz"}
-    _check_keys("grid", sec, keys)
-    try:
-        return PositionGrid(
-            x_range=(_number("grid", "x_min_m", sec["x_min_m"]),
-                     _number("grid", "x_max_m", sec["x_max_m"])),
-            y_range=(_number("grid", "y_min_m", sec["y_min_m"]),
-                     _number("grid", "y_max_m", sec["y_max_m"])),
-            z_range=(_number("grid", "z_min_m", sec["z_min_m"]),
-                     _number("grid", "z_max_m", sec["z_max_m"])),
-            nx=_integer("grid", "nx", sec["nx"]),
-            ny=_integer("grid", "ny", sec["ny"]),
-            nz=_integer("grid", "nz", sec["nz"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    ranges = {f"{a}_{end}_m": float for a in "xyz" for end in ("min", "max")}
+    v = _read("grid", _section(cfg, "grid"), {**ranges, "nx": int, "ny": int, "nz": int})
+    return _build(
+        "grid", PositionGrid,
+        *((v[f"{a}_min_m"], v[f"{a}_max_m"]) for a in "xyz"),
+        *(v[f"n{a}"] for a in "xyz"),
+    )
 
 
-_ARCH_KEYS_REQ = {
-    "name",
-    "rf_chains",
-    "physical_size_m",
-    "bandwidth_hz",
-    "n_samples",
-    "aperture_kind",
-    "f_ref_hz",
-    "power_mw",
-    "cost_usd",
-    "fov_deg",
+# config key -> (ArchitectureSpec field, kind)
+_ARCH_FIELDS = {
+    "name": ("name", str),
+    "rf_chains": ("rf_chains", int),
+    "physical_size_m": ("physical_size", float),
+    "bandwidth_hz": ("bandwidth", float),
+    "n_samples": ("n_samples", int),
+    "aperture_kind": ("aperture_kind", str),
+    "f_ref_hz": ("f_ref", float),
+    "power_mw": ("power_mw", float),
+    "cost_usd": ("cost_usd", float),
+    "fov_deg": ("fov_deg", float),
+    "eta_reference": ("eta_reference", float),
+    "observability": ("observability", str),
+    "noise_rejection": ("noise_rejection", str),
 }
-_ARCH_KEYS_OPT = {"eta_reference", "observability", "noise_rejection"}
+_ARCH_KINDS = {key: kind for key, (_, kind) in _ARCH_FIELDS.items()}
+_ARCH_OPTIONAL = {"eta_reference", "observability", "noise_rejection"}
 
 
 def parse_architectures(cfg: dict) -> list[archcomp.ArchitectureSpec]:
@@ -265,31 +240,9 @@ def parse_architectures(cfg: dict) -> list[archcomp.ArchitectureSpec]:
     specs = []
     for i, entry in enumerate(sec):
         name = f"architectures[{i}]"
-        _check_keys(name, entry, _ARCH_KEYS_REQ, _ARCH_KEYS_OPT)
-        try:
-            specs.append(
-                archcomp.ArchitectureSpec(
-                    name=str(entry["name"]),
-                    rf_chains=_integer(name, "rf_chains", entry["rf_chains"]),
-                    physical_size=_number(name, "physical_size_m", entry["physical_size_m"]),
-                    bandwidth=_number(name, "bandwidth_hz", entry["bandwidth_hz"]),
-                    n_samples=_integer(name, "n_samples", entry["n_samples"]),
-                    aperture_kind=str(entry["aperture_kind"]),
-                    f_ref=_number(name, "f_ref_hz", entry["f_ref_hz"]),
-                    power_mw=_number(name, "power_mw", entry["power_mw"]),
-                    cost_usd=_number(name, "cost_usd", entry["cost_usd"]),
-                    fov_deg=_number(name, "fov_deg", entry["fov_deg"]),
-                    eta_reference=(
-                        _number(name, "eta_reference", entry["eta_reference"])
-                        if "eta_reference" in entry
-                        else None
-                    ),
-                    observability=entry.get("observability"),
-                    noise_rejection=entry.get("noise_rejection"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+        v = _read(name, entry, _ARCH_KINDS, optional=_ARCH_OPTIONAL)
+        fields = {_ARCH_FIELDS[key][0]: value for key, value in v.items()}
+        specs.append(_build(name, archcomp.ArchitectureSpec, **fields))
     return specs
 
 
@@ -307,12 +260,11 @@ def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
     return write_table(None, _MEAS_HEADER, table, n_int=1)
 
 
-def read_measurement_csv(path, plan: FrequencyPlan,
-                         model: DispersionModel | None = None) -> Measurement:
+def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> Measurement:
     """Read a measurement CSV; rows must be m = 0..M-1 on the plan's frequency grid.
 
-    Given a dispersion model, each theta_deg must also be its beam angle at
-    that frequency. A malformed file raises ValueError naming its line.
+    Each theta_deg must also be the dispersion model's beam angle at that
+    frequency. A malformed file raises ValueError naming its line.
     """
     header, body = read_table(path)
     if ",".join(header) != _MEAS_HEADER:
@@ -332,17 +284,16 @@ def read_measurement_csv(path, plan: FrequencyPlan,
             f"got m = {body[i, 0]:g} at f_hz = {FLOAT_FMT % body[i, 1]}"
         )
         raise line_error(path, i, message)
-    if model is not None:
-        thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
-        # Printing rounds each angle by at most 5e-10 of the column's largest |value|.
-        off_beam = np.abs(body[:, 2] - thetas) > 1e-9 * np.abs(thetas).max()
-        if off_beam.any():
-            i = int(np.argmax(off_beam))
-            message = (
-                f"expected theta_deg = {FLOAT_FMT % thetas[i]} at m = {i} (the dispersion "
-                f"model's beam angle), got {FLOAT_FMT % body[i, 2]}"
-            )
-            raise line_error(path, i, message)
+    thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
+    # Printing rounds each angle by at most 5e-10 of the column's largest |value|.
+    off_beam = np.abs(body[:, 2] - thetas) > 1e-9 * np.abs(thetas).max()
+    if off_beam.any():
+        i = int(np.argmax(off_beam))
+        message = (
+            f"expected theta_deg = {FLOAT_FMT % thetas[i]} at m = {i} (the dispersion "
+            f"model's beam angle), got {FLOAT_FMT % body[i, 2]}"
+        )
+        raise line_error(path, i, message)
     s = np.ascontiguousarray(body[:, 3:]).view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 
@@ -438,10 +389,15 @@ def _workers(args) -> int:
     return args.workers
 
 
-def cmd_simulate(args) -> int:
+def _load(args) -> tuple[dict, FrequencyPlan, DispersionModel]:
+    """The verb's config with its parsed plan and dispersion model."""
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    return cfg, plan, parse_dispersion(cfg, plan, Path(args.config).parent)
+
+
+def cmd_simulate(args) -> int:
+    cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     scene = parse_scene(cfg, seed_override=args.seed)
     meas = simulate_measurement(scene, plan, model, antenna)
@@ -450,9 +406,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    cfg = load_config(args.config)
-    plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     grid = parse_grid(cfg)
     dictionary = build_dictionary(grid, plan, model, antenna, workers=_workers(args))
@@ -462,9 +416,7 @@ def cmd_dict(args) -> int:
 
 def cmd_localize(args) -> int:
     workers = _workers(args)
-    cfg = load_config(args.config)
-    plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    cfg, plan, model = _load(args)
     try:
         dictionary = None if args.dict is None else import_dictionary(args.dict)
         meas = read_measurement_csv(args.measurement, plan, model)
@@ -501,9 +453,7 @@ def _parse_vector(text: str, flag: str) -> tuple[float, float, float]:
 
 
 def cmd_probe(args) -> int:
-    cfg = load_config(args.config)
-    plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     p0 = _parse_vector(args.p0, "--p0")
     if args.steps < 3:
@@ -543,7 +493,7 @@ def cmd_probe(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     specs = parse_architectures(cfg)
-    report = archcomp.compare(specs, r_query=args.r_query)
+    report = _build("--r-query", archcomp.compare, specs, r_query=args.r_query)
     if args.out is not None:
         _write_output(args.out, _json_dumps(report.to_dict()))
     sys.stdout.write(report.to_text())
@@ -552,9 +502,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     workers = _workers(args)
-    cfg = load_config(args.config)
-    plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     scene = parse_scene(cfg, seed_override=args.seed)
     grid = parse_grid(cfg)

@@ -1,9 +1,9 @@
-"""Frequency-to-beam-angle dispersion models and virtual-aperture enumeration.
+"""Frequency-to-beam-angle dispersion models.
 
 A dispersion model maps chirp center frequency to the antenna's beam pointing
-angle. Sweeping the frequency plan through a model yields one virtual element
-per frequency point; the two orthogonal channels share the same angle
-schedule applied in their respective scan planes.
+angle. Sweeping the frequency plan through a model, beam_angle(frequency_grid
+(plan)), gives the virtual aperture: one pointing angle per frequency point,
+one schedule shared by the two orthogonal channels in their own scan planes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sweepsense.core import BandError, ChannelAxis, FrequencyPlan, frequency_grid, read_table
+from sweepsense.core import BandError, FrequencyPlan, read_table
 
 _HALF_PI = math.pi / 2.0
 
@@ -120,29 +120,3 @@ def _check_band(f: np.ndarray, band: tuple[float, float]) -> None:
         raise BandError(
             f"frequency outside calibrated band [{lo:.6g}, {hi:.6g}] Hz"
         )
-
-
-@dataclass(frozen=True)
-class VirtualElement:
-    """One frequency point of the scanned aperture: index, f, angle, channel."""
-
-    index: int
-    frequency: float  # Hz
-    angle: float  # rad
-    axis: ChannelAxis
-
-
-def virtual_aperture(
-    plan: FrequencyPlan, model: DispersionModel, axis: ChannelAxis
-) -> list[VirtualElement]:
-    """Enumerate the plan's virtual elements under a dispersion model.
-
-    Angles are strictly increasing with the frequency index; both channels
-    share one schedule applied in orthogonal planes.
-    """
-    freqs = frequency_grid(plan)
-    angles = np.atleast_1d(model.beam_angle(freqs))
-    return [
-        VirtualElement(index=i, frequency=float(f), angle=float(a), axis=axis)
-        for i, (f, a) in enumerate(zip(freqs, angles))
-    ]

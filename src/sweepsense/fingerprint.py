@@ -53,14 +53,6 @@ class Fingerprint:
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
-    @property
-    def x_half(self) -> np.ndarray:
-        return self.vector[: self.plan.n_points]
-
-    @property
-    def y_half(self) -> np.ndarray:
-        return self.vector[self.plan.n_points :]
-
 
 def _normalize(s: np.ndarray, describe) -> np.ndarray:
     """Unit-normalize each channel of (N, 2, M) echoes into (N, 2M) rows.
@@ -362,10 +354,6 @@ def export_dictionary(dictionary: Dictionary, path) -> str | None:
     entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
     table = np.hstack([dictionary.grid.indices(), dictionary.positions, entries])
     return write_table(path, _csv_header(dictionary.n_points), table, n_int=3)
-
-
-def dictionary_to_csv(dictionary: Dictionary) -> str:
-    return export_dictionary(dictionary, None)
 
 
 def import_dictionary(path) -> Dictionary:

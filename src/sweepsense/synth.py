@@ -77,12 +77,6 @@ def phase_curvature(f, position) -> float | np.ndarray:
     return float(phase) if phase.ndim == 0 else phase
 
 
-def synthesize_sample(f, position, refl: complex, gain) -> complex | np.ndarray:
-    """Noiseless echo sample refl * gain * exp(-j 4 pi f R / c)."""
-    out = refl * np.asarray(gain) * np.exp(-1j * np.asarray(phase_curvature(f, position)))
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
          antenna: AntennaModel) -> np.ndarray:
     """Noiseless echoes refl * gain * exp(-j 4 pi f R / c), shape (N, 2, M).

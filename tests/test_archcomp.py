@@ -124,6 +124,11 @@ class TestEfficiency:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("r_query", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_query_range_not_finite_and_positive(self, r_query):
+        with pytest.raises(ValueError, match="finite and positive"):
+            compare(list(default_architectures()), r_query=r_query)
+
     def test_default_trio_rows(self):
         report = compare(list(default_architectures()))
         assert [r.name for r in report.rows] == ["FaA-Single", "FaA-Dual", "1T3R-MIMO"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sweepsense import cli
+from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import SCORE_CELLS, PositionGrid, build_dictionary, localize
@@ -468,6 +469,171 @@ class TestConfigBoundary:
         rc = cli.main(["simulate", "--config", config_path(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "unknown section(s) ['chirp']" in capsys.readouterr().err
+
+
+DELETE = object()
+
+
+def _edit(cfg, path, value):
+    """Set cfg's value at a dotted path, or remove it with DELETE; integer parts index lists."""
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for p in parents:
+        cfg = cfg[p]
+    if value is DELETE:
+        del cfg[last]
+    else:
+        cfg[last] = value
+
+
+# verb, config path, value (or DELETE), expected message
+MALFORMED = [
+    ("simulate", "plan.bogus", 1, "section 'plan': unknown key(s) ['bogus']"),
+    ("simulate", "plan.n_points", DELETE, "section 'plan': missing key(s) ['n_points']"),
+    ("dict", "grid", [1, 2], "section 'grid' must be a JSON object"),
+    ("simulate", "scene.targets", [3], "section 'scene.targets[0]' must be a JSON object"),
+    ("compare", "architectures.1.bogus", 1,
+     "section 'architectures[1]': unknown key(s) ['bogus']"),
+    ("simulate", "dispersion", {"theta_max_deg": 60.0}, "dispersion: missing 'kind'"),
+    ("simulate", "dispersion.kind", "spline", "dispersion: unknown kind 'spline'"),
+    ("simulate", "plan.f_min_hz", "60e9",
+     "section 'plan': key 'f_min_hz' must be a finite number"),
+    ("simulate", "scene.targets.0.alpha_im", True,
+     "section 'scene.targets[0]': key 'alpha_im' must be a finite number"),
+    ("simulate", "plan.n_points", 32.0, "section 'plan': key 'n_points' must be an integer"),
+    ("simulate", "scene.seed", False, "section 'scene': key 'seed' must be an integer"),
+    ("simulate", "antenna.two_way", 1, "section 'antenna': key 'two_way' must be a boolean"),
+    ("compare", "architectures.0.aperture_kind", 1,
+     "section 'architectures[0]': key 'aperture_kind' must be a string"),
+    ("compare", "architectures.0.name", None,
+     "section 'architectures[0]': key 'name' must be a string"),
+    ("compare", "architectures.1.observability", 7,
+     "section 'architectures[1]': key 'observability' must be a string"),
+    ("compare", "architectures.2.noise_rejection", ["High"],
+     "section 'architectures[2]': key 'noise_rejection' must be a string"),
+    ("simulate", "dispersion", {"kind": "lookup_table", "table_path": 5},
+     "section 'dispersion': key 'table_path' must be a string"),
+    ("simulate", "scene.targets", {}, "section 'scene': key 'targets' must be a list"),
+    *(("simulate", "scene.snr_db", snr, "section 'scene': key 'snr_db' must be a finite number")
+      for snr in (True, False, "loud", None, [5.0])),
+    ("simulate", "plan.f_min_hz", 67e9, "plan: need 0 < f_min < f_max"),
+    ("dict", "grid.nx", 0, "grid: grid counts must all be >= 1"),
+    ("dict", "grid.x_min_m", 1.0, "grid: x_range must satisfy lo <= hi"),
+    ("simulate", "antenna.length_m", 0, "antenna: antenna length must be positive"),
+    ("simulate", "scene.targets.0.z_m", -1.0,
+     "scene.targets[0]: target must lie in the forward half-space"),
+    ("simulate", "scene.seed", -1, "scene: seed must fit in an unsigned 64-bit integer"),
+    ("simulate", "dispersion.theta_max_deg", 95.0, "dispersion: need -pi/2 < theta_min"),
+    ("compare", "architectures.2.fov_deg", 90.0, "architectures[2]: fov_deg must lie in (0, 90)"),
+]
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("verb, path, value, message", MALFORMED)
+    def test_malformed_config_exits_2_with_message(
+        self, tmp_path, config_path, capsys, verb, path, value, message
+    ):
+        cfg = base_config()
+        _edit(cfg, path, value)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_optional_key_parses_to_the_expected_objects(self, tmp_path):
+        cfg = base_config(
+            plan={"f_min_hz": 60000000000, "f_max_hz": 66e9, "n_points": 16},
+            dispersion={"kind": "linear_sine", "theta_max_deg": 45, "theta_min_deg": -30.0},
+            antenna={"length_m": 0.05, "two_way": False},
+        )
+        cfg["scene"] = {
+            "targets": [
+                {"x_m": 0.1, "y_m": -0.2, "z_m": 3, "alpha_re": 2, "alpha_im": -1.0,
+                 "alpha_x_re": 0.5, "alpha_y_im": 0.25},
+                {"x_m": 0, "y_m": 0, "z_m": 2.5, "alpha_x_im": 1.5, "alpha_y_re": -1},
+            ],
+            "snr_db": 5,
+            "seed": 11,
+        }
+        cfg["architectures"][0].update(observability="Low", noise_rejection="Medium")
+        plan = cli.parse_plan(cfg)
+        assert plan == FrequencyPlan(60e9, 66e9, 16)
+        assert type(plan.f_min) is float
+        model = cli.parse_dispersion(cfg, plan, tmp_path)
+        assert model == LinearSineDispersion(60e9, 66e9, math.radians(-30.0), math.radians(45.0))
+        assert cli.parse_antenna(cfg) == AntennaModel(length=0.05, two_way=False)
+        assert cli.parse_antenna({}) == AntennaModel(length=0.12, two_way=True)
+        scene = cli.parse_scene(cfg)
+        assert scene == Scene(
+            targets=(
+                Target((0.1, -0.2, 3.0), refl_x=0.5 - 1j, refl_y=2 + 0.25j),
+                Target((0.0, 0.0, 2.5), refl_x=1 + 1.5j, refl_y=-1 + 0j),
+            ),
+            noise=NoiseConfig(snr_db=5.0, seed=11),
+        )
+        assert type(scene.noise.snr_db) is float
+        assert cli.parse_scene(cfg, seed_override=3).noise == NoiseConfig(5.0, 3)
+        cfg["scene"]["snr_db"] = "noiseless"
+        assert cli.parse_scene(cfg).noise == NoiseConfig(None, 11)
+        assert cli.parse_grid(cfg) == PositionGrid(
+            (-0.25, 0.25), (-0.25, 0.25), (2.75, 3.25), 3, 3, 3
+        )
+        specs = cli.parse_architectures(cfg)
+        assert specs[0] == ArchitectureSpec(
+            name="FaA-Single", rf_chains=1, physical_size=0.12, bandwidth=6e9,
+            n_samples=128, aperture_kind="virtual", f_ref=63e9, power_mw=850.0,
+            cost_usd=55.0, fov_deg=60.0, eta_reference=926.0, observability="Low",
+            noise_rejection="Medium",
+        )
+        assert [s.name for s in specs] == ["FaA-Single", "FaA-Dual", "1T3R-MIMO"]
+        assert specs[1].observability is None and specs[1].noise_rejection is None
+
+    def test_lookup_table_dispersion_parses_relative_to_the_config(self, tmp_path):
+        (tmp_path / "disp.csv").write_text("frequency_hz,angle_deg\n60e9,-60\n66e9,30\n")
+        cfg = base_config(dispersion={"kind": "lookup_table", "table_path": "disp.csv"})
+        model = cli.parse_dispersion(cfg, cli.parse_plan(cfg), tmp_path)
+        np.testing.assert_array_equal(model.frequencies, [60e9, 66e9])
+        np.testing.assert_array_equal(model.angles, np.radians([-60.0, 30.0]))
+
+
+    @pytest.mark.parametrize(
+        "verb, path, section",
+        [
+            ("simulate", "scene.targets.0.alpha_re", "scene.targets[0]"),
+            ("simulate", "plan.f_max_hz", "plan"),
+            ("simulate", "antenna.length_m", "antenna"),
+            ("dict", "grid.x_max_m", "grid"),
+            ("compare", "architectures.0.power_mw", "architectures[0]"),
+            ("simulate", "scene.snr_db", "scene"),
+        ],
+    )
+    def test_overflowing_number_exits_2_naming_section_and_key(
+        self, tmp_path, capsys, verb, path, section
+    ):
+        # JSON 1e400 is a valid number that parses to inf.
+        cfg = base_config()
+        _edit(cfg, path, "@")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg).replace('"@"', "1e400"))
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", str(config), "--out", str(out)]) == 2
+        key = path.rsplit(".", 1)[1]
+        assert f"section '{section}': key '{key}' must be a finite number" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+class TestCompareQueryRange:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_cli_exits_2_naming_the_flag(self, tmp_path, config_path, capsys, value):
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", config_path(base_config()),
+                       f"--r-query={value}", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: --r-query: " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestMeasurementBoundary:

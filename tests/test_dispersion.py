@@ -1,4 +1,4 @@
-"""Dispersion models and virtual-aperture enumeration."""
+"""Dispersion models and the virtual aperture they scan."""
 
 import math
 
@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepsense.core import BandError, ChannelAxis, FrequencyPlan, frequency_grid
-from sweepsense.dispersion import (
-    LinearSineDispersion,
-    LookupTableDispersion,
-    virtual_aperture,
-)
+from sweepsense.core import BandError, FrequencyPlan, frequency_grid
+from sweepsense.dispersion import LinearSineDispersion, LookupTableDispersion
+from sweepsense.synth import AntennaModel, echo
 
 PLAN = FrequencyPlan(60e9, 66e9, 128)
 MODEL = LinearSineDispersion.for_plan(PLAN)
@@ -119,34 +116,40 @@ class TestLookupTable:
 
 
 class TestVirtualAperture:
+    """The scanned aperture: the plan's frequency grid through a dispersion model."""
+
     def test_single_element(self):
         plan = FrequencyPlan(60e9, 66e9, 1)
-        elems = virtual_aperture(plan, LinearSineDispersion.for_plan(plan), ChannelAxis.X_SCAN)
-        assert len(elems) == 1
-        assert elems[0].frequency == pytest.approx(63e9, rel=1e-15)
-        assert elems[0].angle == pytest.approx(0.0, abs=1e-12)
-        assert elems[0].axis is ChannelAxis.X_SCAN
+        freqs = frequency_grid(plan)
+        angles = np.atleast_1d(LinearSineDispersion.for_plan(plan).beam_angle(freqs))
+        assert freqs.shape == angles.shape == (1,)
+        assert freqs[0] == pytest.approx(63e9, rel=1e-15)
+        assert angles[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_elements_symmetric(self):
         plan = FrequencyPlan(60e9, 66e9, 2)
-        elems = virtual_aperture(plan, LinearSineDispersion.for_plan(plan), ChannelAxis.Y_SCAN)
+        angles = LinearSineDispersion.for_plan(plan).beam_angle(frequency_grid(plan))
         # asin(sin(60 deg) / 2) = 0.4478323969 rad
-        assert elems[0].angle == pytest.approx(-0.44783239692893245, rel=1e-12)
-        assert elems[1].angle == pytest.approx(+0.44783239692893245, rel=1e-12)
+        assert angles[0] == pytest.approx(-0.44783239692893245, rel=1e-12)
+        assert angles[1] == pytest.approx(+0.44783239692893245, rel=1e-12)
 
     def test_full_sweep_monotone_and_consistent(self):
-        elems = virtual_aperture(PLAN, MODEL, ChannelAxis.X_SCAN)
-        assert len(elems) == 128
-        angles = np.array([e.angle for e in elems])
+        freqs = frequency_grid(PLAN)
+        angles = MODEL.beam_angle(freqs)
+        assert angles.shape == (128,)
         assert np.all(np.diff(angles) > 0.0)
         # edge elements: asin(sin(60 deg) * 127/128) = 59.2335 deg
-        assert math.degrees(elems[0].angle) == pytest.approx(-59.23354998719348, rel=1e-10)
-        assert math.degrees(elems[-1].angle) == pytest.approx(59.23354998719348, rel=1e-10)
-        np.testing.assert_array_equal(
-            angles, np.atleast_1d(MODEL.beam_angle(frequency_grid(PLAN)))
-        )
+        assert math.degrees(angles[0]) == pytest.approx(-59.23354998719348, rel=1e-10)
+        assert math.degrees(angles[-1]) == pytest.approx(59.23354998719348, rel=1e-10)
+        np.testing.assert_array_equal(angles, [MODEL.beam_angle(f) for f in freqs])
 
     def test_shared_schedule_across_axes(self):
-        ex = virtual_aperture(PLAN, MODEL, ChannelAxis.X_SCAN)
-        ey = virtual_aperture(PLAN, MODEL, ChannelAxis.Y_SCAN)
-        assert [e.angle for e in ex] == [e.angle for e in ey]
+        # Mirroring a target across x = y swaps the scan planes. With one angle
+        # schedule for both channels, the x-channel echo of (a, b, z) is then
+        # the y-channel echo of (b, a, z), and vice versa.
+        positions = [(0.3, -0.1, 2.0), (-0.1, 0.3, 2.0)]
+        echoes = echo(positions, 1.0, PLAN, MODEL, AntennaModel(length=0.012))
+        assert (np.abs(echoes).max(axis=-1) > 0.5).all()  # every channel is lit
+        assert not np.array_equal(np.abs(echoes[0, 0]), np.abs(echoes[0, 1]))
+        np.testing.assert_array_equal(echoes[0, 0], echoes[1, 1])
+        np.testing.assert_array_equal(echoes[0, 1], echoes[1, 0])

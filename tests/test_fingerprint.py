@@ -23,7 +23,6 @@ from sweepsense.fingerprint import (
     ambiguity_probe,
     build_dictionary,
     build_fingerprint,
-    dictionary_to_csv,
     export_dictionary,
     half_power_width,
     import_dictionary,
@@ -377,7 +376,7 @@ class TestDictionaryCsv:
         assert loaded.n_points == d.n_points
         assert loaded.size == d.size
         # emit(parse(emit(x))) must equal emit(x) to the last digit
-        assert dictionary_to_csv(loaded) == path.read_text()
+        assert export_dictionary(loaded, None) == path.read_text()
 
     def test_round_trip_preserves_localization(self, tmp_path):
         grid = PositionGrid((-0.2, 0.2), (-0.2, 0.2), (2.5, 3.5), nx=3, ny=3, nz=3)

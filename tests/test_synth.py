@@ -26,12 +26,16 @@ from sweepsense.synth import (
     frame_schedule,
     phase_curvature,
     simulate_measurement,
-    synthesize_sample,
 )
 
 PLAN = FrequencyPlan(60e9, 66e9, 16)
 MODEL = LinearSineDispersion.for_plan(PLAN)
 ANT = AntennaModel()
+
+
+def synthesize_sample(f, position, refl: complex, gain) -> complex:
+    """Scalar oracle for one noiseless echo sample refl * gain * exp(-j 4 pi f R / c)."""
+    return complex(refl * gain * np.exp(-1j * phase_curvature(f, position)))
 
 
 def pos_at_azimuth(theta, r=3.0):

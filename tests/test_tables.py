@@ -14,7 +14,6 @@ from sweepsense.fingerprint import (
     Dictionary,
     PositionGrid,
     build_dictionary,
-    dictionary_to_csv,
     export_dictionary,
     import_dictionary,
 )
@@ -148,7 +147,7 @@ class TestDictionaryImport:
         path = self.exported(tmp_path)
         text = path.read_text()
         rewrite(path, lambda lines: lines.insert(3, ""))
-        assert dictionary_to_csv(import_dictionary(path)) == text
+        assert export_dictionary(import_dictionary(path), None) == text
 
 
 @st.composite
@@ -199,13 +198,13 @@ class TestRoundTripProperties:
         path = tmp_path / "dict.csv"
         export_dictionary(d, path)
         text = path.read_text()
-        assert dictionary_to_csv(d) == text
-        assert dictionary_to_csv(import_dictionary(path)) == text
+        assert export_dictionary(d, None) == text
+        assert export_dictionary(import_dictionary(path), None) == text
 
     @PROPERTY
     @given(d=dictionaries(), data=st.data())
     def test_dictionary_bad_cell_names_line(self, tmp_path, d, data):
-        text, lineno = corrupt(data.draw, dictionary_to_csv(d))
+        text, lineno = corrupt(data.draw, export_dictionary(d, None))
         path = tmp_path / "dict.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {lineno}: field"):
@@ -218,7 +217,7 @@ class TestRoundTripProperties:
         text = measurement_to_csv(meas, model)
         path = tmp_path / "meas.csv"
         path.write_text(text)
-        assert measurement_to_csv(read_measurement_csv(path, meas.plan), model) == text
+        assert measurement_to_csv(read_measurement_csv(path, meas.plan, model), model) == text
 
     @PROPERTY
     @given(meas=measurements(), data=st.data())
@@ -228,5 +227,5 @@ class TestRoundTripProperties:
         path = tmp_path / "meas.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {lineno}: field"):
-            read_measurement_csv(path, meas.plan)
+            read_measurement_csv(path, meas.plan, model)
 
