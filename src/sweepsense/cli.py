@@ -25,9 +25,6 @@ import numpy as np
 from sweepsense import archcomp
 from sweepsense.core import (
     FLOAT_FMT,
-    AliasingError,
-    BandError,
-    DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
     Measurement,
@@ -383,12 +380,6 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return args.workers
-
-
 def _load(args) -> tuple[dict, FrequencyPlan, DispersionModel]:
     """The verb's config with its parsed plan and dispersion model."""
     cfg = load_config(args.config)
@@ -409,13 +400,12 @@ def cmd_dict(args) -> int:
     cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     grid = parse_grid(cfg)
-    dictionary = build_dictionary(grid, plan, model, antenna, workers=_workers(args))
+    dictionary = build_dictionary(grid, plan, model, antenna)
     export_dictionary(dictionary, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
 def cmd_localize(args) -> int:
-    workers = _workers(args)
     cfg, plan, model = _load(args)
     try:
         dictionary = None if args.dict is None else import_dictionary(args.dict)
@@ -425,7 +415,7 @@ def cmd_localize(args) -> int:
     if dictionary is None:
         antenna = parse_antenna(cfg)
         grid = parse_grid(cfg)
-        dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
+        dictionary = build_dictionary(grid, plan, model, antenna)
     elif dictionary.n_points != plan.n_points:
         raise ConfigError(
             f"dictionary has {dictionary.n_points} frequency points but the "
@@ -442,41 +432,24 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _parse_vector(text: str, flag: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag}: expected 'x,y,z', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"{flag}: non-numeric component in {text!r}") from None
-
-
 def cmd_probe(args) -> int:
     cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
-    p0 = _parse_vector(args.p0, "--p0")
-    if args.steps < 3:
-        raise ConfigError("--steps must be >= 3")
-    if args.span <= 0:
-        raise ConfigError("--span must be positive")
-    angular = args.axis in ("azimuth", "elevation")
-    axis = args.axis if args.axis in ("azimuth", "elevation", "range") else _parse_vector(
-        args.axis, "--axis"
-    )
+    axis_text, axis = args.axis
+    angular = axis in ("azimuth", "elevation")
     # Flags and files use degrees for angular offsets; the probe works in rad.
     span = math.radians(args.span) if angular else args.span
     offsets = np.linspace(-span, span, args.steps)
     try:
-        curve = ambiguity_probe(p0, axis, offsets, plan, model, antenna)
+        curve = ambiguity_probe(args.p0, axis, offsets, plan, model, antenna)
     except GeometryError as exc:
         raise ConfigError(f"probe geometry: {exc}") from None
     file_offsets = np.degrees(curve.offsets) if angular else curve.offsets
     table = np.column_stack([file_offsets, curve.similarities])
     _write_output(args.out, write_table(None, "offset,similarity", table))
     summary = {
-        "axis": args.axis,
-        "p0_m": list(p0),
+        "axis": axis_text,
+        "p0_m": list(args.p0),
         "offset_unit": "deg" if angular else "m",
         "span": args.span,
         "steps": args.steps,
@@ -501,34 +474,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    workers = _workers(args)
     cfg, plan, model = _load(args)
     antenna = parse_antenna(cfg)
     scene = parse_scene(cfg, seed_override=args.seed)
     grid = parse_grid(cfg)
-    snrs: list[float | None] = []
-    for token in args.snr.split(","):
-        token = token.strip()
-        if token == "noiseless":
-            snrs.append(None)
-        else:
-            try:
-                value = float(token)
-            except ValueError:
-                raise ConfigError(f"--snr: bad value {token!r}") from None
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"--snr: {token!r} is not a finite number of dB; use 'noiseless' for no noise"
-                )
-            snrs.append(value)
-    if not snrs:
-        raise ConfigError("--snr: need at least one value")
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
     try:
-        points = run_sweep(
-            plan, model, antenna, scene, grid, snrs, args.trials, workers=workers
-        )
+        points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _write_output(args.out, sweep_to_csv(points, args.trials))
@@ -539,59 +490,103 @@ def cmd_sweep(args) -> int:
 # entry point
 
 
+def _flag(reason: str, parse, accept=lambda value: True):
+    """An argparse type: ``parse(text)`` if it is neither None nor a ValueError and
+    ``accept`` takes it, else an error naming ``reason`` and ``text``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if value is not None and accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{reason}, got '{text}'")
+
+    return convert
+
+
+def _vector(text: str) -> tuple[float, float, float] | None:
+    """Three finite numbers 'x,y,z', or None."""
+    v = tuple(float(part) for part in text.split(","))
+    return v if len(v) == 3 and all(map(math.isfinite, v)) else None
+
+
+def _axis(text: str):
+    """``text`` with the probe axis it names: azimuth, elevation, range or a direction."""
+    if text in ("azimuth", "elevation", "range"):
+        return text, text
+    vector = _vector(text)
+    return (text, vector) if vector is not None and any(vector) else None
+
+
+def _snrs(text: str) -> list[float | None]:
+    """Each comma-separated token of ``text`` as finite dB, or None for 'noiseless'."""
+    snrs = []
+    for token in text.split(","):
+        try:
+            snr = None if token.strip() == "noiseless" else float(token)
+        except ValueError:
+            snr = math.nan
+        if snr is not None and not math.isfinite(snr):
+            raise argparse.ArgumentTypeError(
+                f"'{token}' is not 'noiseless' or a finite number of dB, got '{text}'"
+            )
+        snrs.append(snr)
+    return snrs
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # With exit_on_error=False a rejected flag value raises ArgumentError for main.
     parser = argparse.ArgumentParser(
         prog="sweepsense",
         description="Frequency-scanned virtual-aperture near-field sensing simulator",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_default=None) -> None:
+    def verb(name, func, help, out_default="-", seed=False) -> argparse.ArgumentParser:
+        """Register ``name`` running ``func``, with --config, --out and, if asked, --seed."""
+        p = sub.add_parser(name, help=help, exit_on_error=False)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=out_default, help="output path ('-' = stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the scene seed")
+        if seed:
+            seed_type = _flag("must be an integer in [0, 2**64)", int, lambda n: 0 <= n < 2**64)
+            p.add_argument("--seed", type=seed_type, help="override the scene seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="synthesize a dual-channel measurement CSV")
-    common(p, out_default="-")
-    p.set_defaults(func=cmd_simulate)
+    verb("simulate", cmd_simulate, "synthesize a dual-channel measurement CSV", seed=True)
+    verb("dict", cmd_dict, "build and export a fingerprint dictionary CSV")
 
-    p = sub.add_parser("dict", help="build and export a fingerprint dictionary CSV")
-    common(p, out_default="-")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_dict)
-
-    p = sub.add_parser("localize", help="match a measurement CSV against a dictionary")
-    common(p, out_default="-")
+    p = verb("localize", cmd_localize, "match a measurement CSV against a dictionary")
     p.add_argument("--measurement", required=True, help="measurement CSV path")
     p.add_argument("--dict", default=None, help="reuse an exported dictionary CSV")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("probe", help="trace an ambiguity curve around a position")
-    common(p, out_default="-")
-    p.add_argument("--p0", default="0,0,3", help="reference position x,y,z in meters")
+    p = verb("probe", cmd_probe, "trace an ambiguity curve around a position")
+    p.add_argument("--p0", default="0,0,3", help="reference position x,y,z in meters",
+                   type=_flag("must be three finite numbers x,y,z", _vector))
     p.add_argument(
         "--axis",
         default="azimuth",
         help="azimuth | elevation | range | ux,uy,uz direction vector",
+        type=_flag("must be azimuth, elevation, range or a finite nonzero vector ux,uy,uz",
+                   _axis),
     )
-    p.add_argument("--span", type=float, required=True,
-                   help="max |offset| (deg for angular axes, m otherwise)")
-    p.add_argument("--steps", type=int, default=201)
-    p.set_defaults(func=cmd_probe)
+    p.add_argument("--span", required=True,
+                   help="max |offset| (deg for angular axes, m otherwise)",
+                   type=_flag("must be a finite number > 0", float, lambda x: 0 < x < math.inf))
+    p.add_argument("--steps", default=201,
+                   type=_flag("must be an integer >= 3", int, lambda n: n >= 3))
 
-    p = sub.add_parser("compare", help="architecture comparison report")
-    common(p)
+    p = verb("compare", cmd_compare, "architecture comparison report", out_default=None)
     p.add_argument("--r-query", type=float, default=3.0, help="cell-volume range (m)")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="Monte-Carlo localization RMSE vs SNR")
-    common(p, out_default="-")
-    p.add_argument("--snr", required=True,
+    p = verb("sweep", cmd_sweep, "Monte-Carlo localization RMSE vs SNR", seed=True)
+    p.add_argument("--snr", required=True, type=_snrs,
                    help="comma list of SNR dB values; 'noiseless' allowed")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--trials", default=100,
+                   type=_flag("must be an integer >= 1", int, lambda n: n >= 1))
     return parser
 
 
@@ -601,21 +596,17 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] in ("--p0", "--axis"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc.argument_name}: {exc.message}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        GeometryError,
-        BandError,
-        AliasingError,
-        DegenerateMeasurementError,
-        ValueError,
-        ArithmeticError,
-        OSError,
-    ) as exc:
+    # GeometryError, BandError, AliasingError and DegenerateMeasurementError are ValueErrors.
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

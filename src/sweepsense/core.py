@@ -244,7 +244,9 @@ def range_of(position) -> float | np.ndarray:
 
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then one line of numbers per row. Every CSV the
-# CLI reads or writes goes through read_table and write_table.
+# CLI reads goes through read_table, and every one it writes through
+# write_table except the sweep CSV, whose snr_db cell may be the text
+# 'noiseless' (cli.sweep_to_csv writes its lines itself).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
 

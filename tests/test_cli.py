@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, verbs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -364,7 +365,10 @@ class TestSweep:
              "--trials", "2", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
-        assert f"--snr: '{token}' is not a finite number" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --snr: '{token}' is not 'noiseless' or a finite number of dB, "
+            f"got '0,{token}'\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("snr", [math.nan, -math.inf, math.inf])
@@ -387,20 +391,6 @@ class TestSweep:
 
 
 class TestWorkersFlag:
-    @pytest.mark.parametrize("verb", ["dict", "localize", "sweep"])
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_below_one_exits_2_naming_flag(self, tmp_path, config_path, capsys, verb, workers):
-        path = config_path(base_config())
-        extra = {
-            "dict": [],
-            "localize": ["--measurement", str(tmp_path / "meas.csv")],
-            "sweep": ["--snr", "0", "--trials", "2"],
-        }[verb]
-        rc = cli.main([verb, "--config", path, *extra, "--workers", workers,
-                       "--out", str(tmp_path / "x.out")])
-        assert rc == 2
-        assert "--workers" in capsys.readouterr().err
-
     def test_library_rejects_workers_below_one(self):
         plan = FrequencyPlan(60e9, 66e9, 8)
         model = LinearSineDispersion.for_plan(plan)
@@ -633,6 +623,88 @@ class TestCompareQueryRange:
         captured = capsys.readouterr()
         assert "error: --r-query: " in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+
+# The arguments a verb needs besides --config and --out.
+REQUIRED = {"simulate": [], "probe": ["--span", "1.0"], "sweep": ["--snr", "0", "--trials", "2"]}
+
+# verb, flag, a value its parser type rejects
+BAD_FLAGS = [
+    *(("probe", "--span", v) for v in ("nan", "inf", "0", "-1")),
+    *(("probe", "--p0", v) for v in ("0,0,inf", "1,2", "a,b,c")),
+    *(("probe", "--axis", v) for v in ("nan,0,1", "0,0,0", "spiral")),
+    *(("probe", "--steps", v) for v in ("2", "x")),
+    ("sweep", "--trials", "0"),
+    *(("sweep", "--snr", v) for v in ("0,nan", "0,,1")),
+    *(("simulate", "--seed", v) for v in ("-1", str(2**64))),
+]
+
+# verb, arguments at the edge of what the parser types accept
+EDGE_FLAGS = [
+    ("probe", ["--steps", "3"]),
+    ("probe", ["--p0", "-0.1,0,3", "--axis", "-0.3,0.2,1.0"]),
+    ("probe", ["--p0=-0.1,0,3", "--axis=-0.3,0.2,1.0"]),
+    ("sweep", ["--trials", "1"]),
+    ("sweep", ["--snr", "noiseless"]),
+    ("simulate", ["--seed", "0"]),
+    ("simulate", ["--seed", str(2**64 - 1)]),
+]
+
+# verb -> every option its parser declares, besides -h/--help
+FLAG_SURFACE = {
+    "simulate": {"--config", "--out", "--seed"},
+    "dict": {"--config", "--out"},
+    "localize": {"--config", "--out", "--measurement", "--dict"},
+    "probe": {"--config", "--out", "--p0", "--axis", "--span", "--steps"},
+    "compare": {"--config", "--out", "--r-query"},
+    "sweep": {"--config", "--out", "--seed", "--snr", "--trials"},
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("verb, flag, value", BAD_FLAGS)
+    def test_bad_value_exits_2_naming_flag_and_value(
+        self, tmp_path, config_path, capsys, verb, flag, value
+    ):
+        out = tmp_path / "out"
+        rc = cli.main([verb, "--config", config_path(base_config()), *REQUIRED[verb],
+                       f"{flag}={value}", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert captured.err.endswith(f", got '{value}'\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, args", EDGE_FLAGS)
+    def test_edge_value_is_accepted(self, tmp_path, config_path, verb, args):
+        cfg = base_config()
+        cfg["scene"]["snr_db"] = 5.0
+        out = tmp_path / "out"
+        rc = cli.main([verb, "--config", config_path(cfg), *REQUIRED[verb], *args,
+                       "--out", str(out)])
+        assert rc == 0
+        assert out.exists()
+
+    def test_each_verb_declares_only_the_flags_it_reads(self):
+        (verbs,) = (a.choices for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in verbs.items()
+        }
+        assert declared == FLAG_SURFACE
+
+    @pytest.mark.parametrize("verb, flag", [("dict", "--workers"), ("probe", "--seed")])
+    def test_removed_flag_exits_2(self, tmp_path, config_path, capsys, verb, flag):
+        out = tmp_path / "out"
+        argv = [verb, "--config", config_path(base_config()), *REQUIRED.get(verb, []),
+                flag, "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
 
