@@ -44,6 +44,7 @@ from sweepsense.dispersion import (
 from sweepsense.fingerprint import (
     SCORE_CELLS,
     PositionGrid,
+    _direction_norm,
     _normalize,
     ambiguity_probe,
     build_dictionary,
@@ -327,13 +328,14 @@ def run_sweep(
     same result as simulating and localizing that trial on its own, so a
     given trial's outcome never depends on trial count, ordering, or
     workers. Trials are scored in batches of about SCORE_CELLS dictionary
-    scores. The first configured target is the ground truth; every SNR
-    must be finite, or None for noiseless.
+    scores. The first configured target is the ground truth, so a scene
+    without one raises ConfigError; every SNR must be finite, or None for
+    noiseless.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not scene.targets:
-        raise ValueError("sweep needs at least one target as ground truth")
+        raise ConfigError("sweep needs at least one target as ground truth")
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigmas = [noise_sigma(clean, snr) for snr in snrs]
     dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
@@ -478,10 +480,7 @@ def cmd_sweep(args) -> int:
     antenna = parse_antenna(cfg)
     scene = parse_scene(cfg, seed_override=args.seed)
     grid = parse_grid(cfg)
-    try:
-        points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
     _write_output(args.out, sweep_to_csv(points, args.trials))
     return 0
 
@@ -517,7 +516,10 @@ def _axis(text: str):
     if text in ("azimuth", "elevation", "range"):
         return text, text
     vector = _vector(text)
-    return (text, vector) if vector is not None and any(vector) else None
+    if vector is None:
+        return None
+    _direction_norm(vector)  # a ValueError unless the probe can divide by its norm
+    return text, vector
 
 
 def _snrs(text: str) -> list[float | None]:
@@ -570,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis",
         default="azimuth",
         help="azimuth | elevation | range | ux,uy,uz direction vector",
-        type=_flag("must be azimuth, elevation, range or a finite nonzero vector ux,uy,uz",
+        type=_flag("must be azimuth, elevation, range or a vector ux,uy,uz of finite nonzero norm",
                    _axis),
     )
     p.add_argument("--span", required=True,

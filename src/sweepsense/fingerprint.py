@@ -266,9 +266,21 @@ def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
             return np.column_stack([np.full_like(c, x), y * c + z * s, -y * s + z * c])
         raise ValueError(f"unknown probe axis {axis!r}")
     direction = np.asarray(axis, dtype=float)
-    if direction.shape != (3,) or not np.any(direction):
-        raise ValueError("probe direction must be a nonzero 3-vector")
-    return p0 + deltas[:, None] * direction / np.linalg.norm(direction)
+    return p0 + deltas[:, None] * direction / _direction_norm(direction)
+
+
+def _direction_norm(direction) -> float:
+    """Norm of a probe direction; ValueError unless it is a 3-vector of finite nonzero norm.
+
+    Components that are each finite and not all zero can still underflow
+    the norm to 0 or overflow it to inf.
+    """
+    direction = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(direction) if direction.shape == (3,) else 0.0
+    if not 0.0 < norm < math.inf:
+        raise ValueError("probe direction must be a 3-vector of finite nonzero norm")
+    return float(norm)
 
 
 def half_power_width(

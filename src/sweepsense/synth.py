@@ -32,7 +32,7 @@ from sweepsense.core import (
     range_of,
 )
 from sweepsense.dispersion import DispersionModel
-from sweepsense.streams import substream
+from sweepsense.streams import _state
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -132,15 +132,22 @@ def noise(seeds, sigma: float, m: int) -> np.ndarray:
 
     Row t, channel c is the stream substream(seeds[t], c.value) read as M
     interleaved (re, im) normals of standard deviation ``sigma``, so a row
-    depends only on its own seed. With sigma 0 the block is zeros and no
-    stream is drawn.
+    depends only on its own seed. One Philox bit generator, local to the
+    call, is re-keyed to each stream in turn and draws straight into the
+    block. With sigma 0 the block is zeros and no stream is drawn.
     """
     out = np.zeros((len(seeds), 2, m), dtype=np.complex128)
     if sigma:
+        bits = np.random.Philox(0)  # every stream sets its own state before drawing
+        gen = np.random.Generator(bits)
+        normals = out.view(np.float64)  # (T, 2, 2M): each row's (re, im) pairs
         for t, seed in enumerate(seeds):
             for c, axis in enumerate(ChannelAxis):
-                draw = substream(seed, axis.value).normal(0.0, sigma, 2 * m)
-                out[t, c] = draw.view(np.complex128)
+                bits.state = _state(seed, axis.value)
+                gen.standard_normal(out=normals[t, c])
+        # normal(0, sigma) returns 0 + sigma * z: the sum turns an underflowed -0.0 into +0.0.
+        normals *= sigma
+        normals += 0.0
     return out
 
 

@@ -380,7 +380,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="finite"):
             cli.run_sweep(plan, model, AntennaModel(), scene, grid, [0.0, snr], 1)
 
-    def test_sweep_without_targets_exits_2(self, tmp_path, config_path):
+    def test_sweep_without_targets_exits_2(self, tmp_path, config_path, capsys):
         cfg = base_config()
         cfg["scene"]["targets"] = []
         rc = cli.main(
@@ -388,6 +388,40 @@ class TestSweep:
              "--trials", "2", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: sweep needs at least one target as ground truth\n"
+        )
+
+    def test_degenerate_trial_exits_3(self, tmp_path, config_path, capsys):
+        # x = 50 m at z = 1 m is far outside the 12 cm antenna's 60 deg scan:
+        # its x-channel gain underflows to zero, a runtime failure like localize's
+        cfg = base_config(antenna={"length_m": 0.12, "two_way": True})
+        cfg["scene"]["targets"] = [{"x_m": 50.0, "y_m": 0.0, "z_m": 1.0}]
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--config", config_path(cfg), "--snr", "noiseless",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: trial 0 of SNR point 0 has a zero-norm channel\n"
+        )
+        assert not out.exists()
+
+    def test_output_bytes_are_pinned(self, tmp_path, config_path):
+        # A change to noise keying, stream draws or scoring moves these bytes.
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 16})
+        cfg["grid"].update(nx=5, ny=5, nz=5)
+        cfg["scene"]["targets"][0].update(x_m=0.125, alpha_re=0.7, alpha_im=-0.3)
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--config", config_path(cfg), "--snr", "noiseless,-10,0,10",
+                       "--trials", "30", "--seed", "11", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (
+            b"snr_db,rmse_m,trials\n"
+            b"noiseless,0.000000000e+00,30\n"
+            b"-1.000000000e+01,3.219407295e-01,30\n"
+            b"0.000000000e+00,1.369306394e-01,30\n"
+            b"1.000000000e+01,0.000000000e+00,30\n"
+        )
 
 
 class TestWorkersFlag:
@@ -634,6 +668,8 @@ BAD_FLAGS = [
     *(("probe", "--span", v) for v in ("nan", "inf", "0", "-1")),
     *(("probe", "--p0", v) for v in ("0,0,inf", "1,2", "a,b,c")),
     *(("probe", "--axis", v) for v in ("nan,0,1", "0,0,0", "spiral")),
+    # their norm underflows to 0 and overflows to inf
+    *(("probe", "--axis", v) for v in ("1e-200,1e-200,0", "1e200,1e200,0")),
     *(("probe", "--steps", v) for v in ("2", "x")),
     ("sweep", "--trials", "0"),
     *(("sweep", "--snr", v) for v in ("0,nan", "0,,1")),

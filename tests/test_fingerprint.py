@@ -361,6 +361,15 @@ class TestAmbiguityProbe:
         with pytest.raises(DegenerateMeasurementError, match="offset 1.5 rad"):
             ambiguity_probe((0, 0, 3.0), "azimuth", np.array([0.0, 1.5]), PLAN8, MODEL8, ANT)
 
+    @pytest.mark.parametrize(
+        "direction", [(0.0, 0.0, 0.0), (1e-200, 1e-200, 0.0), (1e200, 1e200, 0.0), (math.nan, 0, 1)]
+    )
+    def test_direction_norm_must_be_finite_and_nonzero(self, direction):
+        # 1e-200 components pass a nonzero check, but their norm underflows to
+        # 0; 1e200 components overflow it to inf
+        with pytest.raises(ValueError, match="finite nonzero norm"):
+            ambiguity_probe((0, 0, 3.0), direction, np.array([0.1]), PLAN8, MODEL8, ANT)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             ambiguity_probe((0, 0, 3.0), "diagonal", np.array([0.1]), PLAN8, MODEL8, ANT)

@@ -18,12 +18,13 @@ from sweepsense.core import (
     frequency_grid,
 )
 from sweepsense.dispersion import LinearSineDispersion
-from sweepsense.streams import substream
+from sweepsense.streams import derive_seed, substream
 from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
     echo,
     frame_schedule,
+    noise,
     phase_curvature,
     simulate_measurement,
 )
@@ -179,6 +180,25 @@ class TestSimulateMeasurement:
             # signal+noise-signal round-trip costs one rounding step
             np.testing.assert_allclose(noisy.s_x - clean.s_x, expected["x"], rtol=1e-12)
             np.testing.assert_allclose(noisy.s_y - clean.s_y, expected["y"], rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 16, 128])
+    def test_noise_is_each_substream_bit_for_bit(self, m):
+        seeds = [derive_seed(2024, k, t) for k in range(2) for t in range(100)]
+        # sigmas across the double range; the first two make sigma * z underflow
+        for sigma in (5e-324, 1e-310, 1e-9, 1e-3, 0.3, 7.7, 1e6, 1e300):
+            block = noise(seeds, sigma, m)
+            assert block.shape == (len(seeds), 2, m)
+            for t, seed in enumerate(seeds):
+                for c, axis in enumerate(ChannelAxis):
+                    expected = substream(seed, axis.value).normal(0.0, sigma, 2 * m)
+                    # compared as bits, so the sign of a zero counts too
+                    np.testing.assert_array_equal(
+                        block[t, c].view(np.uint64), expected.view(np.uint64)
+                    )
+
+    def test_noise_with_sigma_zero_is_zeros(self):
+        block = noise([derive_seed(3, t) for t in range(5)], 0.0, 16)
+        np.testing.assert_array_equal(block.view(np.uint64), np.zeros((5, 2, 32), np.uint64))
 
     def test_different_seeds_differ(self):
         base = Scene(targets=(Target((0, 0, 3.0)),), noise=NoiseConfig(10.0, 1))
