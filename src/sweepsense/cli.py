@@ -328,9 +328,9 @@ def run_sweep(
     same result as simulating and localizing that trial on its own, so a
     given trial's outcome never depends on trial count, ordering, or
     workers. Trials are scored in batches of about SCORE_CELLS dictionary
-    scores. The first configured target is the ground truth, so a scene
-    without one raises ConfigError; every SNR must be finite, or None for
-    noiseless.
+    scores; with noise sigma 0 every trial is the clean scene, scored once.
+    The first configured target is the ground truth, so a scene without one
+    raises ConfigError; every SNR must be finite, or None for noiseless.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -346,14 +346,14 @@ def run_sweep(
 
     points = []
     for snr_idx, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-        indices = np.empty(trials, dtype=np.intp)
-        for start in range(0, trials, batch):
-            stop = min(start + batch, trials)
+        indices = np.empty(trials if sigma else 1, dtype=np.intp)
+        for start in range(0, len(indices), batch):
+            stop = min(start + batch, len(indices))
             seeds = [derive_seed(scene.noise.seed, snr_idx, t) for t in range(start, stop)]
             measured = clean + noise(seeds, sigma, plan.n_points)
             block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
             indices[start:stop], _ = localize_batch(block, dictionary)
-        errors = miss[indices].tolist()
+        errors = miss[np.broadcast_to(indices, trials)].tolist()
         rmse = math.sqrt(sum(e * e for e in errors) / trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
@@ -386,7 +386,9 @@ def _load(args) -> tuple[dict, FrequencyPlan, DispersionModel]:
     """The verb's config with its parsed plan and dispersion model."""
     cfg = load_config(args.config)
     plan = parse_plan(cfg)
-    return cfg, plan, parse_dispersion(cfg, plan, Path(args.config).parent)
+    model = parse_dispersion(cfg, plan, Path(args.config).parent)
+    _build("dispersion", model.beam_angle, frequency_grid(plan))  # the plan lies in its band
+    return cfg, plan, model
 
 
 def cmd_simulate(args) -> int:

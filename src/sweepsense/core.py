@@ -257,9 +257,13 @@ def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | N
     The first ``n_int`` columns print as integers, the rest with FLOAT_FMT.
     ``dest`` is a path or an open text file; with None the text is returned.
     """
+    if dest is not None and not hasattr(dest, "write"):
+        with open(dest, "w") as fh:
+            return write_table(fh, header, table, n_int)
     out = io.StringIO() if dest is None else dest
-    fmt = ["%d"] * n_int + [FLOAT_FMT] * (table.shape[1] - n_int)
-    np.savetxt(out, table, fmt=fmt, delimiter=",", header=header, comments="")
+    line = ",".join(["%d"] * n_int + [FLOAT_FMT] * (table.shape[1] - n_int)) + "\n"
+    out.write(header + "\n")
+    out.writelines(line % tuple(row.tolist()) for row in table)  # not the whole text at once
     return out.getvalue() if dest is None else None
 
 

@@ -60,11 +60,12 @@ def _normalize(s: np.ndarray, describe) -> np.ndarray:
     A zero-norm channel raises DegenerateMeasurementError naming the first
     such row i as ``describe(i)``.
     """
-    norms = np.linalg.norm(s, axis=-1, keepdims=True)
+    parts = s.view(np.float64)  # (N, 2, 2M): each channel's (re, im) pairs
+    norms = np.sqrt(np.einsum("ijk,ijk->ij", parts, parts))[..., None]
     if not norms.all():
         i = int(np.argmin(norms.min(axis=(1, 2))))
         raise DegenerateMeasurementError(f"{describe(i)} has a zero-norm channel")
-    return (s / norms).reshape(len(s), -1)
+    return (parts / norms).view(np.complex128).reshape(len(s), -1)
 
 
 def build_fingerprint(meas: Measurement) -> Fingerprint:

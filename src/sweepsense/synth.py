@@ -35,6 +35,7 @@ from sweepsense.dispersion import DispersionModel
 from sweepsense.streams import _state
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
+_K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per position
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,8 @@ class AntennaModel:
         half the half-power beamwidth off axis. Vectorized over f/beam_angle.
         """
         dtheta = axis.target_angle(position) - np.asarray(beam_angle, dtype=float)
-        g = np.exp(-_FOUR_LN2 * (dtheta / self.half_power_beamwidth(f)) ** 2)
-        out = g * g if self.two_way else g
-        return float(out) if np.ndim(out) == 0 else out
+        g = np.exp(-_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2)
+        return float(g) if np.ndim(g) == 0 else g
 
 
 def phase_curvature(f, position) -> float | np.ndarray:
@@ -83,7 +83,8 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
 
     ``positions`` is (N, 3); ``refl`` holds per-channel (x, y) reflectivities
     broadcasting to (N, 2). Entries depend only on their own position, so
-    any split of the batch gives the same bits.
+    any split of the batch gives the same bits. The sweep is uniform, so the
+    carrier at point K a + b is that of f[K a] times that of b * step.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     if not (np.isfinite(positions).all() and (positions[:, 2] > 0.0).all()):
@@ -92,12 +93,17 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
         raise GeometryError(f"position {where} is not finite or not in the half-space z > 0")
     freqs = frequency_grid(plan)
     thetas = np.atleast_1d(model.beam_angle(freqs))
-    rows = positions[:, None, :]  # (N, 1, 3) against the (M,) frequency axis
-    carrier = np.exp(-1j * phase_curvature(freqs, rows))
-    gain = np.stack([antenna.gain(freqs, thetas, rows, axis) for axis in ChannelAxis], axis=1)
-    refl = np.asarray(refl, dtype=np.complex128)[..., None]  # against the M axis
-    # Adding to zeros turns the -0.0 of an underflowed gain into +0.0.
-    return np.zeros(gain.shape, dtype=np.complex128) + refl * gain * carrier[:, None, :]
+    rows = positions[:, None, :]  # (N, 1, 3) against a frequency axis
+    coarse = np.exp(-1j * phase_curvature(freqs[::_K], rows))
+    fine = np.exp(-1j * phase_curvature(np.arange(_K) * plan.step, rows))
+    carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
+    out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
+    for c, axis in enumerate(ChannelAxis):
+        gain = antenna.gain(freqs, thetas, rows, axis)
+        np.multiply(carrier[:, : plan.n_points], gain, out=out[:, c])
+    out *= np.asarray(refl, dtype=np.complex128)[..., None]  # against the M axis
+    out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
+    return out
 
 
 def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,

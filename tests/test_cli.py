@@ -12,7 +12,13 @@ from sweepsense import cli
 from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
-from sweepsense.fingerprint import SCORE_CELLS, PositionGrid, build_dictionary, localize
+from sweepsense.fingerprint import (
+    SCORE_CELLS,
+    PositionGrid,
+    _normalize,
+    build_dictionary,
+    localize,
+)
 from sweepsense.streams import derive_seed
 from sweepsense.synth import AntennaModel, simulate_measurement
 
@@ -406,6 +412,38 @@ class TestSweep:
         )
         assert not out.exists()
 
+    @pytest.fixture
+    def normalized(self, monkeypatch):
+        """Row counts of the trial blocks the sweep normalizes, and so scores."""
+        rows = []
+
+        def counting(s, describe):
+            rows.append(len(s))
+            return _normalize(s, describe)
+
+        monkeypatch.setattr(cli, "_normalize", counting)
+        return rows
+
+    def test_zero_sigma_point_scores_one_trial(self, tmp_path, config_path, normalized):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--config", config_path(base_config()), "--snr", "noiseless,10",
+                       "--trials", "500", "--out", str(out)])
+        assert rc == 0
+        assert normalized[0] == 1 and sum(normalized[1:]) == 500
+        assert out.read_text().splitlines()[1] == "noiseless,0.000000000e+00,500"
+
+    def test_zero_power_scene_scores_trial_0_once_and_exits_3(
+        self, tmp_path, config_path, capsys, normalized
+    ):
+        # zero reflectivity: sigma is 0 at any SNR, and every trial is degenerate
+        cfg = base_config()
+        cfg["scene"]["targets"][0].update(alpha_re=0.0, alpha_im=0.0)
+        rc = cli.main(["sweep", "--config", config_path(cfg), "--snr", "10",
+                       "--trials", "300", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: trial 0 of SNR point 0 has a zero-norm channel\n"
+        assert normalized == [1]
+
     def test_output_bytes_are_pinned(self, tmp_path, config_path):
         # A change to noise keying, stream draws or scoring moves these bytes.
         cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 16})
@@ -460,6 +498,25 @@ class TestLookupDispersionConfig:
         out = tmp_path / "meas.csv"
         rc = cli.main(["simulate", "--config", config_path(cfg), "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("verb, args", [
+        ("simulate", []), ("dict", []), ("localize", ["--measurement", "m.csv"]),
+        ("probe", ["--span", "1.0"]), ("sweep", ["--snr", "0", "--trials", "2"]),
+    ])
+    def test_plan_outside_the_table_band_exits_2(self, tmp_path, config_path, capsys,
+                                                 verb, args):
+        # the table covers 60-65 GHz, the plan's 32 points 60-66 GHz
+        (tmp_path / "disp.csv").write_text("frequency_hz,angle_deg\n60e9,-60\n65e9,60\n")
+        cfg = base_config(dispersion={"kind": "lookup_table", "table_path": "disp.csv"})
+        out = tmp_path / "out"
+        rc = cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: dispersion: frequency outside calibrated band [6e+10, 6.5e+10] Hz\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_table_exits_2(self, tmp_path, config_path):
         cfg = base_config()

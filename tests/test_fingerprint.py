@@ -20,6 +20,7 @@ from sweepsense.fingerprint import (
     Dictionary,
     Fingerprint,
     PositionGrid,
+    _normalize,
     ambiguity_probe,
     build_dictionary,
     build_fingerprint,
@@ -49,6 +50,28 @@ def meas(plan, s_x, s_y):
 def unit_measurement(position, plan=PLAN8, model=MODEL8, antenna=ANT, refl=1.0 + 0.0j):
     scene = Scene(targets=(Target(tuple(position), refl),))
     return simulate_measurement(scene, plan, model, antenna)
+
+
+class TestNormalize:
+    def test_halves_are_unit_norm(self):
+        rng = np.random.default_rng(4)
+        scale = 10.0 ** rng.integers(-150, 150, (50, 2, 1))
+        s = (rng.normal(size=(50, 2, 37)) + 1j * rng.normal(size=(50, 2, 37))) * scale
+        rows = _normalize(s, str)
+        assert rows.shape == (50, 74)
+        halves = rows.reshape(50, 2, 37)
+        np.testing.assert_allclose(np.linalg.norm(halves, axis=-1), 1.0, rtol=0, atol=1e-15)
+        # each half keeps its direction: the scale alone is divided out
+        np.testing.assert_allclose(halves * np.linalg.norm(s, axis=-1, keepdims=True), s,
+                                   rtol=1e-14)
+
+    def test_zero_norm_channel_names_the_first_such_row(self):
+        s = np.ones((4, 2, 3), dtype=np.complex128)
+        s[2, 1] = 0.0
+        s[3, 0] = 0.0
+        with pytest.raises(DegenerateMeasurementError) as err:
+            _normalize(s, lambda i: f"grid index {i}")
+        assert str(err.value) == "grid index 2 has a zero-norm channel"
 
 
 class TestBuildFingerprint:

@@ -248,6 +248,43 @@ class TestEcho:
     def test_empty_batch(self):
         assert echo(np.empty((0, 3)), 1.0, PLAN, MODEL, ANT).shape == (0, 2, PLAN.n_points)
 
+    # In view of the 60 deg scan, at its edge, and far outside it, where a
+    # narrow beam's gain underflows to zero; every range is at most 5.2 m.
+    ORACLE_POSITIONS = [
+        (0.1, -0.2, 3.0), (-0.4, 0.35, 2.2), (1.5, 0.0, 1.0), (0.0, 3.0, 0.5),
+        (2.0, -2.5, 4.0), (0.0, 0.0, 5.2), (5.0, 0.1, 0.5), (-0.3, -5.0, 0.4),
+    ]
+
+    @pytest.mark.parametrize(
+        "m, antenna, underflows",
+        [(128, ANT, True), (1, ANT, True), (7, ANT, True), (31, ANT, True),
+         (31, AntennaModel(0.012), False), (7, AntennaModel(0.012, two_way=False), False)],
+    )
+    def test_matches_the_scalar_oracle_for_any_point_count(self, m, antenna, underflows):
+        # M of 1, 7 and 31 is no multiple of the kernel's carrier block; only
+        # the 12 cm beam is narrow enough for its gain to underflow
+        plan = FrequencyPlan(60e9, 66e9, m)
+        model = LinearSineDispersion.for_plan(plan)
+        refl = [(2.0 + 1.0j, 0.5j), (1.0, 1.0), (-0.3 + 0.7j, 1e-3)] * 3
+        refl = refl[: len(self.ORACLE_POSITIONS)]
+        got = echo(self.ORACLE_POSITIONS, refl, plan, model, antenna)
+        freqs = frequency_grid(plan)
+        thetas = model.beam_angle(freqs)
+        expected = np.array([
+            [[synthesize_sample(f, p, r, antenna.gain(f, theta, p, axis))
+              for f, theta in zip(freqs, thetas)]
+             for axis, r in zip(ChannelAxis, rs)]
+            for p, rs in zip(self.ORACLE_POSITIONS, refl)
+        ])
+        zero = expected == 0
+        assert zero.any() == underflows and not zero.all()
+        # Exact zeros where the oracle's gain underflows, and never a -0.0.
+        np.testing.assert_array_equal(got == 0, zero)
+        assert not np.signbit(got.view(np.float64)).reshape(got.shape + (2,))[zero].any()
+        # Below 2.2e-308 the doubles are too coarse for a relative bound, so
+        # subnormal samples get a floor of 20 of their steps (4.9e-324 each).
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-322)
+
     @pytest.mark.parametrize(
         "bad", [(0.0, 0.0, 0.0), (0.1, 0.0, -1.0), (math.nan, 0.0, 3.0), (0.0, math.inf, 3.0)]
     )

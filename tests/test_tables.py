@@ -41,6 +41,39 @@ class TestWriteTable:
         write_table(buf, "i,a,b", table, n_int=1)
         assert (tmp_path / "t.csv").read_text() == buf.getvalue() == text
 
+    @staticmethod
+    def savetxt(header, table, n_int):
+        """The text np.savetxt writes for the table, as write_table once called it."""
+        fmt = ["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)
+        buf = io.StringIO()
+        np.savetxt(buf, table, fmt=fmt, delimiter=",", header=header, comments="")
+        return buf.getvalue()
+
+    def test_probe_table_matches_savetxt(self, tmp_path):
+        rng = np.random.default_rng(11)
+        table = np.column_stack([np.linspace(-5.0, 5.0, 2001), rng.uniform(0.0, 1.0, 2001)])
+        expected = self.savetxt("offset,similarity", table, 0)
+        assert write_table(None, "offset,similarity", table) == expected
+        write_table(tmp_path / "t.csv", "offset,similarity", table)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_wide_table_with_extreme_cells_matches_savetxt(self, tmp_path):
+        rng = np.random.default_rng(12)
+        cells = rng.normal(size=(40, 37)) * 10.0 ** rng.integers(-300, 300, (40, 37))
+        cells[::3, ::2] = -0.0
+        cells[1::3, ::5] = 1e-300
+        cells[2::3, 1::4] = 1e300
+        cells[0, :4] = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+        indices = np.column_stack([np.arange(40) % 4, np.arange(40) // 4 % 5, np.arange(40) // 20])
+        table = np.hstack([indices, cells])
+        header = ",".join(f"c{i}" for i in range(table.shape[1]))
+        expected = self.savetxt(header, table, 3)
+        assert "-0.000000000e+00" in expected and "1.000000000e+300" in expected
+        assert write_table(None, header, table, n_int=3) == expected
+        with open(tmp_path / "t.csv", "w") as fh:
+            write_table(fh, header, table, n_int=3)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
 
 class TestReadTable:
     def write(self, tmp_path, text):
