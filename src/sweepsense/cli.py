@@ -31,8 +31,8 @@ from sweepsense.core import (
     NoiseConfig,
     Scene,
     Target,
+    check_rows,
     frequency_grid,
-    line_error,
     read_table,
     write_table,
 )
@@ -250,48 +250,25 @@ def parse_architectures(cfg: dict) -> list[archcomp.ArchitectureSpec]:
 _MEAS_HEADER = "m,f_hz,theta_deg,sx_re,sx_im,sy_re,sy_im"
 
 
+def _measurement_keys(plan: FrequencyPlan, model: DispersionModel) -> np.ndarray:
+    """The m, f_hz and theta_deg cells of each measurement row, shape (M, 3):
+    m = 0..M-1, the plan's frequency grid and the dispersion model's beam angle."""
+    freqs = frequency_grid(plan)
+    return np.column_stack([np.arange(plan.n_points), freqs, np.degrees(model.beam_angle(freqs))])
+
+
 def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
-    freqs = frequency_grid(meas.plan)
-    thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
     s = np.stack([meas.s_x, meas.s_y], axis=1).view(np.float64)  # sx_re, sx_im, sy_re, sy_im
-    table = np.column_stack([np.arange(len(freqs)), freqs, thetas, s])
+    table = np.hstack([_measurement_keys(meas.plan, model), s])
     return write_table(None, _MEAS_HEADER, table, n_int=1)
 
 
 def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> Measurement:
-    """Read a measurement CSV; rows must be m = 0..M-1 on the plan's frequency grid.
+    """Read a measurement CSV whose key cells are _measurement_keys(plan, model).
 
-    Each theta_deg must also be the dispersion model's beam angle at that
-    frequency. A malformed file raises ValueError naming its line.
-    """
-    header, body = read_table(path)
-    if ",".join(header) != _MEAS_HEADER:
-        raise ValueError(f"{path}: line 1: expected header '{_MEAS_HEADER}'")
-    if len(body) != plan.n_points:
-        raise ValueError(
-            f"{path}: has {len(body)} data rows but the plan expects {plan.n_points}"
-        )
-    freqs = frequency_grid(plan)
-    # Printed with 10 significant digits, f_hz is within 5e-10 (relative) of the plan's.
-    off_plan = body[:, 0] != np.arange(plan.n_points)
-    off_plan |= np.abs(body[:, 1] - freqs) > 1e-9 * freqs
-    if off_plan.any():
-        i = int(np.argmax(off_plan))
-        message = (
-            f"expected m = {i} at f_hz = {FLOAT_FMT % freqs[i]} (the plan's grid), "
-            f"got m = {body[i, 0]:g} at f_hz = {FLOAT_FMT % body[i, 1]}"
-        )
-        raise line_error(path, i, message)
-    thetas = np.degrees(np.atleast_1d(model.beam_angle(freqs)))
-    # Printing rounds each angle by at most 5e-10 of the column's largest |value|.
-    off_beam = np.abs(body[:, 2] - thetas) > 1e-9 * np.abs(thetas).max()
-    if off_beam.any():
-        i = int(np.argmax(off_beam))
-        message = (
-            f"expected theta_deg = {FLOAT_FMT % thetas[i]} at m = {i} (the dispersion "
-            f"model's beam angle), got {FLOAT_FMT % body[i, 2]}"
-        )
-        raise line_error(path, i, message)
+    A malformed file raises ValueError naming its line."""
+    body = read_table(path, _MEAS_HEADER)
+    check_rows(path, body, _measurement_keys(plan, model), "m,f_hz,theta_deg")
     s = np.ascontiguousarray(body[:, 3:]).view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 
@@ -379,7 +356,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load(args) -> tuple[dict, FrequencyPlan, DispersionModel]:
@@ -411,20 +388,15 @@ def cmd_dict(args) -> int:
 
 def cmd_localize(args) -> int:
     cfg, plan, model = _load(args)
+    grid = parse_grid(cfg)
     try:
-        dictionary = None if args.dict is None else import_dictionary(args.dict)
+        dictionary = (None if args.dict is None
+                      else import_dictionary(args.dict, grid, plan.n_points))
         meas = read_measurement_csv(args.measurement, plan, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if dictionary is None:
-        antenna = parse_antenna(cfg)
-        grid = parse_grid(cfg)
-        dictionary = build_dictionary(grid, plan, model, antenna)
-    elif dictionary.n_points != plan.n_points:
-        raise ConfigError(
-            f"dictionary has {dictionary.n_points} frequency points but the "
-            f"plan expects {plan.n_points}"
-        )
+        dictionary = build_dictionary(grid, plan, model, parse_antenna(cfg))
     result = localize(meas, dictionary)
     payload = {
         "estimate": [float(v) for v in result.position],
@@ -467,12 +439,25 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _check_finite(report: dict) -> None:
+    """ConfigError naming the first number of a compare report that is not finite."""
+    cells = [(f"architectures[{i}]: derived {key}", value)
+             for i, row in enumerate(report["rows"]) for key, value in row.items()]
+    cells += [(f"architectures: {name} '{pair}'", value)
+              for name in ("eta_ratios_computed", "eta_ratios_reference")
+              for pair, value in report[name].items()]
+    for where, value in cells:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} is {value}, not a finite number")
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    specs = parse_architectures(cfg)
-    report = _build("--r-query", archcomp.compare, specs, r_query=args.r_query)
+    report = archcomp.compare(parse_architectures(cfg), r_query=args.r_query)
+    payload = report.to_dict()
+    _check_finite(payload)
     if args.out is not None:
-        _write_output(args.out, _json_dumps(report.to_dict()))
+        _write_output(args.out, _json_dumps(payload))
     sys.stdout.write(report.to_text())
     return 0
 
@@ -505,6 +490,9 @@ def _flag(reason: str, parse, accept=lambda value: True):
         raise argparse.ArgumentTypeError(f"{reason}, got '{text}'")
 
     return convert
+
+
+_POSITIVE = _flag("must be a finite number > 0", float, lambda x: 0 < x < math.inf)
 
 
 def _vector(text: str) -> tuple[float, float, float] | None:
@@ -577,14 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_flag("must be azimuth, elevation, range or a vector ux,uy,uz of finite nonzero norm",
                    _axis),
     )
-    p.add_argument("--span", required=True,
-                   help="max |offset| (deg for angular axes, m otherwise)",
-                   type=_flag("must be a finite number > 0", float, lambda x: 0 < x < math.inf))
+    p.add_argument("--span", required=True, type=_POSITIVE,
+                   help="max |offset| (deg for angular axes, m otherwise)")
     p.add_argument("--steps", default=201,
                    type=_flag("must be an integer >= 3", int, lambda n: n >= 3))
 
     p = verb("compare", cmd_compare, "architecture comparison report", out_default=None)
-    p.add_argument("--r-query", type=float, default=3.0, help="cell-volume range (m)")
+    p.add_argument("--r-query", type=_POSITIVE, default=3.0, help="cell-volume range (m)")
 
     p = verb("sweep", cmd_sweep, "Monte-Carlo localization RMSE vs SNR", seed=True)
     p.add_argument("--snr", required=True, type=_snrs,

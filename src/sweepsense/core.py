@@ -168,10 +168,7 @@ class Target:
         if len(pos) != 3:
             raise GeometryError("position must have exactly 3 components")
         object.__setattr__(self, "position", pos)
-        if not all(math.isfinite(v) for v in pos):
-            raise GeometryError("position components must be finite")
-        if pos == (0.0, 0.0, 0.0):
-            raise GeometryError("target coincides with the antenna phase center")
+        range_of(pos)  # GeometryError unless its range is finite and nonzero
         if pos[2] <= 0.0:
             raise GeometryError(f"target must lie in the forward half-space, z={pos[2]}")
         if self.refl_y is None:
@@ -232,21 +229,24 @@ class Measurement:
 
 
 def range_of(position) -> float | np.ndarray:
-    """Euclidean distance from the phase center; xyz on the last axis."""
+    """Euclidean distance from the phase center; xyz on the last axis.
+
+    A range of 0, or one that overflows (|p| beyond about 1.34e154), raises GeometryError.
+    """
     p = np.asarray(position, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    r = np.sqrt(x * x + y * y + z * z)
-    if (r == 0.0).any():
-        raise GeometryError("zero-length position vector has no defined range")
+    with np.errstate(over="ignore"):
+        r = np.sqrt(x * x + y * y + z * z)
+    if not ((0.0 < r) & (r < math.inf)).all():
+        raise GeometryError("position has no finite nonzero range")
     return float(r) if r.ndim == 0 else r
-
 
 
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then one line of numbers per row. Every CSV the
-# CLI reads goes through read_table, and every one it writes through
-# write_table except the sweep CSV, whose snr_db cell may be the text
-# 'noiseless' (cli.sweep_to_csv writes its lines itself).
+# CLI reads goes through read_table, and through check_rows where the config
+# gives its key cells; every one it writes through write_table except the
+# sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
 
@@ -267,26 +267,52 @@ def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | N
     return out.getvalue() if dest is None else None
 
 
-def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Header fields and float body, shape (rows, fields), of a UTF-8 CSV file.
+class HeaderError(ValueError):
+    """Line 1 of a CSV file is not the header expected; ``fields`` are the ones it holds."""
 
-    Empty lines are skipped. A line that is not UTF-8 text, a row whose field
-    count differs from the header's, a cell that is not a finite number, or
-    a file without rows raises ValueError naming the path and the line of
-    the file.
+    def __init__(self, path, header: str, fields: list[str]):
+        super().__init__(f"{path}: line 1: expected header '{header}'")
+        self.fields = fields
+
+
+def read_table(path, header: str) -> np.ndarray:
+    """Float body, shape (rows, fields), of a UTF-8 CSV file whose line 1 is ``header``.
+
+    Another line 1, its fields space-stripped, raises HeaderError. Empty lines
+    are skipped. A line that is not UTF-8 text, a row whose field count
+    differs from the header's, a cell that is not a finite number, or a file
+    without rows raises ValueError naming the path and the line of the file.
     """
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns about an empty body
         try:
-            header = [f.strip() for f in fh.readline().split(",")]
-            body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            fields = [f.strip() for f in fh.readline().split(",")]
+            body = (np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                    if ",".join(fields) == header else None)
         except ValueError:  # UnicodeDecodeError included
-            raise _first_bad_line(path) from None
+            raise _first_bad_line(path, header.count(",") + 1) from None
+    if body is None:
+        raise HeaderError(path, header, fields)
     if not body.size:
         raise ValueError(f"{path}: no data rows after line 1")
-    if body.shape[1] != len(header) or not np.isfinite(body).all():
-        raise _first_bad_line(path)
-    return header, body
+    if body.shape[1] != len(fields) or not np.isfinite(body).all():
+        raise _first_bad_line(path, len(fields))
+    return body
+
+
+def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str) -> None:
+    """Raise ValueError naming the row count or the first line of ``body`` whose
+    leading cells ``names`` differ from ``expected`` by more than 1e-9 of that
+    column's largest |value|; FLOAT_FMT moves a cell by at most 5e-10 of it."""
+    if len(body) != len(expected):
+        message = f"has {len(body)} data rows but the config expects {len(expected)}"
+        raise ValueError(f"{path}: {message}")
+    keys = body[:, : expected.shape[1]]
+    off = (np.abs(keys - expected) > 1e-9 * np.abs(expected).max(axis=0)).any(axis=1)
+    if off.any():
+        i = int(np.argmax(off))
+        want, got = (",".join(f"{v:.10g}" for v in row) for row in (expected[i], keys[i]))
+        raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}")
 
 
 def line_error(path, row: int, message: str) -> ValueError:
@@ -316,7 +342,7 @@ def _body_lines(path):
     return ((n, line) for n, line in _lines(path) if n > 1 and line)
 
 
-def _first_bad_line(path) -> ValueError:
+def _first_bad_line(path, n_fields: int) -> ValueError:
     """The error for the first line read_table rejects; rescans the file."""
 
     def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
@@ -327,7 +353,6 @@ def _first_bad_line(path) -> ValueError:
         return values.size > 0 and bool(np.isfinite(values).all())
 
     try:
-        n_fields = len(next(_lines(path), (1, ""))[1].split(","))
         for lineno, line in _body_lines(path):
             cells = line.split(",")
             if len(cells) != n_fields:

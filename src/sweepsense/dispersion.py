@@ -92,11 +92,7 @@ class LookupTableDispersion:
     @classmethod
     def from_csv(cls, path) -> "LookupTableDispersion":
         """Load a two-column CSV (frequency_hz, angle_deg); header mandatory."""
-        header, body = read_table(path)
-        if [c.lower() for c in header] != ["frequency_hz", "angle_deg"]:
-            raise ValueError(
-                f"{path}: line 1: expected header 'frequency_hz,angle_deg', got {header!r}"
-            )
+        body = read_table(path, "frequency_hz,angle_deg")
         return cls(body[:, 0], np.radians(body[:, 1]))
 
     @property

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sweepsense.core import (
-    FLOAT_FMT,
     DegenerateMeasurementError,
     FrequencyPlan,
+    HeaderError,
     Measurement,
+    check_rows,
     line_error,
     range_of,
     read_table,
@@ -57,15 +58,21 @@ class Fingerprint:
 def _normalize(s: np.ndarray, describe) -> np.ndarray:
     """Unit-normalize each channel of (N, 2, M) echoes into (N, 2M) rows.
 
-    A zero-norm channel raises DegenerateMeasurementError naming the first
-    such row i as ``describe(i)``.
+    A channel whose sum of squares overflows or is not a normal double is
+    first divided by its largest |component|. An all-zero channel raises
+    DegenerateMeasurementError naming the first such row i as ``describe(i)``.
     """
     parts = s.view(np.float64)  # (N, 2, 2M): each channel's (re, im) pairs
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", parts, parts))[..., None]
-    if not norms.all():
-        i = int(np.argmin(norms.min(axis=(1, 2))))
-        raise DegenerateMeasurementError(f"{describe(i)} has a zero-norm channel")
-    return (parts / norms).view(np.complex128).reshape(len(s), -1)
+    squares = np.einsum("ijk,ijk->ij", parts, parts)
+    extreme = ~((np.finfo(float).tiny <= squares) & (squares < math.inf))
+    if extreme.any():
+        peak = np.abs(parts).max(axis=-1)
+        if not peak.all():
+            i = int(np.argmin(peak.min(axis=1)))
+            raise DegenerateMeasurementError(f"{describe(i)} has a zero-norm channel")
+        parts = parts / np.where(extreme, peak, 1.0)[..., None]
+        squares = np.where(extreme, np.einsum("ijk,ijk->ij", parts, parts), squares)
+    return (parts / np.sqrt(squares)[..., None]).view(np.complex128).reshape(len(s), -1)
 
 
 def build_fingerprint(meas: Measurement) -> Fingerprint:
@@ -112,17 +119,15 @@ class PositionGrid:
     nz: int
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("x", self.x_range),
-            ("y", self.y_range),
-            ("z", self.z_range),
-        ):
+        ranges = (self.x_range, self.y_range, self.z_range)
+        for name, (lo, hi) in zip("xyz", ranges):
             if lo > hi:
                 raise ValueError(f"{name}_range must satisfy lo <= hi, got ({lo}, {hi})")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("grid counts must all be >= 1")
         if self.z_range[0] <= 0.0:
             raise ValueError("z range must be strictly positive (forward half-space)")
+        range_of([max(map(abs, r)) for r in ranges])  # GeometryError unless finite at any corner
 
     @property
     def size(self) -> int:
@@ -135,46 +140,38 @@ class PositionGrid:
             np.linspace(self.z_range[0], self.z_range[1], self.nz),
         )
 
-    def points(self) -> np.ndarray:
-        """All grid positions, shape (size, 3), x index varying fastest."""
-        xs, ys, zs = self.axis_points()
-        x = np.tile(xs, self.ny * self.nz)
-        y = np.tile(np.repeat(ys, self.nx), self.nz)
-        z = np.repeat(zs, self.nx * self.ny)
-        return np.column_stack([x, y, z])
-
     def indices(self) -> np.ndarray:
-        """Integer (ix, iy, iz) triples matching points(), shape (size, 3)."""
-        ix = np.tile(np.arange(self.nx), self.ny * self.nz)
-        iy = np.tile(np.repeat(np.arange(self.ny), self.nx), self.nz)
-        iz = np.repeat(np.arange(self.nz), self.nx * self.ny)
-        return np.column_stack([ix, iy, iz])
+        """Integer (ix, iy, iz) triples, shape (size, 3), x index varying fastest."""
+        return np.column_stack(np.indices((self.nz, self.ny, self.nx)).reshape(3, -1)[::-1])
+
+    def points(self) -> np.ndarray:
+        """All grid positions, shape (size, 3), in the order of indices()."""
+        return np.column_stack([axis[i] for axis, i in zip(self.axis_points(), self.indices().T)])
 
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Noiseless unit-reflectivity fingerprints for every grid position."""
+    """Noiseless unit-reflectivity fingerprints, one row of entries per grid position."""
 
     grid: PositionGrid
-    n_points: int  # frequency points per channel (M)
-    positions: np.ndarray = field(repr=False)  # (size, 3)
     entries: np.ndarray = field(repr=False)  # (size, 2M) complex rows
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
         entries = np.asarray(self.entries, dtype=np.complex128)
-        if positions.shape != (self.grid.size, 3):
-            raise ValueError("positions must have shape (grid.size, 3)")
-        if entries.shape != (self.grid.size, 2 * self.n_points):
-            raise ValueError("entries must have shape (grid.size, 2 * n_points)")
-        positions.setflags(write=False)
         entries.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
         return self.grid.size
+
+    @property
+    def n_points(self) -> int:  # frequency points per channel (M)
+        return self.entries.shape[1] // 2
+
+    @property
+    def positions(self) -> np.ndarray:  # (size, 3)
+        return self.grid.points()
 
 
 def _fingerprint_rows(
@@ -213,7 +210,7 @@ def build_dictionary(
 
     for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
         entries[start : start + len(rows)] = rows
-    return Dictionary(grid=grid, n_points=plan.n_points, positions=positions, entries=entries)
+    return Dictionary(grid, entries)
 
 
 @dataclass(frozen=True)
@@ -369,38 +366,24 @@ def export_dictionary(dictionary: Dictionary, path) -> str | None:
     return write_table(path, _csv_header(dictionary.n_points), table, n_int=3)
 
 
-def import_dictionary(path) -> Dictionary:
-    """Load a dictionary CSV written by export_dictionary.
+def import_dictionary(path, grid: PositionGrid, n_points: int) -> Dictionary:
+    """Load the CSV that export_dictionary writes for ``grid`` at M = ``n_points``.
 
-    Rows must list the grid in index order (x fastest) at the grid's positions
-    and hold unit-norm channel halves; any other row raises ValueError naming
-    its line.
+    Line 1 must be the header for that M, the rows must list the grid in
+    index order (x fastest) at its positions (core.check_rows), and every
+    channel half must be unit-norm; otherwise ValueError names the line.
     """
-    header, body = read_table(path)
-    m = (len(header) - 6) // 4
-    if m < 1 or ",".join(header) != _csv_header(m):
-        raise ValueError(f"{path}: line 1: malformed dictionary header")
-    indices, positions = body[:, :3], body[:, 3:6].copy()
-    # Clipped: an absurd index must not size a grid beyond the row count.
-    counts = (np.clip(indices.max(axis=0), 0, len(body)).astype(int) + 1).tolist()
-    if math.prod(counts) != len(body):
-        shape = "x".join(map(str, counts))
-        raise ValueError(f"{path}: {len(body)} rows do not fill the {shape} index grid")
-    grid = PositionGrid(*zip(positions.min(axis=0), positions.max(axis=0)), *counts)
-    points, expected = grid.points(), grid.indices()
-    # Printing rounds positions and range ends to 10 significant digits, so a
-    # written row lies within 1e-9 times its axis' largest |value| of the grid.
-    off_grid = np.abs(positions - points) > 2e-9 * np.abs(points).max(axis=0)
-    misplaced = (indices != expected).any(axis=1) | off_grid.any(axis=1)
-    if misplaced.any():
-        i = int(np.argmax(misplaced))
-        ijk = ",".join(map(str, expected[i]))
-        xyz = ",".join(FLOAT_FMT % v for v in points[i])
-        message = f"rows must follow grid order: expected ix,iy,iz = {ijk} at x,y,z = {xyz}"
-        raise line_error(path, i, message)
-    halves = body[:, 6:].reshape(len(body), 2, 2 * m)  # re/im pairs per channel
+    try:
+        body = read_table(path, _csv_header(n_points))
+    except HeaderError as exc:
+        m = (len(exc.fields) - 6) // 4
+        if ",".join(exc.fields) != _csv_header(m):
+            raise
+        message = f"has {m} frequency points but the plan expects {n_points}"
+        raise ValueError(f"{path}: line 1: {message}") from None
+    check_rows(path, body, np.hstack([grid.indices(), grid.points()]), "ix,iy,iz,x,y,z")
+    halves = body[:, 6:].reshape(len(body), 2, 2 * n_points)  # re/im pairs per channel
     off_unit = (np.abs(np.einsum("ijk,ijk->ij", halves, halves) - 1.0) > 2e-6).any(axis=1)
     if off_unit.any():
         raise line_error(path, int(np.argmax(off_unit)), "dictionary halves are not unit-norm")
-    entries = np.ascontiguousarray(body[:, 6:]).view(np.complex128)
-    return Dictionary(grid=grid, n_points=m, positions=positions, entries=entries)
+    return Dictionary(grid, np.ascontiguousarray(body[:, 6:]).view(np.complex128))

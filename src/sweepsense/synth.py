@@ -92,7 +92,7 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
         where = tuple(positions[bad.argmax()].tolist())
         raise GeometryError(f"position {where} is not finite or not in the half-space z > 0")
     freqs = frequency_grid(plan)
-    thetas = np.atleast_1d(model.beam_angle(freqs))
+    thetas = model.beam_angle(freqs)
     rows = positions[:, None, :]  # (N, 1, 3) against a frequency axis
     coarse = np.exp(-1j * phase_curvature(freqs[::_K], rows))
     fine = np.exp(-1j * phase_curvature(np.arange(_K) * plan.step, rows))
@@ -122,15 +122,23 @@ def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
 
     The per-sample variance is sigma_c^2 = P_sig / 10^(snr_db/10), where P_sig
     is the mean noiseless per-sample power across both channels; each of the
-    real and imaginary parts gets half of it. Noiseless (None) or a
-    zero-power scene gives 0. A non-finite snr_db raises ValueError.
+    real and imaginary parts gets half of it. Where P_sig is inf or not a
+    normal double, it is taken of the scene over its largest |sample|.
+    Noiseless (None) or a zero-power scene gives 0. A non-finite snr_db
+    raises ValueError.
     """
     if snr_db is None:
         return 0.0
     if not math.isfinite(snr_db):
         raise ValueError(f"SNR must be a finite number of dB, got {snr_db!r}")
-    var = float(np.mean(np.abs(clean) ** 2)) * 10.0 ** (-float(snr_db) / 10.0)
-    return math.sqrt(var / 2.0)
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(clean) ** 2))
+    if not np.finfo(float).tiny <= power < math.inf and clean.any():
+        scale = float(np.abs(clean).max())
+        power = float(np.mean(np.abs(clean / scale) ** 2))
+    var = power * 10.0 ** (-float(snr_db) / 10.0)
+    return scale * math.sqrt(var / 2.0)
 
 
 def noise(seeds, sigma: float, m: int) -> np.ndarray:
@@ -245,7 +253,7 @@ def frame_schedule(
             f"is {plan.step:.6g} Hz; use ChirpConfig.for_plan"
         )
     freqs = frequency_grid(plan)
-    thetas = np.atleast_1d(model.beam_angle(freqs))
+    thetas = model.beam_angle(freqs)
     window = (chirp.duration - 2.0 * chirp.guard) / 2.0
     entries = []
     for i in range(plan.n_points):

@@ -159,7 +159,13 @@ class TestLocalizeFlow:
         assert payload["grid_index"] == 13  # center of the 3x3x3 grid
 
     def test_exported_dictionary_reused(self, tmp_path, config_path):
-        path = config_path(base_config())
+        # grid x = linspace(-0.3, 0.3, 7) holds values that 10 printed digits round
+        cfg = base_config()
+        cfg["grid"].update(x_min_m=-0.3, x_max_m=0.3, nx=7)
+        x = float(np.linspace(-0.3, 0.3, 7)[5])
+        assert float(f"{x:.9e}") != x  # 0.19999999999999996 prints as 0.2
+        cfg["scene"]["targets"][0]["x_m"] = x
+        path = config_path(cfg)
         meas = tmp_path / "meas.csv"
         dict_csv = tmp_path / "dict.csv"
         cli.main(["simulate", "--config", path, "--out", str(meas)])
@@ -173,8 +179,59 @@ class TestLocalizeFlow:
             ]
         )
         a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
-        assert a["grid_index"] == b["grid_index"]
-        assert a["estimate"] == pytest.approx(b["estimate"], abs=1e-9)
+        assert a["estimate"] == [x, 0.0, 3.0]
+        for key in ("estimate", "grid_index", "dictionary_size"):
+            assert json.dumps(a[key]) == json.dumps(b[key])  # the config's grid, not the file's
+        assert b["score"] == pytest.approx(a["score"], abs=1e-9)
+
+    def test_dictionary_of_another_grid_exits_2_naming_its_line(
+        self, tmp_path, config_path, capsys
+    ):
+        path = config_path(base_config())
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        cli.main(["simulate", "--config", path, "--out", str(meas)])
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        other = base_config()
+        other["grid"]["z_max_m"] = 3.3  # same size and M, z 2.75-3.3 m
+        out = tmp_path / "loc.json"
+        rc = cli.main(["localize", "--config", config_path(other, "other.json"),
+                       "--measurement", str(meas), "--dict", str(dict_csv), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {dict_csv}: line 11: expected ix,iy,iz,x,y,z = 0,0,1,-0.25,-0.25,3.025 "
+            "(from the config), got 0,0,1,-0.25,-0.25,3\n"
+        )
+        assert not out.exists()
+
+    def test_dictionary_of_another_point_count_exits_2(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        dict_csv = tmp_path / "dict.csv"
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        smaller = base_config()
+        smaller["plan"]["n_points"] = 16
+        smaller_path = config_path(smaller, "small.json")
+        meas = tmp_path / "meas.csv"
+        cli.main(["simulate", "--config", smaller_path, "--out", str(meas)])
+        rc = cli.main(["localize", "--config", smaller_path, "--measurement", str(meas),
+                       "--dict", str(dict_csv), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {dict_csv}: line 1: has 32 frequency points but the plan expects 16\n"
+        )
+
+    def test_dict_without_grid_section_exits_2(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        cli.main(["simulate", "--config", path, "--out", str(meas)])
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        cfg = base_config()
+        del cfg["grid"]
+        out = tmp_path / "loc.json"
+        rc = cli.main(["localize", "--config", config_path(cfg, "nogrid.json"),
+                       "--measurement", str(meas), "--dict", str(dict_csv), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config is missing the required 'grid' section\n"
+        assert not out.exists()
 
     def test_m_mismatch_exits_2(self, tmp_path, config_path, capsys):
         path = config_path(base_config())
@@ -289,6 +346,29 @@ class TestCompare:
         assert payload["r_query_m"] == 3.0
         assert all(r["cell_volume_m3"] > 0 for r in payload["rows"])
         assert "FaA-Single" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"0.f_ref_hz": 1e-300}, "architectures[0]: derived effective_aperture_m is inf"),
+        ({"1.physical_size_m": 1e-310}, "architectures[1]: derived eta_computed is inf"),
+        ({"2.bandwidth_hz": 1e-320}, "architectures[2]: derived range_resolution_m is inf"),
+        ({"0.physical_size_m": 1e-300, "1.physical_size_m": 1e300},
+         "architectures: eta_ratios_computed 'FaA-Single/FaA-Dual' is inf"),
+    ])
+    def test_non_finite_metric_exits_2_naming_it(self, tmp_path, config_path, capsys,
+                                                 edits, message):
+        cfg = base_config()
+        for path, value in edits.items():
+            _edit(cfg["architectures"], path, value)
+        out = tmp_path / "report.json"
+        assert cli.main(["compare", "--config", config_path(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}, not a finite number\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_json_output_is_standard(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_dumps({"width": math.inf})
 
     def test_missing_architectures_exits_2(self, tmp_path, config_path):
         cfg = base_config()
@@ -487,6 +567,51 @@ class TestDegenerateDictionary:
         err = capsys.readouterr().err
         assert "grid index 1" in err
         assert "(50.0, 0.0, 1.0)" in err
+
+
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize("verb, edit, args, where", [
+        ("simulate", ("scene.targets.0.z_m", 1e200), [], "scene.targets[0]"),
+        ("sweep", ("scene.targets.0.z_m", 1e200), ["--snr", "0"], "scene.targets[0]"),
+        ("dict", ("grid.z_max_m", 1e200), [], "grid"),
+        ("probe", None, ["--span", "1.0", "--p0=0,0,1e200"], "probe geometry"),
+    ])
+    def test_range_overflow_exits_2_writing_nothing(
+        self, tmp_path, config_path, capsys, verb, edit, args, where
+    ):
+        # |p| = 1e200: x^2 + y^2 + z^2 overflows a double
+        cfg = base_config()
+        if edit:
+            _edit(cfg, *edit)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {where}: position has no finite nonzero range\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e-170])
+    def test_reflectivity_scale_is_divided_out(self, tmp_path, config_path, alpha):
+        # the sums of squares behind the noise power and the unit norms overflow or underflow
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 16})
+        cfg["grid"].update(nx=5, ny=5, nz=5)
+        cfg["scene"]["targets"][0].update(x_m=0.25, alpha_re=alpha)
+        path = config_path(cfg)
+        sweep = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--snr", "noiseless,30", "--trials", "20",
+                         "--out", str(sweep)]) == 0
+        assert sweep.read_text().splitlines()[1:] == [
+            "noiseless,0.000000000e+00,20", "3.000000000e+01,0.000000000e+00,20"
+        ]
+        meas, loc = tmp_path / "meas.csv", tmp_path / "loc.json"
+        assert cli.main(["simulate", "--config", path, "--out", str(meas)]) == 0
+        assert cli.main(["localize", "--config", path, "--measurement", str(meas),
+                         "--out", str(loc)]) == 0
+        payload = json.loads(loc.read_text())
+        assert payload["estimate"] == [0.25, 0.0, 3.0]
+        assert payload["score"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLookupDispersionConfig:
@@ -818,14 +943,18 @@ class TestMeasurementBoundary:
         lines[5] = "3" + lines[5][1:]  # m = 4 relabelled as a second m = 3
         meas.write_text("\n".join(lines) + "\n")
         assert self.localize(tmp_path, path, meas) == 2
-        assert "line 6: expected m = 4" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {meas}: line 6: expected m,f_hz,theta_deg = 4,6.084375e+10,-38.49568962 "
+            "(from the config), got 3,6.084375e+10,-38.49568962\n"
+        )
 
     def test_other_band_exits_2(self, tmp_path, config_path, capsys):
         other = base_config()
         other["plan"]["f_max_hz"] = 65e9
         meas = self.simulated(tmp_path, config_path(other, "other.json"))
         assert self.localize(tmp_path, config_path(base_config()), meas) == 2
-        assert "line 2: expected m = 0 at f_hz = 6.009375000e+10" in capsys.readouterr().err
+        assert "line 2: expected m,f_hz,theta_deg = 0,6.009375e+10,-57.03068274 (from the " \
+            "config), got 0,6.0078125e+10,-57.03068274\n" in capsys.readouterr().err
 
     def test_bad_line_after_blank_line_named(self, tmp_path, config_path, capsys):
         path = config_path(base_config())
@@ -869,7 +998,10 @@ class TestMeasurementBoundary:
         rc = cli.main(["localize", "--config", path, "--measurement", str(meas), *extra,
                        "--out", str(tmp_path / "loc.json")])
         assert rc == 2
-        assert "line 2: expected theta_deg = " in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {meas}: line 2: expected m,f_hz,theta_deg = 0,6.009375e+10,-57.03068274 "
+            "(from the config), got 0,6.009375e+10,0\n"
+        )
 
 
 class TestDictionaryBoundary:
@@ -885,7 +1017,10 @@ class TestDictionaryBoundary:
         rc = cli.main(["localize", "--config", path, "--measurement", str(meas),
                        "--dict", str(dict_csv), "--out", str(tmp_path / "loc.json")])
         assert rc == 2
-        assert "line 2: rows must follow grid order" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {dict_csv}: line 2: expected ix,iy,iz,x,y,z = 0,0,0,-0.25,-0.25,2.75 "
+            "(from the config), got 2,0,1,0.25,-0.25,3.25\n"
+        )
 
     def test_stdout_matches_file(self, tmp_path, config_path, capsys):
         path = config_path(base_config())

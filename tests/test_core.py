@@ -87,6 +87,15 @@ class TestRangeOf:
         with pytest.raises(GeometryError):
             range_of((0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("pos", [(0.0, 0.0, 1e200), (1e154, 1e154, 1e154),
+                                     [(0.0, 0.0, 3.0), (-1e300, 0.0, 1.0)]])
+    def test_range_beyond_a_double_is_degenerate(self, pos):
+        with pytest.raises(GeometryError, match="no finite nonzero range"):
+            range_of(pos)
+
+    def test_largest_finite_range(self):
+        assert range_of((1e154, 0.0, 1.0)) == 1e154
+
     @given(
         x=st.floats(-10, 10),
         y=st.floats(-10, 10),

@@ -65,6 +65,35 @@ class TestNormalize:
         np.testing.assert_allclose(halves * np.linalg.norm(s, axis=-1, keepdims=True), s,
                                    rtol=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1.0, 1e160, 1e200, 1e300])
+    def test_scale_is_divided_out_at_any_scale(self, scale):
+        # sums of squares overflow beyond about 1e154 and leave the normal range below 1e-154
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=(3, 2, 16)) + 1j * rng.normal(size=(3, 2, 16))
+        s[1, 0, 1:] = 0.0  # one nonzero sample is enough
+        expected = _normalize(s, str)
+        rows = _normalize(s * scale, str)
+        np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(rows.reshape(3, 2, 16), axis=-1), 1.0,
+                                   rtol=0, atol=1e-15)
+
+    def test_rows_in_the_normal_range_keep_their_bits(self):
+        rng = np.random.default_rng(10)
+        s = rng.normal(size=(4, 2, 8)) + 1j * rng.normal(size=(4, 2, 8))
+        mixed = s.copy()
+        mixed[1, 1] *= 1e300
+        mixed[2, 0] *= 1e-200
+        rows, plain = _normalize(mixed, str), _normalize(s, str)
+        for i in (0, 3):
+            np.testing.assert_array_equal(rows[i].view(np.uint64), plain[i].view(np.uint64))
+        np.testing.assert_array_equal(rows[1, :8].view(np.uint64), plain[1, :8].view(np.uint64))
+        np.testing.assert_allclose(rows[1:3], plain[1:3], rtol=1e-13, atol=1e-15)
+
+    def test_only_an_all_zero_channel_is_degenerate(self):
+        s = np.zeros((1, 2, 3), dtype=np.complex128)
+        s[0, :, 1] = 5e-324  # the smallest subnormal double
+        np.testing.assert_array_equal(_normalize(s, str), [[0, 1, 0, 0, 1, 0]])
+
     def test_zero_norm_channel_names_the_first_such_row(self):
         s = np.ones((4, 2, 3), dtype=np.complex128)
         s[2, 1] = 0.0
@@ -298,12 +327,7 @@ class TestLocalize:
         # two identical entries: argmax must pick index 0 deterministically
         grid = PositionGrid((0.0, 0.1), (0.0, 0.0), (3.0, 3.0), nx=2, ny=1, nz=1)
         entry = build_fingerprint(unit_measurement((0.0, 0.0, 3.0))).vector
-        d = Dictionary(
-            grid=grid,
-            n_points=PLAN8.n_points,
-            positions=grid.points(),
-            entries=np.vstack([entry, entry]),
-        )
+        d = Dictionary(grid, np.vstack([entry, entry]))
         assert localize(unit_measurement((0.0, 0.0, 3.0)), d).index == 0
 
     def test_localize_is_the_one_row_batch(self, dictionary):
@@ -404,7 +428,7 @@ class TestDictionaryCsv:
         d = build_dictionary(grid, PLAN8, MODEL8, ANT)
         path = tmp_path / "dict.csv"
         export_dictionary(d, path)
-        loaded = import_dictionary(path)
+        loaded = import_dictionary(path, grid, PLAN8.n_points)
         assert loaded.n_points == d.n_points
         assert loaded.size == d.size
         # emit(parse(emit(x))) must equal emit(x) to the last digit
@@ -415,7 +439,7 @@ class TestDictionaryCsv:
         d = build_dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
         path = tmp_path / "dict.csv"
         export_dictionary(d, path)
-        loaded = import_dictionary(path)
+        loaded = import_dictionary(path, grid, PLAN8.n_points)
         m = unit_measurement((0.05, -0.1, 3.1), antenna=ANT_WIDE)
         assert localize(m, loaded).index == localize(m, d).index
 
@@ -428,4 +452,4 @@ class TestDictionaryCsv:
         lines[1] = lines[1].rsplit(",", 1)[0]  # drop one field
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 2"):
-            import_dictionary(path)
+            import_dictionary(path, grid, PLAN8.n_points)

@@ -8,7 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sweepsense.cli import measurement_to_csv, read_measurement_csv
-from sweepsense.core import FrequencyPlan, Measurement, line_error, read_table, write_table
+from sweepsense.core import (
+    FrequencyPlan,
+    HeaderError,
+    Measurement,
+    check_rows,
+    line_error,
+    read_table,
+    write_table,
+)
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
     Dictionary,
@@ -82,9 +90,15 @@ class TestReadTable:
         return path
 
     def test_header_and_body(self, tmp_path):
-        header, body = read_table(self.write(tmp_path, "a, b\n1,2\n\n3,4e1\n"))
-        assert header == ["a", "b"]
+        body = read_table(self.write(tmp_path, "a, b\n1,2\n\n3,4e1\n"), "a,b")
         np.testing.assert_array_equal(body, [[1.0, 2.0], [3.0, 40.0]])
+
+    @pytest.mark.parametrize("line1", ["a,c", "A,b", "a,b,c", "1,2"])
+    def test_other_header_names_line_1(self, tmp_path, line1):
+        path = self.write(tmp_path, f"{line1}\n1,2\n")
+        with pytest.raises(HeaderError, match=f"^{path}: line 1: expected header 'a,b'$") as err:
+            read_table(path, "a,b")
+        assert err.value.fields == line1.split(",")
 
     @pytest.mark.parametrize(
         "text, match",
@@ -104,7 +118,7 @@ class TestReadTable:
     def test_rejects_naming_the_line(self, tmp_path, text, match):
         path = self.write(tmp_path, text)
         with pytest.raises(ValueError, match=f"{path}: {match}"):
-            read_table(path)
+            read_table(path, text.split("\n")[0])
 
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
@@ -113,9 +127,38 @@ class TestReadTable:
         ]
 
 
+class TestCheckRows:
+    EXPECTED = np.array([[0.0, 6e10, -30.0], [1.0, 6.1e10, 0.0], [2.0, 6.2e10, 30.0]])
+
+    def check(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("m,f,t\n" + "".join(",".join(map(str, row)) + "\n" for row in body))
+        check_rows(path, np.array(body, dtype=float), self.EXPECTED, "m,f,t")
+        return path
+
+    def test_printed_cells_pass(self, tmp_path):
+        printed = [[float(f"{v:.9e}") for v in row] for row in self.EXPECTED + 4e-10]
+        self.check(tmp_path, np.hstack([printed, [[7.0]] * 3]))  # extra cells are not keys
+
+    def test_rejects_a_cell_beyond_the_column_tolerance(self, tmp_path):
+        body = self.EXPECTED.copy()
+        body[2, 2] += 3.1e-8  # 1e-9 of the column's largest |value| is 3e-8
+        with pytest.raises(ValueError, match=r"line 4: expected m,f,t = 2,6.2e\+10,30 "
+                                             r"\(from the config\), got 2,6.2e\+10,30.00000003$"):
+            self.check(tmp_path, body)
+        body[2, 2] -= 2e-9
+        self.check(tmp_path, body)
+
+    def test_rejects_another_row_count(self, tmp_path):
+        with pytest.raises(ValueError, match="has 2 data rows but the config expects 3"):
+            self.check(tmp_path, self.EXPECTED[:2])
+
+
+GRID = PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=2)
+
+
 def small_dictionary():
-    grid = PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=2)
-    return build_dictionary(grid, PLAN8, MODEL8, ANT)
+    return build_dictionary(GRID, PLAN8, MODEL8, ANT)
 
 
 def rewrite(path, edit):
@@ -137,14 +180,15 @@ class TestDictionaryImport:
             lines[1:] = lines[:0:-1]
 
         rewrite(path, reverse)
-        with pytest.raises(ValueError, match="line 2: rows must follow grid order"):
-            import_dictionary(path)
+        with pytest.raises(ValueError, match="line 2: expected ix,iy,iz,x,y,z = 0,0,0,-0.2,0,2.5 "
+                                             r"\(from the config\), got 2,0,1,0.2,0,3.5$"):
+            import_dictionary(path, GRID, 8)
 
     def test_duplicated_row_rejected(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(4, lines[3]))
-        with pytest.raises(ValueError, match="line 5: rows must follow grid order"):
-            import_dictionary(path)
+        with pytest.raises(ValueError, match="line 5: expected ix,iy,iz,x,y,z = 0,0,1,"):
+            import_dictionary(path, GRID, 8)
 
     def test_position_off_grid_rejected(self, tmp_path):
         path = self.exported(tmp_path)
@@ -155,14 +199,14 @@ class TestDictionaryImport:
             lines[3] = ",".join(cells)
 
         rewrite(path, shift_x)
-        with pytest.raises(ValueError, match="line 4: .*ix,iy,iz = 2,0,0"):
-            import_dictionary(path)
+        with pytest.raises(ValueError, match="line 4: expected ix,iy,iz,x,y,z = 2,0,0,0.2,"):
+            import_dictionary(path, GRID, 8)
 
     def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(2, "1000000000000" + lines[2][1:]))
-        with pytest.raises(ValueError, match="6 rows do not fill the 7x1x2 index grid"):
-            import_dictionary(path)
+        with pytest.raises(ValueError, match="line 3: expected ix,iy,iz,x,y,z = 1,0,0,"):
+            import_dictionary(path, GRID, 8)
 
     def test_non_unit_row_named(self, tmp_path):
         path = self.exported(tmp_path)
@@ -174,13 +218,39 @@ class TestDictionaryImport:
 
         rewrite(path, scale)
         with pytest.raises(ValueError, match="line 7: dictionary halves are not unit-norm"):
-            import_dictionary(path)
+            import_dictionary(path, GRID, 8)
+
+    @pytest.mark.parametrize("grid, match", [
+        # the same size and order, positions on another box: named at its first row
+        (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.6), nx=3, ny=1, nz=2),
+         "line 5: expected ix,iy,iz,x,y,z = 0,0,1,-0.2,0,3.6 "),
+        (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=2, ny=1, nz=3),
+         "line 3: expected ix,iy,iz,x,y,z = 1,0,0,0.2,0,2.5 .*, got 1,0,0,0,0,2.5$"),
+        (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=3),
+         "has 6 data rows but the config expects 9"),
+    ])
+    def test_other_grid_rejected(self, tmp_path, grid, match):
+        path = self.exported(tmp_path)
+        with pytest.raises(ValueError, match=match):
+            import_dictionary(path, grid, 8)
+
+    def test_other_point_count_names_both(self, tmp_path):
+        path = self.exported(tmp_path)
+        with pytest.raises(ValueError, match=f"^{path}: line 1: has 8 frequency points but the "
+                                             "plan expects 4$"):
+            import_dictionary(path, GRID, 4)
+
+    def test_malformed_header_named(self, tmp_path):
+        path = self.exported(tmp_path)
+        rewrite(path, lambda lines: lines.__setitem__(0, lines[0].replace("re_3", "re_x")))
+        with pytest.raises(HeaderError, match=f"^{path}: line 1: expected header 'ix,iy,iz,"):
+            import_dictionary(path, GRID, 8)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.exported(tmp_path)
         text = path.read_text()
         rewrite(path, lambda lines: lines.insert(3, ""))
-        assert export_dictionary(import_dictionary(path), None) == text
+        assert export_dictionary(import_dictionary(path, GRID, 8), None) == text
 
 
 @st.composite
@@ -197,7 +267,7 @@ def dictionaries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = rng.normal(size=(grid.size, 2, m)) + 1j * rng.normal(size=(grid.size, 2, m))
     entries = (raw / np.linalg.norm(raw, axis=2, keepdims=True)).reshape(grid.size, 2 * m)
-    return Dictionary(grid=grid, n_points=m, positions=grid.points(), entries=entries)
+    return Dictionary(grid, entries)
 
 
 @st.composite
@@ -232,7 +302,7 @@ class TestRoundTripProperties:
         export_dictionary(d, path)
         text = path.read_text()
         assert export_dictionary(d, None) == text
-        assert export_dictionary(import_dictionary(path), None) == text
+        assert export_dictionary(import_dictionary(path, d.grid, d.n_points), None) == text
 
     @PROPERTY
     @given(d=dictionaries(), data=st.data())
@@ -241,7 +311,7 @@ class TestRoundTripProperties:
         path = tmp_path / "dict.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {lineno}: field"):
-            import_dictionary(path)
+            import_dictionary(path, d.grid, d.n_points)
 
     @PROPERTY
     @given(meas=measurements())
