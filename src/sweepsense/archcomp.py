@@ -115,6 +115,8 @@ class ArchitectureSpec:
             )
         if not (0.0 < self.fov_deg < 90.0):
             raise ValueError("fov_deg must lie in (0, 90)")
+        if self.eta_reference is not None and not self.eta_reference > 0.0:
+            raise ValueError("eta_reference must be > 0")
 
 
 @dataclass(frozen=True)

@@ -301,11 +301,13 @@ def run_sweep(
     """Monte-Carlo localization RMSE per SNR point.
 
     Trial k of SNR point i is the clean scene plus the noise keyed by
-    derive_seed(scene seed, i, k), localized against one dictionary: the
-    same result as simulating and localizing that trial on its own, so a
-    given trial's outcome never depends on trial count, ordering, or
-    workers. Trials are scored in batches of about SCORE_CELLS dictionary
-    scores; with noise sigma 0 every trial is the clean scene, scored once.
+    derive_seed(scene seed, i, k), localized against one dictionary, so its
+    measurement never depends on trial count, ordering, or workers. Trials
+    are scored in batches of about SCORE_CELLS dictionary scores, and the
+    last bits of a score depend on the batch width, so a trial gets the grid
+    index that localizing it on its own gives except at a score tie within
+    rounding (about 2e-16). With noise sigma 0 every trial is the clean
+    scene, scored once.
     The first configured target is the ground truth, so a scene without one
     raises ConfigError; every SNR must be finite, or None for noiseless.
     """
@@ -389,6 +391,7 @@ def cmd_dict(args) -> int:
 def cmd_localize(args) -> int:
     cfg, plan, model = _load(args)
     grid = parse_grid(cfg)
+    antenna = parse_antenna(cfg)
     try:
         dictionary = (None if args.dict is None
                       else import_dictionary(args.dict, grid, plan.n_points))
@@ -396,7 +399,7 @@ def cmd_localize(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if dictionary is None:
-        dictionary = build_dictionary(grid, plan, model, parse_antenna(cfg))
+        dictionary = build_dictionary(grid, plan, model, antenna)
     result = localize(meas, dictionary)
     payload = {
         "estimate": [float(v) for v in result.position],

@@ -249,6 +249,7 @@ def range_of(position) -> float | np.ndarray:
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
+_WRITE_CELLS = 4096  # cells per % format in write_table: bounds the text held at once
 
 
 def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | None:
@@ -263,7 +264,10 @@ def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | N
     out = io.StringIO() if dest is None else dest
     line = ",".join(["%d"] * n_int + [FLOAT_FMT] * (table.shape[1] - n_int)) + "\n"
     out.write(header + "\n")
-    out.writelines(line % tuple(row.tolist()) for row in table)  # not the whole text at once
+    k = max(1, _WRITE_CELLS // table.shape[1])  # rows per format
+    for start in range(0, len(table), k):
+        block = table[start : start + k]
+        out.write((line * len(block)) % tuple(block.ravel().tolist()))
     return out.getvalue() if dest is None else None
 
 

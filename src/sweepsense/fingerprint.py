@@ -181,9 +181,14 @@ def _fingerprint_rows(
     antenna: AntennaModel,
     describe,
 ):
-    """Yield (start, rows): unit-reflectivity fingerprints, _CHUNK_ROWS at a time."""
+    """Yield (start, rows): unit-reflectivity fingerprints, _CHUNK_ROWS at a time.
+
+    Echoes go into one block reused for every chunk; the rows are new arrays.
+    """
+    block = np.empty((min(len(positions), _CHUNK_ROWS), 2, plan.n_points), dtype=np.complex128)
     for start in range(0, len(positions), _CHUNK_ROWS):
-        s = echo(positions[start : start + _CHUNK_ROWS], 1.0, plan, model, antenna)
+        chunk = positions[start : start + _CHUNK_ROWS]
+        s = echo(chunk, 1.0, plan, model, antenna, out=block[: len(chunk)])
         yield start, _normalize(s, lambda i: describe(start + i))
 
 

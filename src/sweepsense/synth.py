@@ -66,7 +66,9 @@ class AntennaModel:
         half the half-power beamwidth off axis. Vectorized over f/beam_angle.
         """
         dtheta = axis.target_angle(position) - np.asarray(beam_angle, dtype=float)
-        g = np.exp(-_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2)
+        a = -_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2
+        # exp(a) is +0.0 for a <= -746: skip numpy's slow path for those (NaN still propagates)
+        g = np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0))
         return float(g) if np.ndim(g) == 0 else g
 
 
@@ -78,13 +80,15 @@ def phase_curvature(f, position) -> float | np.ndarray:
 
 
 def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
-         antenna: AntennaModel) -> np.ndarray:
+         antenna: AntennaModel, out: np.ndarray | None = None) -> np.ndarray:
     """Noiseless echoes refl * gain * exp(-j 4 pi f R / c), shape (N, 2, M).
 
     ``positions`` is (N, 3); ``refl`` holds per-channel (x, y) reflectivities
     broadcasting to (N, 2). Entries depend only on their own position, so
     any split of the batch gives the same bits. The sweep is uniform, so the
     carrier at point K a + b is that of f[K a] times that of b * step.
+    The echoes are written into ``out``, an (N, 2, M) complex block, when
+    one is given, and it is returned.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     if not (np.isfinite(positions).all() and (positions[:, 2] > 0.0).all()):
@@ -97,10 +101,13 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
     coarse = np.exp(-1j * phase_curvature(freqs[::_K], rows))
     fine = np.exp(-1j * phase_curvature(np.arange(_K) * plan.step, rows))
     carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
-    out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
+    carrier = carrier[:, : plan.n_points]
+    if out is None:
+        out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
     for c, axis in enumerate(ChannelAxis):
-        gain = antenna.gain(freqs, thetas, rows, axis)
-        np.multiply(carrier[:, : plan.n_points], gain, out=out[:, c])
+        gain = antenna.gain(freqs, thetas, rows, axis)  # real, so no complex cast and product
+        np.multiply(carrier.real, gain, out=out[:, c].real)
+        np.multiply(carrier.imag, gain, out=out[:, c].imag)
     out *= np.asarray(refl, dtype=np.complex128)[..., None]  # against the M axis
     out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
     return out

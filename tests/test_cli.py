@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, verbs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -13,6 +14,7 @@ from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
+    _CHUNK_ROWS,
     SCORE_CELLS,
     PositionGrid,
     _normalize,
@@ -219,6 +221,19 @@ class TestLocalizeFlow:
             f"error: {dict_csv}: line 1: has 32 frequency points but the plan expects 16\n"
         )
 
+    def test_dict_with_invalid_antenna_exits_2(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        cli.main(["simulate", "--config", path, "--out", str(meas)])
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        out = tmp_path / "loc.json"
+        rc = cli.main(["localize", "--config",
+                       config_path(base_config(antenna={"length_m": -1.0}), "bad.json"),
+                       "--measurement", str(meas), "--dict", str(dict_csv), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: antenna: antenna length must be positive\n"
+        assert not out.exists()
+
     def test_dict_without_grid_section_exits_2(self, tmp_path, config_path, capsys):
         path = config_path(base_config())
         meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
@@ -346,6 +361,17 @@ class TestCompare:
         assert payload["r_query_m"] == 3.0
         assert all(r["cell_volume_m3"] > 0 for r in payload["rows"])
         assert "FaA-Single" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_eta_reference_must_be_positive(self, tmp_path, config_path, capsys, value):
+        cfg = base_config()
+        cfg["architectures"][1]["eta_reference"] = value
+        out = tmp_path / "report.json"
+        assert cli.main(["compare", "--config", config_path(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: architectures[1]: eta_reference must be > 0\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("edits, message", [
         ({"0.f_ref_hz": 1e-300}, "architectures[0]: derived effective_aperture_m is inf"),
@@ -539,6 +565,32 @@ class TestSweep:
             b"-1.000000000e+01,3.219407295e-01,30\n"
             b"0.000000000e+00,1.369306394e-01,30\n"
             b"1.000000000e+01,0.000000000e+00,30\n"
+        )
+
+    def test_probe_and_dictionary_bytes_are_pinned(self, tmp_path, config_path, capsys):
+        # A change to the echo kernel, the normalisation or the CSV writer
+        # moves these digests. The 12 cm, M=128 probe spans three echo chunks,
+        # and about half of its two-way gain exponents lie below -746, where
+        # exp underflows to 0.
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
+                          antenna={"length_m": 0.12, "two_way": True})
+        out = tmp_path / "probe.csv"
+        steps = 2101
+        assert steps > 2 * _CHUNK_ROWS
+        rc = cli.main(["probe", "--config", config_path(cfg), "--axis", "azimuth",
+                       "--p0=0.1,0,3", "--span", "40", "--steps", str(steps), "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "18facb6afebcc14c9f3eb9b3ca043ce56ea719fd1d7a81defb23d5402a6ac2d8"
+        )
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "efac7313f04f75a1acbe7bd1f5120d5c77bcb8151b4548913d067780d8cd96f0"
+        )
+        cfg["plan"]["n_points"] = 32
+        out = tmp_path / "dict.csv"
+        assert cli.main(["dict", "--config", config_path(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2198ce16c7a0fbb3333f93215c20d417fd5ccbf1c2f0017ab58132d1fcae4fdb"
         )
 
 

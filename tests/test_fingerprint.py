@@ -16,10 +16,13 @@ from sweepsense.core import (
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
+    _CHUNK_ROWS,
     HALF_POWER,
     Dictionary,
     Fingerprint,
     PositionGrid,
+    _displace,
+    _fingerprint_rows,
     _normalize,
     ambiguity_probe,
     build_dictionary,
@@ -31,7 +34,7 @@ from sweepsense.fingerprint import (
     localize_batch,
     similarity,
 )
-from sweepsense.synth import AntennaModel, simulate_measurement
+from sweepsense.synth import AntennaModel, echo, simulate_measurement
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
 MODEL8 = LinearSineDispersion.for_plan(PLAN8)
@@ -420,6 +423,26 @@ class TestAmbiguityProbe:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             ambiguity_probe((0, 0, 3.0), "diagonal", np.array([0.1]), PLAN8, MODEL8, ANT)
+
+
+class TestFingerprintRows:
+    def test_chunks_match_one_position_rows(self):
+        # Two full chunks and a short one, collected before use: rows that
+        # aliased the reused echo block would show the last chunk's values.
+        plan = FrequencyPlan(60e9, 66e9, 32)
+        model = LinearSineDispersion.for_plan(plan)
+        n = 2 * _CHUNK_ROWS + 3
+        positions = _displace(np.array([0.1, 0.0, 3.0]), "range", np.linspace(-0.5, 0.5, n))
+        chunks = list(_fingerprint_rows(positions, plan, model, ANT, str))
+        assert [(start, len(rows)) for start, rows in chunks] == [
+            (0, _CHUNK_ROWS), (_CHUNK_ROWS, _CHUNK_ROWS), (2 * _CHUNK_ROWS, 3)
+        ]
+        got = np.concatenate([rows for _, rows in chunks])
+        expected = np.concatenate(
+            [_normalize(echo(p[None], 1.0, plan, model, ANT), str) for p in positions]
+        )
+        assert (expected == 0).any()  # the 12 cm beam's gain underflows at some points
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestDictionaryCsv:

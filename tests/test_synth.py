@@ -71,6 +71,33 @@ class TestAntennaGain:
         g2 = ANT.gain(63e9, 0.1, (1.5, 0.2, 3.0), ChannelAxis.Y_SCAN)
         assert g1 == pytest.approx(g2, rel=1e-12)
 
+    def test_masked_exp_is_bit_equal_to_plain_exp(self):
+        # exponents through the normal, subnormal (-708 ... -745.1) and
+        # underflow (< -746) regions of exp
+        target = -np.concatenate([np.linspace(0.0, 700.0, 50), np.linspace(707.0, 747.0, 801),
+                                  np.linspace(747.0, 5000.0, 50)])
+        f = np.full(target.shape, 63e9)
+        hpbw = ANT.half_power_beamwidth(f)
+        position = pos_at_azimuth(0.2)
+        angle = ChannelAxis.X_SCAN.target_angle(position)
+        beam = angle - hpbw * np.sqrt(-target / (2 * 4 * math.log(2)))  # two-way
+        exponent = -4 * math.log(2) * 2 * ((angle - beam) / hpbw) ** 2  # as gain forms it
+        expected = np.exp(exponent)
+        got = ANT.gain(f, beam, position, ChannelAxis.X_SCAN)
+        tiny = np.finfo(float).tiny
+        assert ((0 < expected) & (expected < tiny)).sum() > 100 and (exponent < -746).sum() > 50
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got).any()
+
+    def test_scalar_gain_is_a_float_even_where_it_underflows(self):
+        on_beam = ANT.gain(63e9, 0.3, pos_at_azimuth(0.3), ChannelAxis.X_SCAN)
+        far_off = ANT.gain(63e9, -1.0, pos_at_azimuth(1.0), ChannelAxis.X_SCAN)
+        assert type(on_beam) is float and type(far_off) is float
+        assert far_off == 0.0 and not math.copysign(1.0, far_off) < 0
+
+    def test_nan_angle_gives_nan_gain(self):
+        assert math.isnan(ANT.gain(63e9, math.nan, pos_at_azimuth(0.3), ChannelAxis.X_SCAN))
+
 
 class TestSampleSynthesis:
     def test_zero_reflectivity(self):
@@ -247,6 +274,15 @@ class TestEcho:
 
     def test_empty_batch(self):
         assert echo(np.empty((0, 3)), 1.0, PLAN, MODEL, ANT).shape == (0, 2, PLAN.n_points)
+
+    def test_fills_and_returns_a_given_block(self):
+        positions = [(0.1, -0.2, 3.0), (-0.4, 0.35, 2.2), (5.0, 0.1, 0.5)]
+        refl = [(2.0 + 1.0j, 0.5j), (1.0, 1.0), (-0.3 + 0.7j, 1e-3)]
+        block = np.full((5, 2, PLAN.n_points), complex(math.nan, math.nan))
+        view = block[1:4]
+        assert echo(positions, refl, PLAN, MODEL, ANT, out=view) is view
+        assert view.tobytes() == echo(positions, refl, PLAN, MODEL, ANT).tobytes()
+        assert np.isnan(block[[0, 4]].view(np.float64)).all()  # nothing outside the view
 
     # In view of the 60 deg scan, at its edge, and far outside it, where a
     # narrow beam's gain underflows to zero; every range is at most 5.2 m.

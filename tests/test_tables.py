@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sweepsense.cli import measurement_to_csv, read_measurement_csv
 from sweepsense.core import (
+    _WRITE_CELLS,
     FrequencyPlan,
     HeaderError,
     Measurement,
@@ -28,6 +29,8 @@ from sweepsense.fingerprint import (
 from sweepsense.synth import AntennaModel
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
+WIDTH = 7  # columns of the write_table block tests
+BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows write_table formats at once at that width
 MODEL8 = LinearSineDispersion.for_plan(PLAN8)
 ANT = AntennaModel()
 PROPERTY = settings(
@@ -81,6 +84,25 @@ class TestWriteTable:
         with open(tmp_path / "t.csv", "w") as fh:
             write_table(fh, header, table, n_int=3)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    @staticmethod
+    def per_row(header, table, n_int):
+        """The text of one % format per row, as write_table once built it."""
+        line = ",".join(["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)) + "\n"
+        return header + "\n" + "".join(line % tuple(row.tolist()) for row in table)
+
+    @pytest.mark.parametrize("n_int", [0, 3])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_blocks_match_per_row_formatting(self, n_int, n):
+        rng = np.random.default_rng(13)
+        table = rng.normal(size=(n, WIDTH)) * 10.0 ** rng.integers(-300, 300, (n, WIDTH))
+        table[:, :n_int] = rng.integers(0, 50, (n, n_int))
+        table[:1, -3:] = [-0.0, 1e-320, 1e300]
+        header = ",".join(f"c{i}" for i in range(WIDTH))
+        text = write_table(None, header, table, n_int)
+        assert text == self.per_row(header, table, n_int)
+        assert text.count("\n") == n + 1
+        assert n == 0 or "-0.000000000e+00,9.999888672e-321,1.000000000e+300\n" in text  # 1e-320
 
 
 class TestReadTable:
