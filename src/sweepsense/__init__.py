@@ -38,14 +38,10 @@ from sweepsense.fingerprint import (
     export_dictionary,
     import_dictionary,
     localize,
-    similarity,
 )
 from sweepsense.synth import (
     AntennaModel,
-    FrameEntry,
-    FrameSchedule,
     dechirp_range_profile,
-    frame_schedule,
     phase_curvature,
     simulate_measurement,
 )
@@ -63,8 +59,6 @@ __all__ = [
     "DegenerateMeasurementError",
     "Dictionary",
     "Fingerprint",
-    "FrameEntry",
-    "FrameSchedule",
     "FrequencyPlan",
     "GeometryError",
     "LinearSineDispersion",
@@ -80,12 +74,10 @@ __all__ = [
     "build_fingerprint",
     "dechirp_range_profile",
     "export_dictionary",
-    "frame_schedule",
     "frequency_grid",
     "import_dictionary",
     "localize",
     "phase_curvature",
     "range_of",
     "simulate_measurement",
-    "similarity",
 ]

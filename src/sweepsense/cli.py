@@ -133,27 +133,25 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    known = {"plan", "dispersion", "antenna", "scene", "grid", "architectures"}
-    unknown = set(cfg) - known
+    unknown = set(cfg) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
+def _section(sections: dict, name: str):
+    if name not in sections:
         raise ConfigError(f"config is missing the required '{name}' section")
-    return cfg[name]
+    return sections[name]
 
 
-def parse_plan(cfg: dict) -> FrequencyPlan:
+def parse_plan(sec) -> FrequencyPlan:
     kinds = {"f_min_hz": float, "f_max_hz": float, "n_points": int}
-    v = _read("plan", _section(cfg, "plan"), kinds)
+    v = _read("plan", sec, kinds)
     return _build("plan", FrequencyPlan, v["f_min_hz"], v["f_max_hz"], v["n_points"])
 
 
-def parse_dispersion(cfg: dict, plan: FrequencyPlan, base_dir: Path) -> DispersionModel:
-    sec = _section(cfg, "dispersion")
+def parse_dispersion(sec, plan: FrequencyPlan, config_path) -> DispersionModel:
     if not isinstance(sec, dict) or "kind" not in sec:
         raise ConfigError("dispersion: missing 'kind'")
     kind = sec["kind"]
@@ -165,13 +163,16 @@ def parse_dispersion(cfg: dict, plan: FrequencyPlan, base_dir: Path) -> Dispersi
                       math.radians(v["theta_max_deg"]), theta_min)
     if kind == "lookup_table":
         v = _read("dispersion", sec, {"kind": str, "table_path": str})
-        return _build("dispersion", LookupTableDispersion.from_csv, base_dir / v["table_path"])
+        path = Path(config_path).parent / v["table_path"]
+        model = _build("dispersion", LookupTableDispersion.from_csv, path)
+        _build("dispersion", model.beam_angle, frequency_grid(plan))  # the plan lies in its band
+        return model
     raise ConfigError(f"dispersion: unknown kind {kind!r}")
 
 
-def parse_antenna(cfg: dict) -> AntennaModel:
+def parse_antenna(sec) -> AntennaModel:
     kinds = {"length_m": float, "two_way": bool}
-    v = _read("antenna", cfg.get("antenna", {}), kinds, optional=kinds)
+    v = _read("antenna", sec, kinds, optional=kinds)
     return _build("antenna", AntennaModel, v.get("length_m", 0.12), v.get("two_way", True))
 
 
@@ -191,8 +192,7 @@ def _parse_target(i: int, sec) -> Target:
     return _build(name, Target, (v["x_m"], v["y_m"], v["z_m"]), refl_x, refl_y)
 
 
-def parse_scene(cfg: dict, seed_override: int | None = None) -> Scene:
-    sec = _section(cfg, "scene")
+def parse_scene(sec, seed_override: int | None = None) -> Scene:
     noiseless = isinstance(sec, dict) and sec.get("snr_db") == "noiseless"
     v = _read("scene", sec, {"targets": list, "snr_db": str if noiseless else float, "seed": int})
     targets = tuple(_parse_target(i, t) for i, t in enumerate(v["targets"]))
@@ -201,9 +201,9 @@ def parse_scene(cfg: dict, seed_override: int | None = None) -> Scene:
     return Scene(targets=targets, noise=noise)
 
 
-def parse_grid(cfg: dict) -> PositionGrid:
+def parse_grid(sec) -> PositionGrid:
     ranges = {f"{a}_{end}_m": float for a in "xyz" for end in ("min", "max")}
-    v = _read("grid", _section(cfg, "grid"), {**ranges, "nx": int, "ny": int, "nz": int})
+    v = _read("grid", sec, {**ranges, "nx": int, "ny": int, "nz": int})
     return _build(
         "grid", PositionGrid,
         *((v[f"{a}_min_m"], v[f"{a}_max_m"]) for a in "xyz"),
@@ -231,8 +231,7 @@ _ARCH_KINDS = {key: kind for key, (_, kind) in _ARCH_FIELDS.items()}
 _ARCH_OPTIONAL = {"eta_reference", "observability", "noise_rejection"}
 
 
-def parse_architectures(cfg: dict) -> list[archcomp.ArchitectureSpec]:
-    sec = _section(cfg, "architectures")
+def parse_architectures(sec) -> list[archcomp.ArchitectureSpec]:
     if not isinstance(sec, list) or not sec:
         raise ConfigError("architectures: must be a non-empty list")
     specs = []
@@ -242,6 +241,26 @@ def parse_architectures(cfg: dict) -> list[archcomp.ArchitectureSpec]:
         fields = {_ARCH_FIELDS[key][0]: value for key, value in v.items()}
         specs.append(_build(name, archcomp.ArchitectureSpec, **fields))
     return specs
+
+
+# Every config section, in parse order, with its parser of (value, sections got so far, args).
+_SECTIONS = {
+    "plan": lambda sec, got, args: parse_plan(sec),
+    "dispersion": lambda sec, got, args: parse_dispersion(sec, _section(got, "plan"), args.config),
+    "antenna": lambda sec, got, args: parse_antenna(sec),
+    "scene": lambda sec, got, args: parse_scene(sec, getattr(args, "seed", None)),
+    "grid": lambda sec, got, args: parse_grid(sec),
+    "architectures": lambda sec, got, args: parse_architectures(sec),
+}
+
+
+def _load(args, *names) -> list:
+    """Parse every section the config holds; return the ``names`` ones (antenna has defaults)."""
+    cfg, got = {"antenna": {}, **load_config(args.config)}, {}
+    for name, parse in _SECTIONS.items():
+        if name in cfg:
+            got[name] = parse(cfg[name], got, args)
+    return [_section(got, name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +380,22 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _load(args) -> tuple[dict, FrequencyPlan, DispersionModel]:
-    """The verb's config with its parsed plan and dispersion model."""
-    cfg = load_config(args.config)
-    plan = parse_plan(cfg)
-    model = parse_dispersion(cfg, plan, Path(args.config).parent)
-    _build("dispersion", model.beam_angle, frequency_grid(plan))  # the plan lies in its band
-    return cfg, plan, model
-
-
 def cmd_simulate(args) -> int:
-    cfg, plan, model = _load(args)
-    antenna = parse_antenna(cfg)
-    scene = parse_scene(cfg, seed_override=args.seed)
+    plan, model, antenna, scene = _load(args, "plan", "dispersion", "antenna", "scene")
     meas = simulate_measurement(scene, plan, model, antenna)
     _write_output(args.out, measurement_to_csv(meas, model))
     return 0
 
 
 def cmd_dict(args) -> int:
-    cfg, plan, model = _load(args)
-    antenna = parse_antenna(cfg)
-    grid = parse_grid(cfg)
+    plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
     dictionary = build_dictionary(grid, plan, model, antenna)
     export_dictionary(dictionary, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
 def cmd_localize(args) -> int:
-    cfg, plan, model = _load(args)
-    grid = parse_grid(cfg)
-    antenna = parse_antenna(cfg)
+    plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
     try:
         dictionary = (None if args.dict is None
                       else import_dictionary(args.dict, grid, plan.n_points))
@@ -412,8 +416,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg, plan, model = _load(args)
-    antenna = parse_antenna(cfg)
+    plan, model, antenna = _load(args, "plan", "dispersion", "antenna")
     axis_text, axis = args.axis
     angular = axis in ("azimuth", "elevation")
     # Flags and files use degrees for angular offsets; the probe works in rad.
@@ -455,8 +458,7 @@ def _check_finite(report: dict) -> None:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    report = archcomp.compare(parse_architectures(cfg), r_query=args.r_query)
+    report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
     payload = report.to_dict()
     _check_finite(payload)
     if args.out is not None:
@@ -466,10 +468,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, plan, model = _load(args)
-    antenna = parse_antenna(cfg)
-    scene = parse_scene(cfg, seed_override=args.seed)
-    grid = parse_grid(cfg)
+    plan, model, antenna, scene, grid = _load(
+        args, "plan", "dispersion", "antenna", "scene", "grid")
     points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
     _write_output(args.out, sweep_to_csv(points, args.trials))
     return 0

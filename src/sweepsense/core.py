@@ -104,29 +104,6 @@ class ChirpConfig:
         if self.sample_rate <= 0.0:
             raise ValueError("sample rate must be positive")
 
-    @property
-    def swept_bandwidth(self) -> float:
-        """Bandwidth covered by one chirp, slope * duration."""
-        return self.slope * self.duration
-
-    @classmethod
-    def for_plan(
-        cls,
-        plan: FrequencyPlan,
-        duration: float = 100e-6,
-        guard: float = 5e-6,
-        n_samples: int = 64,
-        sample_rate: float = 1e6,
-    ) -> "ChirpConfig":
-        """Chirp whose swept bandwidth tiles the plan's band contiguously."""
-        return cls(
-            duration=duration,
-            guard=guard,
-            slope=plan.step / duration,
-            n_samples=n_samples,
-            sample_rate=sample_rate,
-        )
-
 
 # libm's atan2 per element, not np.arctan2: that differs by one ulp on ~1 % of
 # positions, which the Gaussian wings of the antenna gain amplify to ~1e-15.
@@ -186,10 +163,6 @@ class NoiseConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def noiseless(self) -> bool:
-        return self.snr_db is None
 
 
 _DEFAULT_NOISE = NoiseConfig()

@@ -94,19 +94,6 @@ def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     return 0.5 * (np.abs(x) + np.abs(y))
 
 
-def similarity(a: Fingerprint, b: Fingerprint) -> float:
-    """Mean of per-channel correlation magnitudes, in [0, 1].
-
-    Taking the magnitude per channel makes the score invariant to any global
-    phase on either channel while preserving within-channel phase structure.
-    """
-    if a.plan.n_points != b.plan.n_points:
-        raise ValueError(
-            f"fingerprint size mismatch: {a.plan.n_points} vs {b.plan.n_points} points"
-        )
-    return float(_scores(a.vector[None], b.vector[None])[0, 0])
-
-
 @dataclass(frozen=True)
 class PositionGrid:
     """Axis-aligned candidate-position box, enumerated x-fastest then y then z."""

@@ -1,4 +1,4 @@
-"""Measurement synthesis: echo samples, scene superposition, dechirp, timing.
+"""Measurement synthesis: echo samples, scene superposition, noise, dechirp.
 
 The per-frequency-point echo model is
 
@@ -218,62 +218,3 @@ def dechirp_range_profile(
         2.0 * chirp.slope * chirp.n_samples
     )
     return profile, ranges
-
-
-@dataclass(frozen=True)
-class FrameEntry:
-    """Timing and pointing of one chirp slot within a frame."""
-
-    index: int
-    t_start: float
-    tx_end: float
-    rx_start: float
-    rx_end: float
-    frequency: float
-    beam_angle: float
-
-
-@dataclass(frozen=True)
-class FrameSchedule:
-    """TDD schedule of a full frequency-scanning frame (metadata only)."""
-
-    entries: tuple[FrameEntry, ...]
-    frame_duration: float
-
-
-def frame_schedule(
-    plan: FrequencyPlan, chirp: ChirpConfig, model: DispersionModel
-) -> FrameSchedule:
-    """Per-chirp Tx/Rx windows over the sweep; frame lasts n_points * duration.
-
-    Each slot splits as Tx, guard, Rx, guard with equal Tx/Rx windows, so the
-    guard must satisfy guard < duration / 2. The chirp's swept bandwidth must
-    tile the plan's band (slope * duration == plan.step).
-    """
-    if chirp.guard >= chirp.duration / 2.0:
-        raise ValueError(
-            f"guard {chirp.guard} must be below half the chirp duration {chirp.duration}"
-        )
-    if not math.isclose(chirp.swept_bandwidth, plan.step, rel_tol=1e-6):
-        raise ValueError(
-            f"chirp sweeps {chirp.swept_bandwidth:.6g} Hz but the plan's sub-band "
-            f"is {plan.step:.6g} Hz; use ChirpConfig.for_plan"
-        )
-    freqs = frequency_grid(plan)
-    thetas = model.beam_angle(freqs)
-    window = (chirp.duration - 2.0 * chirp.guard) / 2.0
-    entries = []
-    for i in range(plan.n_points):
-        t0 = i * chirp.duration
-        entries.append(
-            FrameEntry(
-                index=i,
-                t_start=t0,
-                tx_end=t0 + window,
-                rx_start=t0 + window + chirp.guard,
-                rx_end=t0 + window + chirp.guard + window,
-                frequency=float(freqs[i]),
-                beam_angle=float(thetas[i]),
-            )
-        )
-    return FrameSchedule(entries=tuple(entries), frame_duration=plan.n_points * chirp.duration)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -784,8 +785,47 @@ MALFORMED = [
     ("compare", "architectures.2.fov_deg", 90.0, "architectures[2]: fov_deg must lie in (0, 90)"),
 ]
 
+# Every section a config holds is checked under every verb: one invalid value per section.
+INVALID_SECTIONS = [
+    ("plan.n_points", 0, "plan: n_points must be >= 1, got 0"),
+    ("dispersion.theta_max_deg", 95.0, "dispersion: need -pi/2 < theta_min"),
+    ("antenna.length_m", 0, "antenna: antenna length must be positive"),
+    ("scene.targets.0.z_m", -1.0, "scene.targets[0]: target must lie in the forward half-space"),
+    ("grid.nx", 0, "grid: grid counts must all be >= 1"),
+    ("architectures.0.rf_chains", "x",
+     "section 'architectures[0]': key 'rf_chains' must be an integer"),
+    # a dispersion model is built for the plan, so it cannot be read without one
+    ("plan", DELETE, "config is missing the required 'plan' section"),
+]
+VERBS = ("simulate", "dict", "localize", "probe", "compare", "sweep")
+MALFORMED += [
+    row for row in ((verb, *case) for verb in VERBS for case in INVALID_SECTIONS)
+    if row not in MALFORMED
+]
+MALFORMED.append(("compare", "dispersion", {"kind": "lookup_table", "table_path": "nope.csv"},
+                  "dispersion: [Errno 2] No such file or directory"))
+
+
+def _verb_args(verb, tmp_path, config_path):
+    """The flags other than --config and --out with which ``verb`` runs on base_config()."""
+    if verb == "localize":
+        meas = tmp_path / "meas.csv"
+        base = config_path(base_config(), "base.json")
+        assert cli.main(["simulate", "--config", base, "--out", str(meas)]) == 0
+        return ["--measurement", str(meas)]
+    return {"probe": ["--span", "1.0", "--steps", "3"],
+            "sweep": ["--snr", "0", "--trials", "2"]}.get(verb, [])
+
 
 class TestConfigReader:
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_base_config_runs_under_every_verb(self, tmp_path, config_path, verb):
+        out = tmp_path / "out"
+        args = _verb_args(verb, tmp_path, config_path)
+        assert cli.main([verb, "--config", config_path(base_config()), *args,
+                         "--out", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("verb, path, value, message", MALFORMED)
     def test_malformed_config_exits_2_with_message(
         self, tmp_path, config_path, capsys, verb, path, value, message
@@ -793,8 +833,11 @@ class TestConfigReader:
         cfg = base_config()
         _edit(cfg, path, value)
         out = tmp_path / "out"
-        assert cli.main([verb, "--config", config_path(cfg), "--out", str(out)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        args = _verb_args(verb, tmp_path, config_path)
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_every_optional_key_parses_to_the_expected_objects(self, tmp_path):
@@ -813,14 +856,14 @@ class TestConfigReader:
             "seed": 11,
         }
         cfg["architectures"][0].update(observability="Low", noise_rejection="Medium")
-        plan = cli.parse_plan(cfg)
+        plan = cli.parse_plan(cfg["plan"])
         assert plan == FrequencyPlan(60e9, 66e9, 16)
         assert type(plan.f_min) is float
-        model = cli.parse_dispersion(cfg, plan, tmp_path)
+        model = cli.parse_dispersion(cfg["dispersion"], plan, tmp_path / "config.json")
         assert model == LinearSineDispersion(60e9, 66e9, math.radians(-30.0), math.radians(45.0))
-        assert cli.parse_antenna(cfg) == AntennaModel(length=0.05, two_way=False)
+        assert cli.parse_antenna(cfg["antenna"]) == AntennaModel(length=0.05, two_way=False)
         assert cli.parse_antenna({}) == AntennaModel(length=0.12, two_way=True)
-        scene = cli.parse_scene(cfg)
+        scene = cli.parse_scene(cfg["scene"])
         assert scene == Scene(
             targets=(
                 Target((0.1, -0.2, 3.0), refl_x=0.5 - 1j, refl_y=2 + 0.25j),
@@ -829,13 +872,13 @@ class TestConfigReader:
             noise=NoiseConfig(snr_db=5.0, seed=11),
         )
         assert type(scene.noise.snr_db) is float
-        assert cli.parse_scene(cfg, seed_override=3).noise == NoiseConfig(5.0, 3)
+        assert cli.parse_scene(cfg["scene"], seed_override=3).noise == NoiseConfig(5.0, 3)
         cfg["scene"]["snr_db"] = "noiseless"
-        assert cli.parse_scene(cfg).noise == NoiseConfig(None, 11)
-        assert cli.parse_grid(cfg) == PositionGrid(
+        assert cli.parse_scene(cfg["scene"]).noise == NoiseConfig(None, 11)
+        assert cli.parse_grid(cfg["grid"]) == PositionGrid(
             (-0.25, 0.25), (-0.25, 0.25), (2.75, 3.25), 3, 3, 3
         )
-        specs = cli.parse_architectures(cfg)
+        specs = cli.parse_architectures(cfg["architectures"])
         assert specs[0] == ArchitectureSpec(
             name="FaA-Single", rf_chains=1, physical_size=0.12, bandwidth=6e9,
             n_samples=128, aperture_kind="virtual", f_ref=63e9, power_mw=850.0,
@@ -848,7 +891,8 @@ class TestConfigReader:
     def test_lookup_table_dispersion_parses_relative_to_the_config(self, tmp_path):
         (tmp_path / "disp.csv").write_text("frequency_hz,angle_deg\n60e9,-60\n66e9,30\n")
         cfg = base_config(dispersion={"kind": "lookup_table", "table_path": "disp.csv"})
-        model = cli.parse_dispersion(cfg, cli.parse_plan(cfg), tmp_path)
+        model = cli.parse_dispersion(cfg["dispersion"], cli.parse_plan(cfg["plan"]),
+                                     tmp_path / "config.json")
         np.testing.assert_array_equal(model.frequencies, [60e9, 66e9])
         np.testing.assert_array_equal(model.angles, np.radians([-60.0, 30.0]))
 
@@ -879,6 +923,28 @@ class TestConfigReader:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+
+class TestReadmeConfig:
+    def test_documented_config_runs_under_every_verb(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Config file"):]
+        start = section.index("```json\n") + len("```json\n")
+        config = tmp_path / "config.json"
+        config.write_text(section[start:section.index("```", start)])
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        runs = [
+            ["simulate", "--out", str(meas)],
+            ["dict", "--out", str(dict_csv)],
+            ["localize", "--measurement", str(meas), "--out", str(tmp_path / "loc.json")],
+            ["localize", "--measurement", str(meas), "--dict", str(dict_csv),
+             "--out", str(tmp_path / "loc_dict.json")],
+            ["probe", "--span", "5.0", "--steps", "11", "--out", str(tmp_path / "curve.csv")],
+            ["compare", "--out", str(tmp_path / "report.json")],
+            ["sweep", "--snr", "noiseless,10", "--trials", "3", "--out", str(tmp_path / "s.csv")],
+        ]
+        for argv in runs:
+            assert cli.main([argv[0], "--config", str(config), *argv[1:]]) == 0, argv[0]
 
 
 class TestCompareQueryRange:

@@ -24,6 +24,7 @@ from sweepsense.fingerprint import (
     _displace,
     _fingerprint_rows,
     _normalize,
+    _scores,
     ambiguity_probe,
     build_dictionary,
     build_fingerprint,
@@ -32,7 +33,6 @@ from sweepsense.fingerprint import (
     import_dictionary,
     localize,
     localize_batch,
-    similarity,
 )
 from sweepsense.synth import AntennaModel, echo, simulate_measurement
 
@@ -53,6 +53,16 @@ def meas(plan, s_x, s_y):
 def unit_measurement(position, plan=PLAN8, model=MODEL8, antenna=ANT, refl=1.0 + 0.0j):
     scene = Scene(targets=(Target(tuple(position), refl),))
     return simulate_measurement(scene, plan, model, antenna)
+
+
+def similarity(a: Fingerprint, b: Fingerprint) -> float:
+    """Oracle for the matched-filter score: the mean of the per-channel |<a, b>|."""
+    if a.plan.n_points != b.plan.n_points:
+        raise ValueError(
+            f"fingerprint size mismatch: {a.plan.n_points} vs {b.plan.n_points} points"
+        )
+    m = a.plan.n_points
+    return 0.5 * sum(abs(np.vdot(b.vector[h], a.vector[h])) for h in (slice(m), slice(m, None)))
 
 
 class TestNormalize:
@@ -176,6 +186,7 @@ class TestSimilarity:
         a, b = random_fp(), random_fp()
         s_ab, s_ba = similarity(a, b), similarity(b, a)
         assert abs(s_ab - s_ba) < 1e-12
+        assert _scores(a.vector[None], b.vector[None])[0, 0] == pytest.approx(s_ab, abs=1e-12)
         assert 0.0 <= s_ab <= 1.0 + 1e-12
 
 

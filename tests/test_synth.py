@@ -1,4 +1,4 @@
-"""Measurement synthesis, noise reproducibility, dechirp, frame timing."""
+"""Measurement synthesis, noise reproducibility, dechirp."""
 
 import math
 
@@ -23,7 +23,6 @@ from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
     echo,
-    frame_schedule,
     noise,
     phase_curvature,
     simulate_measurement,
@@ -398,36 +397,3 @@ class TestDechirp:
         r_alias = (self.CHIRP.sample_rate / 2) * SPEED_OF_LIGHT / (2 * self.CHIRP.slope)
         with pytest.raises(AliasingError):
             dechirp_range_profile(self.CHIRP, [(r_alias, 1.0)])
-
-
-class TestFrameSchedule:
-    def test_frame_duration(self):
-        plan = FrequencyPlan(60e9, 66e9, 128)
-        chirp = ChirpConfig.for_plan(plan, duration=100e-6, guard=5e-6)
-        sched = frame_schedule(plan, chirp, LinearSineDispersion.for_plan(plan))
-        assert sched.frame_duration == pytest.approx(12.8e-3, rel=1e-12)
-        assert len(sched.entries) == 128
-
-    def test_entries_monotone_and_disjoint(self):
-        plan = FrequencyPlan(60e9, 66e9, 8)
-        chirp = ChirpConfig.for_plan(plan, duration=100e-6, guard=5e-6)
-        sched = frame_schedule(plan, chirp, LinearSineDispersion.for_plan(plan))
-        freqs = [e.frequency for e in sched.entries]
-        assert freqs == sorted(freqs) and len(set(freqs)) == len(freqs)
-        for i, e in enumerate(sched.entries):
-            assert e.t_start == pytest.approx(i * chirp.duration, rel=1e-12)
-            assert e.t_start < e.tx_end < e.rx_start < e.rx_end
-            assert e.rx_start - e.tx_end == pytest.approx(chirp.guard, rel=1e-9)
-            assert e.rx_end <= e.t_start + chirp.duration + 1e-15
-
-    def test_invalid_guard_rejected(self):
-        plan = FrequencyPlan(60e9, 66e9, 4)
-        chirp = ChirpConfig.for_plan(plan, duration=10e-6, guard=5e-6)
-        with pytest.raises(ValueError, match="guard"):
-            frame_schedule(plan, chirp, LinearSineDispersion.for_plan(plan))
-
-    def test_mismatched_chirp_rejected(self):
-        plan = FrequencyPlan(60e9, 66e9, 4)
-        chirp = ChirpConfig(duration=100e-6, guard=5e-6, slope=1e11)
-        with pytest.raises(ValueError, match="sub-band"):
-            frame_schedule(plan, chirp, LinearSineDispersion.for_plan(plan))
