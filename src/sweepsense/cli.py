@@ -278,8 +278,7 @@ def _measurement_keys(plan: FrequencyPlan, model: DispersionModel) -> np.ndarray
 
 def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
     s = np.stack([meas.s_x, meas.s_y], axis=1).view(np.float64)  # sx_re, sx_im, sy_re, sy_im
-    table = np.hstack([_measurement_keys(meas.plan, model), s])
-    return write_table(None, _MEAS_HEADER, table, n_int=1)
+    return write_table(None, _MEAS_HEADER, (_measurement_keys(meas.plan, model), s), n_int=1)
 
 
 def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> Measurement:
@@ -368,8 +367,12 @@ def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
 # commands
 
 
+def _to_stdout(path: str | None) -> bool:
+    return path is None or path == "-"
+
+
 def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if _to_stdout(path):
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="\n") as fh:
@@ -390,7 +393,7 @@ def cmd_simulate(args) -> int:
 def cmd_dict(args) -> int:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
     dictionary = build_dictionary(grid, plan, model, antenna)
-    export_dictionary(dictionary, sys.stdout if args.out in (None, "-") else args.out)
+    export_dictionary(dictionary, sys.stdout if _to_stdout(args.out) else args.out)
     return 0
 
 
@@ -427,8 +430,8 @@ def cmd_probe(args) -> int:
     except GeometryError as exc:
         raise ConfigError(f"probe geometry: {exc}") from None
     file_offsets = np.degrees(curve.offsets) if angular else curve.offsets
-    table = np.column_stack([file_offsets, curve.similarities])
-    _write_output(args.out, write_table(None, "offset,similarity", table))
+    _write_output(args.out, write_table(None, "offset,similarity",
+                                        (file_offsets, curve.similarities)))
     summary = {
         "axis": axis_text,
         "p0_m": list(args.p0),
@@ -441,7 +444,8 @@ def cmd_probe(args) -> int:
     }
     if angular:
         summary["half_power_width_rad"] = curve.width
-    sys.stdout.write(_json_dumps(summary))
+    # The summary goes to stderr when the CSV takes stdout, so each stream parses.
+    (sys.stderr if _to_stdout(args.out) else sys.stdout).write(_json_dumps(summary))
     return 0
 
 
@@ -463,7 +467,8 @@ def cmd_compare(args) -> int:
     _check_finite(payload)
     if args.out is not None:
         _write_output(args.out, _json_dumps(payload))
-    sys.stdout.write(report.to_text())
+    # The text goes to stderr when the JSON takes stdout, so each stream parses.
+    (sys.stderr if args.out == "-" else sys.stdout).write(report.to_text())
     return 0
 
 

@@ -10,6 +10,7 @@ meters, all frequencies Hz.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import itertools
 import math
@@ -222,26 +223,151 @@ def range_of(position) -> float | np.ndarray:
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
-_WRITE_CELLS = 4096  # cells per % format in write_table: bounds the text held at once
+_WRITE_CELLS = 4096  # cells per block in write_table: bounds the bytes held at once
+
+# write_table prints a block of cells into one fixed-width byte field each and
+# then drops the bytes a cell leaves unused. A float field holds sign, digit,
+# '.', 9 digits, 'e', exponent sign, 3 exponent digits and the separator; an
+# int field holds sign, 2 unused bytes and 10 digits, leading zeros unused.
+# Its tables are built on first use: verbs that write no CSV never hold them.
+_FIELD = 18
+_INT_DECADES = 10 ** np.arange(1, 10)
 
 
-def write_table(dest, header: str, table: np.ndarray, n_int: int = 0) -> str | None:
-    """Write ``header`` and one CSV line per row of the 2-D ``table``.
+@functools.cache
+def _digits4() -> np.ndarray:
+    """"0000" .. "9999", one 4-byte item each."""
+    table = np.empty((10,) * 4 + (4,), np.uint8)
+    for i in range(4):
+        table[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
+    return table.reshape(-1, 4).view("V4")[:, 0]
 
-    The first ``n_int`` columns print as integers, the rest with FLOAT_FMT.
-    ``dest`` is a path or an open text file; with None the text is returned.
+
+@functools.cache
+def _exponents() -> np.ndarray:
+    """Sign and digits of e = -324 .. 308, 4 bytes each, the last unused below 100."""
+    return np.frombuffer("".join(f"{e:+03d}".ljust(4) for e in range(-324, 309)).encode(), "V4")
+
+
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10^k for k = -170 .. 170, correctly rounded."""
+    return np.array([float(f"1e{k}") for k in range(-170, 171)])
+
+
+def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
+    """Write ``header`` and one CSV line per row of ``table``.
+
+    ``table`` is a 2-D array, or a sequence of column groups (1-D or 2-D
+    arrays of equal row counts) that are joined a block of rows at a time.
+    The first ``n_int`` columns print as ``"%d" % x``, the rest as
+    ``FLOAT_FMT % x``, byte for byte. ``dest`` is a path or an open text
+    file; with None the text is returned.
     """
     if dest is not None and not hasattr(dest, "write"):
         with open(dest, "w") as fh:
             return write_table(fh, header, table, n_int)
     out = io.StringIO() if dest is None else dest
-    line = ",".join(["%d"] * n_int + [FLOAT_FMT] * (table.shape[1] - n_int)) + "\n"
+    groups = [g[:, None] if g.ndim == 1 else g
+              for g in map(np.asarray, (table,) if isinstance(table, np.ndarray) else table)]
+    if len({len(g) for g in groups}) > 1:
+        raise ValueError("column groups differ in row count")
+    width = sum(g.shape[1] for g in groups)
     out.write(header + "\n")
-    k = max(1, _WRITE_CELLS // table.shape[1])  # rows per format
-    for start in range(0, len(table), k):
-        block = table[start : start + k]
-        out.write((line * len(block)) % tuple(block.ravel().tolist()))
+    k = max(1, _WRITE_CELLS // width)  # rows per block
+    for start in range(0, len(groups[0]), k):
+        block = np.concatenate([g[start : start + k] for g in groups], axis=1, dtype=float)
+        out.write(_format_block(block, n_int))
     return out.getvalue() if dest is None else None
+
+
+def _format_block(block: np.ndarray, n_int: int) -> str:
+    """The CSV lines of the rows of ``block``, as write_table prints them."""
+    field = np.empty(block.shape + (_FIELD,), np.uint8)
+    keep = np.ones(block.shape + (_FIELD,), bool)
+    field[..., -1] = ord(",")
+    field[:, -1, -1] = ord("\n")
+    odd = np.concatenate([_fill_ints(block[:, :n_int], field[:, :n_int], keep[:, :n_int]),
+                          _fill_floats(block[:, n_int:], field[:, n_int:], keep[:, n_int:])],
+                         axis=1)
+    # Cells the byte fields cannot prove exact keep their own % format.
+    rows, cols = np.nonzero(odd)
+    if len(rows):
+        texts = [(("%d" if c < n_int else FLOAT_FMT) % block[r, c].item()).encode()
+                 for r, c in zip(rows.tolist(), cols.tolist())]
+        wider = [_FIELD - 1] * (max(map(len, texts)) + 1 - _FIELD)  # for ints of 11+ digits
+        if wider:
+            field, keep = np.insert(field, wider, 0, axis=2), np.insert(keep, wider, False, axis=2)
+        for r, c, text in zip(rows, cols, texts):
+            field[r, c, : len(text)] = np.frombuffer(text, np.uint8)
+            keep[r, c, :-1] = np.arange(keep.shape[2] - 1) < len(text)
+    return field[keep].tobytes().decode("ascii")
+
+
+def _put_digits(field: np.ndarray, at: int, q: np.ndarray) -> None:
+    """Write "00" and the 10 decimal digits of each of ``q`` (0 .. 10^10 - 1),
+    zero-padded, at bytes ``at`` .. ``at + 11`` of its field."""
+    top = q // 100_000_000
+    rest = q - top * 100_000_000
+    mid = rest // 10_000
+    for i, part in enumerate((top, mid, rest - mid * 10_000)):
+        field[..., at + 4 * i : at + 4 * i + 4].view("V4")[..., 0] = _digits4()[part]
+
+
+def _fill_ints(x: np.ndarray, field: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Fill the fields of ``"%d" % x``; True where a cell needs its own %."""
+    v = np.trunc(x)
+    ok = np.abs(v) < 1e10  # at most 10 digits; false for NaN and inf
+    q = np.where(ok, np.abs(v), 0).astype(np.int64)
+    _put_digits(field, 1, q)
+    field[..., 0] = ord("-")
+    keep[..., 0] = v < 0  # not for -0.0, which %d prints as 0
+    keep[..., 1:3] = False
+    leading = 9 - np.searchsorted(_INT_DECADES, q, side="right")  # zeros before the first digit
+    keep[..., 3:13] = np.arange(10) >= leading[..., None]
+    keep[..., 13:-1] = False
+    return ~ok
+
+
+def _fill_floats(x: np.ndarray, field: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Fill the fields of ``FLOAT_FMT % x``; True where a cell needs its own %.
+
+    With e the decimal exponent of |x|, the 10 digits are rint(|x| 10^(9-e)).
+    That scaled value is off the exact one by at most 4 roundings, about 5e-6,
+    so the digits are those of correct rounding unless it lies within 1e-4 of
+    a tie; such cells, and the non-finite ones, are left to %.
+    """
+    a = np.abs(x)
+    nonzero = (a > 0) & (a < np.inf)  # and finite
+    a = np.where(nonzero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scaled(a, e)
+    miss = (s < 1e9) | (s >= 1e10)  # log10 rounded across a power of ten
+    if miss.any():
+        e[miss] += np.where(s[miss] < 1e9, -1, 1)
+        s[miss] = _scaled(a[miss], e[miss])
+    q = np.rint(s)
+    odd = (x != 0) & ~nonzero | (q < 1e9) | (q > 1e10) | (np.abs(s - q) > 0.5 - 1e-4)
+    carry = q == 1e10  # rounded up to the next decade
+    good = nonzero & ~odd  # zeros print as 0.000000000e+00
+    q = np.where(good, np.where(carry, 1e9, q), 0).astype(np.int64)
+    e = np.where(good, e + carry, 0)
+    _put_digits(field, 0, q)  # the first digit lands where the point goes
+    field[..., 1] = field[..., 2]
+    field[..., 2] = ord(".")
+    field[..., 0] = ord("-")
+    keep[..., 0] = np.signbit(x)
+    field[..., 12] = ord("e")
+    field[..., 13:17].view("V4")[..., 0] = _exponents()[e + 324]
+    keep[..., 16] = np.abs(e) >= 100
+    return odd
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a * 10^(9 - e) through two table powers, so no factor leaves float range."""
+    k = 9 - e
+    k1 = k >> 1
+    return a * _pow10()[k1 + 170] * _pow10()[k - k1 + 170]
 
 
 class HeaderError(ValueError):

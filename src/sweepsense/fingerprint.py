@@ -354,8 +354,8 @@ def export_dictionary(dictionary: Dictionary, path) -> str | None:
     text is returned instead.
     """
     entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
-    table = np.hstack([dictionary.grid.indices(), dictionary.positions, entries])
-    return write_table(path, _csv_header(dictionary.n_points), table, n_int=3)
+    groups = (dictionary.grid.indices(), dictionary.positions, entries)
+    return write_table(path, _csv_header(dictionary.n_points), groups, n_int=3)
 
 
 def import_dictionary(path, grid: PositionGrid, n_points: int) -> Dictionary:

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -326,6 +327,17 @@ class TestProbe:
         offsets = [float(l.split(",")[0]) for l in out.read_text().splitlines()[1:]]
         assert max(offsets) == pytest.approx(30.0, rel=1e-9)
 
+    def test_csv_on_stdout_leaves_the_summary_to_stderr(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        flags = ["--axis", "range", "--span", "0.2", "--steps", "21"]
+        assert cli.main(["probe", "--config", path, *flags]) == 0
+        captured = capsys.readouterr()
+        assert cli.main(["probe", "--config", path, *flags, "--out", str(tmp_path / "p.csv")]) == 0
+        assert captured.out == (tmp_path / "p.csv").read_text()
+        body = np.loadtxt(io.StringIO(captured.out), delimiter=",", skiprows=1)
+        assert captured.out.startswith("offset,similarity\n") and body.shape == (21, 2)
+        assert json.loads(captured.err) == json.loads(capsys.readouterr().out)
+
     def test_bad_axis_exits_2(self, tmp_path, config_path):
         rc = cli.main(
             ["probe", "--config", config_path(base_config()), "--axis", "spiral",
@@ -362,6 +374,15 @@ class TestCompare:
         assert payload["r_query_m"] == 3.0
         assert all(r["cell_volume_m3"] > 0 for r in payload["rows"])
         assert "FaA-Single" in capsys.readouterr().out
+
+    def test_json_on_stdout_leaves_the_text_to_stderr(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        assert cli.main(["compare", "--config", path, "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert cli.main(["compare", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert json.loads(captured.out) == json.loads((tmp_path / "r.json").read_text())
+        assert captured.err == capsys.readouterr().out
+        assert "FaA-Single" in captured.err
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_eta_reference_must_be_positive(self, tmp_path, config_path, capsys, value):
@@ -593,6 +614,24 @@ class TestSweep:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2198ce16c7a0fbb3333f93215c20d417fd5ccbf1c2f0017ab58132d1fcae4fdb"
         )
+
+    def test_wide_dictionary_and_measurement_bytes_are_pinned(self, tmp_path, config_path):
+        # A change to the echo kernel or the CSV writer moves these digests.
+        # The 12 cm, M=128 antenna's gain wings reach subnormal cells
+        # (exponents down to -324) in both files.
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
+                          antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"].update(nx=9, ny=9, nz=9)
+        path = config_path(cfg)
+        digests = {}
+        for verb in ("dict", "simulate"):
+            out = tmp_path / f"{verb}.csv"
+            assert cli.main([verb, "--config", path, "--out", str(out)]) == 0
+            digests[verb] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "dict": "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b",
+            "simulate": "be6a9ae39b5964e971fa0b1d93ad2b2197d36ad96e3411cb6c11a1ed536e2289",
+        }
 
 
 class TestWorkersFlag:

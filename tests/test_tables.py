@@ -105,6 +105,94 @@ class TestWriteTable:
         assert n == 0 or "-0.000000000e+00,9.999888672e-321,1.000000000e+300\n" in text  # 1e-320
 
 
+def per_cell(table, n_int=0):
+    """The body write_table must print: ``"%d" % x`` or ``"%.9e" % x`` per cell."""
+    line = ",".join(["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)) + "\n"
+    return "".join(line % tuple(row) for row in table.tolist())
+
+
+def body(table, n_int=0):
+    return write_table(None, "h", table, n_int).removeprefix("h\n")
+
+
+class TestWriteTableOracle:
+    """write_table against Python's % formatting, cell for cell."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 518])
+    def test_random_bit_patterns(self, width):
+        # 2**18 cells per width, 2**20 in all: every exponent, subnormals,
+        # both zeros, both infinities and NaNs.
+        rng = np.random.default_rng(width)
+        cells = rng.integers(0, 2**64, 2**18 // width * width, dtype=np.uint64).view(float)
+        cells[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        table = cells.reshape(-1, width)
+        assert body(table) == per_cell(table)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 518])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_block_edges_with_int_columns(self, width, step):
+        rng = np.random.default_rng(100 + width)
+        n = _WRITE_CELLS // width + step
+        table = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-320, 300, (n, width))
+        n_int = min(3, width - 1)
+        table[:, :n_int] = rng.integers(-(10**12), 10**12, (n, n_int)) / 10.0 ** rng.integers(
+            0, 12, (n, n_int))
+        assert body(table, n_int) == per_cell(table, n_int)
+
+    def test_ties_round_half_even(self):
+        table = np.array([[2.0**-15, 3 * 2.0**-15, 2.0**-16, 0.5 + 2**-34]])
+        assert body(table) == per_cell(table)
+        assert body(table[:, :2]) == "3.051757812e-05,9.155273438e-05\n"
+        # The floats nearest 11-digit decimals ending in 5: exact ties up to
+        # 10^15, beyond that a hair off one, on either side.
+        rng = np.random.default_rng(15)
+        digits = rng.integers(10**9, 10**10, 6000).tolist()
+        exponents = rng.integers(-300, 300, 6000).tolist()
+        ties = np.array([float(f"{d}5e{p}") for d, p in zip(digits, exponents)]).reshape(-1, 6)
+        ties[:, 0] = np.array(digits[:1000]) * 10.0 + 5
+        assert body(ties) == per_cell(ties)
+
+    def test_decade_carries(self):
+        table = np.array([[9.9999999996e-01, -9.99999999951e99, 9.9999999995e-308, 1e308]])
+        assert body(table) == per_cell(table)
+        assert body(table[:, :2]) == "1.000000000e+00,-1.000000000e+100\n"
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        table = np.column_stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+        assert body(table) == per_cell(table)
+        assert body(-table) == per_cell(-table)
+
+    def test_int_columns_print_as_percent_d(self):
+        ints = [-7.0, -0.0, -0.7, 2.9, -2.9, 9999999999.0, 1e10, -1e10, 2.0**53, 2.0**53 + 2,
+                2.0**63, -(2.0**70), 1e300, -1.7976931348623157e308, 5e-324]
+        table = np.column_stack([ints, ints[::-1], np.linspace(-1.0, 1.0, len(ints))])
+        assert body(table, 2) == per_cell(table, 2)
+        wide = np.array([[-0.0, -0.7, -2.9, 2.0**53 + 2, 1e10, -(2.0**70), 0.25]])
+        assert body(wide, 6) == "0,0,-2,9007199254740994,10000000000,-1180591620717411303424,"\
+            "2.500000000e-01\n"
+
+    @pytest.mark.parametrize("cell, error", [(np.nan, ValueError), (np.inf, OverflowError),
+                                             (-np.inf, OverflowError)])
+    def test_int_column_raises_as_percent_d(self, cell, error):
+        with pytest.raises(error):
+            "%d" % cell
+        with pytest.raises(error):
+            write_table(None, "i,a", np.array([[1.0, 2.0], [cell, 3.0]]), n_int=1)
+
+    def test_column_groups_match_one_table(self):
+        rng = np.random.default_rng(14)
+        n = 3 * _WRITE_CELLS // 9 + 5
+        groups = (np.arange(n), rng.normal(size=(n, 3)), rng.normal(size=(n, 5)))
+        table = np.column_stack(groups)
+        assert write_table(None, "h", groups, n_int=1) == write_table(None, "h", table, n_int=1)
+        assert body(table, 1) == per_cell(table, 1)
+
+    def test_column_groups_of_other_row_counts_rejected(self):
+        with pytest.raises(ValueError, match="row count"):
+            write_table(None, "a,b", (np.zeros(3), np.zeros(4)))
+
+
 class TestReadTable:
     def write(self, tmp_path, text):
         path = tmp_path / "t.csv"
