@@ -287,7 +287,7 @@ def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> M
     A malformed file raises ValueError naming its line."""
     body = read_table(path, _MEAS_HEADER)
     check_rows(path, body, _measurement_keys(plan, model), "m,f_hz,theta_deg")
-    s = np.ascontiguousarray(body[:, 3:]).view(np.complex128)  # columns s_x, s_y
+    s = body[:, 3:].view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 
 

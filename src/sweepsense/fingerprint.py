@@ -378,4 +378,4 @@ def import_dictionary(path, grid: PositionGrid, n_points: int) -> Dictionary:
     off_unit = (np.abs(np.einsum("ijk,ijk->ij", halves, halves) - 1.0) > 2e-6).any(axis=1)
     if off_unit.any():
         raise line_error(path, int(np.argmax(off_unit)), "dictionary halves are not unit-norm")
-    return Dictionary(grid, np.ascontiguousarray(body[:, 6:]).view(np.complex128))
+    return Dictionary(grid, body[:, 6:].view(np.complex128))  # a view: the entries are not copied

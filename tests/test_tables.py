@@ -1,12 +1,21 @@
 """CSV tables: the shared reader and writer and the formats built on them."""
 
+import fractions
+import hashlib
 import io
+import itertools
+import math
+import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sweepsense import core
 from sweepsense.cli import measurement_to_csv, read_measurement_csv
 from sweepsense.core import (
     _WRITE_CELLS,
@@ -22,6 +31,7 @@ from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
     Dictionary,
     PositionGrid,
+    _csv_header,
     build_dictionary,
     export_dictionary,
     import_dictionary,
@@ -193,6 +203,309 @@ class TestWriteTableOracle:
             write_table(None, "a,b", (np.zeros(3), np.zeros(4)))
 
 
+def loadtxt_read_table(path, header):
+    """read_table as np.loadtxt alone once read a file: the oracle of the numpy parse."""
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            fields = [f.strip() for f in fh.readline().split(",")]
+            body = (np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                    if ",".join(fields) == header else None)
+        except ValueError:
+            raise loadtxt_first_bad_line(path, header.count(",") + 1) from None
+    if body is None:
+        raise HeaderError(path, header, fields)
+    if not body.size:
+        raise ValueError(f"{path}: no data rows after line 1")
+    if body.shape[1] != len(fields) or not np.isfinite(body).all():
+        raise loadtxt_first_bad_line(path, len(fields))
+    return body
+
+
+def loadtxt_first_bad_line(path, n_fields):
+    """The error for the first line loadtxt_read_table rejects, one loadtxt per line."""
+
+    def finite(text):
+        try:
+            values = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return False
+        return values.size > 0 and bool(np.isfinite(values).all())
+
+    with open(path, "rb") as fh:
+        raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
+                return ValueError(f"{path}: line {lineno}: {message}")
+            if lineno == 1 or not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != n_fields:
+                return ValueError(f"{path}: line {lineno}: expected {n_fields} fields, "
+                                  f"got {len(cells)}")
+            if not finite(line):
+                col = next(i for i, cell in enumerate(cells) if not finite(cell))
+                message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
+                return ValueError(f"{path}: line {lineno}: {message}")
+    return ValueError(f"{path}: unreadable CSV body")
+
+
+def outcome(reader, path, header):
+    """The bits of what ``reader`` reads, or the type and text of its error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither reader may warn
+            body = reader(path, header)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return body.shape, body.view(np.int64).tobytes()
+
+
+def midpoint_decimals():
+    """Decimals q 10^k, q of 10 digits, that lie within about 2^-85 of a
+    midpoint between two normal doubles: q is a continued-fraction
+    denominator of 10^k / u, u half the spacing of the doubles near q 10^k,
+    whose numerator, the number of half-spacings, is odd."""
+    cells = []
+    for k in range(-333, 300):
+        scale = fractions.Fraction(10) ** k
+        low = math.floor((k + 9) * math.log2(10)) - 1
+        for e in range(max(low, -1022), min(low + 6, 1023)):  # q 10^k in [2^e, 2^(e+1))
+            q_min = max(10**9, math.ceil(2**e / scale))
+            q_max = min(10**10 - 1, math.ceil(2 ** (e + 1) / scale) - 1)
+            ratio = scale / fractions.Fraction(2) ** (e - 53)
+            a, b = ratio.numerator, ratio.denominator
+            p0, p1, q0, q1 = 0, 1, 1, 0
+            while b and q1 <= q_max:
+                t = a // b
+                a, b = b, a - t * b
+                p0, p1, q0, q1 = p1, t * p1 + p0, q1, t * q1 + q0
+                if q_min <= q1 <= q_max and p1 % 2:
+                    digits = str(q1)
+                    cells.append(f"{digits[0]}.{digits[1:]}e{k + 9:+03d}")
+    return cells
+
+
+def near_midpoint(text):
+    """True where the decimal ``text`` lies within 2^-60 of it from a midpoint
+    between the two doubles nearest to it."""
+    exact = abs(fractions.Fraction(text.decode() if isinstance(text, bytes) else text))
+    x = abs(float(text))
+    for y in (np.nextafter(x, 0.0), np.nextafter(x, np.inf)):
+        if abs((fractions.Fraction(x) + fractions.Fraction(y)) / 2 - exact) < exact * 2.0**-60:
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def wide_dictionary(tmp_path_factory):
+    """The dictionary file test_cli pins by digest: 9^3 grid, M=128, 12 cm antenna.
+    Its gain wings reach subnormal cells."""
+    plan = FrequencyPlan(60e9, 66e9, 128)
+    grid = PositionGrid((-0.25, 0.25), (-0.25, 0.25), (2.75, 3.25), nx=9, ny=9, nz=9)
+    d = build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan),
+                         AntennaModel(length=0.12, two_way=True))
+    path = tmp_path_factory.mktemp("wide") / "dict.csv"
+    export_dictionary(d, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"
+    return path, grid
+
+
+class TestReadTableOracle:
+    """read_table against np.loadtxt (loadtxt_read_table), bit for bit and
+    error for error."""
+
+    def same(self, tmp_path, text, header=None, name="t.csv"):
+        path = tmp_path / name
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        if header is None:
+            header = path.read_bytes().splitlines()[0].decode()
+        got = outcome(read_table, path, header)
+        assert got == outcome(loadtxt_read_table, path, header)
+        return got
+
+    @staticmethod
+    def table_text(table, n_int=0):
+        header = ",".join(f"c{i}" for i in range(table.shape[1]))
+        return write_table(None, header, table, n_int)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 518])
+    def test_random_bit_patterns(self, tmp_path, width):
+        # 2**18 cells per width, 2**20 in all, at every exponent: subnormals
+        # and both zeros too. NaNs and infinities become finite patterns.
+        rng = np.random.default_rng(1000 + width)
+        bits = rng.integers(0, 2**64, 2**18 // width * width, dtype=np.uint64)
+        bits[(bits & np.uint64(0x7FF << 52)) == np.uint64(0x7FF << 52)] ^= np.uint64(1 << 62)
+        cells = bits.view(float)
+        cells[:4] = [0.0, -0.0, 5e-324, -5e-324]
+        shape, _ = self.same(tmp_path, self.table_text(cells.reshape(-1, width)))
+        assert shape == (len(cells) // width, width)
+
+    def test_every_power_of_ten_and_its_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        table = np.column_stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+        self.same(tmp_path, self.table_text(np.vstack([table, -table])))
+
+    def test_zeros_and_subnormals(self, tmp_path):
+        rng = np.random.default_rng(21)
+        tiny = rng.integers(1, 2**52, 3000, dtype=np.uint64).view(float)  # subnormal
+        edges = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 2.225073858507201e-308, 2.2250738585072e-308, 4.9406564584124654e-324 * 1.5]
+        cells = np.concatenate([edges, tiny, tiny * 2.0**40, -tiny])
+        cells = cells[: len(cells) // 7 * 7].reshape(-1, 7)
+        path = tmp_path / "t.csv"
+        path.write_text(self.table_text(cells))
+        body = read_table(path, path.read_text().split("\n")[0])
+        assert np.signbit(body[0, 1]) and body[0, 1] == 0.0
+        self.same(tmp_path, path.read_bytes())
+
+    def test_decimals_nearest_a_midpoint(self, tmp_path, monkeypatch):
+        cells = midpoint_decimals()
+        assert len(cells) > 500
+        assert all(near_midpoint(c) for c in cells[::50])
+        text = "c\n" + "".join(f"{c}\n" for c in cells)
+        exact = []
+        monkeypatch.setattr(core, "_exact_cell", lambda t: exact.append(t) or float(t))
+        shape, _ = self.same(tmp_path, text)
+        assert shape == (len(cells), 1)
+        assert sorted(t.decode() for t in exact) == sorted(cells)  # every one read exactly
+
+    def test_int_columns(self, tmp_path):
+        rng = np.random.default_rng(22)
+        widths = rng.integers(0, 11, (3000, 3))
+        ints = rng.integers(0, 10**10, (3000, 3)) % 10**widths * rng.choice([-1, 1], (3000, 3))
+        ints[:4] = [[9999999999, -9999999999, 0], [1, -1, 10], [-7, 1234567890, -1000000000],
+                    [0, 5, -0]]
+        table = np.column_stack([ints, rng.normal(size=(3000, 2))])
+        text = self.table_text(table, n_int=3)
+        assert "-9999999999," in text
+        self.same(tmp_path, text)
+        self.same(tmp_path, "a,b\n-0,0\n007,-00\n")
+
+    @pytest.fixture
+    def blocks(self):
+        """The text of a table spanning about 5 read_table blocks."""
+        rng = np.random.default_rng(23)
+        n = 5 * core._READ_BYTES // (16 * 9)
+        table = rng.normal(size=(n, 9)) * 10.0 ** rng.integers(-320, 300, (n, 9))
+        text = self.table_text(table)
+        assert len(text) > 4 * core._READ_BYTES
+        return text
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t,
+        lambda t: t.rstrip("\n"),  # no line end on the last line
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.replace("\n", "\r", 3),  # lone CRs in the first lines only
+        lambda t: t.replace("\n", "\r").rstrip("\r"),
+    ], ids=["lf", "no-last-lf", "crlf", "cr", "some-cr", "cr-no-last"])
+    def test_line_ends(self, tmp_path, blocks, edit):
+        shape, _ = self.same(tmp_path, edit(blocks))
+        assert shape == (blocks.count("\n") - 1, 9)
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t"])
+    def test_blank_lines_across_blocks(self, tmp_path, blocks, blank):
+        lines = blocks.split("\n")
+        for at in (1, 2, len(lines) // 3, len(lines) // 2, len(lines) - 2):
+            lines.insert(at, blank)
+        got = self.same(tmp_path, "\n".join(lines))
+        assert (got[0] == (blocks.count("\n") - 1, 9)) == (blank == "")
+
+    @pytest.mark.parametrize("cell", ["+1.5", "1E5", ".5", " 2.5 ", "7", "1e400", "-1e400",
+                                      "1e-400", "1_0", "\u0663", "nan", "", "0x10",
+                                      "1.000000000e+5", "1.0000000000e+05", "1.000000000e+0005",
+                                      "1.000000000e+005", "-1.000000000e-099", "0.000000001e+05",
+                                      "-0", "00000000001", "-9999999999", "1.5e"])
+    @pytest.mark.parametrize("where", ["first", "late"])
+    def test_other_spellings(self, tmp_path, blocks, cell, where):
+        lines = blocks.split("\n")
+        row = 2 if where == "first" else 4 * len(lines) // 5
+        cells = lines[row].split(",")
+        cells[3] = cell
+        lines[row] = ",".join(cells)
+        self.same(tmp_path, "\n".join(lines))
+
+    def test_lines_longer_than_a_block(self, tmp_path):
+        rng = np.random.default_rng(24)
+        wide = rng.normal(size=(3, 3 * core._READ_BYTES // 16))
+        text = self.table_text(wide)
+        assert len(text.split("\n")[0]) > core._READ_BYTES
+        shape, _ = self.same(tmp_path, text)
+        assert shape == wide.shape
+
+    def test_pipe_reads_as_a_file(self, tmp_path, blocks):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_text(blocks))
+        writer.start()
+        try:
+            body = read_table(fifo, "c0,c1,c2,c3,c4,c5,c6,c7,c8")
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        shape, bits = self.same(tmp_path, blocks)
+        assert (body.shape, body.view(np.int64).tobytes()) == (shape, bits)
+
+    @pytest.mark.parametrize("where", [2, 3, -3])
+    def test_byte_that_is_not_utf8(self, tmp_path, blocks, where):
+        lines = blocks.encode().split(b"\n")
+        lines[where] = lines[where][:20] + b"\xff" + lines[where][21:]
+        self.same(tmp_path, b"\n".join(lines))
+
+    def test_bad_cell_blocks_in_named_from_its_block(self, tmp_path, blocks, monkeypatch):
+        lines = blocks.split("\n")
+        for at in (5, 6, len(lines) // 2):
+            lines.insert(at, "")
+        row = len(lines) - 3  # in the last block
+        cells = lines[row].split(",")
+        cells[4] = "nan"
+        lines[row] = ",".join(cells)
+        text_blocks = []
+        read_as_text = core._text_block
+        monkeypatch.setattr(core, "_text_block",
+                            lambda *args: text_blocks.append(args[2]) or read_as_text(*args))
+        got = self.same(tmp_path, "\n".join(lines))
+        message = f"line {row + 1}: field 5 is not a finite number: 'nan'"
+        assert got == ("ValueError", f"{tmp_path / 't.csv'}: {message}")
+        # the blocks with blank lines, and the block of the bad cell: not every line again
+        assert len(text_blocks) <= 3 and text_blocks[-1] <= row + 1
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n", "a,b", "", "a,b\r\n\r\n", "a,b\r1,2\r", "a,b\r\n1,2", " a , b \n1,2\n",
+        "a,b\n1,2\n\n", "a,c\n1,2\n", "a,b\n1,2,3\n", "a\xff,b\n1,2\n", "a,c\n1,\xff\n",
+        "a,b\n1,2\n3\n4,5\n",
+    ])
+    def test_small_files(self, tmp_path, text):
+        self.same(tmp_path, text.encode("latin-1"), header="a,b")
+
+    def test_written_dictionary_takes_the_numpy_parse(self, wide_dictionary, monkeypatch):
+        # Guards the speed of the dictionary read: no block of the file on
+        # np.loadtxt, and only cells that need it read one at a time.
+        path, grid = wide_dictionary
+        exact = []
+        monkeypatch.setattr(core, "_exact_cell", lambda t: exact.append(bytes(t)) or float(t))
+        monkeypatch.setattr(core, "_text_block", None)
+        d = import_dictionary(path, grid, 128)
+        assert d.entries.shape == (9**3, 256)
+        assert exact and all(abs(float(t)) < 2.2250738585072014e-308 or near_midpoint(t)
+                             for t in exact)
+        monkeypatch.undo()
+        assert outcome(read_table, path, _csv_header(128)) == outcome(
+            loadtxt_read_table, path, _csv_header(128))
+
+    def test_header_error_keeps_its_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a, c\n1,2\n")
+        with pytest.raises(HeaderError) as err:
+            read_table(path, "a,b")
+        assert err.value.fields == ["a", "c"]
+
+
 class TestReadTable:
     def write(self, tmp_path, text):
         path = tmp_path / "t.csv"
@@ -355,6 +668,19 @@ class TestDictionaryImport:
         rewrite(path, lambda lines: lines.__setitem__(0, lines[0].replace("re_3", "re_x")))
         with pytest.raises(HeaderError, match=f"^{path}: line 1: expected header 'ix,iy,iz,"):
             import_dictionary(path, GRID, 8)
+
+    def test_import_holds_no_second_copy(self, wide_dictionary):
+        path, grid = wide_dictionary
+        import_dictionary(path, grid, 128)  # tables built on first use are not counted
+        tracemalloc.start()
+        try:
+            d = import_dictionary(path, grid, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        body_bytes = 9**3 * (6 + 4 * 128) * 8
+        assert d.entries.base is not None  # a view of the body read
+        assert peak < 1.25 * body_bytes
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.exported(tmp_path)
