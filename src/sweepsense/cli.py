@@ -33,6 +33,7 @@ from sweepsense.core import (
     Target,
     check_rows,
     frequency_grid,
+    open_bytes,
     read_table,
     write_table,
 )
@@ -285,8 +286,9 @@ def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> M
     """Read a measurement CSV whose key cells are _measurement_keys(plan, model).
 
     A malformed file raises ValueError naming its line."""
-    body = read_table(path, _MEAS_HEADER)
-    check_rows(path, body, _measurement_keys(plan, model), "m,f_hz,theta_deg")
+    with open_bytes(path) as fh:
+        body = read_table(path, _MEAS_HEADER, fh)
+        check_rows(path, body, _measurement_keys(plan, model), "m,f_hz,theta_deg", fh)
     s = body[:, 3:].view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 
@@ -399,14 +401,13 @@ def cmd_dict(args) -> int:
 
 def cmd_localize(args) -> int:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
+    dictionary = build_dictionary(grid, plan, model, antenna)  # its errors exit 3, not as a file's
     try:
-        dictionary = (None if args.dict is None
-                      else import_dictionary(args.dict, grid, plan.n_points))
+        if args.dict is not None:
+            import_dictionary(args.dict, dictionary)
         meas = read_measurement_csv(args.measurement, plan, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if dictionary is None:
-        dictionary = build_dictionary(grid, plan, model, antenna)
     result = localize(meas, dictionary)
     payload = {
         "estimate": [float(v) for v in result.position],
@@ -561,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("localize", cmd_localize, "match a measurement CSV against a dictionary")
     p.add_argument("--measurement", required=True, help="measurement CSV path")
-    p.add_argument("--dict", default=None, help="reuse an exported dictionary CSV")
+    p.add_argument("--dict", default=None,
+                   help="check an exported dictionary CSV against the config")
 
     p = verb("probe", cmd_probe, "trace an ambiguity curve around a position")
     p.add_argument("--p0", default="0,0,3", help="reference position x,y,z in meters",

@@ -9,6 +9,7 @@ meters, all frequencies Hz.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import io
@@ -378,281 +379,100 @@ class HeaderError(ValueError):
         self.fields = fields
 
 
-def read_table(path, header: str) -> np.ndarray:
+@contextlib.contextmanager
+def open_bytes(path):
+    """``path`` opened for binary reading, seekable: a pipe or FIFO is read
+    once into memory, so that it is never opened twice."""
+    with open(path, "rb") as raw:
+        yield raw if raw.seekable() else io.BytesIO(raw.read())
+
+
+def read_table(path, header: str, fh=None) -> np.ndarray:
     """Float body, shape (rows, fields), of a UTF-8 CSV file whose line 1 is ``header``.
 
     Another line 1, its fields space-stripped, raises HeaderError. Empty lines
     are skipped. A line that is not UTF-8 text, a row whose field count
     differs from the header's, a cell that is not a finite number, or a file
     without rows raises ValueError naming the path and the line of the file.
-    Every cell reads to the double np.loadtxt gives.
+    ``fh`` is ``path`` as open_bytes gives it; without it ``path`` is opened.
     """
-    with open(path, "rb") as raw:
-        fh = raw if raw.seekable() else io.BytesIO(raw.read())  # read twice, from the start
-        text = io.TextIOWrapper(fh, encoding="utf-8")  # line 1 as open(path) in text mode reads it
+    if fh is None:
+        with open_bytes(path) as fh:
+            return read_table(path, header, fh)
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8")  # lines as open(path) in text mode reads them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns about an empty body
         try:
             fields = [f.strip() for f in text.readline().split(",")]
-        except ValueError:  # UnicodeDecodeError: reading the body names the line
-            fields = None
-        text.detach()
-        if fields is not None and ",".join(fields) != header:
-            raise HeaderError(path, header, fields)
-        fh.seek(0)
-        body = _read_body(path, fh, header.count(",") + 1)
+            body = (np.loadtxt(text, delimiter=",", ndmin=2, comments=None)
+                    if ",".join(fields) == header else None)
+        except ValueError:  # UnicodeDecodeError included
+            raise _first_bad_line(path, header.count(",") + 1, fh) from None
+        finally:
+            text.detach()  # fh stays open
+    if body is None:
+        raise HeaderError(path, header, fields)
     if not body.size:
         raise ValueError(f"{path}: no data rows after line 1")
+    if body.shape[1] != len(fields) or not np.isfinite(body).all():
+        raise _first_bad_line(path, len(fields), fh)
     return body
 
 
-# read_table reads the file as bytes, a block of whole lines at a time, into
-# one array sized by a first pass that counts line ends. A block whose cells
-# all have the forms write_table prints is parsed by numpy (_parse_block);
-# any other block is read by np.loadtxt as text (_text_block). Either way a
-# cell reads to the same double, or a file fails with the same message.
-_READ_BYTES = 1 << 17  # bytes per block in read_table: bounds the memory it holds at once
-_PAD = 16  # bytes before and after a block in its buffer, for 8-byte loads at any cell
+def off_cells(cells: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """True where a cell differs from ``expected`` by more than 1e-9 of that
+    column's largest |value|; FLOAT_FMT moves a cell by at most 5e-10 of it."""
+    off = np.subtract(cells, expected)
+    np.abs(off, out=off)
+    return off > 1e-9 * np.abs(expected).max(axis=0)
 
 
-def _read_body(path, fh, n_fields: int) -> np.ndarray:
-    """The rows after line 1 of the binary file ``fh``, read from its start,
-    shape (rows, n_fields); ValueError names a bad line of ``path``."""
-    buf = bytearray(_READ_BYTES + 2 * _PAD)
-    ends = 0
-    while got := fh.readinto(buf):
-        for byte in (b"\n\r" if buf.find(b"\r", 0, got) >= 0 else b"\n"):
-            ends += np.count_nonzero(np.frombuffer(buf, np.uint8, got) == byte)
-    fh.seek(0)
-    body = np.empty((ends + 1, n_fields))  # no more rows than lines
-    work = np.empty((_SLOTS, 0), np.uint64)
-    rows, lineno, kept = 0, 1, 0
-    while True:
-        got = fh.readinto(memoryview(buf)[_PAD + kept : -_PAD])
-        end = _PAD + kept + got
-        if got:  # cut after the last line end whose line is complete
-            cut = buf.rfind(b"\n", _PAD, end) + 1 or buf.rfind(b"\r", _PAD, end - 1) + 1
-            if not cut:  # a line longer than the buffer
-                buf += bytes(len(buf))
-                kept = end - _PAD
-                continue
-        elif kept:  # the last line has no line end: give it one
-            buf[end] = ord("\n")
-            end = cut = end + 1
-        else:
-            break
-        lo = _PAD
-        if lineno == 1:
-            at = min(i for i in (buf.find(b"\n", lo, cut), buf.find(b"\r", lo, cut)) if i >= 0)
-            next(_decoded(path, [buf[lo:at]], 1))  # line 1 must be UTF-8 text
-            lo = at + 1 + (buf[at : at + 2] == b"\r\n")
-            lineno = 2
-        n = _parse_block(buf, lo, cut, body[rows:], work)
-        if n is None:
-            raw = bytes(buf[lo:cut])
-            values = _text_block(path, raw, lineno, n_fields)
-            n = len(values)
-            body[rows : rows + n] = values
-            lineno += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-        else:
-            lineno += n
-        rows += n
-        buf[_PAD : _PAD + end - cut] = buf[cut:end]
-        kept = end - cut
-    return body[:rows]
+def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh=None) -> None:
+    """Raise ValueError naming the row count or the first line of ``body`` whose
+    leading cells ``names`` are off_cells of ``expected``; ``fh`` as in read_table."""
+    if len(body) != len(expected):
+        message = f"has {len(body)} data rows but the config expects {len(expected)}"
+        raise ValueError(f"{path}: {message}")
+    keys = body[:, : expected.shape[1]]
+    off = off_cells(keys, expected).any(axis=1)
+    if off.any():
+        i = int(np.argmax(off))
+        want, got = (",".join(f"{v:.10g}" for v in row) for row in (expected[i], keys[i]))
+        raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}", fh)
 
 
-# A cell write_table prints is "-?d{1,10}" or "-?d.ddddddddde[+-]dd(d)?":
-# after its sign, q x 10^k with q < 10^10 read from its digits. _parse_block
-# loads 8 bytes at a time, little-endian, so the first character of a word is
-# its lowest byte; XOR with a template of the form turns each digit into its
-# value and each fixed character into 0 (an exponent '-' into 6).
-_U64 = np.uint64
-_ZEROS = _U64(0x3030303030303030)  # "00000000"
-_POINT = _U64(0x3030303030302E30)  # "0.000000"
-_EXPONENT = _U64(0x3030302B65303030)  # "000e+000"
-_HIGH_NIBBLES = _U64(0xF0F0F0F0F0F0F0F0)
-_SIXES = _U64(0x0606060606060606)
-_TOP_BYTES = np.array([(2**64 - 1) << (64 - 8 * n) & (2**64 - 1) for n in range(9)],
-                      np.uint64)  # [n]: the last n bytes of a word
-_SLOTS = 2  # per-cell 8-byte arrays _parse_block works in, besides its gathers
-_MARGIN = 2.0**-16  # of half an ulp: a sum this close to a midpoint is read exactly
+def line_error(path, row: int, message: str, fh=None) -> ValueError:
+    """ValueError naming the line of the file that holds body row ``row``;
+    ``fh`` as in read_table."""
+    lineno, _ = next(itertools.islice(_body_lines(path, fh), row, None))
+    return ValueError(f"{path}: line {lineno}: {message}")
 
 
-@functools.cache
-def _pow10_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h1, h2, h3 for 10^k, k = -333 .. 299: the top 19 bits, the next 19 and
-    the rest of 10^k rounded to 90 bits, so q h1 and q h2 are exact for
-    q < 10^10 and h1 + h2 + h3 is within 2^-89 of 10^k. Below k = -250 they
-    sum to 10^k 2^256, so all three stay normal."""
-    parts = []
-    for k in range(-333, 300):
-        num, den = 10 ** max(k, 0) << (256 if k < -250 else 0), 10 ** max(-k, 0)
-        f = 90 - num.bit_length() + den.bit_length()  # 10^k 2^f has 89 .. 91 bits
-        m = ((num << f) + den // 2) // den if f >= 0 else (num + (1 << (-f - 1))) >> -f
-        b = m.bit_length()
-        h1, h2, h3 = m >> (b - 19), (m >> (b - 38)) & (2**19 - 1), m & ((1 << (b - 38)) - 1)
-        parts.append((math.ldexp(h1, b - 19 - f), math.ldexp(h2, b - 38 - f), math.ldexp(h3, -f)))
-    return tuple(np.array(column) for column in zip(*parts))
+def _lines(path, fh=None):
+    """(line number, text) of every line, split as text mode splits them.
 
-
-def _all_digits(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """True where each of the 8 bytes of each of ``x`` is 0 .. 9; ``t`` is a spare
-    array of the same shape."""
-    t = np.add(x, _SIXES, out=t)
-    t |= x
-    t &= _HIGH_NIBBLES
-    return t == 0
-
-
-def _value8(x: np.ndarray, high: np.ndarray | None = None) -> np.ndarray:
-    """Each of ``x`` (8 digit values in bytes, first digit lowest) as a number,
-    in place; ``high`` is a spare array of the same shape."""
-    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
-        high = np.right_shift(x, _U64(shift), out=high)
-        x *= _U64(10 ** (shift // 8))
-        x += high
-        x &= _U64(mask)
-    return x
-
-
-def _exact_cell(text: bytes) -> float:
-    """The double of one cell write_table prints, correctly rounded, as np.loadtxt reads it."""
-    return float(text)
-
-
-def _parse_block(buf: bytearray, lo: int, hi: int, out: np.ndarray, work: np.ndarray) -> int | None:
-    """Parse the whole lines ``buf[lo:hi]`` into the first rows of ``out`` and
-    return their count; None if a cell is not one write_table prints or is not finite.
-
-    ``work`` is _SLOTS rows of 8-byte items, at least one per cell; it is
-    resized in place when short. A float cell reads as the sum r of q h1,
-    q h2 and q h3 (_pow10_parts): the first two products are exact and
-    q h3 + q h2 is rounded twice, so the exact sum is within 2^-70 of q 10^k.
-    Then r is its correct rounding unless that sum lies within _MARGIN of
-    half an ulp from r, near a midpoint between doubles; such cells, and
-    subnormal and overflowing ones, are left to _exact_cell.
+    Each line is decoded on its own, so a line that is not UTF-8 text raises
+    ValueError naming it.
     """
-    n_fields = out.shape[1]
-    data = np.frombuffer(buf, np.uint8)
-    block = data[lo:hi]
-    # (b ^ 4) < 41 holds for ',' and '\n' and for no other character of the
-    # cells write_table prints; the cells are checked below.
-    sep = np.flatnonzero((block ^ 4) < 41)
-    n = len(sep) // n_fields
-    if not 0 < n <= len(out) or len(sep) != n * n_fields or sep[-1] != hi - lo - 1:
-        return None
-    ends = block[sep].reshape(n, n_fields)
-    if not ((ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
-        return None
-    sep += lo
-    if work.shape[1] < len(sep):
-        work.resize((_SLOTS, len(sep)), refcheck=False)
-    start, tmp = (row.view(np.int64) for row in work[:, : len(sep)])
-    start[0] = lo
-    np.add(sep[:-1], 1, out=start[1:])
-    neg = data[start] == ord("-")
-    start += neg  # where each cell's digits start
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # 8 bytes from each offset
-    x1 = words[start]
-    x2 = words[np.add(start, 3, out=tmp)]
-    x3 = words[np.add(start, 8, out=tmp)]
-    size = np.subtract(sep, start, out=tmp)
-    long = size == 16
-    spare = start.view(np.uint64)  # start is spent
-    x1 ^= _POINT  # d.dddddd
-    x2 ^= _ZEROS  # dddddddd
-    x3 ^= _EXPONENT  # ddde+dd(d), with the separator after e+dd dropped:
-    keep = np.multiply(long, _U64(0xFF << 56), out=spare)
-    keep |= _U64(2**56 - 1)
-    x3 &= keep
-    ok = _all_digits(x1, spare)
-    ok &= _all_digits(x2, spare)
-    ok &= _all_digits(x3, spare)
-    ok &= np.bitwise_and(x1, _U64(0xFF00), out=spare) == 0  # '.'
-    np.bitwise_and(x3, _U64(0xFFFF000000), out=spare)
-    minus = spare == _U64(6 << 32)
-    ok &= (spare == 0) | minus  # 'e' and '+' or '-'
-    ok &= long | (size == 15)
-    ints = np.flatnonzero(~ok)
-    int_values = _int_cells(words, sep[ints], size[ints])
-    if int_values is None:
-        return None
-    # row = k + 333 for k = exponent - 9, from the digits in bytes 5 .. 7 of x3
-    row = spare.view(np.int64)
-    np.right_shift(x3, _U64(40), out=spare)
-    row &= 0xFF
-    row *= 10
-    np.right_shift(x3, _U64(48), out=tmp.view(np.uint64))  # size is spent
-    tmp &= 0xFF
-    row += tmp
-    np.multiply(row, 10, out=row, where=long)
-    x3 >>= _U64(56)
-    row += x3.view(np.int64)
-    np.negative(row, out=row, where=minus)
-    row += 333 - 9
-    off = (row < 0) | (row > 632)
-    tiny = row < 83  # k < -250
-    # q: the digits at bytes 0 and 2 of x1, then the 8 of x2
-    q = _value8(x2, tmp.view(np.uint64))
-    np.right_shift(x1, _U64(16), out=tmp.view(np.uint64))
-    tmp &= 0xFF
-    tmp *= 10**8
-    x1 &= _U64(0xFF)
-    x1 *= _U64(10**9)
-    q += x1
-    q += tmp.view(np.uint64)
-    qf = x1.view(np.float64)
-    np.copyto(qf, q)
-    h1, h2, h3 = (np.take(h, row, out=m.view(np.float64), mode="clip")  # rows off are unsure
-                  for h, m in zip(_pow10_parts(), (x2, x3, tmp)))
-    with np.errstate(over="ignore", invalid="ignore"):  # cells left to _exact_cell
-        h1 *= qf
-        h2 *= qf
-        h3 *= qf
-        h2 += h3  # t
-        r = np.add(h1, h2, out=out[:n].reshape(-1))
-        h1 -= r
-        h1 += h2  # the sum's distance from r
-        np.abs(h1, out=h1)
-        half = np.bitwise_and(r.view(np.uint64), _U64(2**52 - 1), out=h3.view(np.uint64))
-        power = half == 0  # at 2^n the ulp below is half the ulp above
-        np.bitwise_and(r.view(np.uint64), _U64(0x7FF0000000000000), out=half)
-        half = half.view(np.float64)
-        half *= 2.0**-53 * (1 - _MARGIN)  # half an ulp of r, less the margin
-        np.multiply(half, 0.5, out=half, where=power)
-        unsure = h1 >= half
-    unsure |= off
-    np.multiply(r, 2.0**-256, out=r, where=tiny)
-    unsure |= r < 2.2250738585072014e-308
-    unsure |= r > 1.7976931348623157e308
-    unsure &= qf != 0  # zero is exact
-    r[ints] = int_values
-    unsure[ints] = False
-    np.negative(r, out=r, where=neg)
-    odd = np.flatnonzero(unsure)
-    if len(odd):
-        first = np.where(odd > 0, sep[odd - 1] + 1, lo)  # with its sign
-        r[odd] = [_exact_cell(buf[i:j]) for i, j in zip(first.tolist(), sep[odd].tolist())]
-        if not np.isfinite(r[odd]).all():
-            return None
-    return n
+    with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
+        fh.seek(0)
+        raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
+                raise ValueError(f"{path}: line {lineno}: {message}") from None
 
 
-def _int_cells(words: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray | None:
-    """The values of the cells of ``width`` digits that end at ``end`` in the
-    ``words`` of _parse_block; None unless each is 1 to 10 digits."""
-    if not ((width >= 1) & (width <= 10)).all():
-        return None
-    # the last 8 bytes and the 2 before them, with the bytes before the cell zeroed
-    low = (words[end - 8] ^ _ZEROS) & _TOP_BYTES[np.minimum(width, 8)]
-    high = (words[end - 16] ^ _ZEROS) & _TOP_BYTES[np.maximum(width - 8, 0)]
-    if not (_all_digits(low) & _all_digits(high)).all():
-        return None
-    return (_value8(high) * _U64(10**8) + _value8(low)).astype(np.float64)
+def _body_lines(path, fh=None):
+    """(line number, text) of each non-empty line after the header."""
+    return ((n, line) for n, line in _lines(path, fh) if n > 1 and line)
 
 
-def _text_block(path, raw: bytes, lineno: int, n_fields: int) -> np.ndarray:
-    """The rows of ``raw``, whole lines from line ``lineno`` on, as np.loadtxt
-    reads them from a file in text mode; ValueError names the first bad line."""
+def _first_bad_line(path, n_fields: int, fh) -> ValueError:
+    """The error for the first line read_table rejects; rescans the file."""
 
     def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
         try:
@@ -661,69 +481,16 @@ def _text_block(path, raw: bytes, lineno: int, n_fields: int) -> np.ndarray:
             return False
         return values.size > 0 and bool(np.isfinite(values).all())
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns about text without rows
-        try:
-            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            values = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, comments=None)
-            if not values.size:  # empty lines only
-                return np.empty((0, n_fields))
-            if values.shape[1] == n_fields and np.isfinite(values).all():
-                return values
-        except ValueError:  # UnicodeDecodeError included
-            pass
-        for n, line in _decoded(path, raw.splitlines(), lineno):
+    try:
+        for lineno, line in _body_lines(path, fh):
             cells = line.split(",")
-            if line and len(cells) != n_fields:
-                raise ValueError(f"{path}: line {n}: expected {n_fields} fields, got {len(cells)}")
-            if line and not finite(line):
+            if len(cells) != n_fields:
+                message = f"expected {n_fields} fields, got {len(cells)}"
+                return ValueError(f"{path}: line {lineno}: {message}")
+            if not finite(line):
                 col = next(i for i, cell in enumerate(cells) if not finite(cell))
                 message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
-                raise ValueError(f"{path}: line {n}: {message}")
-    raise ValueError(f"{path}: unreadable CSV body")
-
-
-def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str) -> None:
-    """Raise ValueError naming the row count or the first line of ``body`` whose
-    leading cells ``names`` differ from ``expected`` by more than 1e-9 of that
-    column's largest |value|; FLOAT_FMT moves a cell by at most 5e-10 of it."""
-    if len(body) != len(expected):
-        message = f"has {len(body)} data rows but the config expects {len(expected)}"
-        raise ValueError(f"{path}: {message}")
-    keys = body[:, : expected.shape[1]]
-    off = (np.abs(keys - expected) > 1e-9 * np.abs(expected).max(axis=0)).any(axis=1)
-    if off.any():
-        i = int(np.argmax(off))
-        want, got = (",".join(f"{v:.10g}" for v in row) for row in (expected[i], keys[i]))
-        raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}")
-
-
-def line_error(path, row: int, message: str) -> ValueError:
-    """ValueError naming the line of the file that holds body row ``row``."""
-    lineno, _ = next(itertools.islice(_body_lines(path), row, None))
-    return ValueError(f"{path}: line {lineno}: {message}")
-
-
-def _lines(path):
-    """(line number, text) of every line, split as text mode splits them.
-
-    Each line is decoded on its own, so a line that is not UTF-8 text raises
-    ValueError naming it.
-    """
-    with open(path, "rb") as fh:
-        yield from _decoded(path, itertools.chain.from_iterable(raw.splitlines() for raw in fh), 1)
-
-
-def _decoded(path, raw_lines, lineno: int):
-    """(line number, text) of each of ``raw_lines``, the first being line ``lineno``."""
-    for n, raw in enumerate(raw_lines, start=lineno):
-        try:
-            yield n, raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
-            raise ValueError(f"{path}: line {n}: {message}") from None
-
-
-def _body_lines(path):
-    """(line number, text) of each non-empty line after the header."""
-    return ((n, line) for n, line in _lines(path) if n > 1 and line)
+                return ValueError(f"{path}: line {lineno}: {message}")
+    except ValueError as exc:  # from _lines: a line that is not UTF-8 text
+        return exc
+    return ValueError(f"{path}: unreadable CSV body")

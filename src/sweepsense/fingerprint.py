@@ -22,6 +22,8 @@ from sweepsense.core import (
     Measurement,
     check_rows,
     line_error,
+    off_cells,
+    open_bytes,
     range_of,
     read_table,
     write_table,
@@ -358,24 +360,48 @@ def export_dictionary(dictionary: Dictionary, path) -> str | None:
     return write_table(path, _csv_header(dictionary.n_points), groups, n_int=3)
 
 
-def import_dictionary(path, grid: PositionGrid, n_points: int) -> Dictionary:
-    """Load the CSV that export_dictionary writes for ``grid`` at M = ``n_points``.
+class _Compare:
+    """A text sink that compares what is written with the next bytes of ``fh``."""
 
-    Line 1 must be the header for that M, the rows must list the grid in
-    index order (x fastest) at its positions (core.check_rows), and every
-    channel half must be unit-norm; otherwise ValueError names the line.
+    def __init__(self, fh):
+        self.fh, self.same = fh, True
+
+    def write(self, text: str) -> None:
+        if self.same:
+            data = text.encode("ascii")
+            self.same = self.fh.read(len(data)) == data
+
+
+def import_dictionary(path, dictionary: Dictionary) -> None:
+    """Check that the CSV at ``path`` is ``dictionary``, the one the config builds.
+
+    A file of the bytes export_dictionary prints for it passes without being
+    parsed. Any other file is read with read_table: line 1 must be the header
+    for its M, the rows must list its grid in index order at its positions
+    (core.check_rows), and every entry cell must match within the print
+    tolerance (core.off_cells); otherwise ValueError names the line, and for
+    an entry its column. A pipe or FIFO is read once.
     """
-    try:
-        body = read_table(path, _csv_header(n_points))
-    except HeaderError as exc:
-        m = (len(exc.fields) - 6) // 4
-        if ",".join(exc.fields) != _csv_header(m):
-            raise
-        message = f"has {m} frequency points but the plan expects {n_points}"
-        raise ValueError(f"{path}: line 1: {message}") from None
-    check_rows(path, body, np.hstack([grid.indices(), grid.points()]), "ix,iy,iz,x,y,z")
-    halves = body[:, 6:].reshape(len(body), 2, 2 * n_points)  # re/im pairs per channel
-    off_unit = (np.abs(np.einsum("ijk,ijk->ij", halves, halves) - 1.0) > 2e-6).any(axis=1)
-    if off_unit.any():
-        raise line_error(path, int(np.argmax(off_unit)), "dictionary halves are not unit-norm")
-    return Dictionary(grid, body[:, 6:].view(np.complex128))  # a view: the entries are not copied
+    header = _csv_header(dictionary.n_points)
+    with open_bytes(path) as fh:
+        sink = _Compare(fh)
+        export_dictionary(dictionary, sink)
+        if sink.same and not fh.read(1):
+            return
+        try:
+            body = read_table(path, header, fh)
+        except HeaderError as exc:
+            m = (len(exc.fields) - 6) // 4
+            if ",".join(exc.fields) != _csv_header(m):
+                raise
+            message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
+            raise ValueError(f"{path}: line 1: {message}") from None
+        grid = dictionary.grid
+        check_rows(path, body, np.hstack([grid.indices(), grid.points()]), "ix,iy,iz,x,y,z", fh)
+        expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
+        off = off_cells(body[:, 6:], expected)
+        if off.any():
+            row, col = divmod(int(np.argmax(off)), off.shape[1])
+            message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
+                       f"(from the config), got {body[row, 6 + col]:.10g}")
+            raise line_error(path, row, message, fh)

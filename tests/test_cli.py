@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,11 +185,8 @@ class TestLocalizeFlow:
                 "--dict", str(dict_csv), "--out", str(out2),
             ]
         )
-        a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
-        assert a["estimate"] == [x, 0.0, 3.0]
-        for key in ("estimate", "grid_index", "dictionary_size"):
-            assert json.dumps(a[key]) == json.dumps(b[key])  # the config's grid, not the file's
-        assert b["score"] == pytest.approx(a["score"], abs=1e-9)
+        assert json.loads(out1.read_text())["estimate"] == [x, 0.0, 3.0]
+        assert out2.read_bytes() == out1.read_bytes()  # the config's dictionary, not the file's
 
     def test_dictionary_of_another_grid_exits_2_naming_its_line(
         self, tmp_path, config_path, capsys
@@ -1083,6 +1083,23 @@ class TestFlags:
         assert not out.exists()
 
 
+def through_fifo(tmp_path, data: bytes, run):
+    """``run(fifo)`` while a thread writes ``data`` into a new FIFO. Both run
+    in threads that must end within 10 s, so a second open of the FIFO,
+    which would wait for a writer forever, fails the test."""
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    result = []
+    threads = [threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True),
+               threading.Thread(target=lambda: result.append(run(fifo)), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return result[0]
+
+
 class TestMeasurementBoundary:
     def localize(self, tmp_path, config, meas):
         return cli.main(["localize", "--config", config, "--measurement", str(meas),
@@ -1123,6 +1140,19 @@ class TestMeasurementBoundary:
         assert self.localize(tmp_path, path, meas) == 2
         assert "line 7: expected 7 fields, got 1" in capsys.readouterr().err
 
+    def test_fifo_with_a_bad_key_cell_exits_2_naming_the_line(
+        self, tmp_path, config_path, capsys
+    ):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        lines = meas.read_text().splitlines()
+        lines[5] = "3" + lines[5][1:]
+        rc = through_fifo(tmp_path, ("\n".join(lines) + "\n").encode(),
+                          lambda fifo: self.localize(tmp_path, path, fifo))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'input.fifo'}: line 6: expected m,f_hz,theta_deg = 4,")
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_non_utf8_file_names_path_and_line(self, tmp_path, config_path, capsys, line):
         path = config_path(base_config())
@@ -1159,6 +1189,133 @@ class TestMeasurementBoundary:
             f"error: {meas}: line 2: expected m,f_hz,theta_deg = 0,6.009375e+10,-57.03068274 "
             "(from the config), got 0,6.009375e+10,0\n"
         )
+
+
+class TestDictionaryCheck:
+    """localize --dict checks the file against the dictionary the config builds."""
+
+    def prepared(self, tmp_path, config_path):
+        path = config_path(base_config())
+        meas, own = tmp_path / "meas.csv", tmp_path / "own.csv"
+        assert cli.main(["simulate", "--config", path, "--out", str(meas)]) == 0
+        assert cli.main(["dict", "--config", path, "--out", str(own)]) == 0
+        return path, meas, own
+
+    @staticmethod
+    def localize(tmp_path, path, meas, dict_csv=None):
+        """Exit code and output bytes (None if no output) of localize."""
+        out = tmp_path / "loc.json"
+        out.unlink(missing_ok=True)
+        extra = [] if dict_csv is None else ["--dict", str(dict_csv)]
+        rc = cli.main(["localize", "--config", path, "--measurement", str(meas), *extra,
+                       "--out", str(out)])
+        return rc, out.read_bytes() if out.exists() else None
+
+    @staticmethod
+    def edited(path, edit):
+        """A copy of the file at ``path`` with its lines passed through ``edit``."""
+        lines = path.read_text().splitlines()
+        edit(lines)
+        copy = path.with_name("edited.csv")
+        copy.write_text("\n".join(lines) + "\n")
+        return copy
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["antenna"].update(length_m=0.024),
+        lambda cfg: cfg["dispersion"].update(theta_max_deg=45.0),
+        lambda cfg: cfg["plan"].update(f_max_hz=65e9),
+    ], ids=["antenna-length", "scan-angle", "band"])
+    def test_dictionary_of_another_config_exits_2_naming_a_line(
+        self, tmp_path, config_path, capsys, edit
+    ):
+        path, meas, _ = self.prepared(tmp_path, config_path)
+        other = base_config()
+        edit(other)  # the same grid and M
+        foreign = tmp_path / "foreign.csv"
+        assert cli.main(["dict", "--config", config_path(other, "other.json"),
+                         "--out", str(foreign)]) == 0
+        capsys.readouterr()
+        assert self.localize(tmp_path, path, meas, foreign) == (2, None)
+        err = capsys.readouterr().err
+        assert re.fullmatch(fr"error: {re.escape(str(foreign))}: line \d+: expected (re|im)_\d+ = "
+                            r"\S+ \(from the config\), got \S+\n", err), err
+
+    def changed_cell(self, own):
+        """The file ``own`` with entry cell im_1 of line 5 moved by 1e-6, and that line."""
+        def move(lines):
+            cells = lines[4].split(",")
+            cells[9] = f"{float(cells[9]) + 1e-6:.9e}"
+            lines[4] = ",".join(cells)
+
+        lines = own.read_text().splitlines()
+        return self.edited(own, move), lines[4].split(",")[9]
+
+    def test_changed_entry_cell_exits_2_naming_line_and_column(
+        self, tmp_path, config_path, capsys
+    ):
+        path, meas, own = self.prepared(tmp_path, config_path)
+        changed, cell = self.changed_cell(own)
+        assert self.localize(tmp_path, path, meas, changed) == (2, None)
+        assert capsys.readouterr().err.startswith(
+            f"error: {changed}: line 5: expected im_1 = {float(cell):.10g} (from the config), "
+            f"got {float(cell) + 1e-6:.10g}")
+
+    @pytest.mark.parametrize("edit", [
+        None,
+        lambda lines: lines.insert(7, ""),
+        lambda lines: lines.__setitem__(3, lines[3].replace("e", "E")),
+    ], ids=["own", "blank-line", "respelled"])
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_files_of_the_same_cells_give_the_in_memory_output(
+        self, tmp_path, config_path, edit, crlf
+    ):
+        path, meas, own = self.prepared(tmp_path, config_path)
+        dict_csv = self.edited(own, edit or (lambda lines: None))
+        if crlf:
+            dict_csv.write_bytes(dict_csv.read_bytes().replace(b"\n", b"\r\n"))
+        assert (edit is None and not crlf) == (dict_csv.read_bytes() == own.read_bytes())
+        rc, out = self.localize(tmp_path, path, meas)
+        assert rc == 0
+        assert self.localize(tmp_path, path, meas, dict_csv) == (0, out)
+        assert self.localize(tmp_path, path, meas, own) == (0, out)
+
+    def test_grid_outside_the_beam_exits_3_with_or_without_dict(
+        self, tmp_path, config_path, capsys
+    ):
+        _, meas, own = self.prepared(tmp_path, config_path)
+        cfg = base_config(antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"] = {
+            "x_min_m": 0.0, "x_max_m": 50.0, "nx": 2,  # 89 deg off boresight at x = 50 m
+            "y_min_m": 0.0, "y_max_m": 0.0, "ny": 1,
+            "z_min_m": 1.0, "z_max_m": 1.0, "nz": 1,
+        }
+        path = config_path(cfg, "wide.json")
+        capsys.readouterr()
+        errors = []
+        for dict_csv in (None, own):
+            assert self.localize(tmp_path, path, meas, dict_csv) == (3, None)
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "grid index 1" in errors[0] and "(50.0, 0.0, 1.0)" in errors[0]
+
+    def test_fifo_of_the_own_dictionary_gives_the_in_memory_output(self, tmp_path, config_path):
+        path, meas, own = self.prepared(tmp_path, config_path)
+        rc, out = self.localize(tmp_path, path, meas)
+        assert rc == 0
+        got = through_fifo(tmp_path, own.read_bytes(),
+                                lambda fifo: self.localize(tmp_path, path, meas, fifo))
+        assert got == (0, out)
+
+    def test_fifo_with_a_changed_cell_exits_2_naming_the_line(
+        self, tmp_path, config_path, capsys
+    ):
+        path, meas, own = self.prepared(tmp_path, config_path)
+        changed, _ = self.changed_cell(own)
+        got = through_fifo(tmp_path, changed.read_bytes(),
+                                lambda fifo: self.localize(tmp_path, path, meas, fifo))
+        assert got == (2, None)
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'input.fifo'}: line 5: expected im_1 = ")
 
 
 class TestDictionaryBoundary:

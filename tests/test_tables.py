@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sweepsense import core
 from sweepsense.cli import measurement_to_csv, read_measurement_csv
 from sweepsense.core import (
     _WRITE_CELLS,
@@ -29,9 +29,7 @@ from sweepsense.core import (
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
-    Dictionary,
     PositionGrid,
-    _csv_header,
     build_dictionary,
     export_dictionary,
     import_dictionary,
@@ -39,6 +37,7 @@ from sweepsense.fingerprint import (
 from sweepsense.synth import AntennaModel
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
+READ_BYTES = 1 << 17  # 128 KB: the line-end and blank-line tests span several of these
 WIDTH = 7  # columns of the write_table block tests
 BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows write_table formats at once at that width
 MODEL8 = LinearSineDispersion.for_plan(PLAN8)
@@ -204,7 +203,7 @@ class TestWriteTableOracle:
 
 
 def loadtxt_read_table(path, header):
-    """read_table as np.loadtxt alone once read a file: the oracle of the numpy parse."""
+    """read_table as np.loadtxt alone reads a file: the reference the reader must match."""
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -292,7 +291,7 @@ def midpoint_decimals():
 def near_midpoint(text):
     """True where the decimal ``text`` lies within 2^-60 of it from a midpoint
     between the two doubles nearest to it."""
-    exact = abs(fractions.Fraction(text.decode() if isinstance(text, bytes) else text))
+    exact = abs(fractions.Fraction(text))
     x = abs(float(text))
     for y in (np.nextafter(x, 0.0), np.nextafter(x, np.inf)):
         if abs((fractions.Fraction(x) + fractions.Fraction(y)) / 2 - exact) < exact * 2.0**-60:
@@ -302,8 +301,8 @@ def near_midpoint(text):
 
 @pytest.fixture(scope="module")
 def wide_dictionary(tmp_path_factory):
-    """The dictionary file test_cli pins by digest: 9^3 grid, M=128, 12 cm antenna.
-    Its gain wings reach subnormal cells."""
+    """The file test_cli pins by digest, and its dictionary: 9^3 grid, M=128,
+    12 cm antenna."""
     plan = FrequencyPlan(60e9, 66e9, 128)
     grid = PositionGrid((-0.25, 0.25), (-0.25, 0.25), (2.75, 3.25), nx=9, ny=9, nz=9)
     d = build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan),
@@ -312,7 +311,7 @@ def wide_dictionary(tmp_path_factory):
     export_dictionary(d, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"
-    return path, grid
+    return path, d
 
 
 class TestReadTableOracle:
@@ -363,16 +362,13 @@ class TestReadTableOracle:
         assert np.signbit(body[0, 1]) and body[0, 1] == 0.0
         self.same(tmp_path, path.read_bytes())
 
-    def test_decimals_nearest_a_midpoint(self, tmp_path, monkeypatch):
+    def test_decimals_nearest_a_midpoint(self, tmp_path):
         cells = midpoint_decimals()
         assert len(cells) > 500
         assert all(near_midpoint(c) for c in cells[::50])
         text = "c\n" + "".join(f"{c}\n" for c in cells)
-        exact = []
-        monkeypatch.setattr(core, "_exact_cell", lambda t: exact.append(t) or float(t))
         shape, _ = self.same(tmp_path, text)
         assert shape == (len(cells), 1)
-        assert sorted(t.decode() for t in exact) == sorted(cells)  # every one read exactly
 
     def test_int_columns(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -388,12 +384,12 @@ class TestReadTableOracle:
 
     @pytest.fixture
     def blocks(self):
-        """The text of a table spanning about 5 read_table blocks."""
+        """The text of a table of about 640 KB."""
         rng = np.random.default_rng(23)
-        n = 5 * core._READ_BYTES // (16 * 9)
+        n = 5 * READ_BYTES // (16 * 9)
         table = rng.normal(size=(n, 9)) * 10.0 ** rng.integers(-320, 300, (n, 9))
         text = self.table_text(table)
-        assert len(text) > 4 * core._READ_BYTES
+        assert len(text) > 4 * READ_BYTES
         return text
 
     @pytest.mark.parametrize("edit", [
@@ -432,9 +428,9 @@ class TestReadTableOracle:
 
     def test_lines_longer_than_a_block(self, tmp_path):
         rng = np.random.default_rng(24)
-        wide = rng.normal(size=(3, 3 * core._READ_BYTES // 16))
+        wide = rng.normal(size=(3, 3 * READ_BYTES // 16))
         text = self.table_text(wide)
-        assert len(text.split("\n")[0]) > core._READ_BYTES
+        assert len(text.split("\n")[0]) > READ_BYTES
         shape, _ = self.same(tmp_path, text)
         assert shape == wide.shape
 
@@ -457,7 +453,7 @@ class TestReadTableOracle:
         lines[where] = lines[where][:20] + b"\xff" + lines[where][21:]
         self.same(tmp_path, b"\n".join(lines))
 
-    def test_bad_cell_blocks_in_named_from_its_block(self, tmp_path, blocks, monkeypatch):
+    def test_bad_cell_blocks_in_named_from_its_block(self, tmp_path, blocks):
         lines = blocks.split("\n")
         for at in (5, 6, len(lines) // 2):
             lines.insert(at, "")
@@ -465,15 +461,9 @@ class TestReadTableOracle:
         cells = lines[row].split(",")
         cells[4] = "nan"
         lines[row] = ",".join(cells)
-        text_blocks = []
-        read_as_text = core._text_block
-        monkeypatch.setattr(core, "_text_block",
-                            lambda *args: text_blocks.append(args[2]) or read_as_text(*args))
         got = self.same(tmp_path, "\n".join(lines))
         message = f"line {row + 1}: field 5 is not a finite number: 'nan'"
         assert got == ("ValueError", f"{tmp_path / 't.csv'}: {message}")
-        # the blocks with blank lines, and the block of the bad cell: not every line again
-        assert len(text_blocks) <= 3 and text_blocks[-1] <= row + 1
 
     @pytest.mark.parametrize("text", [
         "a,b\n", "a,b", "", "a,b\r\n\r\n", "a,b\r1,2\r", "a,b\r\n1,2", " a , b \n1,2\n",
@@ -482,21 +472,6 @@ class TestReadTableOracle:
     ])
     def test_small_files(self, tmp_path, text):
         self.same(tmp_path, text.encode("latin-1"), header="a,b")
-
-    def test_written_dictionary_takes_the_numpy_parse(self, wide_dictionary, monkeypatch):
-        # Guards the speed of the dictionary read: no block of the file on
-        # np.loadtxt, and only cells that need it read one at a time.
-        path, grid = wide_dictionary
-        exact = []
-        monkeypatch.setattr(core, "_exact_cell", lambda t: exact.append(bytes(t)) or float(t))
-        monkeypatch.setattr(core, "_text_block", None)
-        d = import_dictionary(path, grid, 128)
-        assert d.entries.shape == (9**3, 256)
-        assert exact and all(abs(float(t)) < 2.2250738585072014e-308 or near_midpoint(t)
-                             for t in exact)
-        monkeypatch.undo()
-        assert outcome(read_table, path, _csv_header(128)) == outcome(
-            loadtxt_read_table, path, _csv_header(128))
 
     def test_header_error_keeps_its_fields(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -605,13 +580,13 @@ class TestDictionaryImport:
         rewrite(path, reverse)
         with pytest.raises(ValueError, match="line 2: expected ix,iy,iz,x,y,z = 0,0,0,-0.2,0,2.5 "
                                              r"\(from the config\), got 2,0,1,0.2,0,3.5$"):
-            import_dictionary(path, GRID, 8)
+            import_dictionary(path, small_dictionary())
 
     def test_duplicated_row_rejected(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(4, lines[3]))
         with pytest.raises(ValueError, match="line 5: expected ix,iy,iz,x,y,z = 0,0,1,"):
-            import_dictionary(path, GRID, 8)
+            import_dictionary(path, small_dictionary())
 
     def test_position_off_grid_rejected(self, tmp_path):
         path = self.exported(tmp_path)
@@ -623,25 +598,31 @@ class TestDictionaryImport:
 
         rewrite(path, shift_x)
         with pytest.raises(ValueError, match="line 4: expected ix,iy,iz,x,y,z = 2,0,0,0.2,"):
-            import_dictionary(path, GRID, 8)
+            import_dictionary(path, small_dictionary())
 
     def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(2, "1000000000000" + lines[2][1:]))
         with pytest.raises(ValueError, match="line 3: expected ix,iy,iz,x,y,z = 1,0,0,"):
-            import_dictionary(path, GRID, 8)
+            import_dictionary(path, small_dictionary())
 
     def test_non_unit_row_named(self, tmp_path):
         path = self.exported(tmp_path)
+        cells = path.read_text().splitlines()[6].split(",")
 
         def scale(lines):
-            cells = lines[6].split(",")
-            cells[6:] = [f"{2 * float(c):.9e}" for c in cells[6:]]
-            lines[6] = ",".join(cells)
+            lines[6] = ",".join(cells[:6] + [f"{2 * float(c):.9e}" for c in cells[6:]])
 
         rewrite(path, scale)
-        with pytest.raises(ValueError, match="line 7: dictionary halves are not unit-norm"):
-            import_dictionary(path, GRID, 8)
+        with pytest.raises(ValueError) as err:
+            import_dictionary(path, small_dictionary())
+        # the first cell whose change is beyond the print tolerance, of all 32 that doubled
+        found = re.fullmatch(fr"{path}: line 7: expected ((re|im)_(\d+)) = (\S+) "
+                             r"\(from the config\), got (\S+)", str(err.value))
+        name, _, q, want, got = found.groups()
+        col = 2 * int(q) + name.startswith("im")
+        assert float(want) == pytest.approx(float(cells[6 + col]), rel=1e-9)
+        assert float(got) == pytest.approx(2 * float(want), rel=1e-9)
 
     @pytest.mark.parametrize("grid, match", [
         # the same size and order, positions on another box: named at its first row
@@ -655,55 +636,83 @@ class TestDictionaryImport:
     def test_other_grid_rejected(self, tmp_path, grid, match):
         path = self.exported(tmp_path)
         with pytest.raises(ValueError, match=match):
-            import_dictionary(path, grid, 8)
+            import_dictionary(path, build_dictionary(grid, PLAN8, MODEL8, ANT))
 
     def test_other_point_count_names_both(self, tmp_path):
         path = self.exported(tmp_path)
+        plan = FrequencyPlan(60e9, 66e9, 4)
+        d = build_dictionary(GRID, plan, LinearSineDispersion.for_plan(plan), ANT)
         with pytest.raises(ValueError, match=f"^{path}: line 1: has 8 frequency points but the "
                                              "plan expects 4$"):
-            import_dictionary(path, GRID, 4)
+            import_dictionary(path, d)
 
     def test_malformed_header_named(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(0, lines[0].replace("re_3", "re_x")))
         with pytest.raises(HeaderError, match=f"^{path}: line 1: expected header 'ix,iy,iz,"):
-            import_dictionary(path, GRID, 8)
+            import_dictionary(path, small_dictionary())
 
     def test_import_holds_no_second_copy(self, wide_dictionary):
-        path, grid = wide_dictionary
-        import_dictionary(path, grid, 128)  # tables built on first use are not counted
+        # A file of the dictionary's own bytes is compared as it is printed,
+        # a block at a time: neither its table nor a copy of the entries is held.
+        path, d = wide_dictionary
+        import_dictionary(path, d)  # tables built on first use are not counted
         tracemalloc.start()
         try:
-            d = import_dictionary(path, grid, 128)
+            import_dictionary(path, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        body_bytes = 9**3 * (6 + 4 * 128) * 8
-        assert d.entries.base is not None  # a view of the body read
-        assert peak < 1.25 * body_bytes
+        table_bytes = 9**3 * (6 + 4 * 128) * 8
+        assert peak < d.entries.nbytes / 4 < table_bytes / 4  # bounded by a block of rows
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.exported(tmp_path)
-        text = path.read_text()
         rewrite(path, lambda lines: lines.insert(3, ""))
-        assert export_dictionary(import_dictionary(path, GRID, 8), None) == text
+        import_dictionary(path, small_dictionary())
+
+    @pytest.mark.parametrize("spell", [
+        lambda c: c.replace("e", "E"),
+        lambda c: f" {c} ",
+        lambda c: repr(float(c)),
+    ], ids=["upper-e", "spaces", "repr"])
+    def test_same_value_spelled_otherwise_passes(self, tmp_path, spell):
+        path = self.exported(tmp_path)
+
+        def respell(lines):
+            cells = lines[3].split(",")
+            cells[8] = spell(cells[8])
+            lines[3] = ",".join(cells)
+
+        rewrite(path, respell)
+        import_dictionary(path, small_dictionary())
+
+    def test_missing_last_line_end_or_extra_bytes_take_the_full_check(self, tmp_path):
+        path = self.exported(tmp_path)
+        text = path.read_bytes()
+        path.write_bytes(text.rstrip(b"\n"))
+        import_dictionary(path, small_dictionary())
+        path.write_bytes(text + b"0,0,0,0,0,0" + b",0" * 32 + b"\n")
+        with pytest.raises(ValueError, match="has 7 data rows but the config expects 6"):
+            import_dictionary(path, small_dictionary())
 
 
 @st.composite
 def dictionaries(draw):
+    """Dictionaries of small physical configs: grids within 45 deg of boresight,
+    antennas short enough that every grid point stays in the beam."""
     def axis(lo, hi):
         a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
         return (a, b)
 
     grid = PositionGrid(
-        axis(-2.0, 2.0), axis(-2.0, 2.0), axis(0.1, 5.0),
+        axis(-1.0, 1.0), axis(-1.0, 1.0), axis(1.0, 4.0),
         nx=draw(st.integers(1, 3)), ny=draw(st.integers(1, 3)), nz=draw(st.integers(1, 3)),
     )
-    m = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    raw = rng.normal(size=(grid.size, 2, m)) + 1j * rng.normal(size=(grid.size, 2, m))
-    entries = (raw / np.linalg.norm(raw, axis=2, keepdims=True)).reshape(grid.size, 2 * m)
-    return Dictionary(grid, entries)
+    plan = FrequencyPlan(60e9, draw(st.floats(60.5e9, 66e9)), draw(st.integers(1, 8)))
+    model = LinearSineDispersion.for_plan(plan, math.radians(draw(st.floats(10.0, 70.0))))
+    antenna = AntennaModel(draw(st.floats(0.003, 0.03)), draw(st.booleans()))
+    return build_dictionary(grid, plan, model, antenna)
 
 
 @st.composite
@@ -736,9 +745,10 @@ class TestRoundTripProperties:
     def test_dictionary_emit_import_emit(self, tmp_path, d):
         path = tmp_path / "dict.csv"
         export_dictionary(d, path)
-        text = path.read_text()
-        assert export_dictionary(d, None) == text
-        assert export_dictionary(import_dictionary(path, d.grid, d.n_points), None) == text
+        assert export_dictionary(d, None) == path.read_text()
+        import_dictionary(path, d)  # the bytes it prints
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        import_dictionary(path, d)  # the cells it prints, read back
 
     @PROPERTY
     @given(d=dictionaries(), data=st.data())
@@ -747,7 +757,7 @@ class TestRoundTripProperties:
         path = tmp_path / "dict.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {lineno}: field"):
-            import_dictionary(path, d.grid, d.n_points)
+            import_dictionary(path, d)
 
     @PROPERTY
     @given(meas=measurements())
