@@ -15,7 +15,7 @@ bundled defaults are known to disagree, so both numbers are always shown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from sweepsense.core import SPEED_OF_LIGHT
 
@@ -90,11 +90,11 @@ class ArchitectureSpec:
 
     name: str
     rf_chains: int
-    physical_size: float  # m
-    bandwidth: float  # Hz, total
+    physical_size_m: float
+    bandwidth_hz: float  # total
     n_samples: int
     aperture_kind: str  # "virtual" or "physical"
-    f_ref: float  # Hz, reference for wavelength
+    f_ref_hz: float  # reference for wavelength
     power_mw: float
     cost_usd: float
     fov_deg: float
@@ -105,7 +105,7 @@ class ArchitectureSpec:
     def __post_init__(self) -> None:
         if self.rf_chains < 1:
             raise ValueError("rf_chains must be >= 1")
-        if self.physical_size <= 0.0 or self.bandwidth <= 0.0 or self.f_ref <= 0.0:
+        if self.physical_size_m <= 0.0 or self.bandwidth_hz <= 0.0 or self.f_ref_hz <= 0.0:
             raise ValueError("physical_size, bandwidth and f_ref must be positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -121,17 +121,18 @@ class ArchitectureSpec:
 
 @dataclass(frozen=True)
 class ArchitectureRow:
-    """All derived metrics for one architecture at the query range."""
+    """All derived metrics for one architecture at the query range; a field
+    named as an ArchitectureSpec field is that spec's value."""
 
     name: str
     rf_chains: int
-    physical_size: float
+    physical_size_m: float
     aperture_kind: str
-    range_resolution: float  # m
-    effective_aperture: float  # m
-    angular_resolution: float  # rad
+    range_resolution_m: float
+    effective_aperture_m: float
+    angular_resolution_rad: float
     angular_resolution_deg: float
-    cell_volume: float  # m^3 at the query range
+    cell_volume_m3: float  # at the query range
     eta_computed: float
     eta_reference: float | None
     eta_consistent: bool | None
@@ -145,47 +146,22 @@ class ArchitectureRow:
 class ComparisonReport:
     """Per-architecture rows plus pairwise efficiency ratios."""
 
-    r_query: float
+    r_query_m: float
     rows: tuple[ArchitectureRow, ...]
     eta_ratios_computed: dict[str, float]
     eta_ratios_reference: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "r_query_m": self.r_query,
-            "rows": [
-                {
-                    "name": row.name,
-                    "rf_chains": row.rf_chains,
-                    "physical_size_m": row.physical_size,
-                    "aperture_kind": row.aperture_kind,
-                    "range_resolution_m": row.range_resolution,
-                    "effective_aperture_m": row.effective_aperture,
-                    "angular_resolution_rad": row.angular_resolution,
-                    "angular_resolution_deg": row.angular_resolution_deg,
-                    "cell_volume_m3": row.cell_volume,
-                    "eta_computed": row.eta_computed,
-                    "eta_reference": row.eta_reference,
-                    "eta_consistent": row.eta_consistent,
-                    "power_mw": row.power_mw,
-                    "cost_usd": row.cost_usd,
-                    "observability": row.observability,
-                    "noise_rejection": row.noise_rejection,
-                }
-                for row in self.rows
-            ],
-            "eta_ratios_computed": dict(self.eta_ratios_computed),
-            "eta_ratios_reference": dict(self.eta_ratios_reference),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         cols = [
             ("architecture", lambda r: r.name),
             ("chains", lambda r: str(r.rf_chains)),
-            ("dR_cm", lambda r: f"{r.range_resolution * 100.0:.3f}"),
-            ("D_eff_mm", lambda r: f"{r.effective_aperture * 1000.0:.1f}"),
+            ("dR_cm", lambda r: f"{r.range_resolution_m * 100.0:.3f}"),
+            ("D_eff_mm", lambda r: f"{r.effective_aperture_m * 1000.0:.1f}"),
             ("theta_deg", lambda r: f"{r.angular_resolution_deg:.4f}"),
-            ("cell_m3", lambda r: f"{r.cell_volume:.3e}"),
+            ("cell_m3", lambda r: f"{r.cell_volume_m3:.3e}"),
             ("eta_calc", lambda r: f"{r.eta_computed:.1f}"),
             ("eta_ref", lambda r: "-" if r.eta_reference is None
              else f"{r.eta_reference:.0f}"),
@@ -222,41 +198,33 @@ class ComparisonReport:
 
 
 def _architecture_row(spec: ArchitectureSpec, r_query: float) -> ArchitectureRow:
-    delta_r = range_resolution(spec.bandwidth)
+    delta_r = range_resolution(spec.bandwidth_hz)
     if spec.aperture_kind == APERTURE_VIRTUAL:
-        aperture = effective_aperture(spec.n_samples, spec.f_ref)
-        theta = angular_resolution_virtual(spec.f_ref, aperture)
+        aperture = effective_aperture(spec.n_samples, spec.f_ref_hz)
+        theta = angular_resolution_virtual(spec.f_ref_hz, aperture)
         # Both orthogonal scan planes are resolved at theta.
         cell = resolution_cell_volume(theta, theta, delta_r, r_query)
     else:
-        aperture = spec.physical_size
-        theta = angular_resolution_mimo(spec.f_ref, spec.physical_size)
+        aperture = spec.physical_size_m
+        theta = angular_resolution_mimo(spec.f_ref_hz, spec.physical_size_m)
         # A linear array resolves one plane; the other is only FoV-limited.
         unresolved = 2.0 * r_query * math.tan(math.radians(spec.fov_deg))
         cell = (theta * r_query) * unresolved * delta_r
-    eta_c = efficiency(theta, spec.rf_chains, spec.physical_size)
+    eta_c = efficiency(theta, spec.rf_chains, spec.physical_size_m)
     consistent: bool | None = None
     if spec.eta_reference is not None:
         consistent = abs(eta_c - spec.eta_reference) <= ETA_CONSISTENCY_TOL * abs(
             spec.eta_reference
         )
     return ArchitectureRow(
-        name=spec.name,
-        rf_chains=spec.rf_chains,
-        physical_size=spec.physical_size,
-        aperture_kind=spec.aperture_kind,
-        range_resolution=delta_r,
-        effective_aperture=aperture,
-        angular_resolution=theta,
+        **{f.name: getattr(spec, f.name) for f in fields(ArchitectureRow) if hasattr(spec, f.name)},
+        range_resolution_m=delta_r,
+        effective_aperture_m=aperture,
+        angular_resolution_rad=theta,
         angular_resolution_deg=math.degrees(theta),
-        cell_volume=cell,
+        cell_volume_m3=cell,
         eta_computed=eta_c,
-        eta_reference=spec.eta_reference,
         eta_consistent=consistent,
-        power_mw=spec.power_mw,
-        cost_usd=spec.cost_usd,
-        observability=spec.observability,
-        noise_rejection=spec.noise_rejection,
     )
 
 
@@ -278,7 +246,7 @@ def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonRe
             if a.eta_reference is not None and b.eta_reference is not None:
                 ratios_r[key] = a.eta_reference / b.eta_reference
     return ComparisonReport(
-        r_query=r_query,
+        r_query_m=r_query,
         rows=rows,
         eta_ratios_computed=ratios_c,
         eta_ratios_reference=ratios_r,
@@ -291,11 +259,11 @@ def default_architectures() -> tuple[ArchitectureSpec, ...]:
         ArchitectureSpec(
             name="FaA-Single",
             rf_chains=1,
-            physical_size=0.12,
-            bandwidth=6e9,
+            physical_size_m=0.12,
+            bandwidth_hz=6e9,
             n_samples=128,
             aperture_kind=APERTURE_VIRTUAL,
-            f_ref=63e9,
+            f_ref_hz=63e9,
             power_mw=850.0,
             cost_usd=55.0,
             fov_deg=60.0,
@@ -306,11 +274,11 @@ def default_architectures() -> tuple[ArchitectureSpec, ...]:
         ArchitectureSpec(
             name="FaA-Dual",
             rf_chains=2,
-            physical_size=0.12,
-            bandwidth=6e9,
+            physical_size_m=0.12,
+            bandwidth_hz=6e9,
             n_samples=64,
             aperture_kind=APERTURE_VIRTUAL,
-            f_ref=63e9,
+            f_ref_hz=63e9,
             power_mw=1400.0,
             cost_usd=90.0,
             fov_deg=60.0,
@@ -321,11 +289,11 @@ def default_architectures() -> tuple[ArchitectureSpec, ...]:
         ArchitectureSpec(
             name="1T3R-MIMO",
             rf_chains=4,
-            physical_size=0.12,
-            bandwidth=6e9,
+            physical_size_m=0.12,
+            bandwidth_hz=6e9,
             n_samples=4,
             aperture_kind=APERTURE_PHYSICAL,
-            f_ref=60e9,
+            f_ref_hz=60e9,
             power_mw=1600.0,
             cost_usd=100.0,
             fov_deg=60.0,

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -212,35 +212,33 @@ def parse_grid(sec) -> PositionGrid:
     )
 
 
-# config key -> (ArchitectureSpec field, kind)
-_ARCH_FIELDS = {
-    "name": ("name", str),
-    "rf_chains": ("rf_chains", int),
-    "physical_size_m": ("physical_size", float),
-    "bandwidth_hz": ("bandwidth", float),
-    "n_samples": ("n_samples", int),
-    "aperture_kind": ("aperture_kind", str),
-    "f_ref_hz": ("f_ref", float),
-    "power_mw": ("power_mw", float),
-    "cost_usd": ("cost_usd", float),
-    "fov_deg": ("fov_deg", float),
-    "eta_reference": ("eta_reference", float),
-    "observability": ("observability", str),
-    "noise_rejection": ("noise_rejection", str),
+# ArchitectureSpec field (its config key) -> kind
+_ARCH_KINDS = {
+    "name": str,
+    "rf_chains": int,
+    "physical_size_m": float,
+    "bandwidth_hz": float,
+    "n_samples": int,
+    "aperture_kind": str,
+    "f_ref_hz": float,
+    "power_mw": float,
+    "cost_usd": float,
+    "fov_deg": float,
+    "eta_reference": float,
+    "observability": str,
+    "noise_rejection": str,
 }
-_ARCH_KINDS = {key: kind for key, (_, kind) in _ARCH_FIELDS.items()}
-_ARCH_OPTIONAL = {"eta_reference", "observability", "noise_rejection"}
 
 
 def parse_architectures(sec) -> list[archcomp.ArchitectureSpec]:
     if not isinstance(sec, list) or not sec:
         raise ConfigError("architectures: must be a non-empty list")
+    optional = {f.name for f in fields(archcomp.ArchitectureSpec) if f.default is not MISSING}
     specs = []
     for i, entry in enumerate(sec):
         name = f"architectures[{i}]"
-        v = _read(name, entry, _ARCH_KINDS, optional=_ARCH_OPTIONAL)
-        fields = {_ARCH_FIELDS[key][0]: value for key, value in v.items()}
-        specs.append(_build(name, archcomp.ArchitectureSpec, **fields))
+        v = _read(name, entry, _ARCH_KINDS, optional)
+        specs.append(_build(name, archcomp.ArchitectureSpec, **v))
     return specs
 
 

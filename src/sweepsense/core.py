@@ -415,8 +415,9 @@ def read_table(path, header: str, fh=None) -> np.ndarray:
         raise HeaderError(path, header, fields)
     if not body.size:
         raise ValueError(f"{path}: no data rows after line 1")
-    if body.shape[1] != len(fields) or not np.isfinite(body).all():
-        raise _first_bad_line(path, len(fields), fh)
+    bad = (body.shape[1] != len(fields)) | ~np.isfinite(body).all(axis=1)
+    if bad.any():  # a wrong width marks every row; the rows before the first bad one are good
+        raise _first_bad_line(path, len(fields), fh, start=int(np.argmax(bad)))
     return body
 
 
@@ -471,8 +472,8 @@ def _body_lines(path, fh=None):
     return ((n, line) for n, line in _lines(path, fh) if n > 1 and line)
 
 
-def _first_bad_line(path, n_fields: int, fh) -> ValueError:
-    """The error for the first line read_table rejects; rescans the file."""
+def _first_bad_line(path, n_fields: int, fh, start: int = 0) -> ValueError:
+    """The error for the first line read_table rejects; rescans from body row ``start``."""
 
     def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
         try:
@@ -482,7 +483,7 @@ def _first_bad_line(path, n_fields: int, fh) -> ValueError:
         return values.size > 0 and bool(np.isfinite(values).all())
 
     try:
-        for lineno, line in _body_lines(path, fh):
+        for lineno, line in itertools.islice(_body_lines(path, fh), start, None):
             cells = line.split(",")
             if len(cells) != n_fields:
                 message = f"expected {n_fields} fields, got {len(cells)}"

@@ -360,16 +360,20 @@ def export_dictionary(dictionary: Dictionary, path) -> str | None:
     return write_table(path, _csv_header(dictionary.n_points), groups, n_int=3)
 
 
+class _Mismatch(Exception):
+    """What _Compare raises at the first text that differs from the file."""
+
+
 class _Compare:
     """A text sink that compares what is written with the next bytes of ``fh``."""
 
     def __init__(self, fh):
-        self.fh, self.same = fh, True
+        self.fh = fh
 
     def write(self, text: str) -> None:
-        if self.same:
-            data = text.encode("ascii")
-            self.same = self.fh.read(len(data)) == data
+        data = text.encode("ascii")
+        if self.fh.read(len(data)) != data:
+            raise _Mismatch
 
 
 def import_dictionary(path, dictionary: Dictionary) -> None:
@@ -384,10 +388,12 @@ def import_dictionary(path, dictionary: Dictionary) -> None:
     """
     header = _csv_header(dictionary.n_points)
     with open_bytes(path) as fh:
-        sink = _Compare(fh)
-        export_dictionary(dictionary, sink)
-        if sink.same and not fh.read(1):
-            return
+        try:
+            export_dictionary(dictionary, _Compare(fh))  # stops at the first differing block
+            if not fh.read(1):
+                return
+        except _Mismatch:
+            pass
         try:
             body = read_table(path, header, fh)
         except HeaderError as exc:

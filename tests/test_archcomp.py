@@ -133,17 +133,17 @@ class TestCompare:
         report = compare(list(default_architectures()))
         assert [r.name for r in report.rows] == ["FaA-Single", "FaA-Dual", "1T3R-MIMO"]
         single, dual, mimo = report.rows
-        assert single.range_resolution == pytest.approx(0.024982704833, rel=1e-9)
-        assert single.effective_aperture == pytest.approx(0.30455106844, rel=1e-9)
+        assert single.range_resolution_m == pytest.approx(0.024982704833, rel=1e-9)
+        assert single.effective_aperture_m == pytest.approx(0.30455106844, rel=1e-9)
         assert single.angular_resolution_deg == pytest.approx(0.8952465549, rel=1e-9)
         assert single.eta_computed == pytest.approx(533.3333333, rel=1e-9)
         assert single.eta_reference == 926.0
         assert single.eta_consistent is False
         assert single.power_mw == 850.0 and single.cost_usd == 55.0
-        assert dual.effective_aperture == pytest.approx(0.15227553422, rel=1e-9)
+        assert dual.effective_aperture_m == pytest.approx(0.15227553422, rel=1e-9)
         assert dual.angular_resolution_deg == pytest.approx(1.7904931098, rel=1e-9)
         assert mimo.angular_resolution_deg == pytest.approx(1.377368706, rel=1e-9)
-        assert mimo.effective_aperture == 0.12
+        assert mimo.effective_aperture_m == 0.12
 
     def test_mimo_cell_uses_fov_limited_axis(self):
         report = compare(list(default_architectures()), r_query=3.0)
@@ -152,8 +152,8 @@ class TestCompare:
         expected = (theta * 3.0) * (2 * 3.0 * math.tan(math.radians(60.0))) * (
             range_resolution(6e9)
         )
-        assert mimo.cell_volume == pytest.approx(expected, rel=1e-12)
-        assert mimo.cell_volume == pytest.approx(1.872406622e-02, rel=1e-9)
+        assert mimo.cell_volume_m3 == pytest.approx(expected, rel=1e-12)
+        assert mimo.cell_volume_m3 == pytest.approx(1.872406622e-02, rel=1e-9)
 
     def test_reference_ratios(self):
         report = compare(list(default_architectures()))
@@ -173,14 +173,14 @@ class TestCompare:
     def test_rows_recomputable_from_operations(self):
         spec = default_architectures()[0]
         row = compare([spec]).rows[0]
-        d = effective_aperture(spec.n_samples, spec.f_ref)
-        theta = angular_resolution_virtual(spec.f_ref, d)
-        assert row.angular_resolution == pytest.approx(theta, rel=1e-12)
+        d = effective_aperture(spec.n_samples, spec.f_ref_hz)
+        theta = angular_resolution_virtual(spec.f_ref_hz, d)
+        assert row.angular_resolution_rad == pytest.approx(theta, rel=1e-12)
         assert row.eta_computed == pytest.approx(
-            efficiency(theta, spec.rf_chains, spec.physical_size), rel=1e-12
+            efficiency(theta, spec.rf_chains, spec.physical_size_m), rel=1e-12
         )
-        assert row.cell_volume == pytest.approx(
-            resolution_cell_volume(theta, theta, range_resolution(spec.bandwidth), 3.0),
+        assert row.cell_volume_m3 == pytest.approx(
+            resolution_cell_volume(theta, theta, range_resolution(spec.bandwidth_hz), 3.0),
             rel=1e-12,
         )
 
@@ -188,11 +188,11 @@ class TestCompare:
         spec = ArchitectureSpec(
             name="bare",
             rf_chains=1,
-            physical_size=0.12,
-            bandwidth=6e9,
+            physical_size_m=0.12,
+            bandwidth_hz=6e9,
             n_samples=16,
             aperture_kind="virtual",
-            f_ref=63e9,
+            f_ref_hz=63e9,
             power_mw=100.0,
             cost_usd=10.0,
             fov_deg=60.0,
@@ -227,11 +227,11 @@ class TestCompare:
             ArchitectureSpec(
                 name="bad",
                 rf_chains=0,
-                physical_size=0.12,
-                bandwidth=6e9,
+                physical_size_m=0.12,
+                bandwidth_hz=6e9,
                 n_samples=4,
                 aperture_kind="virtual",
-                f_ref=63e9,
+                f_ref_hz=63e9,
                 power_mw=1.0,
                 cost_usd=1.0,
                 fov_deg=60.0,

@@ -375,6 +375,17 @@ class TestCompare:
         assert all(r["cell_volume_m3"] > 0 for r in payload["rows"])
         assert "FaA-Single" in capsys.readouterr().out
 
+    def test_report_bytes_are_pinned(self, tmp_path, config_path, capsys):
+        # A change to a report key, a closed form or the text table moves these digests.
+        out = tmp_path / "report.json"
+        assert cli.main(["compare", "--config", config_path(base_config()), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8c4fcf9a799b45b3ac8cf7f01e59f3afd285208a0e5efb4f72276e6ca9520683"
+        )
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "7068494cdb1063b4ad1424458beadd4ae18832eb5e3fccaabc890aeb1bbffb99"
+        )
+
     def test_json_on_stdout_leaves_the_text_to_stderr(self, tmp_path, config_path, capsys):
         path = config_path(base_config())
         assert cli.main(["compare", "--config", path, "--out", "-"]) == 0
@@ -919,8 +930,8 @@ class TestConfigReader:
         )
         specs = cli.parse_architectures(cfg["architectures"])
         assert specs[0] == ArchitectureSpec(
-            name="FaA-Single", rf_chains=1, physical_size=0.12, bandwidth=6e9,
-            n_samples=128, aperture_kind="virtual", f_ref=63e9, power_mw=850.0,
+            name="FaA-Single", rf_chains=1, physical_size_m=0.12, bandwidth_hz=6e9,
+            n_samples=128, aperture_kind="virtual", f_ref_hz=63e9, power_mw=850.0,
             cost_usd=55.0, fov_deg=60.0, eta_reference=926.0, observability="Low",
             noise_rejection="Medium",
         )

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sweepsense import core
 from sweepsense.cli import measurement_to_csv, read_measurement_csv
 from sweepsense.core import (
     _WRITE_CELLS,
@@ -481,6 +482,24 @@ class TestReadTableOracle:
         assert err.value.fields == ["a", "c"]
 
 
+@pytest.fixture(scope="module")
+def dictionary_32(tmp_path_factory):
+    """A 9^3 x 32 dictionary and the file it exports to."""
+    plan = FrequencyPlan(60e9, 66e9, 32)
+    grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
+    d = build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan), AntennaModel(0.012))
+    path = tmp_path_factory.mktemp("dictionary_32") / "dict.csv"
+    export_dictionary(d, path)
+    return path, d
+
+
+def counting(monkeypatch, owner, name) -> list:
+    """A list that grows by one at each call of ``owner.name`` for the rest of the test."""
+    calls, func = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or func(*a, **k))
+    return calls
+
+
 class TestReadTable:
     def write(self, tmp_path, text):
         path = tmp_path / "t.csv"
@@ -517,6 +536,19 @@ class TestReadTable:
         path = self.write(tmp_path, text)
         with pytest.raises(ValueError, match=f"{path}: {match}"):
             read_table(path, text.split("\n")[0])
+
+    def test_non_finite_cell_rescans_only_its_line(self, tmp_path, dictionary_32, monkeypatch):
+        # np.loadtxt read the rows before the bad one, so naming it takes one
+        # loadtxt of its line and one per cell up to the bad one.
+        text = dictionary_32[0].read_text()
+        path = self.write(tmp_path, text[: text.rindex(",") + 1] + "nan\n")
+        header = text[: text.index("\n")]
+        n_fields = header.count(",") + 1
+        calls = counting(monkeypatch, core.np, "loadtxt")
+        message = f"line 730: field {n_fields} is not a finite number: 'nan'"
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            read_table(path, header)
+        assert len(calls) <= n_fields + 2
 
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
@@ -665,6 +697,20 @@ class TestDictionaryImport:
             tracemalloc.stop()
         table_bytes = 9**3 * (6 + 4 * 128) * 8
         assert peak < d.entries.nbytes / 4 < table_bytes / 4  # bounded by a block of rows
+
+    def test_comparison_stops_at_the_first_differing_block(self, tmp_path, dictionary_32,
+                                                            monkeypatch):
+        source, d = dictionary_32
+        calls = counting(monkeypatch, core, "_format_block")
+        import_dictionary(source, d)
+        assert len(calls) == -(-d.size // (core._WRITE_CELLS // (6 + 4 * d.n_points)))
+        # With CRLF line ends the header line already differs: no block is
+        # printed, and the file is still accepted.
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+        calls.clear()
+        import_dictionary(path, d)
+        assert calls == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.exported(tmp_path)
