@@ -29,9 +29,13 @@ APERTURE_PHYSICAL = "physical"
 ETA_CONSISTENCY_TOL = 0.01
 
 
+class NonFiniteMetricError(ValueError):
+    """A metric or efficiency ratio that compare derives is not a finite number."""
+
+
 def range_resolution(bandwidth: float) -> float:
     """Range resolution c / (2 B) in meters."""
-    if bandwidth <= 0.0:
+    if not 0.0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive")
     return SPEED_OF_LIGHT / (2.0 * bandwidth)
 
@@ -40,7 +44,7 @@ def effective_aperture(n_samples: int, f_ref: float) -> float:
     """Synthesized aperture length n * lambda/2 at the reference frequency."""
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
-    if f_ref <= 0.0:
+    if not 0.0 < f_ref < math.inf:
         raise ValueError("reference frequency must be positive")
     return n_samples * (SPEED_OF_LIGHT / f_ref) / 2.0
 
@@ -51,13 +55,13 @@ def angular_resolution_virtual(f_ref: float, aperture: float) -> float:
     With D = effective_aperture(n, f_ref) this reduces to exactly 2 / n,
     independent of the reference frequency.
     """
-    if aperture <= 0.0:
+    if not 0.0 < aperture < math.inf:
         raise ValueError("aperture must be positive")
     return (SPEED_OF_LIGHT / f_ref) / aperture
 
 def angular_resolution_mimo(f_ref: float, length: float) -> float:
     """Effective beamwidth lambda / (L sqrt(3)) of a coherently combined array."""
-    if length <= 0.0:
+    if not 0.0 < length < math.inf:
         raise ValueError("array length must be positive")
     return (SPEED_OF_LIGHT / f_ref) / (length * _SQRT3)
 
@@ -66,14 +70,14 @@ def resolution_cell_volume(
     theta_az: float, theta_el: float, delta_r: float, r_query: float
 ) -> float:
     """Volume of one 3-D resolution cell at range r_query."""
-    if min(theta_az, theta_el, delta_r, r_query) <= 0.0:
+    if not all(0.0 < x < math.inf for x in (theta_az, theta_el, delta_r, r_query)):
         raise ValueError("cell factors must all be positive")
     return (theta_az * r_query) * (theta_el * r_query) * delta_r
 
 
 def efficiency(theta_res: float, chains: int, length: float) -> float:
     """Architectural efficiency (1/theta) / (chains * L), in 1/(m rad)."""
-    if theta_res <= 0.0 or chains <= 0 or length <= 0.0:
+    if not (0.0 < theta_res < math.inf and chains > 0 and 0.0 < length < math.inf):
         raise ValueError("efficiency inputs must all be positive")
     return (1.0 / theta_res) / (chains * length)
 
@@ -105,8 +109,10 @@ class ArchitectureSpec:
     def __post_init__(self) -> None:
         if self.rf_chains < 1:
             raise ValueError("rf_chains must be >= 1")
-        if self.physical_size_m <= 0.0 or self.bandwidth_hz <= 0.0 or self.f_ref_hz <= 0.0:
-            raise ValueError("physical_size, bandwidth and f_ref must be positive")
+        if not all(0.0 < x < math.inf
+                   for x in (self.physical_size_m, self.bandwidth_hz, self.f_ref_hz)):
+            raise ValueError(
+                "physical_size_m, bandwidth_hz and f_ref_hz must be finite and positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.aperture_kind not in (APERTURE_VIRTUAL, APERTURE_PHYSICAL):
@@ -117,6 +123,8 @@ class ArchitectureSpec:
             raise ValueError("fov_deg must lie in (0, 90)")
         if self.eta_reference is not None and not self.eta_reference > 0.0:
             raise ValueError("eta_reference must be > 0")
+        if not all(map(math.isfinite, (self.power_mw, self.cost_usd, self.eta_reference or 0.0))):
+            raise ValueError("power_mw, cost_usd and eta_reference must be finite")
 
 
 @dataclass(frozen=True)
@@ -197,11 +205,20 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _architecture_row(spec: ArchitectureSpec, r_query: float) -> ArchitectureRow:
-    delta_r = range_resolution(spec.bandwidth_hz)
+def _finite(where: str, key: str, value: float) -> float:
+    """``value``, or NonFiniteMetricError naming ``where`` and ``key`` if it is not finite."""
+    if not math.isfinite(value):
+        raise NonFiniteMetricError(f"{where} {key} is {value}, not a finite number")
+    return value
+
+
+def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> ArchitectureRow:
+    # Each derived field is checked, in field order, before a closed form is given it.
+    delta_r = _finite(where, "range_resolution_m", range_resolution(spec.bandwidth_hz))
     if spec.aperture_kind == APERTURE_VIRTUAL:
-        aperture = effective_aperture(spec.n_samples, spec.f_ref_hz)
-        theta = angular_resolution_virtual(spec.f_ref_hz, aperture)
+        aperture = _finite(where, "effective_aperture_m",
+                           effective_aperture(spec.n_samples, spec.f_ref_hz))
+        theta = angular_resolution_virtual(spec.f_ref_hz, aperture)  # finite: about 2 / n
         # Both orthogonal scan planes are resolved at theta.
         cell = resolution_cell_volume(theta, theta, delta_r, r_query)
     else:
@@ -210,7 +227,10 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float) -> ArchitectureRow
         # A linear array resolves one plane; the other is only FoV-limited.
         unresolved = 2.0 * r_query * math.tan(math.radians(spec.fov_deg))
         cell = (theta * r_query) * unresolved * delta_r
-    eta_c = efficiency(theta, spec.rf_chains, spec.physical_size_m)
+    _finite(where, "angular_resolution_rad", theta)
+    theta_deg = _finite(where, "angular_resolution_deg", math.degrees(theta))
+    _finite(where, "cell_volume_m3", cell)
+    eta_c = _finite(where, "eta_computed", efficiency(theta, spec.rf_chains, spec.physical_size_m))
     consistent: bool | None = None
     if spec.eta_reference is not None:
         consistent = abs(eta_c - spec.eta_reference) <= ETA_CONSISTENCY_TOL * abs(
@@ -221,7 +241,7 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float) -> ArchitectureRow
         range_resolution_m=delta_r,
         effective_aperture_m=aperture,
         angular_resolution_rad=theta,
-        angular_resolution_deg=math.degrees(theta),
+        angular_resolution_deg=theta_deg,
         cell_volume_m3=cell,
         eta_computed=eta_c,
         eta_consistent=consistent,
@@ -229,12 +249,14 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float) -> ArchitectureRow
 
 
 def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonReport:
-    """Derive every metric row plus pairwise efficiency ratios."""
+    """Derive every metric row plus pairwise efficiency ratios; NonFiniteMetricError
+    names the first of them that is not finite, and a spec by its index in ``specs``."""
     if not specs:
         raise ValueError("need at least one architecture spec")
     if not 0.0 < r_query < math.inf:
         raise ValueError(f"query range must be finite and positive, got {r_query}")
-    rows = tuple(_architecture_row(spec, r_query) for spec in specs)
+    rows = tuple(_architecture_row(spec, r_query, f"architectures[{i}]: derived")
+                 for i, spec in enumerate(specs))
     ratios_c: dict[str, float] = {}
     ratios_r: dict[str, float] = {}
     for a in rows:
@@ -245,6 +267,9 @@ def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonRe
             ratios_c[key] = a.eta_computed / b.eta_computed
             if a.eta_reference is not None and b.eta_reference is not None:
                 ratios_r[key] = a.eta_reference / b.eta_reference
+    for name, ratios in (("eta_ratios_computed", ratios_c), ("eta_ratios_reference", ratios_r)):
+        for key, value in ratios.items():
+            _finite(f"architectures: {name}", f"'{key}'", value)
     return ComparisonReport(
         r_query_m=r_query,
         rows=rows,
@@ -254,51 +279,19 @@ def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonRe
 
 
 def default_architectures() -> tuple[ArchitectureSpec, ...]:
-    """The bundled three-way comparison under 12 cm / 6 GHz constraints."""
+    """The bundled three-way comparison, all under the same 12 cm / 6 GHz constraints."""
+    shared = {"physical_size_m": 0.12, "bandwidth_hz": 6e9, "fov_deg": 60.0}
     return (
-        ArchitectureSpec(
-            name="FaA-Single",
-            rf_chains=1,
-            physical_size_m=0.12,
-            bandwidth_hz=6e9,
-            n_samples=128,
-            aperture_kind=APERTURE_VIRTUAL,
-            f_ref_hz=63e9,
-            power_mw=850.0,
-            cost_usd=55.0,
-            fov_deg=60.0,
-            eta_reference=926.0,
-            observability="Low",
-            noise_rejection="Medium",
-        ),
-        ArchitectureSpec(
-            name="FaA-Dual",
-            rf_chains=2,
-            physical_size_m=0.12,
-            bandwidth_hz=6e9,
-            n_samples=64,
-            aperture_kind=APERTURE_VIRTUAL,
-            f_ref_hz=63e9,
-            power_mw=1400.0,
-            cost_usd=90.0,
-            fov_deg=60.0,
-            eta_reference=231.0,
-            observability="High",
-            noise_rejection="Medium",
-        ),
-        ArchitectureSpec(
-            name="1T3R-MIMO",
-            rf_chains=4,
-            physical_size_m=0.12,
-            bandwidth_hz=6e9,
-            n_samples=4,
-            aperture_kind=APERTURE_PHYSICAL,
-            f_ref_hz=60e9,
-            power_mw=1600.0,
-            cost_usd=100.0,
-            fov_deg=60.0,
-            eta_reference=58.0,
-            observability="Medium",
-            noise_rejection="High",
-        ),
+        ArchitectureSpec(name="FaA-Single", rf_chains=1, n_samples=128,
+                         aperture_kind=APERTURE_VIRTUAL, f_ref_hz=63e9, power_mw=850.0,
+                         cost_usd=55.0, eta_reference=926.0, observability="Low",
+                         noise_rejection="Medium", **shared),
+        ArchitectureSpec(name="FaA-Dual", rf_chains=2, n_samples=64,
+                         aperture_kind=APERTURE_VIRTUAL, f_ref_hz=63e9, power_mw=1400.0,
+                         cost_usd=90.0, eta_reference=231.0, observability="High",
+                         noise_rejection="Medium", **shared),
+        ArchitectureSpec(name="1T3R-MIMO", rf_chains=4, n_samples=4,
+                         aperture_kind=APERTURE_PHYSICAL, f_ref_hz=60e9, power_mw=1600.0,
+                         cost_usd=100.0, eta_reference=58.0, observability="Medium",
+                         noise_rejection="High", **shared),
     )

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -174,7 +175,8 @@ def parse_dispersion(sec, plan: FrequencyPlan, config_path) -> DispersionModel:
 def parse_antenna(sec) -> AntennaModel:
     kinds = {"length_m": float, "two_way": bool}
     v = _read("antenna", sec, kinds, optional=kinds)
-    return _build("antenna", AntennaModel, v.get("length_m", 0.12), v.get("two_way", True))
+    return _build("antenna", AntennaModel, v.get("length_m", AntennaModel.length),
+                  v.get("two_way", AntennaModel.two_way))
 
 
 # alpha_re/_im, and the per-channel alpha_x_* and alpha_y_* that override them
@@ -212,33 +214,20 @@ def parse_grid(sec) -> PositionGrid:
     )
 
 
-# ArchitectureSpec field (its config key) -> kind
-_ARCH_KINDS = {
-    "name": str,
-    "rf_chains": int,
-    "physical_size_m": float,
-    "bandwidth_hz": float,
-    "n_samples": int,
-    "aperture_kind": str,
-    "f_ref_hz": float,
-    "power_mw": float,
-    "cost_usd": float,
-    "fov_deg": float,
-    "eta_reference": float,
-    "observability": str,
-    "noise_rejection": str,
-}
-
-
 def parse_architectures(sec) -> list[archcomp.ArchitectureSpec]:
+    """Each entry as an ArchitectureSpec: its fields are the keys, their annotations the
+    kinds (without an optional field's None), and the fields that have a default may be
+    left out."""
     if not isinstance(sec, list) or not sec:
         raise ConfigError("architectures: must be a non-empty list")
-    optional = {f.name for f in fields(archcomp.ArchitectureSpec) if f.default is not MISSING}
+    spec = archcomp.ArchitectureSpec
+    kinds = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+             for key, hint in typing.get_type_hints(spec).items()}
+    optional = {f.name for f in fields(spec) if f.default is not MISSING}
     specs = []
     for i, entry in enumerate(sec):
         name = f"architectures[{i}]"
-        v = _read(name, entry, _ARCH_KINDS, optional)
-        specs.append(_build(name, archcomp.ArchitectureSpec, **v))
+        specs.append(_build(name, spec, **_read(name, entry, kinds, optional)))
     return specs
 
 
@@ -448,24 +437,13 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _check_finite(report: dict) -> None:
-    """ConfigError naming the first number of a compare report that is not finite."""
-    cells = [(f"architectures[{i}]: derived {key}", value)
-             for i, row in enumerate(report["rows"]) for key, value in row.items()]
-    cells += [(f"architectures: {name} '{pair}'", value)
-              for name in ("eta_ratios_computed", "eta_ratios_reference")
-              for pair, value in report[name].items()]
-    for where, value in cells:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where} is {value}, not a finite number")
-
-
 def cmd_compare(args) -> int:
-    report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
-    payload = report.to_dict()
-    _check_finite(payload)
+    try:
+        report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
+    except archcomp.NonFiniteMetricError as exc:
+        raise ConfigError(str(exc)) from None
     if args.out is not None:
-        _write_output(args.out, _json_dumps(payload))
+        _write_output(args.out, _json_dumps(report.to_dict()))
     # The text goes to stderr when the JSON takes stdout, so each stream parses.
     (sys.stderr if args.out == "-" else sys.stdout).write(report.to_text())
     return 0

@@ -95,15 +95,15 @@ class ChirpConfig:
     sample_rate: float = 1e6  # Hz
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
+        if not 0.0 < self.duration < math.inf:
             raise ValueError("chirp duration must be positive")
-        if self.guard < 0.0:
+        if not 0.0 <= self.guard < math.inf:
             raise ValueError("guard interval must be >= 0")
-        if self.slope <= 0.0:
+        if not 0.0 < self.slope < math.inf:
             raise ValueError("chirp slope must be positive")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples per chirp")
-        if self.sample_rate <= 0.0:
+        if not 0.0 < self.sample_rate < math.inf:
             raise ValueError("sample rate must be positive")
 
 

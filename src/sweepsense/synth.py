@@ -52,7 +52,7 @@ class AntennaModel:
     two_way: bool = True
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
+        if not 0.0 < self.length < math.inf:
             raise ValueError("antenna length must be positive")
 
     def half_power_beamwidth(self, f):
@@ -203,7 +203,7 @@ def dechirp_range_profile(
     t = np.arange(chirp.n_samples) / chirp.sample_rate
     beat = np.zeros(chirp.n_samples, dtype=np.complex128)
     for r, amp in targets:
-        if r <= 0.0:
+        if not 0.0 < r < math.inf:
             raise GeometryError(f"target range must be positive, got {r}")
         f_beat = 2.0 * chirp.slope * r / SPEED_OF_LIGHT
         if f_beat >= chirp.sample_rate / 2.0:

@@ -1,6 +1,7 @@
 """Architecture-comparison metrics and report assembly."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sweepsense.archcomp import (
     ArchitectureSpec,
+    NonFiniteMetricError,
     angular_resolution_mimo,
     angular_resolution_virtual,
     compare,
@@ -236,3 +238,76 @@ class TestCompare:
                 cost_usd=1.0,
                 fov_deg=60.0,
             )
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: range_resolution(NAN), "bandwidth must be positive"),
+    (lambda: range_resolution(math.inf), "bandwidth must be positive"),
+    (lambda: effective_aperture(0, 63e9), "sample count must be >= 1"),
+    (lambda: effective_aperture(128, NAN), "reference frequency must be positive"),
+    (lambda: effective_aperture(128, 0.0), "reference frequency must be positive"),
+    (lambda: angular_resolution_virtual(63e9, NAN), "aperture must be positive"),
+    (lambda: angular_resolution_virtual(63e9, 0.0), "aperture must be positive"),
+    (lambda: angular_resolution_mimo(60e9, NAN), "array length must be positive"),
+    (lambda: angular_resolution_mimo(60e9, -1.0), "array length must be positive"),
+    (lambda: resolution_cell_volume(NAN, 1.0, 1.0, 1.0), "cell factors must all be positive"),
+    (lambda: resolution_cell_volume(1.0, 1.0, 1.0, 0.0), "cell factors must all be positive"),
+    (lambda: efficiency(NAN, 1, 0.12), "efficiency inputs must all be positive"),
+    (lambda: efficiency(0.01, 0, 0.12), "efficiency inputs must all be positive"),
+    (lambda: efficiency(0.01, 1, NAN), "efficiency inputs must all be positive"),
+])
+def test_closed_forms_reject_nan_and_nonpositive_inputs(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+REAL_RANGE = "physical_size_m, bandwidth_hz and f_ref_hz must be finite and positive"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *((field, value, REAL_RANGE) for field in ("physical_size_m", "bandwidth_hz", "f_ref_hz")
+      for value in (NAN, math.inf, 0.0)),
+    ("n_samples", 0, "n_samples must be >= 1"),
+    ("aperture_kind", "hybrid", "aperture_kind must be 'virtual' or 'physical'"),
+    ("fov_deg", NAN, "fov_deg must lie in (0, 90)"),
+    ("eta_reference", NAN, "eta_reference must be > 0"),
+    ("eta_reference", math.inf, "power_mw, cost_usd and eta_reference must be finite"),
+    ("power_mw", NAN, "power_mw, cost_usd and eta_reference must be finite"),
+    ("cost_usd", -math.inf, "power_mw, cost_usd and eta_reference must be finite"),
+])
+def test_spec_rejects_values_out_of_range(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        replace(default_architectures()[0], **{field: value})
+    assert str(exc.value) == message
+
+
+def test_compare_of_a_nan_size_raises_the_range_message():
+    with pytest.raises(ValueError, match=f"^{REAL_RANGE}$"):
+        compare([replace(default_architectures()[0], physical_size_m=NAN)])
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({0: {"f_ref_hz": 1e-300}}, "architectures[0]: derived effective_aperture_m is inf"),
+    ({1: {"physical_size_m": 1e-310}}, "architectures[1]: derived eta_computed is inf"),
+    ({2: {"bandwidth_hz": 1e-320}}, "architectures[2]: derived range_resolution_m is inf"),
+    # the earlier field of a row is named, before a closed form is given it
+    ({0: {"bandwidth_hz": 1e-320, "f_ref_hz": 1e-300}},
+     "architectures[0]: derived range_resolution_m is inf"),
+    ({2: {"f_ref_hz": 1e-300}}, "architectures[2]: derived angular_resolution_rad is inf"),
+    ({2: {"f_ref_hz": 1e-299, "physical_size_m": 1.0}},
+     "architectures[2]: derived angular_resolution_deg is inf"),
+    ({0: {"physical_size_m": 1e-300}, 1: {"physical_size_m": 1e300}},
+     "architectures: eta_ratios_computed 'FaA-Single/FaA-Dual' is inf"),
+    ({0: {"eta_reference": 1e300}, 1: {"eta_reference": 1e-300}},
+     "architectures: eta_ratios_reference 'FaA-Single/FaA-Dual' is inf"),
+])
+def test_compare_raises_at_the_first_metric_that_is_not_finite(edits, message):
+    specs = [replace(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
+    with pytest.raises(NonFiniteMetricError) as exc:
+        compare(specs)
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == f"{message}, not a finite number"

@@ -148,6 +148,19 @@ class TestSimulate:
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {}: [Errno 2] No such file or directory"),
+        ("[1, 2]", "{}: top level must be a JSON object"),
+    ])
+    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message.format(path)}")
+        assert not out.exists()
+
 
 class TestLocalizeFlow:
     def test_on_grid_target_recovered(self, tmp_path, config_path, capsys):
@@ -525,6 +538,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="finite"):
             cli.run_sweep(plan, model, AntennaModel(), scene, grid, [0.0, snr], 1)
 
+    def test_library_rejects_trials_below_one(self):
+        plan = FrequencyPlan(60e9, 66e9, 8)
+        model = LinearSineDispersion.for_plan(plan)
+        scene = Scene(targets=(Target((0.0, 0.0, 3.0)),))
+        grid = PositionGrid((0.0, 0.0), (0.0, 0.0), (3.0, 3.0), 1, 1, 1)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            cli.run_sweep(plan, model, AntennaModel(), scene, grid, [None], 0)
+
     def test_sweep_without_targets_exits_2(self, tmp_path, config_path, capsys):
         cfg = base_config()
         cfg["scene"]["targets"] = []
@@ -854,6 +875,8 @@ MALFORMED += [
 ]
 MALFORMED.append(("compare", "dispersion", {"kind": "lookup_table", "table_path": "nope.csv"},
                   "dispersion: [Errno 2] No such file or directory"))
+MALFORMED += [("compare", "architectures", value, "architectures: must be a non-empty list")
+              for value in ([], {})]
 
 
 def _verb_args(verb, tmp_path, config_path):
@@ -937,6 +960,12 @@ class TestConfigReader:
         )
         assert [s.name for s in specs] == ["FaA-Single", "FaA-Dual", "1T3R-MIMO"]
         assert specs[1].observability is None and specs[1].noise_rejection is None
+
+    def test_architecture_kinds_are_the_spec_annotations(self):
+        # a JSON integer is read as the float the annotation asks for, `float | None` too
+        entry = dict(base_config()["architectures"][2], physical_size_m=1, eta_reference=58)
+        spec, = cli.parse_architectures([entry])
+        assert type(spec.physical_size_m) is float and type(spec.eta_reference) is float
 
     def test_lookup_table_dispersion_parses_relative_to_the_config(self, tmp_path):
         (tmp_path / "disp.csv").write_text("frequency_hz,angle_deg\n60e9,-60\n66e9,30\n")

@@ -127,6 +127,18 @@ class TestChirpConfig:
         with pytest.raises(ValueError):
             ChirpConfig(slope=0.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("duration", "chirp duration must be positive"),
+        ("guard", "guard interval must be >= 0"),
+        ("slope", "chirp slope must be positive"),
+        ("sample_rate", "sample rate must be positive"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_value_rejected(self, field, message, value):
+        with pytest.raises(ValueError) as exc:
+            ChirpConfig(**{field: value})
+        assert str(exc.value) == message
+
 
 class TestTargetAndScene:
     def test_refl_y_defaults_to_refl_x(self):
@@ -138,6 +150,10 @@ class TestTargetAndScene:
             Target((0, 0, -1.0))
         with pytest.raises(GeometryError):
             Target((1.0, 0, 0.0))
+
+    def test_position_of_two_components_rejected(self):
+        with pytest.raises(GeometryError, match="exactly 3 components"):
+            Target((0.0, 3.0))
 
     def test_origin_rejected(self):
         with pytest.raises(GeometryError):

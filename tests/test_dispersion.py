@@ -67,6 +67,21 @@ class TestLinearSine:
             LinearSineDispersion(60e9, 66e9, -math.pi / 2, math.radians(60))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearSineDispersion(66e9, 60e9, -1.0, 1.0), "need 0 < f_min < f_max"),
+    (lambda: LookupTableDispersion(np.array([60e9, 66e9]), np.array([-1.0, 0.0, 1.0])),
+     "need matching 1-D frequency/angle arrays with >= 2 rows"),
+    (lambda: LookupTableDispersion(np.array([60e9]), np.array([0.0])),
+     "need matching 1-D frequency/angle arrays with >= 2 rows"),
+    (lambda: LookupTableDispersion(np.array([60e9, 66e9]), np.array([0.0, math.pi / 2])),
+     "lookup angles must lie within (-pi/2, pi/2)"),
+])
+def test_model_out_of_range_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestLookupTable:
     def make(self):
         f = np.linspace(60e9, 66e9, 7)

@@ -142,6 +142,11 @@ class TestBuildFingerprint:
         with pytest.raises(DegenerateMeasurementError):
             build_fingerprint(meas(plan, [0.0, 0.0], [1.0, 0.0]))
 
+    def test_length_validated_on_construction(self):
+        plan = FrequencyPlan(60e9, 66e9, 2)
+        with pytest.raises(ValueError, match=r"^fingerprint must have length 4, got \(3,\)$"):
+            Fingerprint(np.ones(3, complex), plan)
+
     def test_half_norms_validated_on_construction(self):
         plan = FrequencyPlan(60e9, 66e9, 2)
         with pytest.raises(ValueError, match="unit-norm"):
@@ -405,6 +410,20 @@ class TestAmbiguityProbe:
             (0, 0, 3.0), "azimuth", np.linspace(-0.5, 0.5, 41), PLAN8, MODEL8, ANT
         )
         assert np.all(curve.similarities >= 0.5 - 1e-9)
+
+    @pytest.mark.parametrize("antenna", [ANT, ANT_WIDE])
+    @pytest.mark.parametrize("elevation_p0, azimuth_p0", [
+        ((0.0, 0.0, 3.0), (0.0, 0.0, 3.0)),
+        ((0.0, 0.3, 3.0), (0.3, 0.0, 3.0)),
+    ])
+    def test_elevation_mirrors_azimuth_across_the_channels(self, antenna, elevation_p0,
+                                                           azimuth_p0):
+        # swapping x and y swaps the two channels, whose mean the similarity is
+        offsets = np.linspace(-0.3, 0.3, 25)
+        elevation = ambiguity_probe(elevation_p0, "elevation", offsets, PLAN8, MODEL8, antenna)
+        azimuth = ambiguity_probe(azimuth_p0, "azimuth", offsets, PLAN8, MODEL8, antenna)
+        assert np.array_equal(elevation.similarities, azimuth.similarities)
+        assert elevation.similarities.min() < 0.9
 
     def test_vector_axis_matches_manual_displacement(self):
         offsets = np.array([-0.05, 0.0, 0.05])

@@ -42,6 +42,18 @@ def pos_at_azimuth(theta, r=3.0):
     return (r * math.sin(theta), 0.0, r * math.cos(theta))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("make, error, message", [
+    (lambda v: AntennaModel(length=v), ValueError, "antenna length must be positive"),
+    (lambda v: dechirp_range_profile(ChirpConfig(), [(v, 1.0)]), GeometryError,
+     "target range must be positive, got {}"),
+])
+def test_length_and_range_must_be_finite_and_positive(make, error, message, value):
+    with pytest.raises(error) as exc:
+        make(value)
+    assert str(exc.value) == message.format(value)
+
+
 class TestAntennaGain:
     def test_peak_on_beam_axis(self):
         g = ANT.gain(63e9, 0.3, pos_at_azimuth(0.3), ChannelAxis.X_SCAN)
