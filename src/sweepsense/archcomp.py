@@ -30,7 +30,7 @@ ETA_CONSISTENCY_TOL = 0.01
 
 
 class NonFiniteMetricError(ValueError):
-    """A metric or efficiency ratio that compare derives is not a finite number."""
+    """A metric or efficiency ratio that compare derives is not a finite number > 0."""
 
 
 def range_resolution(bandwidth: float) -> float:
@@ -205,32 +205,36 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _finite(where: str, key: str, value: float) -> float:
-    """``value``, or NonFiniteMetricError naming ``where`` and ``key`` if it is not finite."""
+def _positive(where: str, key: str, value: float) -> float:
+    """``value``, or NonFiniteMetricError naming ``where`` and ``key`` unless it
+    is finite and > 0: a closed form can overflow to inf or underflow to 0."""
     if not math.isfinite(value):
         raise NonFiniteMetricError(f"{where} {key} is {value}, not a finite number")
+    if not value > 0.0:
+        raise NonFiniteMetricError(f"{where} {key} is {value}, not a number > 0")
     return value
 
 
 def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> ArchitectureRow:
     # Each derived field is checked, in field order, before a closed form is given it.
-    delta_r = _finite(where, "range_resolution_m", range_resolution(spec.bandwidth_hz))
+    delta_r = _positive(where, "range_resolution_m", range_resolution(spec.bandwidth_hz))
     if spec.aperture_kind == APERTURE_VIRTUAL:
-        aperture = _finite(where, "effective_aperture_m",
-                           effective_aperture(spec.n_samples, spec.f_ref_hz))
-        theta = angular_resolution_virtual(spec.f_ref_hz, aperture)  # finite: about 2 / n
+        aperture = _positive(where, "effective_aperture_m",
+                             effective_aperture(spec.n_samples, spec.f_ref_hz))
+        theta = angular_resolution_virtual(spec.f_ref_hz, aperture)
         # Both orthogonal scan planes are resolved at theta.
-        cell = resolution_cell_volume(theta, theta, delta_r, r_query)
+        other = theta
     else:
         aperture = spec.physical_size_m
         theta = angular_resolution_mimo(spec.f_ref_hz, spec.physical_size_m)
         # A linear array resolves one plane; the other is only FoV-limited.
-        unresolved = 2.0 * r_query * math.tan(math.radians(spec.fov_deg))
-        cell = (theta * r_query) * unresolved * delta_r
-    _finite(where, "angular_resolution_rad", theta)
-    theta_deg = _finite(where, "angular_resolution_deg", math.degrees(theta))
-    _finite(where, "cell_volume_m3", cell)
-    eta_c = _finite(where, "eta_computed", efficiency(theta, spec.rf_chains, spec.physical_size_m))
+        other = 2.0 * math.tan(math.radians(spec.fov_deg))
+    _positive(where, "angular_resolution_rad", theta)
+    theta_deg = _positive(where, "angular_resolution_deg", math.degrees(theta))
+    cell = _positive(where, "cell_volume_m3",
+                     resolution_cell_volume(theta, other, delta_r, r_query))
+    eta_c = _positive(where, "eta_computed",
+                      efficiency(theta, spec.rf_chains, spec.physical_size_m))
     consistent: bool | None = None
     if spec.eta_reference is not None:
         consistent = abs(eta_c - spec.eta_reference) <= ETA_CONSISTENCY_TOL * abs(
@@ -250,7 +254,8 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> Arc
 
 def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonReport:
     """Derive every metric row plus pairwise efficiency ratios; NonFiniteMetricError
-    names the first of them that is not finite, and a spec by its index in ``specs``."""
+    names the first of them that is not a finite number > 0, and a spec by its
+    index in ``specs``."""
     if not specs:
         raise ValueError("need at least one architecture spec")
     if not 0.0 < r_query < math.inf:
@@ -269,7 +274,7 @@ def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonRe
                 ratios_r[key] = a.eta_reference / b.eta_reference
     for name, ratios in (("eta_ratios_computed", ratios_c), ("eta_ratios_reference", ratios_r)):
         for key, value in ratios.items():
-            _finite(f"architectures: {name}", f"'{key}'", value)
+            _positive(f"architectures: {name}", f"'{key}'", value)
     return ComparisonReport(
         r_query_m=r_query,
         rows=rows,

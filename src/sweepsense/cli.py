@@ -55,8 +55,14 @@ from sweepsense.fingerprint import (
     localize,
     localize_batch,
 )
-from sweepsense.streams import derive_seed
-from sweepsense.synth import AntennaModel, noise, noise_sigma, scene_echo, simulate_measurement
+from sweepsense.synth import (
+    AntennaModel,
+    derive_seed,
+    noise,
+    noise_sigma,
+    scene_echo,
+    simulate_measurement,
+)
 
 
 class ConfigError(ValueError):

@@ -38,7 +38,8 @@ class AliasingError(ValueError):
 
 
 class DegenerateMeasurementError(ValueError):
-    """Measurement channel has zero norm and cannot be normalized."""
+    """Measurement channel has zero norm or a sample that is not finite, and
+    cannot be normalized."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class FrequencyPlan:
             raise ValueError(
                 f"need 0 < f_min < f_max, got f_min={self.f_min}, f_max={self.f_max}"
             )
+        if math.isinf(self.f_max):
+            raise ValueError("f_max must be finite")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
@@ -224,9 +227,9 @@ def range_of(position) -> float | np.ndarray:
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
-_WRITE_CELLS = 4096  # cells per block in write_table: bounds the bytes held at once
+_WRITE_CELLS = 4096  # cells per block in table_text and first_off_cell: bounds the bytes held
 
-# write_table prints a block of cells into one fixed-width byte field each and
+# table_text prints a block of cells into one fixed-width byte field each and
 # then drops the bytes a cell leaves unused. A float field holds sign, digit,
 # '.', 9 digits, 'e', exponent sign, 3 exponent digits and the separator; an
 # int field holds sign, 2 unused bytes and 10 digits, leading zeros unused.
@@ -256,34 +259,39 @@ def _pow10() -> np.ndarray:
     return np.array([float(f"1e{k}") for k in range(-170, 171)])
 
 
-def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
-    """Write ``header`` and one CSV line per row of ``table``.
+def table_text(header: str, table, n_int: int = 0):
+    """Yield the text of a CSV table: the ``header`` line, then the lines of
+    one block of rows of ``table`` at a time, each block formatted when it
+    is asked for.
 
     ``table`` is a 2-D array, or a sequence of column groups (1-D or 2-D
     arrays of equal row counts) that are joined a block of rows at a time.
     The first ``n_int`` columns print as ``"%d" % x``, the rest as
-    ``FLOAT_FMT % x``, byte for byte. ``dest`` is a path or an open text
-    file; with None the text is returned.
+    ``FLOAT_FMT % x``, byte for byte.
     """
-    if dest is not None and not hasattr(dest, "write"):
-        with open(dest, "w") as fh:
-            return write_table(fh, header, table, n_int)
-    out = io.StringIO() if dest is None else dest
     groups = [g[:, None] if g.ndim == 1 else g
               for g in map(np.asarray, (table,) if isinstance(table, np.ndarray) else table)]
     if len({len(g) for g in groups}) > 1:
         raise ValueError("column groups differ in row count")
     width = sum(g.shape[1] for g in groups)
-    out.write(header + "\n")
+    yield header + "\n"
     k = max(1, _WRITE_CELLS // width)  # rows per block
     for start in range(0, len(groups[0]), k):
         block = np.concatenate([g[start : start + k] for g in groups], axis=1, dtype=float)
-        out.write(_format_block(block, n_int))
-    return out.getvalue() if dest is None else None
+        yield _format_block(block, n_int)
+
+
+def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
+    """Write the table_text of ``header`` and ``table`` to ``dest``, a path or
+    an open text file; with None the text is returned."""
+    if dest is None:
+        return "".join(table_text(header, table, n_int))
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
+        fh.writelines(table_text(header, table, n_int))
 
 
 def _format_block(block: np.ndarray, n_int: int) -> str:
-    """The CSV lines of the rows of ``block``, as write_table prints them."""
+    """The CSV lines of the rows of ``block``, as table_text prints them."""
     field = np.empty(block.shape + (_FIELD,), np.uint8)
     keep = np.ones(block.shape + (_FIELD,), bool)
     field[..., -1] = ord(",")
@@ -421,24 +429,31 @@ def read_table(path, header: str, fh=None) -> np.ndarray:
     return body
 
 
-def off_cells(cells: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """True where a cell differs from ``expected`` by more than 1e-9 of that
-    column's largest |value|; FLOAT_FMT moves a cell by at most 5e-10 of it."""
-    off = np.subtract(cells, expected)
-    np.abs(off, out=off)
-    return off > 1e-9 * np.abs(expected).max(axis=0)
+def first_off_cell(cells: np.ndarray, expected: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first cell, in row order, that differs from ``expected``
+    by more than 1e-9 of that column's largest |value|, or None; FLOAT_FMT moves a
+    cell by at most 5e-10 of it. Rows are compared _WRITE_CELLS cells at a time."""
+    tol = 1e-9 * np.maximum(expected.max(axis=0), -expected.min(axis=0))
+    k = max(1, _WRITE_CELLS // expected.shape[1])  # rows per block
+    for start in range(0, len(expected), k):
+        off = np.subtract(cells[start : start + k], expected[start : start + k])
+        off = np.abs(off, out=off) > tol
+        if off.any():
+            row, col = divmod(int(np.argmax(off)), off.shape[1])
+            return start + row, col
+    return None
 
 
 def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh=None) -> None:
     """Raise ValueError naming the row count or the first line of ``body`` whose
-    leading cells ``names`` are off_cells of ``expected``; ``fh`` as in read_table."""
+    leading cells ``names`` hold a first_off_cell of ``expected``; ``fh`` as in read_table."""
     if len(body) != len(expected):
         message = f"has {len(body)} data rows but the config expects {len(expected)}"
         raise ValueError(f"{path}: {message}")
     keys = body[:, : expected.shape[1]]
-    off = off_cells(keys, expected).any(axis=1)
-    if off.any():
-        i = int(np.argmax(off))
+    off = first_off_cell(keys, expected)
+    if off is not None:
+        i = off[0]
         want, got = (",".join(f"{v:.10g}" for v in row) for row in (expected[i], keys[i]))
         raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}", fh)
 

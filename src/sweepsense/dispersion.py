@@ -34,6 +34,8 @@ class LinearSineDispersion:
     def __post_init__(self) -> None:
         if not (0.0 < self.f_min < self.f_max):
             raise ValueError("need 0 < f_min < f_max")
+        if math.isinf(self.f_max):
+            raise ValueError("f_max must be finite")
         if not (-_HALF_PI < self.theta_min < self.theta_max < _HALF_PI):
             raise ValueError(
                 "need -pi/2 < theta_min < theta_max < pi/2, got "
@@ -78,6 +80,8 @@ class LookupTableDispersion:
         angs = np.asarray(self.angles, dtype=float)
         if freqs.ndim != 1 or freqs.shape != angs.shape or freqs.size < 2:
             raise ValueError("need matching 1-D frequency/angle arrays with >= 2 rows")
+        if not np.isfinite(freqs).all():
+            raise ValueError("lookup frequencies must be finite")
         if not np.all(np.diff(freqs) > 0.0):
             raise ValueError("lookup frequencies must be strictly increasing")
         if not np.all(np.diff(angs) > 0.0):

@@ -21,11 +21,12 @@ from sweepsense.core import (
     HeaderError,
     Measurement,
     check_rows,
+    first_off_cell,
     line_error,
-    off_cells,
     open_bytes,
     range_of,
     read_table,
+    table_text,
     write_table,
 )
 from sweepsense.dispersion import DispersionModel
@@ -61,14 +62,18 @@ def _normalize(s: np.ndarray, describe) -> np.ndarray:
     """Unit-normalize each channel of (N, 2, M) echoes into (N, 2M) rows.
 
     A channel whose sum of squares overflows or is not a normal double is
-    first divided by its largest |component|. An all-zero channel raises
-    DegenerateMeasurementError naming the first such row i as ``describe(i)``.
+    first divided by its largest |component|. An all-zero channel, or a
+    sample that is not finite, raises DegenerateMeasurementError naming the
+    first such row i as ``describe(i)``.
     """
     parts = s.view(np.float64)  # (N, 2, 2M): each channel's (re, im) pairs
     squares = np.einsum("ijk,ijk->ij", parts, parts)
     extreme = ~((np.finfo(float).tiny <= squares) & (squares < math.inf))
     if extreme.any():
-        peak = np.abs(parts).max(axis=-1)
+        peak = np.abs(parts).max(axis=-1)  # NaN or inf where a sample is not finite
+        if not np.isfinite(peak).all():
+            i = int(np.argmin(np.isfinite(peak).all(axis=1)))
+            raise DegenerateMeasurementError(f"{describe(i)} has a sample that is not finite")
         if not peak.all():
             i = int(np.argmin(peak.min(axis=1)))
             raise DegenerateMeasurementError(f"{describe(i)} has a zero-norm channel")
@@ -110,7 +115,7 @@ class PositionGrid:
     def __post_init__(self) -> None:
         ranges = (self.x_range, self.y_range, self.z_range)
         for name, (lo, hi) in zip("xyz", ranges):
-            if lo > hi:
+            if not lo <= hi:
                 raise ValueError(f"{name}_range must satisfy lo <= hi, got ({lo}, {hi})")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("grid counts must all be >= 1")
@@ -275,10 +280,8 @@ def _direction_norm(direction) -> float:
     return float(norm)
 
 
-def half_power_width(
-    offsets: np.ndarray, values: np.ndarray, threshold: float = HALF_POWER
-) -> float | None:
-    """Smallest |offset| where a curve first drops below the threshold.
+def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
+    """Smallest |offset| where a curve first drops below HALF_POWER.
 
     The curve is walked outward from offset 0 separately on each sign, with
     linear interpolation between samples; the similarity at offset 0 is 1 by
@@ -295,9 +298,9 @@ def half_power_width(
         order = np.argsort(branch_off)
         prev_off, prev_val = 0.0, 1.0
         for off, val in zip(branch_off[order], branch_val[order]):
-            if val < threshold:
+            if val < HALF_POWER:
                 crossings.append(
-                    prev_off + (prev_val - threshold) / (prev_val - val) * (off - prev_off)
+                    prev_off + (prev_val - HALF_POWER) / (prev_val - val) * (off - prev_off)
                 )
                 break
             prev_off, prev_val = off, val
@@ -349,51 +352,39 @@ def _csv_header(m: int) -> str:
     return ",".join(["ix", "iy", "iz", "x", "y", "z"] + pairs)
 
 
+def _table(dictionary: Dictionary) -> tuple[str, tuple]:
+    """Header and column groups of a dictionary's CSV: indices, positions, re/im pairs."""
+    entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
+    return _csv_header(dictionary.n_points), (dictionary.grid.indices(), dictionary.positions,
+                                              entries)
+
+
 def export_dictionary(dictionary: Dictionary, path) -> str | None:
     """Write a dictionary as portable CSV (indices, position, re/im pairs).
 
     ``path`` may also be an open text file such as sys.stdout; with None the
     text is returned instead.
     """
-    entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
-    groups = (dictionary.grid.indices(), dictionary.positions, entries)
-    return write_table(path, _csv_header(dictionary.n_points), groups, n_int=3)
-
-
-class _Mismatch(Exception):
-    """What _Compare raises at the first text that differs from the file."""
-
-
-class _Compare:
-    """A text sink that compares what is written with the next bytes of ``fh``."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, text: str) -> None:
-        data = text.encode("ascii")
-        if self.fh.read(len(data)) != data:
-            raise _Mismatch
+    return write_table(path, *_table(dictionary), n_int=3)
 
 
 def import_dictionary(path, dictionary: Dictionary) -> None:
     """Check that the CSV at ``path`` is ``dictionary``, the one the config builds.
 
     A file of the bytes export_dictionary prints for it passes without being
-    parsed. Any other file is read with read_table: line 1 must be the header
-    for its M, the rows must list its grid in index order at its positions
+    parsed; the comparison stops at the first block of text that differs.
+    Any other file is read with read_table: line 1 must be the header for
+    its M, the rows must list its grid in index order at its positions
     (core.check_rows), and every entry cell must match within the print
-    tolerance (core.off_cells); otherwise ValueError names the line, and for
-    an entry its column. A pipe or FIFO is read once.
+    tolerance (core.first_off_cell); otherwise ValueError names the line,
+    and for an entry its column. A pipe or FIFO is read once.
     """
-    header = _csv_header(dictionary.n_points)
+    header, groups = _table(dictionary)
+    indices, positions, expected = groups
     with open_bytes(path) as fh:
-        try:
-            export_dictionary(dictionary, _Compare(fh))  # stops at the first differing block
-            if not fh.read(1):
-                return
-        except _Mismatch:
-            pass
+        blocks = (text.encode("ascii") for text in table_text(header, groups, n_int=3))
+        if all(fh.read(len(data)) == data for data in blocks) and not fh.read(1):
+            return
         try:
             body = read_table(path, header, fh)
         except HeaderError as exc:
@@ -402,12 +393,10 @@ def import_dictionary(path, dictionary: Dictionary) -> None:
                 raise
             message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
             raise ValueError(f"{path}: line 1: {message}") from None
-        grid = dictionary.grid
-        check_rows(path, body, np.hstack([grid.indices(), grid.points()]), "ix,iy,iz,x,y,z", fh)
-        expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
-        off = off_cells(body[:, 6:], expected)
-        if off.any():
-            row, col = divmod(int(np.argmax(off)), off.shape[1])
+        check_rows(path, body, np.hstack([indices, positions]), "ix,iy,iz,x,y,z", fh)
+        off = first_off_cell(body[:, 6:], expected)
+        if off is not None:
+            row, col = off
             message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
                        f"(from the config), got {body[row, 6 + col]:.10g}")
             raise line_error(path, row, message, fh)

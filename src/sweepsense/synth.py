@@ -8,12 +8,14 @@ with the antenna's directional response folded into ``gain`` and the exact
 spherical two-way phase 4 pi f R / c carrying the near-field curvature that
 makes positions separable; ``echo`` evaluates it for batches of positions.
 Noise is circular complex Gaussian, drawn per (seed, channel) from one
-counter-based substream, so results never depend on evaluation order;
-``noise`` draws it for a batch of seeds at once.
+counter-based Philox stream keyed by a hash of the two, so results never
+depend on evaluation order; ``noise`` draws it for a batch of seeds at once,
+and ``derive_seed`` gives each Monte-Carlo trial its own seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ from sweepsense.core import (
     range_of,
 )
 from sweepsense.dispersion import DispersionModel
-from sweepsense.streams import _state
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 _K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per position
@@ -117,11 +118,16 @@ def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
                antenna: AntennaModel) -> np.ndarray:
     """Noiseless dual-channel measurement of ``targets``, shape (2, M).
 
-    Target echoes superpose linearly; an empty scene is all zeros.
+    Target echoes superpose linearly; an empty scene is all zeros. A sum
+    that is not finite raises ValueError.
     """
     refl = np.array([(t.refl_x, t.refl_y) for t in targets], dtype=np.complex128)
-    echoes = echo([t.position for t in targets], refl.reshape(-1, 2), plan, model, antenna)
-    return echoes.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        echoes = echo([t.position for t in targets], refl.reshape(-1, 2), plan, model, antenna)
+        clean = echoes.sum(axis=0)
+    if not np.isfinite(clean).all():
+        raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
+    return clean
 
 
 def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
@@ -148,10 +154,23 @@ def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     return scale * math.sqrt(var / 2.0)
 
 
+def _key(seed: int, *path) -> np.ndarray:
+    """Philox key of the stream (seed, *path), which starts at counter 0: the blake2b
+    digest of the seed, masked to 64 bits, and the path labels, as two little-endian words."""
+    data = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    data += b"".join(b"/" + str(part).encode("utf-8") for part in path)
+    return np.frombuffer(hashlib.blake2b(data, digest_size=16).digest(), dtype="<u8")
+
+
+def derive_seed(seed: int, *path) -> int:
+    """64-bit child seed for (seed, *path): the first word of its stream key."""
+    return int(_key(seed, *path)[0])
+
+
 def noise(seeds, sigma: float, m: int) -> np.ndarray:
     """Circular complex Gaussian noise for each seed, shape (T, 2, M).
 
-    Row t, channel c is the stream substream(seeds[t], c.value) read as M
+    Row t, channel c is the stream (seeds[t], c.value) read as M
     interleaved (re, im) normals of standard deviation ``sigma``, so a row
     depends only on its own seed. One Philox bit generator, local to the
     call, is re-keyed to each stream in turn and draws straight into the
@@ -159,15 +178,18 @@ def noise(seeds, sigma: float, m: int) -> np.ndarray:
     """
     out = np.zeros((len(seeds), 2, m), dtype=np.complex128)
     if sigma:
-        bits = np.random.Philox(0)  # every stream sets its own state before drawing
+        bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
+        start = bits.state  # counter 0 and an empty buffer; each stream sets its own key
         normals = out.view(np.float64)  # (T, 2, 2M): each row's (re, im) pairs
         for t, seed in enumerate(seeds):
             for c, axis in enumerate(ChannelAxis):
-                bits.state = _state(seed, axis.value)
+                start["state"]["key"] = _key(seed, axis.value)
+                bits.state = start
                 gen.standard_normal(out=normals[t, c])
         # normal(0, sigma) returns 0 + sigma * z: the sum turns an underflowed -0.0 into +0.0.
-        normals *= sigma
+        with np.errstate(over="ignore"):  # an overflow is rejected where the noise is added
+            normals *= sigma
         normals += 0.0
     return out
 
@@ -182,12 +204,16 @@ def simulate_measurement(
 
     The clean scene (``scene_echo``) plus, when configured, the noise row
     keyed by the scene's seed at the ``noise_sigma`` of its SNR. The result
-    is bit-identical regardless of evaluation order.
+    is bit-identical regardless of evaluation order. A noisy sum that is not
+    finite raises ValueError.
     """
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigma = noise_sigma(clean, scene.noise.snr_db)
-    s_x, s_y = clean + noise([scene.noise.seed], sigma, plan.n_points)[0]
-    return Measurement(plan, s_x, s_y)
+    with np.errstate(over="ignore"):
+        s = clean + noise([scene.noise.seed], sigma, plan.n_points)[0]
+    if not np.isfinite(s).all():
+        raise ValueError(f"the measurement at SNR {scene.noise.snr_db} dB is not finite")
+    return Measurement(plan, *s)
 
 
 def dechirp_range_profile(

@@ -311,3 +311,19 @@ def test_compare_raises_at_the_first_metric_that_is_not_finite(edits, message):
         compare(specs)
     assert isinstance(exc.value, ValueError)
     assert str(exc.value) == f"{message}, not a finite number"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({2: {"f_ref_hz": 1e300, "physical_size_m": 1e300}},
+     "architectures[2]: derived angular_resolution_rad is 0.0"),
+    ({1: {"physical_size_m": 1e308}}, "architectures[1]: derived eta_computed is 0.0"),
+    ({0: {"bandwidth_hz": 1e308}}, "architectures[0]: derived range_resolution_m is 0.0"),
+    ({0: {"n_samples": 10**300}}, "architectures[0]: derived cell_volume_m3 is 0.0"),
+    ({0: {"eta_reference": 1e-300}, 1: {"eta_reference": 1e300}},
+     "architectures: eta_ratios_reference 'FaA-Single/FaA-Dual' is 0.0"),
+])
+def test_compare_raises_at_the_first_metric_that_underflows(edits, message):
+    specs = [replace(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
+    with pytest.raises(NonFiniteMetricError) as exc:
+        compare(specs)
+    assert str(exc.value) == f"{message}, not a number > 0"

@@ -26,8 +26,7 @@ from sweepsense.fingerprint import (
     build_dictionary,
     localize,
 )
-from sweepsense.streams import derive_seed
-from sweepsense.synth import AntennaModel, simulate_measurement
+from sweepsense.synth import AntennaModel, derive_seed, simulate_measurement
 
 
 def base_config(**overrides):
@@ -438,6 +437,27 @@ class TestCompare:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("edits, message", [
+        # the physical array's angular resolution underflows
+        ({"2.f_ref_hz": 1e300, "2.physical_size_m": 1e300},
+         "architectures[2]: derived angular_resolution_rad is 0.0"),
+        # chains x size overflows, so the efficiency underflows
+        ({"1.physical_size_m": 1e308}, "architectures[1]: derived eta_computed is 0.0"),
+        # 2B overflows, so the range resolution underflows
+        ({"0.bandwidth_hz": 1e308}, "architectures[0]: derived range_resolution_m is 0.0"),
+    ])
+    def test_metric_that_underflows_exits_2_naming_it(self, tmp_path, config_path, capsys,
+                                                      edits, message):
+        cfg = base_config()
+        for path, value in edits.items():
+            _edit(cfg["architectures"], path, value)
+        out = tmp_path / "report.json"
+        assert cli.main(["compare", "--config", config_path(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}, not a number > 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_json_output_is_standard(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json_dumps({"width": math.inf})
@@ -712,6 +732,26 @@ class TestExtremeMagnitudes:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {where}: position has no finite nonzero range\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb, args", [
+        ("simulate", []),
+        ("sweep", ["--snr", "noiseless,10", "--trials", "3"]),
+    ])
+    def test_echo_overflow_exits_3_writing_nothing(self, tmp_path, config_path, capsys, verb,
+                                                   args):
+        # two co-located targets of reflectivity 1e308: their superposed echo overflows
+        cfg = base_config()
+        cfg["scene"]["targets"][0]["alpha_re"] = 1e308
+        cfg["scene"]["targets"].append(cfg["scene"]["targets"][0])
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the scene's echo is not finite: a reflectivity is too large or NaN\n"
         )
         assert captured.out == ""
         assert not out.exists()

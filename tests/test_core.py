@@ -74,6 +74,16 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyPlan(60e9, 66e9, 0)
 
+    @pytest.mark.parametrize("f_min, f_max, message", [
+        (60e9, math.inf, "f_max must be finite"),
+        (math.nan, 66e9, "need 0 < f_min < f_max, got f_min=nan, f_max=66000000000.0"),
+        (60e9, math.nan, "need 0 < f_min < f_max, got f_min=60000000000.0, f_max=nan"),
+    ])
+    def test_non_finite_band_rejected(self, f_min, f_max, message):
+        with pytest.raises(ValueError) as exc:
+            FrequencyPlan(f_min, f_max, 8)
+        assert str(exc.value) == message
+
 
 class TestRangeOf:
     @pytest.mark.parametrize(

@@ -75,6 +75,11 @@ class TestLinearSine:
      "need matching 1-D frequency/angle arrays with >= 2 rows"),
     (lambda: LookupTableDispersion(np.array([60e9, 66e9]), np.array([0.0, math.pi / 2])),
      "lookup angles must lie within (-pi/2, pi/2)"),
+    (lambda: LinearSineDispersion(60e9, math.inf, -1.0, 1.0), "f_max must be finite"),
+    (lambda: LookupTableDispersion(np.array([60e9, math.inf]), np.array([0.0, 0.1])),
+     "lookup frequencies must be finite"),
+    (lambda: LookupTableDispersion(np.array([-math.inf, 60e9]), np.array([0.0, 0.1])),
+     "lookup frequencies must be finite"),
 ])
 def test_model_out_of_range_rejected(make, message):
     with pytest.raises(ValueError) as exc:

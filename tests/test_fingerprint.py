@@ -117,6 +117,15 @@ class TestNormalize:
             _normalize(s, lambda i: f"grid index {i}")
         assert str(err.value) == "grid index 2 has a zero-norm channel"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_sample_names_the_first_such_row(self, bad):
+        s = np.ones((4, 2, 3), dtype=np.complex128)
+        s[1, 1, 2] = bad
+        s[3, 0, 0] = bad
+        with pytest.raises(DegenerateMeasurementError) as err:
+            _normalize(s, lambda i: f"grid index {i}")
+        assert str(err.value) == "grid index 1 has a sample that is not finite"
+
 
 class TestBuildFingerprint:
     def test_normalizes_each_half(self):
@@ -225,6 +234,14 @@ class TestPositionGrid:
         with pytest.raises(ValueError):
             PositionGrid((0, 1), (0, 1), (1, 2), nx=0, ny=1, nz=1)
 
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("bounds", [(-0.5, math.nan), (math.nan, 0.5), (math.nan, math.nan)])
+    def test_rejects_nan_bound(self, axis, bounds):
+        ranges = [(-0.5, 0.5), (-0.5, 0.5), (2.5, 3.5)]
+        ranges[axis] = bounds
+        with pytest.raises(ValueError, match=f"^{'xyz'[axis]}_range must satisfy lo <= hi"):
+            PositionGrid(*ranges, nx=2, ny=2, nz=2)
+
 
 class TestDictionary:
     def test_single_point_matches_direct_fingerprint(self):
@@ -296,6 +313,15 @@ class TestLocalize:
         assert result.index == 62
         np.testing.assert_array_equal(result.position, target_pos)
         assert result.score == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_measurement_rejected(self, dictionary, bad):
+        m = unit_measurement(dictionary.positions[62], antenna=ANT_WIDE)
+        s_y = m.s_y.copy()
+        s_y[3] = bad
+        with pytest.raises(DegenerateMeasurementError,
+                           match="^measurement has a sample that is not finite$"):
+            localize(Measurement(PLAN8, m.s_x, s_y), dictionary)
 
     def test_matches_brute_force_scan(self, dictionary):
         rng = np.random.default_rng(11)

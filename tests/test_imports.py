@@ -1,12 +1,15 @@
-"""Every name a sweepsense module imports is used in it, or listed in its ``__all__``, and
-every module-level private name is used somewhere in the package."""
+"""Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
+every module-level private name is used somewhere in the package, and the README's
+library layout lists every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sweepsense").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sweepsense").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -87,3 +90,21 @@ def test_no_dead_private_name():
 ])
 def test_guard_finds_dead_private_names(sources, dead):
     assert dead_private_names(sources) == dead
+
+
+def layout_modules(readme: str) -> list[str]:
+    """The module names in the first column of the README's "Library layout" table."""
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `sweepsense\.(\w+)`", section, flags=re.M)
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    listed = layout_modules((ROOT / "README.md").read_text())
+    assert sorted(listed) == sorted(p.stem for p in SOURCES if p.stem != "__init__")
+
+
+def test_layout_guard_reads_the_table_rows():
+    readme = ("# x\n\n## Library layout\n\n| module | contents |\n|---|---|\n"
+              "| `sweepsense.core` | `sweepsense.synth` |\n| `sweepsense.cli`  | x |\n\n"
+              "## Conventions\n\n| `sweepsense.other` | x |\n")
+    assert layout_modules(readme) == ["core", "cli"]

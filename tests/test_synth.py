@@ -1,6 +1,9 @@
 """Measurement synthesis, noise reproducibility, dechirp."""
 
+import hashlib
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +21,10 @@ from sweepsense.core import (
     frequency_grid,
 )
 from sweepsense.dispersion import LinearSineDispersion
-from sweepsense.streams import derive_seed, substream
 from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
+    derive_seed,
     echo,
     noise,
     phase_curvature,
@@ -31,6 +34,17 @@ from sweepsense.synth import (
 PLAN = FrequencyPlan(60e9, 66e9, 16)
 MODEL = LinearSineDispersion.for_plan(PLAN)
 ANT = AntennaModel()
+
+
+def substream(seed: int, *path) -> np.random.Generator:
+    """Reference generator for the stream (seed, *path): a new Philox keyed by the
+    blake2b digest of the 64-bit seed and the path labels."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(struct.pack("<Q", int(seed) & 0xFFFFFFFFFFFFFFFF))
+    for part in path:
+        h.update(b"/")
+        h.update(str(part).encode("utf-8"))
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(h.digest(), dtype="<u8")))
 
 
 def synthesize_sample(f, position, refl: complex, gain) -> complex:
@@ -52,6 +66,24 @@ def test_length_and_range_must_be_finite_and_positive(make, error, message, valu
     with pytest.raises(error) as exc:
         make(value)
     assert str(exc.value) == message.format(value)
+
+
+@pytest.mark.parametrize("targets, snr_db, message", [
+    # co-located targets whose sum overflows
+    ([Target((0, 0, 3.0), 1e308)] * 4, None,
+     "the scene's echo is not finite: a reflectivity is too large or NaN"),
+    ([Target((0, 0, 3.0), complex(math.nan, 0.0))], None,
+     "the scene's echo is not finite: a reflectivity is too large or NaN"),
+    # a finite echo whose noise overflows
+    ([Target((0, 0, 3.0), 1e306)], -100.0, "the measurement at SNR -100.0 dB is not finite"),
+])
+def test_non_finite_measurement_rejected_without_a_warning(targets, snr_db, message):
+    scene = Scene(tuple(targets), NoiseConfig(snr_db, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:  # a short antenna: gains near 1 at boresight
+            simulate_measurement(scene, PLAN, MODEL, AntennaModel(length=0.012))
+    assert str(exc.value) == message
 
 
 class TestAntennaGain:

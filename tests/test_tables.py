@@ -698,6 +698,23 @@ class TestDictionaryImport:
         table_bytes = 9**3 * (6 + 4 * 128) * 8
         assert peak < d.entries.nbytes / 4 < table_bytes / 4  # bounded by a block of rows
 
+    def test_tolerance_check_holds_no_full_size_temporary(self, tmp_path, wide_dictionary):
+        # A CRLF copy is read and each entry cell checked within the print
+        # tolerance, a block of rows at a time: beyond the loaded body no
+        # array of the table's size is held.
+        source, d = wide_dictionary
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+        import_dictionary(path, d)
+        tracemalloc.start()
+        try:
+            import_dictionary(path, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        body_bytes = 9**3 * (6 + 4 * 128) * 8
+        assert peak < 1.5 * body_bytes
+
     def test_comparison_stops_at_the_first_differing_block(self, tmp_path, dictionary_32,
                                                             monkeypatch):
         source, d = dictionary_32
