@@ -15,6 +15,7 @@ bundled defaults are known to disagree, so both numbers are always shown.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from sweepsense.core import SPEED_OF_LIGHT
@@ -115,6 +116,10 @@ class ArchitectureSpec:
                 "physical_size_m, bandwidth_hz and f_ref_hz must be finite and positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        for key in ("rf_chains", "n_samples"):
+            if getattr(self, key) > sys.float_info.max:  # an int compares with a float exactly
+                raise ValueError(f"{key} must be at most {sys.float_info.max!r}, "
+                                 "the largest double")
         if self.aperture_kind not in (APERTURE_VIRTUAL, APERTURE_PHYSICAL):
             raise ValueError(
                 f"aperture_kind must be '{APERTURE_VIRTUAL}' or '{APERTURE_PHYSICAL}'"

@@ -135,8 +135,16 @@ def load_config(path) -> dict:
     def non_finite(name: str):
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
 
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        cfg = json.loads(text, parse_constant=non_finite)
+        cfg = json.loads(text, parse_constant=non_finite, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -589,7 +597,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # GeometryError, BandError, AliasingError and DegenerateMeasurementError are ValueErrors.
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -138,7 +138,8 @@ def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     real and imaginary parts gets half of it. Where P_sig is inf or not a
     normal double, it is taken of the scene over its largest |sample|.
     Noiseless (None) or a zero-power scene gives 0. A non-finite snr_db
-    raises ValueError.
+    raises ValueError; an SNR so low that the noise power overflows gives
+    inf, which is rejected where the noise is added.
     """
     if snr_db is None:
         return 0.0
@@ -147,10 +148,10 @@ def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     scale = 1.0
     with np.errstate(over="ignore"):
         power = float(np.mean(np.abs(clean) ** 2))
-    if not np.finfo(float).tiny <= power < math.inf and clean.any():
-        scale = float(np.abs(clean).max())
-        power = float(np.mean(np.abs(clean / scale) ** 2))
-    var = power * 10.0 ** (-float(snr_db) / 10.0)
+        if not np.finfo(float).tiny <= power < math.inf and clean.any():
+            scale = float(np.abs(clean).max())
+            power = float(np.mean(np.abs(clean / scale) ** 2))
+        var = power * np.float64(10.0) ** (-float(snr_db) / 10.0) if power else 0.0
     return scale * math.sqrt(var / 2.0)
 
 

@@ -278,6 +278,9 @@ REAL_RANGE = "physical_size_m, bandwidth_hz and f_ref_hz must be finite and posi
     ("eta_reference", math.inf, "power_mw, cost_usd and eta_reference must be finite"),
     ("power_mw", NAN, "power_mw, cost_usd and eta_reference must be finite"),
     ("cost_usd", -math.inf, "power_mw, cost_usd and eta_reference must be finite"),
+    *(pytest.param(field, 10**400,
+                   f"{field} must be at most 1.7976931348623157e+308, the largest double",
+                   id=f"{field}-10**400") for field in ("rf_chains", "n_samples")),
 ])
 def test_spec_rejects_values_out_of_range(field, value, message):
     with pytest.raises(ValueError) as exc:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
 from sweepsense import cli
 from sweepsense.archcomp import ArchitectureSpec
@@ -756,6 +757,51 @@ class TestExtremeMagnitudes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb, snr, code, err", [
+        ("simulate", -4000, 3, "error: the measurement at SNR -4000.0 dB is not finite\n"),
+        ("sweep", -4000, 3, "error: trial 0 of SNR point 0 has a sample that is not finite\n"),
+        # 10^308.2 times the scene's power is still a double
+        ("simulate", -3082, 0, ""),
+        ("sweep", -3082, 0, ""),
+    ], ids=["simulate-4000", "sweep-4000", "simulate-3082", "sweep-3082"])
+    def test_snr_whose_noise_power_overflows_exits_3(self, tmp_path, config_path, capsys,
+                                                     verb, snr, code, err):
+        cfg = base_config()
+        cfg["scene"]["snr_db"] = snr
+        args = ["--snr", str(snr), "--trials", "3"] if verb == "sweep" else []
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("verb, function, args", [
+        ("dict", "build_dictionary", []),
+        ("probe", "ambiguity_probe", ["--span", "1.0"]),
+        ("sweep", "noise", ["--snr", "0", "--trials", "2"]),
+    ])
+    def test_memory_failure_exits_3_with_one_line(self, tmp_path, config_path, capsys,
+                                                  monkeypatch, verb, function, args):
+        # the error numpy raises for plan.n_points 10**12; no memory is requested
+        error = _ArrayMemoryError((27, 2 * 10**12), np.dtype(np.complex128))
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, function, fail)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(base_config()), *args,
+                         "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: Unable to allocate 786. TiB for an array with shape (27, 2000000000000) "
+            "and data type complex128\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", [1e200, 1e-170])
     def test_reflectivity_scale_is_divided_out(self, tmp_path, config_path, alpha):
         # the sums of squares behind the noise power and the unit norms overflow or underflow
@@ -833,6 +879,22 @@ class TestConfigBoundary:
         assert rc == 2
         assert f"non-finite number {constant}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("verb, text, repeated, key", [
+        ("simulate", '"grid": {', '"scene": {}, "grid": {', "scene"),
+        ("simulate", '"n_points": 32', '"n_points": 8, "n_points": 16', "n_points"),
+        ("simulate", '"z_m": 3.0', '"z_m": 3.0, "z_m": 2.5', "z_m"),
+        ("compare", '"rf_chains": 2', '"rf_chains": 2, "rf_chains": 3', "rf_chains"),
+    ], ids=["section", "section key", "target key", "architecture key"])
+    def test_duplicate_key_exits_2_naming_it(self, tmp_path, capsys, verb, text, repeated, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config()).replace(text, repeated, 1))
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: duplicate key '{key}'\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_chirp_section_rejected(self, tmp_path, config_path, capsys):
         cfg = base_config(chirp={"duration_s": -1.0, "bogus_key": 3})
@@ -917,6 +979,11 @@ MALFORMED.append(("compare", "dispersion", {"kind": "lookup_table", "table_path"
                   "dispersion: [Errno 2] No such file or directory"))
 MALFORMED += [("compare", "architectures", value, "architectures: must be a non-empty list")
               for value in ([], {})]
+# a JSON integer too large for a double
+MALFORMED += [pytest.param("compare", f"architectures.{i}.{key}", 10**400,
+                           f"architectures[{i}]: {key} must be at most 1.7976931348623157e+308, "
+                           "the largest double", id=f"compare-{key}-10**400")
+              for i, key in enumerate(("rf_chains", "n_samples"))]
 
 
 def _verb_args(verb, tmp_path, config_path):

@@ -197,11 +197,3 @@ def test_noise_seed_range():
     with pytest.raises(ValueError):
         NoiseConfig(snr_db=10.0, seed=-1)
     assert NoiseConfig(snr_db=10.0, seed=2**64 - 1).seed == 2**64 - 1
-
-
-def test_public_names_resolve_once():
-    import sweepsense
-
-    assert len(set(sweepsense.__all__)) == len(sweepsense.__all__)
-    for name in sweepsense.__all__:
-        assert getattr(sweepsense, name) is not None, name

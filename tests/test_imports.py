@@ -1,6 +1,6 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
-every module-level private name is used somewhere in the package, and the README's
-library layout lists every module."""
+every module-level private name is used somewhere in the package, the README's
+library layout lists every module, and the package module itself exports nothing."""
 
 import ast
 import re
@@ -108,3 +108,10 @@ def test_layout_guard_reads_the_table_rows():
               "| `sweepsense.core` | `sweepsense.synth` |\n| `sweepsense.cli`  | x |\n\n"
               "## Conventions\n\n| `sweepsense.other` | x |\n")
     assert layout_modules(readme) == ["core", "cli"]
+
+
+def test_package_module_is_its_docstring_alone():
+    # each name is imported from the module that defines it; the package re-exports none
+    tree = ast.parse((ROOT / "src" / "sweepsense" / "__init__.py").read_text())
+    assert [type(node) for node in tree.body] == [ast.Expr]
+    assert ast.get_docstring(tree)

@@ -27,6 +27,7 @@ from sweepsense.synth import (
     derive_seed,
     echo,
     noise,
+    noise_sigma,
     phase_curvature,
     simulate_measurement,
 )
@@ -76,6 +77,8 @@ def test_length_and_range_must_be_finite_and_positive(make, error, message, valu
      "the scene's echo is not finite: a reflectivity is too large or NaN"),
     # a finite echo whose noise overflows
     ([Target((0, 0, 3.0), 1e306)], -100.0, "the measurement at SNR -100.0 dB is not finite"),
+    # a noise power that overflows
+    ([Target((0, 0, 3.0))], -4000.0, "the measurement at SNR -4000.0 dB is not finite"),
 ])
 def test_non_finite_measurement_rejected_without_a_warning(targets, snr_db, message):
     scene = Scene(tuple(targets), NoiseConfig(snr_db, 5))
@@ -84,6 +87,15 @@ def test_non_finite_measurement_rejected_without_a_warning(targets, snr_db, mess
         with pytest.raises(ValueError) as exc:  # a short antenna: gains near 1 at boresight
             simulate_measurement(scene, PLAN, MODEL, AntennaModel(length=0.012))
     assert str(exc.value) == message
+
+
+def test_noise_power_that_overflows_gives_an_infinite_sigma():
+    clean = np.ones((2, 4), dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert noise_sigma(clean, -4000.0) == math.inf
+        assert noise_sigma(clean, -3082.0) == math.sqrt(10.0 ** 308.2 / 2.0)
+        assert noise_sigma(np.zeros_like(clean), -4000.0) == 0.0
 
 
 class TestAntennaGain:
