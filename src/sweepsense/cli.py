@@ -73,10 +73,18 @@ class ConfigError(ValueError):
 # config parsing
 
 
+_MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest size numpy can give an array
+
+
+class _Count(int):
+    """The kind of a count: an integer no larger than _MAX_COUNT."""
+
+
 # The kinds a config value can have, and how a wrong one is described.
 _KINDS = {
     float: "a finite number",
     int: "an integer",
+    _Count: f"an integer of at most {_MAX_COUNT}",
     bool: "a boolean",
     str: "a string",
     list: "a list",
@@ -89,6 +97,9 @@ def _checked(kind: type, value):
     A bool counts only as a bool. A float must be finite; a JSON integer is
     one too, and one beyond the range of a double counts as infinite.
     """
+    if kind is _Count:
+        value = _checked(int, value)
+        return None if value is None or value > _MAX_COUNT else value
     if isinstance(value, bool) != (kind is bool):
         return None
     if kind is float and isinstance(value, int):
@@ -162,7 +173,7 @@ def _section(sections: dict, name: str):
 
 
 def parse_plan(sec) -> FrequencyPlan:
-    kinds = {"f_min_hz": float, "f_max_hz": float, "n_points": int}
+    kinds = {"f_min_hz": float, "f_max_hz": float, "n_points": _Count}
     v = _read("plan", sec, kinds)
     return _build("plan", FrequencyPlan, v["f_min_hz"], v["f_max_hz"], v["n_points"])
 
@@ -220,7 +231,7 @@ def parse_scene(sec, seed_override: int | None = None) -> Scene:
 
 def parse_grid(sec) -> PositionGrid:
     ranges = {f"{a}_{end}_m": float for a in "xyz" for end in ("min", "max")}
-    v = _read("grid", sec, {**ranges, "nx": int, "ny": int, "nz": int})
+    v = _read("grid", sec, {**ranges, "nx": _Count, "ny": _Count, "nz": _Count})
     return _build(
         "grid", PositionGrid,
         *((v[f"{a}_min_m"], v[f"{a}_max_m"]) for a in "xyz"),
@@ -567,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--span", required=True, type=_POSITIVE,
                    help="max |offset| (deg for angular axes, m otherwise)")
-    p.add_argument("--steps", default=201,
-                   type=_flag("must be an integer >= 3", int, lambda n: n >= 3))
+    p.add_argument("--steps", default=201, type=_flag(
+        f"must be an integer from 3 to {_MAX_COUNT}", int, lambda n: 3 <= n <= _MAX_COUNT))
 
     p = verb("compare", cmd_compare, "architecture comparison report", out_default=None)
     p.add_argument("--r-query", type=_POSITIVE, default=3.0, help="cell-volume range (m)")
@@ -576,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("sweep", cmd_sweep, "Monte-Carlo localization RMSE vs SNR", seed=True)
     p.add_argument("--snr", required=True, type=_snrs,
                    help="comma list of SNR dB values; 'noiseless' allowed")
-    p.add_argument("--trials", default=100,
-                   type=_flag("must be an integer >= 1", int, lambda n: n >= 1))
+    p.add_argument("--trials", default=100, type=_flag(
+        f"must be an integer from 1 to {_MAX_COUNT}", int, lambda n: 1 <= n <= _MAX_COUNT))
     return parser
 
 

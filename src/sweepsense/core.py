@@ -227,30 +227,34 @@ def range_of(position) -> float | np.ndarray:
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
-_WRITE_CELLS = 4096  # cells per block in table_text and first_off_cell: bounds the bytes held
+_WRITE_CELLS = 8192  # cells per block in table_text and first_off_cell: bounds the bytes held
 
-# table_text prints a block of cells into one fixed-width byte field each and
-# then drops the bytes a cell leaves unused. A float field holds sign, digit,
-# '.', 9 digits, 'e', exponent sign, 3 exponent digits and the separator; an
-# int field holds sign, 2 unused bytes and 10 digits, leading zeros unused.
-# Its tables are built on first use: verbs that write no CSV never hold them.
+# table_text prints each cell of a block into a fixed-width byte field, NUL where
+# unused, then deletes the NULs: sign, digit, '.', 9 digits, 'e' and a signed 2-3
+# digit exponent for a float, sign and 1-10 digits for an int, then the separator.
+# Tables are built on first use: verbs that write no CSV never hold them.
 _FIELD = 18
-_INT_DECADES = 10 ** np.arange(1, 10)
 
 
 @functools.cache
 def _digits4() -> np.ndarray:
     """"0000" .. "9999", one 4-byte item each."""
-    table = np.empty((10,) * 4 + (4,), np.uint8)
-    for i in range(4):
-        table[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
+    digit = np.arange(48, 58, dtype=np.uint8)  # "0" .. "9"
+    table = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
     return table.reshape(-1, 4).view("V4")[:, 0]
 
 
 @functools.cache
+def _lead() -> np.ndarray:
+    """Sign, digit, '.', digit of a float field: NUL "0.0" .. NUL "9.9", "-0.0" .. "-9.9"."""
+    text = "".join(f"{s}{t / 10:.1f}" for s in "\0-" for t in range(100))
+    return np.frombuffer(text.encode(), "V4")
+
+
+@functools.cache
 def _exponents() -> np.ndarray:
-    """Sign and digits of e = -324 .. 308, 4 bytes each, the last unused below 100."""
-    return np.frombuffer("".join(f"{e:+03d}".ljust(4) for e in range(-324, 309)).encode(), "V4")
+    """Sign and digits of e = -324 .. 308, 4 bytes each, the last NUL below 100."""
+    return np.frombuffer("".join(f"{e:+03d}\0"[:4] for e in range(-324, 309)).encode(), "V4")
 
 
 @functools.cache
@@ -260,9 +264,8 @@ def _pow10() -> np.ndarray:
 
 
 def table_text(header: str, table, n_int: int = 0):
-    """Yield the text of a CSV table: the ``header`` line, then the lines of
-    one block of rows of ``table`` at a time, each block formatted when it
-    is asked for.
+    """Yield the ASCII bytes of a CSV table: the ``header`` line, then the lines
+    of one block of rows of ``table`` at a time, each formatted when asked for.
 
     ``table`` is a 2-D array, or a sequence of column groups (1-D or 2-D
     arrays of equal row counts) that are joined a block of rows at a time.
@@ -273,72 +276,66 @@ def table_text(header: str, table, n_int: int = 0):
               for g in map(np.asarray, (table,) if isinstance(table, np.ndarray) else table)]
     if len({len(g) for g in groups}) > 1:
         raise ValueError("column groups differ in row count")
-    width = sum(g.shape[1] for g in groups)
-    yield header + "\n"
-    k = max(1, _WRITE_CELLS // width)  # rows per block
+    yield (header + "\n").encode("ascii")
+    k = max(1, _WRITE_CELLS // sum(g.shape[1] for g in groups))  # rows per block
     for start in range(0, len(groups[0]), k):
         block = np.concatenate([g[start : start + k] for g in groups], axis=1, dtype=float)
         yield _format_block(block, n_int)
 
 
 def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
-    """Write the table_text of ``header`` and ``table`` to ``dest``, a path or
-    an open text file; with None the text is returned."""
-    if dest is None:
-        return "".join(table_text(header, table, n_int))
-    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
+    """Write the table_text of ``header`` and ``table`` to ``dest``: a path, or
+    an open text file that gets each block decoded; with None the text is returned."""
+    if dest is None or hasattr(dest, "write"):
+        text = (block.decode("ascii") for block in table_text(header, table, n_int))
+        return "".join(text) if dest is None else dest.writelines(text)
+    with open(dest, "wb") as fh:
         fh.writelines(table_text(header, table, n_int))
 
 
-def _format_block(block: np.ndarray, n_int: int) -> str:
+def _format_block(block: np.ndarray, n_int: int) -> bytes:
     """The CSV lines of the rows of ``block``, as table_text prints them."""
     field = np.empty(block.shape + (_FIELD,), np.uint8)
-    keep = np.ones(block.shape + (_FIELD,), bool)
     field[..., -1] = ord(",")
     field[:, -1, -1] = ord("\n")
-    odd = np.concatenate([_fill_ints(block[:, :n_int], field[:, :n_int], keep[:, :n_int]),
-                          _fill_floats(block[:, n_int:], field[:, n_int:], keep[:, n_int:])],
-                         axis=1)
-    # Cells the byte fields cannot prove exact keep their own % format.
-    rows, cols = np.nonzero(odd)
-    if len(rows):
-        texts = [(("%d" if c < n_int else FLOAT_FMT) % block[r, c].item()).encode()
-                 for r, c in zip(rows.tolist(), cols.tolist())]
+    odd = np.concatenate([_fill_ints(block[:, :n_int], field[:, :n_int]),
+                          _fill_floats(block[:, n_int:], field[:, n_int:])], axis=1)
+    if odd.any():  # cells the byte fields cannot prove exact keep their own % format
+        cells = np.argwhere(odd).tolist()
+        texts = [(("%d" if c < n_int else FLOAT_FMT) % block.item(r, c)).encode() for r, c in cells]
         wider = [_FIELD - 1] * (max(map(len, texts)) + 1 - _FIELD)  # for ints of 11+ digits
         if wider:
-            field, keep = np.insert(field, wider, 0, axis=2), np.insert(keep, wider, False, axis=2)
-        for r, c, text in zip(rows, cols, texts):
-            field[r, c, : len(text)] = np.frombuffer(text, np.uint8)
-            keep[r, c, :-1] = np.arange(keep.shape[2] - 1) < len(text)
-    return field[keep].tobytes().decode("ascii")
+            field = np.insert(field, wider, 0, axis=2)
+        for (r, c), text in zip(cells, texts):
+            field[r, c, :-1] = np.frombuffer(text.ljust(field.shape[2] - 1, b"\0"), np.uint8)
+    return field.tobytes().translate(None, b"\0")
 
 
-def _put_digits(field: np.ndarray, at: int, q: np.ndarray) -> None:
-    """Write "00" and the 10 decimal digits of each of ``q`` (0 .. 10^10 - 1),
-    zero-padded, at bytes ``at`` .. ``at + 11`` of its field."""
-    top = q // 100_000_000
-    rest = q - top * 100_000_000
-    mid = rest // 10_000
-    for i, part in enumerate((top, mid, rest - mid * 10_000)):
-        field[..., at + 4 * i : at + 4 * i + 4].view("V4")[..., 0] = _digits4()[part]
+def _put_digits(digits: np.ndarray, q: np.ndarray, lead: np.ndarray) -> None:
+    """Write ``lead[q // 10^8]`` and the last 8 decimal digits of each of ``q``,
+    zero-padded, into the three 4-byte items of ``digits``; ``q`` is overwritten."""
+    for i, (table, unit) in enumerate(((lead, 100_000_000), (_digits4(), 10_000))):
+        part = q // unit
+        digits[..., i] = table[part]
+        part *= unit
+        q -= part
+    digits[..., 2] = _digits4()[q]
 
 
-def _fill_ints(x: np.ndarray, field: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _fill_ints(x: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Fill the fields of ``"%d" % x``; True where a cell needs its own %."""
     v = np.trunc(x)
     ok = np.abs(v) < 1e10  # at most 10 digits; false for NaN and inf
     q = np.where(ok, np.abs(v), 0).astype(np.int64)
-    _put_digits(field, 1, q)
-    field[..., 0] = ord("-")
-    keep[..., 0] = v < 0  # not for -0.0, which %d prints as 0
-    keep[..., 1:3] = False
-    leading = 9 - np.searchsorted(_INT_DECADES, q, side="right")  # zeros before the first digit
-    keep[..., 3:13] = np.arange(10) >= leading[..., None]
-    keep[..., 13:-1] = False
+    _put_digits(field[..., 1:13].view("V4"), q, _digits4())
+    leading = field[..., 1:12]  # all but the last digit, which 0 prints
+    leading[~np.logical_or.accumulate(leading != ord("0"), axis=-1)] = 0
+    field[..., 0] = np.where(v < 0, ord("-"), 0)  # not for -0.0, which %d prints as 0
+    field[..., 13:-1] = 0
     return ~ok
 
 
-def _fill_floats(x: np.ndarray, field: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _fill_floats(x: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Fill the fields of ``FLOAT_FMT % x``; True where a cell needs its own %.
 
     With e the decimal exponent of |x|, the 10 digits are rint(|x| 10^(9-e)).
@@ -348,35 +345,35 @@ def _fill_floats(x: np.ndarray, field: np.ndarray, keep: np.ndarray) -> np.ndarr
     """
     a = np.abs(x)
     nonzero = (a > 0) & (a < np.inf)  # and finite
-    a = np.where(nonzero, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    a[~nonzero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
     s = _scaled(a, e)
     miss = (s < 1e9) | (s >= 1e10)  # log10 rounded across a power of ten
     if miss.any():
         e[miss] += np.where(s[miss] < 1e9, -1, 1)
         s[miss] = _scaled(a[miss], e[miss])
-    q = np.rint(s)
-    odd = (x != 0) & ~nonzero | (q < 1e9) | (q > 1e10) | (np.abs(s - q) > 0.5 - 1e-4)
+    q = np.rint(s, out=a)
+    s -= q  # s is now the rounding error
+    odd = (x != 0) & ~nonzero | (q < 1e9) | (q > 1e10) | (np.abs(s, out=s) > 0.5 - 1e-4)
     carry = q == 1e10  # rounded up to the next decade
     good = nonzero & ~odd  # zeros print as 0.000000000e+00
-    q = np.where(good, np.where(carry, 1e9, q), 0).astype(np.int64)
-    e = np.where(good, e + carry, 0)
-    _put_digits(field, 0, q)  # the first digit lands where the point goes
-    field[..., 1] = field[..., 2]
-    field[..., 2] = ord(".")
-    field[..., 0] = ord("-")
-    keep[..., 0] = np.signbit(x)
+    np.copyto(q, 1e9, where=carry)
+    q *= good
+    q += np.signbit(x) * 1e10  # selects the lead with a '-'
+    e = (e + carry) * good
+    _put_digits(field[..., :12].view("V4"), q.astype(np.int64), _lead())
     field[..., 12] = ord("e")
     field[..., 13:17].view("V4")[..., 0] = _exponents()[e + 324]
-    keep[..., 16] = np.abs(e) >= 100
     return odd
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """a * 10^(9 - e) through two table powers, so no factor leaves float range."""
-    k = 9 - e
-    k1 = k >> 1
-    return a * _pow10()[k1 + 170] * _pow10()[k - k1 + 170]
+    k = 349 - e  # 9 - e plus twice 170, the index of 10^0: each half indexes one factor
+    half = k >> 1
+    s = a * _pow10()[half]
+    s *= _pow10()[np.subtract(k, half, out=k)]
+    return s
 
 
 class HeaderError(ValueError):
@@ -465,48 +462,52 @@ def line_error(path, row: int, message: str, fh=None) -> ValueError:
     return ValueError(f"{path}: line {lineno}: {message}")
 
 
-def _lines(path, fh=None):
-    """(line number, text) of every line, split as text mode splits them.
-
-    Each line is decoded on its own, so a line that is not UTF-8 text raises
-    ValueError naming it.
-    """
+def _body_lines(path, fh=None):
+    """(line number, text) of each non-empty line after the header, split as text mode
+    splits them; a line that is not UTF-8 text, the header too, raises ValueError naming it."""
     with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
         fh.seek(0)
         raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
         for lineno, raw in enumerate(raw_lines, start=1):
             try:
-                yield lineno, raw.decode("utf-8")
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
                 raise ValueError(f"{path}: line {lineno}: {message}") from None
-
-
-def _body_lines(path, fh=None):
-    """(line number, text) of each non-empty line after the header."""
-    return ((n, line) for n, line in _lines(path, fh) if n > 1 and line)
+            if lineno > 1 and text:
+                yield lineno, text
 
 
 def _first_bad_line(path, n_fields: int, fh, start: int = 0) -> ValueError:
-    """The error for the first line read_table rejects; rescans from body row ``start``."""
+    """The error for the first line read_table rejects, from body row ``start`` on, found
+    by halving runs of lines, then of its cells, that np.loadtxt cannot read as finite."""
 
-    def finite(text: str) -> bool:  # every cell of ``text``, as loadtxt reads it
+    def bad(texts: list[str], width: int) -> bool:
         try:
-            values = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+            values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            return False
-        return values.size > 0 and bool(np.isfinite(values).all())
+            return True
+        return values.shape != (len(texts), width) or not np.isfinite(values).all()
 
+    def first(items: list, run_is_bad) -> int:  # the first bad item, or the last if none is
+        lo, hi = 0, len(items)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if run_is_bad(items[lo:mid]) else (mid, hi)
+        return lo
+
+    lines, error = [], ValueError(f"{path}: unreadable CSV body")
     try:
-        for lineno, line in itertools.islice(_body_lines(path, fh), start, None):
-            cells = line.split(",")
-            if len(cells) != n_fields:
-                message = f"expected {n_fields} fields, got {len(cells)}"
-                return ValueError(f"{path}: line {lineno}: {message}")
-            if not finite(line):
-                col = next(i for i, cell in enumerate(cells) if not finite(cell))
-                message = f"field {col + 1} is not a finite number: {cells[col].strip()!r}"
-                return ValueError(f"{path}: line {lineno}: {message}")
-    except ValueError as exc:  # from _lines: a line that is not UTF-8 text
-        return exc
-    return ValueError(f"{path}: unreadable CSV body")
+        for item in itertools.islice(_body_lines(path, fh), start, None):
+            lines.append(item)
+    except ValueError as exc:  # a line that is not UTF-8 text
+        error = exc
+    if lines:
+        lineno, line = lines[first(lines, lambda run: bad([text for _, text in run], n_fields))]
+        cells, at = line.split(","), f"{path}: line {lineno}:"
+        if len(cells) != n_fields:
+            return ValueError(f"{at} expected {n_fields} fields, got {len(cells)}")
+        i = first(cells, lambda run: bad([",".join(run)], len(run)))
+        if bad(cells[i : i + 1], 1):
+            return ValueError(f"{at} field {i + 1} is not a finite number: {cells[i].strip()!r}")
+    return error

@@ -382,8 +382,9 @@ def import_dictionary(path, dictionary: Dictionary) -> None:
     header, groups = _table(dictionary)
     indices, positions, expected = groups
     with open_bytes(path) as fh:
-        blocks = (text.encode("ascii") for text in table_text(header, groups, n_int=3))
-        if all(fh.read(len(data)) == data for data in blocks) and not fh.read(1):
+        # map drops each block before the next is printed; a generator would hold it
+        same = map(lambda data: fh.read(len(data)) == data, table_text(header, groups, n_int=3))
+        if all(same) and not fh.read(1):
             return
         try:
             body = read_table(path, header, fh)

@@ -984,6 +984,14 @@ MALFORMED += [pytest.param("compare", f"architectures.{i}.{key}", 10**400,
                            f"architectures[{i}]: {key} must be at most 1.7976931348623157e+308, "
                            "the largest double", id=f"compare-{key}-10**400")
               for i, key in enumerate(("rf_chains", "n_samples"))]
+# a count larger than any numpy array size, in a section every verb parses
+MAX_COUNT = int(np.iinfo(np.intp).max)
+MALFORMED += [pytest.param(verb, path, value,
+                           f"section '{path.split('.')[0]}': key '{path.split('.')[1]}' must be "
+                           f"an integer of at most {MAX_COUNT}", id=f"{verb}-{path}-{label}")
+              for verb, path in [*((verb, "plan.n_points") for verb in VERBS),
+                                 *(("dict", f"grid.n{a}") for a in "xyz"), ("compare", "grid.nx")]
+              for value, label in ((10**400, "10**400"), (MAX_COUNT + 1, "intp-max+1"))]
 
 
 def _verb_args(verb, tmp_path, config_path):
@@ -1156,8 +1164,8 @@ BAD_FLAGS = [
     *(("probe", "--axis", v) for v in ("nan,0,1", "0,0,0", "spiral")),
     # their norm underflows to 0 and overflows to inf
     *(("probe", "--axis", v) for v in ("1e-200,1e-200,0", "1e200,1e200,0")),
-    *(("probe", "--steps", v) for v in ("2", "x")),
-    ("sweep", "--trials", "0"),
+    *(("probe", "--steps", v) for v in ("2", "x", "1" + "0" * 40, str(MAX_COUNT + 1))),
+    *(("sweep", "--trials", v) for v in ("0", "1" + "0" * 40, str(MAX_COUNT + 1))),
     *(("sweep", "--snr", v) for v in ("0,nan", "0,,1")),
     *(("simulate", "--seed", v) for v in ("-1", str(2**64))),
 ]

@@ -1,9 +1,14 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
 every module-level private name is used somewhere in the package, the README's
-library layout lists every module, and the package module itself exports nothing."""
+library layout lists every module, the package module itself exports nothing, and
+the CSV printer's tables are built only by a verb that prints a table."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +120,41 @@ def test_package_module_is_its_docstring_alone():
     tree = ast.parse((ROOT / "src" / "sweepsense" / "__init__.py").read_text())
     assert [type(node) for node in tree.body] == [ast.Expr]
     assert ast.get_docstring(tree)
+
+
+PRINTER_TABLES = """
+import sys
+from sweepsense import cli, core
+
+def built():
+    return [f.cache_info().currsize for f in (core._digits4, core._lead, core._exponents,
+                                              core._pow10)]
+
+config, out = sys.argv[1:]
+assert cli.main(["compare", "--config", config]) == 0
+before = built()
+assert cli.main(["dict", "--config", config, "--out", out]) == 0
+print(before, built())
+"""
+
+
+def test_printer_tables_are_built_on_first_use(tmp_path):
+    # A fresh interpreter: in this one another test may have printed a table.
+    spec = {"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12, "bandwidth_hz": 6e9,
+            "n_samples": 128, "aperture_kind": "virtual", "f_ref_hz": 63e9, "power_mw": 850.0,
+            "cost_usd": 55.0, "fov_deg": 60.0, "eta_reference": 926.0}
+    grid = {f"{a}_{end}_m": lo for a, lo in zip("xyz", (-0.1, -0.1, 2.0)) for end in ("min", "max")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 4},
+        "dispersion": {"kind": "linear_sine", "theta_max_deg": 60.0},
+        "grid": {**grid, "nx": 1, "ny": 1, "nz": 1},
+        "architectures": [spec],
+    }))
+    run = subprocess.run(
+        [sys.executable, "-c", PRINTER_TABLES, str(config), str(tmp_path / "dict.csv")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    # compare prints no table and builds none; dict builds each table once
+    assert run.stdout.split("\n")[-2] == "[0, 0, 0, 0] [1, 1, 1, 1]"

@@ -38,6 +38,7 @@ from sweepsense.fingerprint import (
 from sweepsense.synth import AntennaModel
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
+WIDE_SHA256 = "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"  # wide_dictionary
 READ_BYTES = 1 << 17  # 128 KB: the line-end and blank-line tests span several of these
 WIDTH = 7  # columns of the write_table block tests
 BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows write_table formats at once at that width
@@ -310,8 +311,7 @@ def wide_dictionary(tmp_path_factory):
                          AntennaModel(length=0.12, two_way=True))
     path = tmp_path_factory.mktemp("wide") / "dict.csv"
     export_dictionary(d, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256
     return path, d
 
 
@@ -550,6 +550,28 @@ class TestReadTable:
             read_table(path, header)
         assert len(calls) <= n_fields + 2
 
+    @pytest.mark.parametrize("row", [0, 300, 728])
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda cells: cells[:-1] + ["x"], "field {fields} is not a finite number: 'x'"),
+        (lambda cells: cells[:5] + [" y "] + cells[6:], "field 6 is not a finite number: 'y'"),
+        (lambda cells: cells[:-1], "expected {fields} fields, got {short}"),
+    ], ids=["text-last-cell", "text-sixth-cell", "short-row"])
+    def test_rejected_file_is_halved_to_its_first_bad_line(
+        self, tmp_path, dictionary_32, monkeypatch, row, spoil, message
+    ):
+        # np.loadtxt rejects the file, so the first bad line is found by halving
+        # runs of lines, then its first bad cell by halving runs of its cells.
+        lines = dictionary_32[0].read_text().splitlines()
+        header, n_fields, n_rows = lines[0], lines[0].count(",") + 1, len(lines) - 1
+        for at in {row + 1, n_rows}:  # a later bad line is not the one named
+            lines[at] = ",".join(spoil(lines[at].split(",")))
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        calls = counting(monkeypatch, core.np, "loadtxt")
+        expected = message.format(fields=n_fields, short=n_fields - 1)
+        with pytest.raises(ValueError, match=f"^{path}: line {row + 2}: {expected}$"):
+            read_table(path, header)
+        assert len(calls) <= math.ceil(math.log2(n_rows)) + math.ceil(math.log2(n_fields)) + 3
+
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
         assert [str(line_error(path, i, "bad")) for i in range(3)] == [
@@ -697,6 +719,20 @@ class TestDictionaryImport:
             tracemalloc.stop()
         table_bytes = 9**3 * (6 + 4 * 128) * 8
         assert peak < d.entries.nbytes / 4 < table_bytes / 4  # bounded by a block of rows
+
+    def test_export_holds_one_block(self, tmp_path, wide_dictionary):
+        # A path is written in binary a block at a time: the text is never joined.
+        _, d = wide_dictionary
+        path = tmp_path / "dict.csv"
+        export_dictionary(d, path)  # tables built on first use are not counted
+        tracemalloc.start()
+        try:
+            export_dictionary(d, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.entries.nbytes / 4
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256
 
     def test_tolerance_check_holds_no_full_size_temporary(self, tmp_path, wide_dictionary):
         # A CRLF copy is read and each entry cell checked within the print
