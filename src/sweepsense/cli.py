@@ -26,6 +26,7 @@ import numpy as np
 from sweepsense import archcomp
 from sweepsense.core import (
     FLOAT_FMT,
+    DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
     Measurement,
@@ -44,15 +45,16 @@ from sweepsense.dispersion import (
     LookupTableDispersion,
 )
 from sweepsense.fingerprint import (
+    _CHUNK_ROWS,
     SCORE_CELLS,
+    LazyDictionary,
     PositionGrid,
     _direction_norm,
     _normalize,
     ambiguity_probe,
     build_dictionary,
+    build_fingerprint,
     export_dictionary,
-    import_dictionary,
-    localize,
     localize_batch,
 )
 from sweepsense.synth import (
@@ -89,6 +91,11 @@ _KINDS = {
     str: "a string",
     list: "a list",
 }
+
+
+def _sizable(*shape: int, itemsize: int) -> bool:
+    """Whether numpy can size an array of ``shape`` and ``itemsize``: its bytes fit an intp."""
+    return math.prod(shape) * itemsize <= _MAX_COUNT
 
 
 def _checked(kind: type, value):
@@ -175,6 +182,9 @@ def _section(sections: dict, name: str):
 def parse_plan(sec) -> FrequencyPlan:
     kinds = {"f_min_hz": float, "f_max_hz": float, "n_points": _Count}
     v = _read("plan", sec, kinds)
+    if not _sizable(v["n_points"], itemsize=8):
+        raise ConfigError("section 'plan': key 'n_points' gives a frequency grid larger than "
+                          "numpy can size")
     return _build("plan", FrequencyPlan, v["f_min_hz"], v["f_max_hz"], v["n_points"])
 
 
@@ -229,9 +239,14 @@ def parse_scene(sec, seed_override: int | None = None) -> Scene:
     return Scene(targets=targets, noise=noise)
 
 
-def parse_grid(sec) -> PositionGrid:
+def parse_grid(sec, plan: FrequencyPlan | None = None) -> PositionGrid:
+    """The grid; with a ``plan``, numpy must be able to size its (nx*ny*nz, 2*n_points)
+    complex dictionary entries."""
     ranges = {f"{a}_{end}_m": float for a in "xyz" for end in ("min", "max")}
     v = _read("grid", sec, {**ranges, "nx": _Count, "ny": _Count, "nz": _Count})
+    if plan and not _sizable(v["nx"], v["ny"], v["nz"], 2 * plan.n_points, itemsize=16):
+        raise ConfigError("section 'grid': keys 'nx', 'ny', 'nz' with plan key 'n_points' give "
+                          "dictionary entries larger than numpy can size")
     return _build(
         "grid", PositionGrid,
         *((v[f"{a}_min_m"], v[f"{a}_max_m"]) for a in "xyz"),
@@ -262,7 +277,7 @@ _SECTIONS = {
     "dispersion": lambda sec, got, args: parse_dispersion(sec, _section(got, "plan"), args.config),
     "antenna": lambda sec, got, args: parse_antenna(sec),
     "scene": lambda sec, got, args: parse_scene(sec, getattr(args, "seed", None)),
-    "grid": lambda sec, got, args: parse_grid(sec),
+    "grid": lambda sec, got, args: parse_grid(sec, got.get("plan")),
     "architectures": lambda sec, got, args: parse_architectures(sec),
 }
 
@@ -335,11 +350,13 @@ def run_sweep(
     Trial k of SNR point i is the clean scene plus the noise keyed by
     derive_seed(scene seed, i, k), localized against one dictionary, so its
     measurement never depends on trial count, ordering, or workers. Trials
-    are scored in batches of about SCORE_CELLS dictionary scores, and the
-    last bits of a score depend on the batch width, so a trial gets the grid
-    index that localizing it on its own gives except at a score tie within
-    rounding (about 2e-16). With noise sigma 0 every trial is the clean
-    scene, scored once.
+    are scored in batches of SCORE_CELLS // _CHUNK_ROWS (64), against
+    _CHUNK_ROWS dictionary rows at a time. The last bits of a score depend on
+    the batch width, so a trial gets the grid index that localizing it on its
+    own gives except at a score tie within rounding (about 2e-16). With noise
+    sigma 0 every trial is the clean scene, scored once. An error, and the
+    RMSE, is taken over its largest component or error where the sum of
+    squares overflows.
     The first configured target is the ground truth, so a scene without one
     raises ConfigError; every SNR must be finite, or None for noiseless.
     """
@@ -352,8 +369,8 @@ def run_sweep(
     dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
     truth = np.asarray(scene.targets[0].position)
     # One 3-vector norm per entry, as a single localize result's error is taken.
-    miss = np.array([np.linalg.norm(p - truth) for p in dictionary.positions])
-    batch = max(1, SCORE_CELLS // dictionary.size)
+    miss = np.array([_norm(p - truth) for p in dictionary.positions])
+    batch = SCORE_CELLS // _CHUNK_ROWS
 
     points = []
     for snr_idx, (snr, sigma) in enumerate(zip(snrs, sigmas)):
@@ -361,13 +378,28 @@ def run_sweep(
         for start in range(0, len(indices), batch):
             stop = min(start + batch, len(indices))
             seeds = [derive_seed(scene.noise.seed, snr_idx, t) for t in range(start, stop)]
-            measured = clean + noise(seeds, sigma, plan.n_points)
+            with np.errstate(over="ignore"):  # a sum that overflows is rejected as not finite
+                measured = clean + noise(seeds, sigma, plan.n_points)
             block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
             indices[start:stop], _ = localize_batch(block, dictionary)
         errors = miss[np.broadcast_to(indices, trials)].tolist()
         rmse = math.sqrt(sum(e * e for e in errors) / trials)
+        if rmse == math.inf:  # the squares overflow: take them over the largest error
+            top = max(errors)
+            rmse = top * math.sqrt(sum((e / top) ** 2 for e in errors) / trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of ``v``, or, where its sum of squares overflows, its largest
+    |component| times the norm of ``v`` over it."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if norm == math.inf:
+        top = np.abs(v).max()
+        norm = top * np.linalg.norm(v / top)
+    return float(norm)
 
 
 def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
@@ -406,29 +438,42 @@ def cmd_simulate(args) -> int:
 
 def cmd_dict(args) -> int:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    dictionary = build_dictionary(grid, plan, model, antenna)
+    dictionary = LazyDictionary(grid, plan, model, antenna)
     export_dictionary(dictionary, sys.stdout if _to_stdout(args.out) else args.out)
     return 0
 
 
 def cmd_localize(args) -> int:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    dictionary = build_dictionary(grid, plan, model, antenna)  # its errors exit 3, not as a file's
+    dictionary = LazyDictionary(grid, plan, model, antenna)
     try:
-        if args.dict is not None:
-            import_dictionary(args.dict, dictionary)
-        meas = read_measurement_csv(args.measurement, plan, model)
+        block = build_fingerprint(read_measurement_csv(args.measurement, plan, model)).vector
     except (OSError, ValueError) as exc:
+        # The errors of the dictionary, then of its file, come first: one pass for them.
+        _localize(np.empty((0, 2 * plan.n_points), complex), dictionary, args.dict)
+        if isinstance(exc, DegenerateMeasurementError):
+            raise  # the measurement is read, but it cannot be normalized: exit 3
         raise ConfigError(str(exc)) from None
-    result = localize(meas, dictionary)
+    [index], [score] = _localize(block[None], dictionary, args.dict)
     payload = {
-        "estimate": [float(v) for v in result.position],
-        "score": result.score,
-        "grid_index": result.index,
-        "dictionary_size": dictionary.size,
+        "estimate": grid.points()[index].tolist(),
+        "score": float(score),
+        "grid_index": int(index),
+        "dictionary_size": grid.size,
     }
     _write_output(args.out, _json_dumps(payload))
     return 0
+
+
+def _localize(block: np.ndarray, dictionary: LazyDictionary, dict_path):
+    """localize_batch, checking the file at ``dict_path`` if there is one: an error of the
+    file exits 2, one of a dictionary row (a DegenerateMeasurementError) 3."""
+    try:
+        return localize_batch(block, dictionary, dict_path)
+    except DegenerateMeasurementError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_probe(args) -> int:

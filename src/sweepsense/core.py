@@ -15,6 +15,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -263,20 +264,29 @@ def _pow10() -> np.ndarray:
     return np.array([float(f"1e{k}") for k in range(-170, 171)])
 
 
-def table_text(header: str, table, n_int: int = 0):
+def table_text(header: str, tables, n_int: int = 0):
     """Yield the ASCII bytes of a CSV table: the ``header`` line, then the lines
-    of one block of rows of ``table`` at a time, each formatted when asked for.
+    of each of ``tables`` in turn, one block of rows at a time, each formatted
+    when asked for.
 
-    ``table`` is a 2-D array, or a sequence of column groups (1-D or 2-D
-    arrays of equal row counts) that are joined a block of rows at a time.
-    The first ``n_int`` columns print as ``"%d" % x``, the rest as
-    ``FLOAT_FMT % x``, byte for byte.
+    A table is a 2-D array, or a sequence of column groups (1-D or 2-D arrays
+    of equal row counts) that are joined a block of rows at a time.
+    ``tables`` may be a generator: the next table is drawn once the lines of
+    the one before are printed, and that one is no longer held. The first
+    ``n_int`` columns print as ``"%d" % x``, the rest as ``FLOAT_FMT % x``,
+    byte for byte.
     """
+    yield (header + "\n").encode("ascii")
+    # chain and map drop each table once its last block is printed
+    yield from itertools.chain.from_iterable(map(lambda t: _table_blocks(t, n_int), tables))
+
+
+def _table_blocks(table, n_int: int):
+    """The lines of one table of table_text, a block of rows at a time."""
     groups = [g[:, None] if g.ndim == 1 else g
               for g in map(np.asarray, (table,) if isinstance(table, np.ndarray) else table)]
     if len({len(g) for g in groups}) > 1:
         raise ValueError("column groups differ in row count")
-    yield (header + "\n").encode("ascii")
     k = max(1, _WRITE_CELLS // sum(g.shape[1] for g in groups))  # rows per block
     for start in range(0, len(groups[0]), k):
         block = np.concatenate([g[start : start + k] for g in groups], axis=1, dtype=float)
@@ -284,13 +294,26 @@ def table_text(header: str, table, n_int: int = 0):
 
 
 def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
-    """Write the table_text of ``header`` and ``table`` to ``dest``: a path, or
-    an open text file that gets each block decoded; with None the text is returned."""
+    """Write the table_text of ``header`` and the one ``table`` to ``dest``, as write_text."""
+    return write_text(dest, table_text(header, [table], n_int))
+
+
+def write_text(dest, blocks) -> str | None:
+    """Write the ASCII ``blocks`` to ``dest``: a path, or an open text file that gets
+    each block decoded; with None the text is returned. A file this creates at a
+    path is removed again if drawing or writing a block fails."""
     if dest is None or hasattr(dest, "write"):
-        text = (block.decode("ascii") for block in table_text(header, table, n_int))
+        text = (block.decode("ascii") for block in blocks)
         return "".join(text) if dest is None else dest.writelines(text)
-    with open(dest, "wb") as fh:
-        fh.writelines(table_text(header, table, n_int))
+    created = not os.path.lexists(dest)
+    fh = open(dest, "wb")
+    try:
+        with fh:
+            fh.writelines(blocks)
+    except BaseException:
+        if created:
+            os.unlink(dest)
+        raise
 
 
 def _format_block(block: np.ndarray, n_int: int) -> bytes:

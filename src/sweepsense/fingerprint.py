@@ -10,6 +10,7 @@ displaced from a reference point.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -27,15 +28,15 @@ from sweepsense.core import (
     range_of,
     read_table,
     table_text,
-    write_table,
+    write_text,
 )
 from sweepsense.dispersion import DispersionModel
 from sweepsense.synth import AntennaModel, echo
 
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
-_CHUNK_ROWS = 1024  # positions per echo batch: amortises calls, bounds temporaries
-SCORE_CELLS = 2**14  # entry x trial scores per sweep batch: bounds its temporaries
+_CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds temporaries
+SCORE_CELLS = 2**14  # entry x trial scores per sweep call: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,10 @@ def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     without a copy; with T = 1 the product is a matrix-vector one.
     """
     m = block.shape[-1] // 2
-    x = rows[:, :m] @ np.conj(block[:, :m]).T
-    y = rows[:, m:] @ np.conj(block[:, m:]).T
-    return 0.5 * (np.abs(x) + np.abs(y))
+    x = np.abs(rows[:, :m] @ np.conj(block[:, :m]).T)
+    x += np.abs(rows[:, m:] @ np.conj(block[:, m:]).T)
+    x *= 0.5
+    return x
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,48 @@ class Dictionary:
     def positions(self) -> np.ndarray:  # (size, 3)
         return self.grid.points()
 
+    def chunks(self):
+        """Yield (start, rows): slices of the entries, _CHUNK_ROWS rows at a time."""
+        return ((start, self.entries[start : start + _CHUNK_ROWS])
+                for start in range(0, len(self.entries), _CHUNK_ROWS))
+
+    def held(self) -> Dictionary:
+        """The dictionary itself: its rows are held already."""
+        return self
+
+
+@dataclass(frozen=True)
+class LazyDictionary:
+    """The dictionary of a grid, plan, dispersion model and antenna, never held:
+    each pass over it builds its rows _CHUNK_ROWS at a time, and a consumer
+    drops each chunk before the next is built. export_dictionary,
+    import_dictionary, localize and localize_batch take it as a Dictionary."""
+
+    grid: PositionGrid
+    plan: FrequencyPlan
+    model: DispersionModel
+    antenna: AntennaModel
+
+    @property
+    def n_points(self) -> int:
+        return self.plan.n_points
+
+    def chunks(self):
+        """Yield (start, rows): the fingerprints of the grid, built _CHUNK_ROWS at a time."""
+        positions = self.grid.points()
+
+        def describe(i: int) -> str:
+            return f"grid index {i} at position {tuple(positions[i].tolist())}"
+
+        return _fingerprint_rows(positions, self.plan, self.model, self.antenna, describe)
+
+    def held(self) -> Dictionary:
+        """Every row built into one Dictionary."""
+        entries = np.empty((self.grid.size, 2 * self.n_points), dtype=np.complex128)
+        for start, rows in self.chunks():
+            entries[start : start + len(rows)] = rows
+        return Dictionary(self.grid, entries)
+
 
 def _fingerprint_rows(
     positions: np.ndarray,
@@ -201,15 +245,7 @@ def build_dictionary(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    positions = grid.points()
-    entries = np.empty((grid.size, 2 * plan.n_points), dtype=np.complex128)
-
-    def describe(i: int) -> str:
-        return f"grid index {i} at position {tuple(positions[i].tolist())}"
-
-    for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
-        entries[start : start + len(rows)] = rows
-    return Dictionary(grid, entries)
+    return LazyDictionary(grid, plan, model, antenna).held()
 
 
 @dataclass(frozen=True)
@@ -219,23 +255,44 @@ class LocalizationResult:
     index: int
 
 
-def localize_batch(block: np.ndarray, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
-    """Best-matching dictionary entry for each fingerprint of a (T, 2M) block.
+def localize_batch(block: np.ndarray, dictionary, dict_path=None) -> tuple[np.ndarray, np.ndarray]:
+    """Best-matching entry of a Dictionary or LazyDictionary for each fingerprint
+    of a (T, 2M) block.
 
     Returns the grid indices and their similarity scores, both of length T.
-    Ties resolve to the lowest grid index.
+    The rows are scored a chunk at a time, in one pass, and a later chunk
+    takes a trial only with a strictly higher score, so ties resolve to the
+    lowest grid index. With a ``dict_path``, the same pass checks that the
+    CSV there is ``dictionary``, as import_dictionary does.
     """
     if block.shape[-1] != 2 * dictionary.n_points:
         raise ValueError(
             f"measurement has {block.shape[-1] // 2} frequency points but the "
             f"dictionary was built with {dictionary.n_points}"
         )
-    scores = _scores(dictionary.entries, block)
-    indices = np.argmax(scores, axis=0)  # first maximum == lowest grid index
-    return indices, scores[indices, np.arange(len(indices))]
+    trials = np.arange(len(block))
+    indices = np.zeros(len(block), dtype=np.intp)
+    best = np.full(len(block), -math.inf)
+
+    def score(chunk):
+        start, rows = chunk
+        scores = _scores(rows, block)
+        top = np.argmax(scores, axis=0)  # the first maximum within the chunk
+        got = scores[top, trials]
+        won = got > best
+        indices[won] = start + top[won]
+        best[won] = got[won]
+        return chunk
+
+    chunks = map(score, dictionary.chunks())  # map holds no chunk once it is scored
+    if dict_path is None:
+        _drain(chunks)
+    else:
+        _check_file(dict_path, dictionary, chunks)
+    return indices, best
 
 
-def localize(meas: Measurement, dictionary: Dictionary) -> LocalizationResult:
+def localize(meas: Measurement, dictionary) -> LocalizationResult:
     """Best-matching dictionary position for a measurement.
 
     The one-measurement case of ``localize_batch``. The score is the
@@ -243,10 +300,15 @@ def localize(meas: Measurement, dictionary: Dictionary) -> LocalizationResult:
     """
     [idx], [score] = localize_batch(build_fingerprint(meas).vector[None], dictionary)
     return LocalizationResult(
-        position=dictionary.positions[idx].copy(),
+        position=dictionary.grid.points()[idx].copy(),
         score=float(score),
         index=int(idx),
     )
+
+
+def _drain(chunks) -> None:
+    """Draw every chunk, holding none."""
+    collections.deque(chunks, maxlen=0)
 
 
 def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
@@ -352,52 +414,70 @@ def _csv_header(m: int) -> str:
     return ",".join(["ix", "iy", "iz", "x", "y", "z"] + pairs)
 
 
-def _table(dictionary: Dictionary) -> tuple[str, tuple]:
-    """Header and column groups of a dictionary's CSV: indices, positions, re/im pairs."""
-    entries = np.ascontiguousarray(dictionary.entries).view(np.float64)
-    return _csv_header(dictionary.n_points), (dictionary.grid.indices(), dictionary.positions,
-                                              entries)
+def _dictionary_text(dictionary, chunks):
+    """The table_text of a dictionary's CSV, printing the rows ``chunks`` yields as they come."""
+    indices, positions = dictionary.grid.indices(), dictionary.grid.points()
+
+    def table(chunk):
+        start, rows = chunk
+        stop = start + len(rows)
+        return indices[start:stop], positions[start:stop], np.ascontiguousarray(rows).view(float)
+
+    return table_text(_csv_header(dictionary.n_points), map(table, chunks), n_int=3)
 
 
-def export_dictionary(dictionary: Dictionary, path) -> str | None:
-    """Write a dictionary as portable CSV (indices, position, re/im pairs).
+def export_dictionary(dictionary, path) -> str | None:
+    """Write a Dictionary or LazyDictionary as portable CSV (indices, position,
+    re/im pairs), printing each chunk of rows as it is built.
 
     ``path`` may also be an open text file such as sys.stdout; with None the
     text is returned instead.
     """
-    return write_table(path, *_table(dictionary), n_int=3)
+    return write_text(path, _dictionary_text(dictionary, dictionary.chunks()))
 
 
-def import_dictionary(path, dictionary: Dictionary) -> None:
+def import_dictionary(path, dictionary) -> None:
     """Check that the CSV at ``path`` is ``dictionary``, the one the config builds.
 
     A file of the bytes export_dictionary prints for it passes without being
-    parsed; the comparison stops at the first block of text that differs.
-    Any other file is read with read_table: line 1 must be the header for
-    its M, the rows must list its grid in index order at its positions
-    (core.check_rows), and every entry cell must match within the print
-    tolerance (core.first_off_cell); otherwise ValueError names the line,
-    and for an entry its column. A pipe or FIFO is read once.
+    parsed; the comparison prints one chunk of rows at a time and stops at
+    the first block of text that differs. Every row is built either way, so
+    an error of the dictionary's own comes before any error of the file.
+    Any other file is read with read_table, against the full entries built
+    again: line 1 must be the header for its M, the rows must list its grid
+    in index order at its positions (core.check_rows), and every entry cell
+    must match within the print tolerance (core.first_off_cell); otherwise
+    ValueError names the line, and for an entry its column. A pipe or FIFO
+    is read once.
     """
-    header, groups = _table(dictionary)
-    indices, positions, expected = groups
-    with open_bytes(path) as fh:
-        # map drops each block before the next is printed; a generator would hold it
-        same = map(lambda data: fh.read(len(data)) == data, table_text(header, groups, n_int=3))
-        if all(same) and not fh.read(1):
-            return
-        try:
-            body = read_table(path, header, fh)
-        except HeaderError as exc:
-            m = (len(exc.fields) - 6) // 4
-            if ",".join(exc.fields) != _csv_header(m):
-                raise
-            message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
-            raise ValueError(f"{path}: line 1: {message}") from None
-        check_rows(path, body, np.hstack([indices, positions]), "ix,iy,iz,x,y,z", fh)
-        off = first_off_cell(body[:, 6:], expected)
-        if off is not None:
-            row, col = off
-            message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
-                       f"(from the config), got {body[row, 6 + col]:.10g}")
-            raise line_error(path, row, message, fh)
+    _check_file(path, dictionary, dictionary.chunks())
+
+
+def _check_file(path, dictionary, chunks) -> None:
+    """import_dictionary's check of ``path``, comparing the rows ``chunks`` yields."""
+    try:
+        with open_bytes(path) as fh:
+            text = _dictionary_text(dictionary, chunks)
+            # map drops each block before the next is printed; a generator would hold it
+            if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
+                return
+            header = _csv_header(dictionary.n_points)
+            expected = np.ascontiguousarray(dictionary.held().entries).view(np.float64)
+            try:
+                body = read_table(path, header, fh)
+            except HeaderError as exc:
+                m = (len(exc.fields) - 6) // 4
+                if ",".join(exc.fields) != _csv_header(m):
+                    raise
+                message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
+                raise ValueError(f"{path}: line 1: {message}") from None
+            keys = np.hstack([dictionary.grid.indices(), dictionary.grid.points()])
+            check_rows(path, body, keys, "ix,iy,iz,x,y,z", fh)
+            off = first_off_cell(body[:, 6:], expected)
+            if off is not None:
+                row, col = off
+                message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
+                           f"(from the config), got {body[row, 6 + col]:.10g}")
+                raise line_error(path, row, message, fh)
+    finally:
+        _drain(chunks)  # a row that cannot be built raises here, over the file's error

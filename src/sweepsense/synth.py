@@ -67,7 +67,8 @@ class AntennaModel:
         half the half-power beamwidth off axis. Vectorized over f/beam_angle.
         """
         dtheta = axis.target_angle(position) - np.asarray(beam_angle, dtype=float)
-        a = -_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2
+        with np.errstate(over="ignore"):  # an offset of many beamwidths: exp(-inf) is 0
+            a = -_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2
         # exp(a) is +0.0 for a <= -746: skip numpy's slow path for those (NaN still propagates)
         g = np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0))
         return float(g) if np.ndim(g) == 0 else g

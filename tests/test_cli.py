@@ -8,6 +8,8 @@ import math
 import os
 import re
 import threading
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
-from sweepsense import cli
+from sweepsense import cli, fingerprint
 from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
@@ -27,7 +29,7 @@ from sweepsense.fingerprint import (
     build_dictionary,
     localize,
 )
-from sweepsense.synth import AntennaModel, derive_seed, simulate_measurement
+from sweepsense.synth import AntennaModel, derive_seed, echo, simulate_measurement
 
 
 def base_config(**overrides):
@@ -523,7 +525,8 @@ class TestSweep:
             targets=(Target((0.125, -0.25, 3.0), 0.7 - 0.3j),), noise=NoiseConfig(seed=5)
         )
         grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
-        trials = 2 * (SCORE_CELLS // grid.size) + 1  # three score batches, the last of one
+        trials = 2 * (SCORE_CELLS // _CHUNK_ROWS) + 1  # three score batches, the last of one
+        assert grid.size > _CHUNK_ROWS  # each batch is scored against three chunks of rows
         snrs = [None, -10.0, 10.0]
         points = cli.run_sweep(plan, model, antenna, scene, grid, snrs, trials)
         dictionary = build_dictionary(grid, plan, model, antenna)
@@ -577,6 +580,30 @@ class TestSweep:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: sweep needs at least one target as ground truth\n"
+        )
+
+    @pytest.mark.parametrize("target, grid, rmse", [
+        # every error is about 1e154: the sum of their squares overflows
+        ({"z_m": 1e154}, {}, "1.000000000e+154"),
+        # the truth and the one grid point are 1.8e154 apart: each error's squares overflow
+        ({"y_m": -9e153, "z_m": 9e153},
+         {"x_min_m": 0.0, "x_max_m": 0.0, "nx": 1, "y_min_m": 9e153, "y_max_m": 9e153, "ny": 1,
+          "z_min_m": 9e153, "z_max_m": 9e153, "nz": 1}, "1.800000000e+154"),
+    ], ids=["rmse", "error"])
+    def test_errors_whose_squares_overflow_give_a_finite_rmse(
+        self, tmp_path, config_path, target, grid, rmse
+    ):
+        cfg = base_config()
+        cfg["scene"]["targets"][0].update(target)
+        cfg["grid"].update(grid)
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--config", config_path(cfg), "--snr", "noiseless,0",
+                             "--trials", "3", "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert out.read_text() == (
+            f"snr_db,rmse_m,trials\nnoiseless,{rmse},3\n0.000000000e+00,{rmse},3\n"
         )
 
     def test_degenerate_trial_exits_3(self, tmp_path, config_path, capsys):
@@ -712,6 +739,26 @@ class TestDegenerateDictionary:
         err = capsys.readouterr().err
         assert "grid index 1" in err
         assert "(50.0, 0.0, 1.0)" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_point_outside_the_beam_in_a_later_chunk_leaves_no_file(
+        self, tmp_path, config_path, capsys
+    ):
+        # dict prints each chunk of rows as it is built: the file of the rows before the
+        # failing one is removed again
+        cfg = base_config(antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"] = {
+            "x_min_m": 0.0, "x_max_m": 20.0, "nx": 1001,
+            "y_min_m": 0.0, "y_max_m": 0.0, "ny": 1,
+            "z_min_m": 1.0, "z_max_m": 1.0, "nz": 1,
+        }
+        out = tmp_path / "d.csv"
+        assert cli.main(["dict", "--config", config_path(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: grid index 366 at position (7.32, 0.0, 1.0) has a zero-norm channel\n"
+        )
+        assert 366 > _CHUNK_ROWS
+        assert not out.exists()
 
 
 class TestExtremeMagnitudes:
@@ -777,8 +824,34 @@ class TestExtremeMagnitudes:
         assert captured.out == ""
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("verb, edit, args, err", [
+        # the gain exponent overflows to -inf: the channel is zero at every frequency
+        ("dict", ("plan.f_max_hz", 1e200), [],
+         "error: grid index 0 at position (-0.25, -0.25, 2.75) has a zero-norm channel\n"),
+        ("localize", ("antenna.length_m", 1e154), None,
+         "error: grid index 0 at position (-0.25, -0.25, 2.75) has a zero-norm channel\n"),
+        # a reflectivity near the largest double: its noisy trial overflows
+        ("sweep", ("scene.targets.0.alpha_re", 1.7e308),
+         ["--snr", "noiseless,-10", "--trials", "3"],
+         "error: trial 0 of SNR point 1 has a sample that is not finite\n"),
+    ], ids=["dict-f_max", "localize-length", "sweep-alpha"])
+    def test_expected_overflow_warns_nothing_and_exits_3(
+        self, tmp_path, config_path, capsys, verb, edit, args, err
+    ):
+        cfg = base_config()
+        _edit(cfg, *edit)
+        if args is None:
+            args = _verb_args(verb, tmp_path, config_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, function, args", [
-        ("dict", "build_dictionary", []),
+        ("dict", "export_dictionary", []),
         ("probe", "ambiguity_probe", ["--span", "1.0"]),
         ("sweep", "noise", ["--snr", "0", "--trials", "2"]),
     ])
@@ -992,6 +1065,20 @@ MALFORMED += [pytest.param(verb, path, value,
               for verb, path in [*((verb, "plan.n_points") for verb in VERBS),
                                  *(("dict", f"grid.n{a}") for a in "xyz"), ("compare", "grid.nx")]
               for value, label in ((10**400, "10**400"), (MAX_COUNT + 1, "intp-max+1"))]
+# a count whose array numpy cannot size: the plan's (n_points,) frequency grid of doubles, or
+# with base_config()'s 3 x 3 other counts and M = 32, the (nx·ny·nz, 2·n_points) complex
+# entries; no count here is one numpy could allocate
+PLAN_TOO_BIG = "section 'plan': key 'n_points' gives a frequency grid larger than numpy can size"
+GRID_TOO_BIG = ("section 'grid': keys 'nx', 'ny', 'nz' with plan key 'n_points' give dictionary "
+                "entries larger than numpy can size")
+MALFORMED += [pytest.param(verb, "plan.n_points", value, PLAN_TOO_BIG,
+                           id=f"{verb}-plan.n_points-{label}")
+              for verb in VERBS
+              for value, label in ((MAX_COUNT, "intp-max"), (MAX_COUNT // 8 + 1, "grid-bytes"))]
+MALFORMED += [pytest.param(verb, path, value, GRID_TOO_BIG, id=f"{verb}-{path}-{label}")
+              for verb in VERBS for path in ("grid.nx", "grid.nz")
+              for value, label in ((MAX_COUNT, "intp-max"),
+                                   (MAX_COUNT // (9 * 64 * 16) + 1, "entry-bytes"))]
 
 
 def _verb_args(verb, tmp_path, config_path):
@@ -1453,6 +1540,58 @@ class TestDictionaryCheck:
         assert errors[0] == errors[1]
         assert "grid index 1" in errors[0] and "(50.0, 0.0, 1.0)" in errors[0]
 
+    def test_dictionary_errors_come_first_then_the_files(self, tmp_path, config_path, capsys):
+        # The rows are built while the file is compared and the measurement scored, yet the
+        # order of errors is that of building the dictionary first: a grid point outside the
+        # beam exits 3 whatever the measurement and the file, and a dictionary file of other
+        # bytes is judged before the measurement.
+        path, meas, own = self.prepared(tmp_path, config_path)
+        changed, _ = self.changed_cell(own)
+        empty = base_config()
+        empty["scene"]["targets"] = []
+        zero = tmp_path / "zero.csv"  # read, but with a zero-norm channel: exit 3
+        assert cli.main(["simulate", "--config", config_path(empty, "empty.json"),
+                         "--out", str(zero)]) == 0
+        unreadable = tmp_path / "unreadable.csv"
+        unreadable.write_text("m,f_hz\n")
+        missing = tmp_path / "missing.csv"
+        wide = base_config(antenna={"length_m": 0.12, "two_way": True})
+        wide["grid"] = {
+            "x_min_m": 0.0, "x_max_m": 50.0, "nx": 2,  # 89 deg off boresight at x = 50 m
+            "y_min_m": 0.0, "y_max_m": 0.0, "ny": 1,
+            "z_min_m": 1.0, "z_max_m": 1.0, "nz": 1,
+        }
+        wide_path = config_path(wide, "wide.json")
+        capsys.readouterr()
+        for m in (meas, zero, unreadable, missing):
+            for dict_csv in (None, own, changed, missing):
+                assert self.localize(tmp_path, wide_path, m, dict_csv) == (3, None)
+                assert capsys.readouterr().err == (
+                    "error: grid index 1 at position (50.0, 0.0, 1.0) has a zero-norm channel\n")
+        for m in (zero, unreadable, missing):
+            assert self.localize(tmp_path, path, m, changed) == (2, None)
+            assert capsys.readouterr().err.startswith(f"error: {changed}: line 5: expected im_1 = ")
+        assert self.localize(tmp_path, path, zero, own) == (3, None)
+        assert capsys.readouterr().err == "error: measurement has a zero-norm channel\n"
+
+    def test_file_of_other_bytes_is_judged_against_entries_built_again(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        path, meas, own = self.prepared(tmp_path, config_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(own.read_bytes().replace(b"\n", b"\r\n"))
+        built = []
+
+        def counted(positions, *args, **kwargs):
+            built.append(len(positions))
+            return echo(positions, *args, **kwargs)
+
+        monkeypatch.setattr(fingerprint, "echo", counted)
+        for dict_csv, rows in ((None, 27), (own, 27), (crlf, 2 * 27)):
+            built.clear()
+            assert self.localize(tmp_path, path, meas, dict_csv)[0] == 0
+            assert sum(built) == rows
+
     def test_fifo_of_the_own_dictionary_gives_the_in_memory_output(self, tmp_path, config_path):
         path, meas, own = self.prepared(tmp_path, config_path)
         rc, out = self.localize(tmp_path, path, meas)
@@ -1496,3 +1635,30 @@ class TestDictionaryBoundary:
         assert cli.main(["dict", "--config", path, "--out", str(tmp_path / "d.csv")]) == 0
         assert cli.main(["dict", "--config", path, "--out", "-"]) == 0
         assert capsys.readouterr().out == (tmp_path / "d.csv").read_text()
+
+
+class TestStreamedDictionary:
+    def test_verbs_hold_a_chunk_of_rows_not_the_dictionary(self, tmp_path, config_path):
+        # 9 x 9 x 64 positions at M = 128: the entries take 21 MB, a chunk of 256 rows 1 MB.
+        # (At 9^3 one chunk is a third of the entries, so it could not show the difference.)
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
+                          antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"].update(nx=9, ny=9, nz=64)
+        path = config_path(cfg)
+        entries_bytes = 9 * 9 * 64 * (2 * 128) * 16
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        assert cli.main(["simulate", "--config", path, "--out", str(meas)]) == 0
+        localize = ["localize", "--config", path, "--measurement", str(meas),
+                    "--out", str(tmp_path / "loc.json")]
+        runs = {"dict": ["dict", "--config", path, "--out", str(dict_csv)],
+                "localize": localize, "localize --dict": [*localize, "--dict", str(dict_csv)]}
+        assert cli.main(runs["dict"]) == 0  # tables built on first use are not counted
+        peaks = {}
+        for name, argv in runs.items():
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < entries_bytes / 4, peaks

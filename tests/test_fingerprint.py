@@ -21,6 +21,7 @@ from sweepsense.fingerprint import (
     HALF_POWER,
     Dictionary,
     Fingerprint,
+    LazyDictionary,
     PositionGrid,
     _csv_header,
     _displace,
@@ -376,6 +377,32 @@ class TestLocalize:
         entry = build_fingerprint(unit_measurement((0.0, 0.0, 3.0))).vector
         d = Dictionary(grid, np.vstack([entry, entry]))
         assert localize(unit_measurement((0.0, 0.0, 3.0)), d).index == 0
+
+    def test_tie_across_chunks_resolves_to_the_lower_index(self):
+        # the same entry at grid index 5 and, in the next chunk of rows, at 5 + _CHUNK_ROWS
+        grid = PositionGrid((0.0, 0.1), (0.0, 0.0), (3.0, 3.0), nx=_CHUNK_ROWS + 6, ny=1, nz=1)
+        entry = build_fingerprint(unit_measurement((0.0, 0.0, 3.0))).vector
+        entries = np.zeros((grid.size, len(entry)), complex)
+        entries[[5, _CHUNK_ROWS + 5]] = entry
+        assert localize(unit_measurement((0.0, 0.0, 3.0)), Dictionary(grid, entries)).index == 5
+
+    def test_lazy_dictionary_gives_the_held_results(self, tmp_path):
+        grid = PositionGrid((-0.4, 0.4), (-0.4, 0.4), (2.0, 4.0), nx=9, ny=9, nz=9)
+        dictionary = build_dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
+        lazy = LazyDictionary(grid, PLAN8, MODEL8, ANT_WIDE)
+        assert grid.size > 2 * _CHUNK_ROWS
+        assert lazy.held().entries.tobytes() == dictionary.entries.tobytes()
+        assert export_dictionary(lazy, None) == export_dictionary(dictionary, None)
+        path = tmp_path / "dict.csv"
+        export_dictionary(lazy, path)
+        import_dictionary(path, lazy)
+        rng = np.random.default_rng(6)
+        positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(4, 3))
+        block = np.stack([build_fingerprint(unit_measurement(p, antenna=ANT_WIDE)).vector
+                          for p in positions])
+        for got, expected in zip(localize_batch(block, lazy, path),
+                                 localize_batch(block, dictionary)):
+            assert got.tobytes() == expected.tobytes()
 
     def test_localize_is_the_one_row_batch(self, dictionary):
         rng = np.random.default_rng(5)

@@ -30,6 +30,7 @@ from sweepsense.core import (
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
+    _CHUNK_ROWS,
     PositionGrid,
     build_dictionary,
     export_dictionary,
@@ -756,7 +757,10 @@ class TestDictionaryImport:
         source, d = dictionary_32
         calls = counting(monkeypatch, core, "_format_block")
         import_dictionary(source, d)
-        assert len(calls) == -(-d.size // (core._WRITE_CELLS // (6 + 4 * d.n_points)))
+        # each chunk of rows is printed in blocks of k rows: 5 + 5 + 4 for 256 + 256 + 217
+        k = core._WRITE_CELLS // (6 + 4 * d.n_points)
+        chunks = [min(_CHUNK_ROWS, d.size - start) for start in range(0, d.size, _CHUNK_ROWS)]
+        assert len(calls) == sum(-(-rows // k) for rows in chunks) == 14
         # With CRLF line ends the header line already differs: no block is
         # printed, and the file is still accepted.
         path = tmp_path / "crlf.csv"
