@@ -59,7 +59,7 @@ from sweepsense.fingerprint import (
 )
 from sweepsense.synth import (
     AntennaModel,
-    derive_seed,
+    derive_seeds,
     noise,
     noise_sigma,
     scene_echo,
@@ -367,9 +367,7 @@ def run_sweep(
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigmas = [noise_sigma(clean, snr) for snr in snrs]
     dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
-    truth = np.asarray(scene.targets[0].position)
-    # One 3-vector norm per entry, as a single localize result's error is taken.
-    miss = np.array([_norm(p - truth) for p in dictionary.positions])
+    miss = _distances(dictionary.positions, scene.targets[0].position)
     batch = SCORE_CELLS // _CHUNK_ROWS
 
     points = []
@@ -377,7 +375,7 @@ def run_sweep(
         indices = np.empty(trials if sigma else 1, dtype=np.intp)
         for start in range(0, len(indices), batch):
             stop = min(start + batch, len(indices))
-            seeds = [derive_seed(scene.noise.seed, snr_idx, t) for t in range(start, stop)]
+            seeds = derive_seeds(scene.noise.seed, ((snr_idx, t) for t in range(start, stop)))
             with np.errstate(over="ignore"):  # a sum that overflows is rejected as not finite
                 measured = clean + noise(seeds, sigma, plan.n_points)
             block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
@@ -389,6 +387,15 @@ def run_sweep(
             rmse = top * math.sqrt(sum((e / top) ** 2 for e in errors) / trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
+
+
+def _distances(positions: np.ndarray, truth) -> np.ndarray:
+    """The distance of each row of ``positions`` from ``truth``, bit for bit the _norm of
+    their difference: the root of its dot product with itself, as np.linalg.norm takes it,
+    or _norm itself where that overflows."""
+    with np.errstate(over="ignore"):
+        return np.array([math.sqrt(sq) if (sq := v.dot(v)) < math.inf else _norm(v)
+                         for v in positions - np.asarray(truth)])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -623,8 +630,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--span", required=True, type=_POSITIVE,
                    help="max |offset| (deg for angular axes, m otherwise)")
+    # A count is accepted only if numpy can size the doubles it gives: the probe's (steps, 3)
+    # positions, the sweep's (trials,) errors.
     p.add_argument("--steps", default=201, type=_flag(
-        f"must be an integer from 3 to {_MAX_COUNT}", int, lambda n: 3 <= n <= _MAX_COUNT))
+        f"must be an integer from 3 to {_MAX_COUNT // 24}, the most (steps, 3) positions "
+        "numpy can size", int, lambda n: 3 <= n and _sizable(n, 3, itemsize=8)))
 
     p = verb("compare", cmd_compare, "architecture comparison report", out_default=None)
     p.add_argument("--r-query", type=_POSITIVE, default=3.0, help="cell-volume range (m)")
@@ -633,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", required=True, type=_snrs,
                    help="comma list of SNR dB values; 'noiseless' allowed")
     p.add_argument("--trials", default=100, type=_flag(
-        f"must be an integer from 1 to {_MAX_COUNT}", int, lambda n: 1 <= n <= _MAX_COUNT))
+        f"must be an integer from 1 to {_MAX_COUNT // 8}, the most (trials,) errors numpy "
+        "can size", int, lambda n: 1 <= n and _sizable(n, itemsize=8)))
     return parser
 
 

@@ -10,12 +10,11 @@ makes positions separable; ``echo`` evaluates it for batches of positions.
 Noise is circular complex Gaussian, drawn per (seed, channel) from one
 counter-based Philox stream keyed by a hash of the two, so results never
 depend on evaluation order; ``noise`` draws it for a batch of seeds at once,
-and ``derive_seed`` gives each Monte-Carlo trial its own seed.
+and ``derive_seeds`` gives each Monte-Carlo trial of a batch its own seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -156,17 +155,31 @@ def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     return scale * math.sqrt(var / 2.0)
 
 
-def _key(seed: int, *path) -> np.ndarray:
-    """Philox key of the stream (seed, *path), which starts at counter 0: the blake2b
-    digest of the seed, masked to 64 bits, and the path labels, as two little-endian words."""
-    data = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    data += b"".join(b"/" + str(part).encode("utf-8") for part in path)
-    return np.frombuffer(hashlib.blake2b(data, digest_size=16).digest(), dtype="<u8")
+def _keys(seeds, paths) -> np.ndarray:
+    """Philox key of the stream (seed, *path), which starts at counter 0, for each seed of
+    ``seeds`` and, within it, each path of ``paths``, shape (len(seeds) * len(paths), 2):
+    the blake2b digest of the seed, masked to 64 bits, and the path labels, as two
+    little-endian words."""
+    from hashlib import blake2b  # here, so that only a verb that keys noise loads OpenSSL
+
+    labels = [b"".join(b"/" + str(part).encode("utf-8") for part in path) for path in paths]
+    digests = b"".join(
+        blake2b(data + label, digest_size=16).digest()
+        for data in ((int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little") for seed in seeds)
+        for label in labels
+    )
+    return np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+
+
+def derive_seeds(seed: int, paths) -> list[int]:
+    """64-bit child seed of the stream (seed, *path) for each path of ``paths``: the first
+    word of its key."""
+    return _keys([seed], paths)[:, 0].tolist()
 
 
 def derive_seed(seed: int, *path) -> int:
     """64-bit child seed for (seed, *path): the first word of its stream key."""
-    return int(_key(seed, *path)[0])
+    return derive_seeds(seed, [path])[0]
 
 
 def noise(seeds, sigma: float, m: int) -> np.ndarray:
@@ -174,21 +187,24 @@ def noise(seeds, sigma: float, m: int) -> np.ndarray:
 
     Row t, channel c is the stream (seeds[t], c.value) read as M
     interleaved (re, im) normals of standard deviation ``sigma``, so a row
-    depends only on its own seed. One Philox bit generator, local to the
-    call, is re-keyed to each stream in turn and draws straight into the
-    block. With sigma 0 the block is zeros and no stream is drawn.
+    depends only on its own seed. The keys of all the streams are hashed in
+    one pass; one Philox bit generator, local to the call, is re-keyed to
+    each stream in turn and draws straight into the block. With sigma 0 the
+    block is zeros and no stream is keyed or drawn.
     """
     out = np.zeros((len(seeds), 2, m), dtype=np.complex128)
     if sigma:
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
         start = bits.state  # counter 0 and an empty buffer; each stream sets its own key
-        normals = out.view(np.float64)  # (T, 2, 2M): each row's (re, im) pairs
-        for t, seed in enumerate(seeds):
-            for c, axis in enumerate(ChannelAxis):
-                start["state"]["key"] = _key(seed, axis.value)
-                bits.state = start
-                gen.standard_normal(out=normals[t, c])
+        # The state setter reads numpy scalars slowly, so it is given plain ints.
+        start["state"]["counter"], start["buffer"] = [0] * 4, [0] * 4
+        normals = out.view(np.float64).reshape(-1, 2 * m)  # (T·2, 2M): each stream's pairs
+        keys = _keys(seeds, [(axis.value,) for axis in ChannelAxis])
+        for row, key in zip(normals, keys.tolist()):
+            start["state"]["key"] = key
+            bits.state = start
+            gen.standard_normal(out=row)
         # normal(0, sigma) returns 0 + sigma * z: the sum turns an underflowed -0.0 into +0.0.
         with np.errstate(over="ignore"):  # an overflow is rejected where the noise is added
             normals *= sigma

@@ -125,6 +125,17 @@ class TestSimulate:
         cli.main(["simulate", "--config", path, "--out", str(out2), "--seed", "123"])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_noisy_bytes_are_pinned(self, tmp_path, config_path):
+        # A change to noise keying, stream draws or the SNR rule moves this digest.
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128})
+        cfg["scene"].update(snr_db=-3.0, seed=2**63 + 1)
+        cfg["scene"]["targets"].append({"x_m": -0.2, "y_m": 0.1, "z_m": 2.5, "alpha_im": 0.4})
+        out = tmp_path / "meas.csv"
+        assert cli.main(["simulate", "--config", config_path(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e10bff0092220fd261ca35004826168b34dd9ddba4e2d86a247db6bfda1edb8e"
+        )
+
     def test_unknown_key_exits_2(self, tmp_path, config_path, capsys):
         cfg = base_config()
         cfg["plan"]["bogus"] = 1
@@ -606,6 +617,25 @@ class TestSweep:
             f"snr_db,rmse_m,trials\nnoiseless,{rmse},3\n0.000000000e+00,{rmse},3\n"
         )
 
+    def test_distances_are_each_entrys_norm(self):
+        # the bench's small and large grids, and one whose corners lie 1.8e154 m apart
+        grids = [PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), n, n, n) for n in (9, 21)]
+        grids.append(PositionGrid((0.0, 0.0), (-9e153, 9e153), (9e153, 9e153), 1, 2, 1))
+        rng = np.random.default_rng(5)
+        truths = [*rng.uniform([-0.6, -0.6, 1.9], [0.6, 0.6, 4.1], (4, 3)), (0.5, -0.5, 2.0),
+                  (0.0, 0.0, 1e154), (0.0, -9e153, 9e153)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for grid in grids:
+                positions = grid.points()
+                for truth in truths:
+                    truth = np.asarray(truth)
+                    expected = [cli._norm(p - truth) for p in positions]
+                    assert cli._distances(positions, truth).tolist() == expected
+        assert [str(w.message) for w in caught] == []
+        # the squares of (0, 1.8e154, 0) overflow: its norm is taken over its largest component
+        assert cli._distances(grids[2].points(), truths[-1]).tolist() == [0.0, 1.8e154]
+
     def test_degenerate_trial_exits_3(self, tmp_path, config_path, capsys):
         # x = 50 m at z = 1 m is far outside the 12 cm antenna's 60 deg scan:
         # its x-channel gain underflows to zero, a runtime failure like localize's
@@ -667,6 +697,20 @@ class TestSweep:
             b"-1.000000000e+01,3.219407295e-01,30\n"
             b"0.000000000e+00,1.369306394e-01,30\n"
             b"1.000000000e+01,0.000000000e+00,30\n"
+        )
+
+    def test_multi_batch_bytes_are_pinned(self, tmp_path, config_path):
+        # A change to how a batch's trial seeds or noise streams are keyed moves this digest.
+        cfg = base_config()
+        cfg["grid"].update(nx=5, ny=5, nz=5)
+        cfg["scene"]["targets"][0].update(x_m=0.125, alpha_re=0.7, alpha_im=-0.3)
+        trials = 2 * (SCORE_CELLS // _CHUNK_ROWS) + 2  # three score batches, the last of two
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--config", config_path(cfg), "--snr=-10,0",
+                       "--trials", str(trials), "--seed", str(2**64 - 1), "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ae4f5938f9e1b3de428b0787f1f00cc8b2acd70bf32de2f56b26a8810bfe3913"
         )
 
     def test_probe_and_dictionary_bytes_are_pinned(self, tmp_path, config_path, capsys):
@@ -1253,6 +1297,10 @@ BAD_FLAGS = [
     *(("probe", "--axis", v) for v in ("1e-200,1e-200,0", "1e200,1e200,0")),
     *(("probe", "--steps", v) for v in ("2", "x", "1" + "0" * 40, str(MAX_COUNT + 1))),
     *(("sweep", "--trials", v) for v in ("0", "1" + "0" * 40, str(MAX_COUNT + 1))),
+    # counts whose arrays numpy cannot size: the probe's (steps, 3) positions and the
+    # sweep's (trials,) errors, doubles both
+    *(("probe", "--steps", str(v)) for v in (MAX_COUNT, MAX_COUNT // 24 + 1)),
+    *(("sweep", "--trials", str(v)) for v in (MAX_COUNT, MAX_COUNT // 8 + 1)),
     *(("sweep", "--snr", v) for v in ("0,nan", "0,,1")),
     *(("simulate", "--seed", v) for v in ("-1", str(2**64))),
 ]
@@ -1293,6 +1341,24 @@ class TestFlags:
         assert captured.err.endswith(f", got '{value}'\n")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb, flag, most, arrays", [
+        ("probe", "--steps", MAX_COUNT // 24, "3 to 384307168202282325, the most (steps, 3) "
+                                              "positions"),
+        ("sweep", "--trials", MAX_COUNT // 8, "1 to 1152921504606846975, the most (trials,) "
+                                              "errors"),
+    ])
+    def test_count_numpy_cannot_size_exits_2_before_a_file_is_read(
+        self, tmp_path, capsys, verb, flag, most, arrays
+    ):
+        # the largest count is parsed, and not run: numpy could not allocate its arrays
+        argv = [verb, "--config", str(tmp_path / "absent.json"), *REQUIRED[verb][:2]]
+        assert getattr(cli.build_parser().parse_args([*argv, flag, str(most)]),
+                       flag[2:]) == most
+        assert cli.main([*argv, flag, str(most + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: must be an integer from {arrays} numpy can size, got '{most + 1}'\n"
+        )
 
     @pytest.mark.parametrize("verb, args", EDGE_FLAGS)
     def test_edge_value_is_accepted(self, tmp_path, config_path, verb, args):

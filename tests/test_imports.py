@@ -1,7 +1,8 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
 every module-level private name is used somewhere in the package, the README's
-library layout lists every module, the package module itself exports nothing, and
-the CSV printer's tables are built only by a verb that prints a table."""
+library layout lists every module, the package module itself exports nothing,
+the CSV printer's tables are built only by a verb that prints a table, and OpenSSL
+is loaded only by a verb that keys noise."""
 
 import ast
 import json
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sweepsense import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "sweepsense").glob("*.py"))
@@ -122,6 +125,11 @@ def test_package_module_is_its_docstring_alone():
     assert ast.get_docstring(tree)
 
 
+ARCHITECTURE = {"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12,
+                "bandwidth_hz": 6e9, "n_samples": 128, "aperture_kind": "virtual",
+                "f_ref_hz": 63e9, "power_mw": 850.0, "cost_usd": 55.0, "fov_deg": 60.0,
+                "eta_reference": 926.0}
+
 PRINTER_TABLES = """
 import sys
 from sweepsense import cli, core
@@ -140,16 +148,13 @@ print(before, built())
 
 def test_printer_tables_are_built_on_first_use(tmp_path):
     # A fresh interpreter: in this one another test may have printed a table.
-    spec = {"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12, "bandwidth_hz": 6e9,
-            "n_samples": 128, "aperture_kind": "virtual", "f_ref_hz": 63e9, "power_mw": 850.0,
-            "cost_usd": 55.0, "fov_deg": 60.0, "eta_reference": 926.0}
     grid = {f"{a}_{end}_m": lo for a, lo in zip("xyz", (-0.1, -0.1, 2.0)) for end in ("min", "max")}
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 4},
         "dispersion": {"kind": "linear_sine", "theta_max_deg": 60.0},
         "grid": {**grid, "nx": 1, "ny": 1, "nz": 1},
-        "architectures": [spec],
+        "architectures": [ARCHITECTURE],
     }))
     run = subprocess.run(
         [sys.executable, "-c", PRINTER_TABLES, str(config), str(tmp_path / "dict.csv")],
@@ -158,3 +163,53 @@ def test_printer_tables_are_built_on_first_use(tmp_path):
     )
     # compare prints no table and builds none; dict builds each table once
     assert run.stdout.split("\n")[-2] == "[0, 0, 0, 0] [1, 1, 1, 1]"
+
+
+
+FOOTPRINT = """
+import sys
+from sweepsense import cli
+
+assert cli.main(sys.argv[1:]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_openssl", [
+    ("dict --config {quiet}", False),
+    ("localize --config {quiet} --measurement {meas}", False),
+    ("localize --config {quiet} --measurement {meas} --dict {dict}", False),
+    ("probe --config {quiet} --span 1.0 --steps 11", False),
+    ("compare --config {quiet}", False),
+    ("simulate --config {quiet}", False),
+    ("simulate --config {noisy}", True),
+    ("sweep --config {quiet} --snr 10 --trials 2", True),
+], ids=["dict", "localize", "localize-dict", "probe", "compare", "simulate-noiseless",
+        "simulate-noisy", "sweep"])
+def test_only_a_verb_that_keys_noise_loads_openssl(tmp_path, argv, loads_openssl):
+    # A fresh interpreter per verb: in this one another test may have loaded OpenSSL, which
+    # hashlib's _hashlib module links (about 3.6 MB of a child's peak).
+    grid = {f"{a}_{end}_m": v for a in "xy" for end, v in (("min", -0.1), ("max", 0.1))}
+    config = {
+        "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 8},
+        "dispersion": {"kind": "linear_sine", "theta_max_deg": 60.0},
+        "antenna": {"length_m": 0.012},
+        "scene": {"targets": [{"x_m": 0.0, "y_m": 0.0, "z_m": 3.0}], "snr_db": "noiseless",
+                  "seed": 7},
+        "grid": {**grid, "z_min_m": 2.9, "z_max_m": 3.1, "nx": 2, "ny": 2, "nz": 2},
+        "architectures": [ARCHITECTURE],
+    }
+    paths = {name: tmp_path / f"{name}.{ext}" for name, ext in (
+        ("quiet", "json"), ("noisy", "json"), ("meas", "csv"), ("dict", "csv"))}
+    paths["quiet"].write_text(json.dumps(config))
+    config["scene"]["snr_db"] = 5.0
+    paths["noisy"].write_text(json.dumps(config))
+    for verb, out in (("simulate", "meas"), ("dict", "dict")):  # the inputs of localize
+        assert cli.main([verb, "--config", str(paths["quiet"]), "--out", str(paths[out])]) == 0
+    run = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *(arg.format(**paths) for arg in argv.split()),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.stdout.split("\n")[-2] == str(loads_openssl)

@@ -25,6 +25,7 @@ from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
     derive_seed,
+    derive_seeds,
     echo,
     noise,
     noise_sigma,
@@ -37,15 +38,20 @@ MODEL = LinearSineDispersion.for_plan(PLAN)
 ANT = AntennaModel()
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Reference generator for the stream (seed, *path): a new Philox keyed by the
-    blake2b digest of the 64-bit seed and the path labels."""
+def reference_key(seed: int, *path) -> np.ndarray:
+    """Reference key of the stream (seed, *path): the blake2b digest of the 64-bit seed and
+    the path labels, as two little-endian words."""
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<Q", int(seed) & 0xFFFFFFFFFFFFFFFF))
     for part in path:
         h.update(b"/")
         h.update(str(part).encode("utf-8"))
-    return np.random.Generator(np.random.Philox(key=np.frombuffer(h.digest(), dtype="<u8")))
+    return np.frombuffer(h.digest(), dtype="<u8")
+
+
+def substream(seed: int, *path) -> np.random.Generator:
+    """Reference generator for the stream (seed, *path): a new Philox at that key."""
+    return np.random.Generator(np.random.Philox(key=reference_key(seed, *path)))
 
 
 def synthesize_sample(f, position, refl: complex, gain) -> complex:
@@ -265,7 +271,9 @@ class TestSimulateMeasurement:
 
     @pytest.mark.parametrize("m", [1, 16, 128])
     def test_noise_is_each_substream_bit_for_bit(self, m):
-        seeds = [derive_seed(2024, k, t) for k in range(2) for t in range(100)]
+        # the ends of the seed range, and a seed above it, which is masked to 64 bits
+        seeds = [0, 2**64 - 1, 2**64 + 12345]
+        seeds += [derive_seed(2024, k, t) for k in range(2) for t in range(100)]
         # sigmas across the double range; the first two make sigma * z underflow
         for sigma in (5e-324, 1e-310, 1e-9, 1e-3, 0.3, 7.7, 1e6, 1e300):
             block = noise(seeds, sigma, m)
@@ -277,6 +285,15 @@ class TestSimulateMeasurement:
                     np.testing.assert_array_equal(
                         block[t, c].view(np.uint64), expected.view(np.uint64)
                     )
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1, 2**64 + 12345])
+    def test_batched_seeds_are_each_derive_seed(self, seed):
+        paths = [(k, t) for k in range(3) for t in range(70)] + [(), ("x",), (2**70, "é", -1.5)]
+        expected = [derive_seed(seed, *path) for path in paths]
+        assert derive_seeds(seed, paths) == expected
+        assert derive_seeds(seed, iter(paths)) == expected
+        assert expected == [int(reference_key(seed, *path)[0]) for path in paths]
+        assert derive_seeds(seed, []) == []
 
     def test_noise_with_sigma_zero_is_zeros(self):
         block = noise([derive_seed(3, t) for t in range(5)], 0.0, 16)
