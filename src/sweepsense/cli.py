@@ -37,7 +37,9 @@ from sweepsense.core import (
     frequency_grid,
     open_bytes,
     read_table,
+    table_text,
     write_table,
+    write_text,
 )
 from sweepsense.dispersion import (
     DispersionModel,
@@ -54,7 +56,7 @@ from sweepsense.fingerprint import (
     ambiguity_probe,
     build_dictionary,
     build_fingerprint,
-    export_dictionary,
+    dictionary_text,
     localize_batch,
 )
 from sweepsense.synth import (
@@ -375,7 +377,9 @@ def run_sweep(
         indices = np.empty(trials if sigma else 1, dtype=np.intp)
         for start in range(0, len(indices), batch):
             stop = min(start + batch, len(indices))
-            seeds = derive_seeds(scene.noise.seed, ((snr_idx, t) for t in range(start, stop)))
+            # noise with sigma 0 reads no seed, so none is keyed and OpenSSL stays unloaded
+            seeds = (derive_seeds(scene.noise.seed, ((snr_idx, t) for t in range(start, stop)))
+                     if sigma else [None])
             with np.errstate(over="ignore"):  # a sum that overflows is rejected as not finite
                 measured = clean + noise(seeds, sigma, plan.n_points)
             block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
@@ -417,40 +421,27 @@ def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
-
-
-def _to_stdout(path: str | None) -> bool:
-    return path is None or path == "-"
-
-
-def _write_output(path: str | None, text: str) -> None:
-    if _to_stdout(path):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+# commands: each returns (output, side), and main writes both. output is the verb's
+# primary output, its text or the ASCII blocks it prints as they are drawn, or None;
+# side is the text for the other stream, or None.
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     plan, model, antenna, scene = _load(args, "plan", "dispersion", "antenna", "scene")
     meas = simulate_measurement(scene, plan, model, antenna)
-    _write_output(args.out, measurement_to_csv(meas, model))
-    return 0
+    return measurement_to_csv(meas, model), None
 
 
-def cmd_dict(args) -> int:
+def cmd_dict(args) -> tuple:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    dictionary = LazyDictionary(grid, plan, model, antenna)
-    export_dictionary(dictionary, sys.stdout if _to_stdout(args.out) else args.out)
-    return 0
+    return dictionary_text(LazyDictionary(grid, plan, model, antenna)), None
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args) -> tuple:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
     dictionary = LazyDictionary(grid, plan, model, antenna)
     try:
@@ -468,8 +459,7 @@ def cmd_localize(args) -> int:
         "grid_index": int(index),
         "dictionary_size": grid.size,
     }
-    _write_output(args.out, _json_dumps(payload))
-    return 0
+    return _json_dumps(payload), None
 
 
 def _localize(block: np.ndarray, dictionary: LazyDictionary, dict_path):
@@ -483,7 +473,7 @@ def _localize(block: np.ndarray, dictionary: LazyDictionary, dict_path):
         raise ConfigError(str(exc)) from None
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> tuple:
     plan, model, antenna = _load(args, "plan", "dispersion", "antenna")
     axis_text, axis = args.axis
     angular = axis in ("azimuth", "elevation")
@@ -495,8 +485,7 @@ def cmd_probe(args) -> int:
     except GeometryError as exc:
         raise ConfigError(f"probe geometry: {exc}") from None
     file_offsets = np.degrees(curve.offsets) if angular else curve.offsets
-    _write_output(args.out, write_table(None, "offset,similarity",
-                                        (file_offsets, curve.similarities)))
+    csv = table_text("offset,similarity", [(file_offsets, curve.similarities)])
     summary = {
         "axis": axis_text,
         "p0_m": list(args.p0),
@@ -509,29 +498,22 @@ def cmd_probe(args) -> int:
     }
     if angular:
         summary["half_power_width_rad"] = curve.width
-    # The summary goes to stderr when the CSV takes stdout, so each stream parses.
-    (sys.stderr if _to_stdout(args.out) else sys.stdout).write(_json_dumps(summary))
-    return 0
+    return csv, _json_dumps(summary)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple:
     try:
         report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
     except archcomp.NonFiniteMetricError as exc:
         raise ConfigError(str(exc)) from None
-    if args.out is not None:
-        _write_output(args.out, _json_dumps(report.to_dict()))
-    # The text goes to stderr when the JSON takes stdout, so each stream parses.
-    (sys.stderr if args.out == "-" else sys.stdout).write(report.to_text())
-    return 0
+    return None if args.out is None else _json_dumps(report.to_dict()), report.to_text()
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     plan, model, antenna, scene, grid = _load(
         args, "plan", "dispersion", "antenna", "scene", "grid")
     points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
-    _write_output(args.out, sweep_to_csv(points, args.trials))
-    return 0
+    return sweep_to_csv(points, args.trials), None
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +638,13 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        output, side = args.func(args)
+        if output is not None:
+            blocks = [output.encode("ascii")] if isinstance(output, str) else output
+            write_text(sys.stdout if args.out == "-" else args.out, blocks)
+        if side is not None:  # on stderr when the output takes stdout, so each stream parses
+            (sys.stderr if args.out == "-" else sys.stdout).write(side)
+        return 0
     except argparse.ArgumentError as exc:
         print(f"error: {exc.argument_name}: {exc.message}", file=sys.stderr)
         return 2

@@ -224,7 +224,7 @@ def range_of(position) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then one line of numbers per row. Every CSV the
 # CLI reads goes through read_table, and through check_rows where the config
-# gives its key cells; every one it writes through write_table except the
+# gives its key cells; table_text prints every one it writes except the
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits

@@ -226,7 +226,8 @@ def _fingerprint_rows(
     block = np.empty((min(len(positions), _CHUNK_ROWS), 2, plan.n_points), dtype=np.complex128)
     for start in range(0, len(positions), _CHUNK_ROWS):
         chunk = positions[start : start + _CHUNK_ROWS]
-        s = echo(chunk, 1.0, plan, model, antenna, out=block[: len(chunk)])
+        with np.errstate(over="ignore", invalid="ignore"):  # _normalize rejects a non-finite echo
+            s = echo(chunk, 1.0, plan, model, antenna, out=block[: len(chunk)])
         yield start, _normalize(s, lambda i: describe(start + i))
 
 
@@ -414,8 +415,10 @@ def _csv_header(m: int) -> str:
     return ",".join(["ix", "iy", "iz", "x", "y", "z"] + pairs)
 
 
-def _dictionary_text(dictionary, chunks):
-    """The table_text of a dictionary's CSV, printing the rows ``chunks`` yields as they come."""
+def dictionary_text(dictionary, chunks=None):
+    """The table_text of a Dictionary's or LazyDictionary's CSV (indices, position, re/im
+    pairs), printing the rows ``chunks`` yields, by default its chunks(), as they come."""
+    chunks = dictionary.chunks() if chunks is None else chunks
     indices, positions = dictionary.grid.indices(), dictionary.grid.points()
 
     def table(chunk):
@@ -427,13 +430,9 @@ def _dictionary_text(dictionary, chunks):
 
 
 def export_dictionary(dictionary, path) -> str | None:
-    """Write a Dictionary or LazyDictionary as portable CSV (indices, position,
-    re/im pairs), printing each chunk of rows as it is built.
-
-    ``path`` may also be an open text file such as sys.stdout; with None the
-    text is returned instead.
-    """
-    return write_text(path, _dictionary_text(dictionary, dictionary.chunks()))
+    """Write the dictionary_text of a dictionary to ``path``, as core.write_text: each chunk
+    of rows is printed as it is built, and with None the text is returned."""
+    return write_text(path, dictionary_text(dictionary))
 
 
 def import_dictionary(path, dictionary) -> None:
@@ -457,7 +456,7 @@ def _check_file(path, dictionary, chunks) -> None:
     """import_dictionary's check of ``path``, comparing the rows ``chunks`` yields."""
     try:
         with open_bytes(path) as fh:
-            text = _dictionary_text(dictionary, chunks)
+            text = dictionary_text(dictionary, chunks)
             # map drops each block before the next is printed; a generator would hold it
             if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
                 return

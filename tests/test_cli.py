@@ -895,7 +895,7 @@ class TestExtremeMagnitudes:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb, function, args", [
-        ("dict", "export_dictionary", []),
+        ("dict", "dictionary_text", []),
         ("probe", "ambiguity_probe", ["--span", "1.0"]),
         ("sweep", "noise", ["--snr", "0", "--trials", "2"]),
     ])
@@ -1696,11 +1696,44 @@ class TestDictionaryBoundary:
             "(from the config), got 2,0,1,0.25,-0.25,3.25\n"
         )
 
-    def test_stdout_matches_file(self, tmp_path, config_path, capsys):
+
+# verb, its flags other than --config and --out ({meas} and {dict} name localize's inputs),
+# and whether it prints side text: the probe summary, the compare table
+OUTPUTS = [
+    ("simulate", "", False),
+    ("dict", "", False),
+    ("localize", "--measurement {meas}", False),
+    ("localize", "--measurement {meas} --dict {dict}", False),
+    ("probe", "--span 1.0 --steps 11", True),
+    ("compare", "", True),
+    ("sweep", "--snr noiseless,0 --trials 3", False),
+]
+
+
+class TestOutputRule:
+    @pytest.mark.parametrize("verb, flags, side", OUTPUTS, ids=[
+        "simulate", "dict", "localize", "localize-dict", "probe", "compare", "sweep"])
+    def test_file_bytes_are_the_stdout_of_out_dash(self, tmp_path, config_path, capsys,
+                                                   verb, flags, side):
         path = config_path(base_config())
-        assert cli.main(["dict", "--config", path, "--out", str(tmp_path / "d.csv")]) == 0
-        assert cli.main(["dict", "--config", path, "--out", "-"]) == 0
-        assert capsys.readouterr().out == (tmp_path / "d.csv").read_text()
+        inputs = {"meas": tmp_path / "meas.csv", "dict": tmp_path / "dict.csv"}
+        for name, made_by in (("meas", "simulate"), ("dict", "dict")):
+            assert cli.main([made_by, "--config", path, "--out", str(inputs[name])]) == 0
+        argv = [verb, "--config", path, *flags.format(**inputs).split()]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        to_file = capsys.readouterr()
+        assert cli.main([*argv, "--out", "-"]) == 0
+        to_stdout = capsys.readouterr()
+        assert to_stdout.out.encode() == out.read_bytes()
+        # the side text is on stdout with a file, and on stderr when the output takes stdout
+        assert to_file.err == ""
+        assert to_file.out == to_stdout.err
+        assert bool(to_file.out) == side
+        if verb == "compare":  # with no --out it prints its table alone
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == (to_file.out, "")
 
 
 class TestStreamedDictionary:

@@ -1,8 +1,9 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
 every module-level private name is used somewhere in the package, the README's
 library layout lists every module, the package module itself exports nothing,
-the CSV printer's tables are built only by a verb that prints a table, and OpenSSL
-is loaded only by a verb that keys noise."""
+no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
+printer's tables are built only by a verb that prints a table, and OpenSSL is
+loaded only by a verb that keys noise."""
 
 import ast
 import json
@@ -125,6 +126,49 @@ def test_package_module_is_its_docstring_alone():
     assert ast.get_docstring(tree)
 
 
+# What a verb may not call: it returns its output and side text, and cli.main writes them.
+WRITERS = ("open", "print", "write_text", "write_table", "export_dictionary", "write",
+           "writelines")
+
+
+def writes_outside_main(source: str) -> list[str]:
+    """The writing calls in the ``cmd_*`` functions of ``source`` (any of WRITERS, by name
+    or as an attribute such as ``sys.stdout.write``), and the write_text calls in any
+    other function but ``main``, as 'function: name'."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name == "main":
+            continue
+        writers = WRITERS if node.name.startswith("cmd_") else ("write_text",)
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in writers:
+                    found.append(f"{node.name}: {name}")
+    return found
+
+
+def test_only_main_writes_a_verbs_output():
+    assert writes_outside_main((ROOT / "src" / "sweepsense" / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def cmd_a(args):\n    sys.stdout.write('x')\n", ["cmd_a: write"]),
+    ("def cmd_a(args):\n    print('x', file=sys.stderr)\n", ["cmd_a: print"]),
+    ("def cmd_a(args):\n    with open(args.out, 'w') as fh:\n        fh.writelines([])\n",
+     ["cmd_a: open", "cmd_a: writelines"]),
+    ("def cmd_a(args):\n    def inner():\n        core.write_table(args.out, 'h', t)\n",
+     ["cmd_a: write_table"]),
+    ("def cmd_a(args):\n    export_dictionary(d, args.out)\n", ["cmd_a: export_dictionary"]),
+    ("def helper(out):\n    write_text(out, [])\n", ["helper: write_text"]),
+    ("def helper():\n    print('x')\n", []),
+    ("def cmd_a(args):\n    return text, None\n", []),
+    ("def main(argv):\n    write_text(sys.stdout, [])\n    print('error')\n", []),
+])
+def test_write_guard_finds_a_planted_write(source, found):
+    assert writes_outside_main(source) == found
+
+
 ARCHITECTURE = {"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12,
                 "bandwidth_hz": 6e9, "n_samples": 128, "aperture_kind": "virtual",
                 "f_ref_hz": 63e9, "power_mw": 850.0, "cost_usd": 55.0, "fov_deg": 60.0,
@@ -184,8 +228,9 @@ print("_hashlib" in sys.modules)
     ("simulate --config {quiet}", False),
     ("simulate --config {noisy}", True),
     ("sweep --config {quiet} --snr 10 --trials 2", True),
+    ("sweep --config {quiet} --snr noiseless --trials 5", False),
 ], ids=["dict", "localize", "localize-dict", "probe", "compare", "simulate-noiseless",
-        "simulate-noisy", "sweep"])
+        "simulate-noisy", "sweep", "sweep-noiseless"])
 def test_only_a_verb_that_keys_noise_loads_openssl(tmp_path, argv, loads_openssl):
     # A fresh interpreter per verb: in this one another test may have loaded OpenSSL, which
     # hashlib's _hashlib module links (about 3.6 MB of a child's peak).
