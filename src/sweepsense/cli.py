@@ -356,9 +356,8 @@ def run_sweep(
     _CHUNK_ROWS dictionary rows at a time. The last bits of a score depend on
     the batch width, so a trial gets the grid index that localizing it on its
     own gives except at a score tie within rounding (about 2e-16). With noise
-    sigma 0 every trial is the clean scene, scored once. An error, and the
-    RMSE, is taken over its largest component or error where the sum of
-    squares overflows.
+    sigma 0 every trial is the clean scene, scored once. Each error, and the
+    RMSE, is taken with hypot, which squares nothing and so cannot overflow.
     The first configured target is the ground truth, so a scene without one
     raises ConfigError; every SNR must be finite, or None for noiseless.
     """
@@ -369,7 +368,8 @@ def run_sweep(
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigmas = [noise_sigma(clean, snr) for snr in snrs]
     dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
-    miss = _distances(dictionary.positions, scene.targets[0].position)
+    dx, dy, dz = (dictionary.positions - scene.targets[0].position).T
+    miss = np.hypot(np.hypot(dx, dy), dz)
     batch = SCORE_CELLS // _CHUNK_ROWS
 
     points = []
@@ -385,32 +385,9 @@ def run_sweep(
             block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
             indices[start:stop], _ = localize_batch(block, dictionary)
         errors = miss[np.broadcast_to(indices, trials)].tolist()
-        rmse = math.sqrt(sum(e * e for e in errors) / trials)
-        if rmse == math.inf:  # the squares overflow: take them over the largest error
-            top = max(errors)
-            rmse = top * math.sqrt(sum((e / top) ** 2 for e in errors) / trials)
+        rmse = math.hypot(*errors) / math.sqrt(trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
-
-
-def _distances(positions: np.ndarray, truth) -> np.ndarray:
-    """The distance of each row of ``positions`` from ``truth``, bit for bit the _norm of
-    their difference: the root of its dot product with itself, as np.linalg.norm takes it,
-    or _norm itself where that overflows."""
-    with np.errstate(over="ignore"):
-        return np.array([math.sqrt(sq) if (sq := v.dot(v)) < math.inf else _norm(v)
-                         for v in positions - np.asarray(truth)])
-
-
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of ``v``, or, where its sum of squares overflows, its largest
-    |component| times the norm of ``v`` over it."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if norm == math.inf:
-        top = np.abs(v).max()
-        norm = top * np.linalg.norm(v / top)
-    return float(norm)
 
 
 def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
@@ -443,34 +420,29 @@ def cmd_dict(args) -> tuple:
 
 def cmd_localize(args) -> tuple:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    dictionary = LazyDictionary(grid, plan, model, antenna)
+    # A measurement that cannot be read scores an empty block, and its error is raised
+    # last: the errors of the dictionary rows, then of the --dict file, come first.
+    block, fault = np.empty((0, 2 * plan.n_points), complex), None
     try:
-        block = build_fingerprint(read_measurement_csv(args.measurement, plan, model)).vector
+        block = build_fingerprint(read_measurement_csv(args.measurement, plan, model)).vector[None]
     except (OSError, ValueError) as exc:
-        # The errors of the dictionary, then of its file, come first: one pass for them.
-        _localize(np.empty((0, 2 * plan.n_points), complex), dictionary, args.dict)
+        fault = exc
+    try:
+        indices, scores = localize_batch(block, LazyDictionary(grid, plan, model, antenna),
+                                         args.dict)
+        if fault is not None:
+            raise fault
+    except (OSError, ValueError) as exc:
         if isinstance(exc, DegenerateMeasurementError):
-            raise  # the measurement is read, but it cannot be normalized: exit 3
+            raise  # a measurement or dictionary row that cannot be normalized: exit 3
         raise ConfigError(str(exc)) from None
-    [index], [score] = _localize(block[None], dictionary, args.dict)
     payload = {
-        "estimate": grid.points()[index].tolist(),
-        "score": float(score),
-        "grid_index": int(index),
+        "estimate": grid.points()[indices[0]].tolist(),
+        "score": float(scores[0]),
+        "grid_index": int(indices[0]),
         "dictionary_size": grid.size,
     }
     return _json_dumps(payload), None
-
-
-def _localize(block: np.ndarray, dictionary: LazyDictionary, dict_path):
-    """localize_batch, checking the file at ``dict_path`` if there is one: an error of the
-    file exits 2, one of a dictionary row (a DegenerateMeasurementError) 3."""
-    try:
-        return localize_batch(block, dictionary, dict_path)
-    except DegenerateMeasurementError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def cmd_probe(args) -> tuple:

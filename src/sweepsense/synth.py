@@ -119,15 +119,23 @@ def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
     """Noiseless dual-channel measurement of ``targets``, shape (2, M).
 
     Target echoes superpose linearly; an empty scene is all zeros. A sum
-    that is not finite raises ValueError.
+    that is not finite raises ValueError naming the first target whose phase
+    4 pi f R / c is not finite at a frequency of the plan, or else the
+    reflectivities.
     """
+    positions = [t.position for t in targets]
     refl = np.array([(t.refl_x, t.refl_y) for t in targets], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        echoes = echo([t.position for t in targets], refl.reshape(-1, 2), plan, model, antenna)
-        clean = echoes.sum(axis=0)
-    if not np.isfinite(clean).all():
-        raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
-    return clean
+        clean = echo(positions, refl.reshape(-1, 2), plan, model, antenna).sum(axis=0)
+        if np.isfinite(clean).all():
+            return clean
+        phases = phase_curvature(frequency_grid(plan), np.reshape(positions, (-1, 1, 3)))
+    finite = np.isfinite(phases).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"target {i} at {positions[i]}: the echo phase 4 pi f R / c is not "
+                         "finite for the plan's frequencies")
+    raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
 
 
 def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:

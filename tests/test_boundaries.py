@@ -1,6 +1,6 @@
-"""A fault table for the six verbs: each row sets one float key of a small config to an
-extreme value and runs every verb in process through ``cli.main``, ``localize`` with and
-without ``--dict``.
+"""A fault table for the six verbs: each row sets one float or count key of a small config
+to an extreme value and runs every verb in process through ``cli.main``, ``localize`` with
+and without ``--dict``.
 
 Whatever the value, a verb exits 0, 2 or 3, and raises no warning. On exit 2 or 3 it
 prints exactly one ``error: `` line and leaves no ``--out`` file; on exit 0 no output
@@ -31,10 +31,25 @@ BASE = {
                        "fov_deg": 60.0, "eta_reference": 926.0}],
 }
 
-KEYS = ("plan.f_min_hz", "plan.f_max_hz", "antenna.length_m")
+FLOAT_KEYS = (
+    "plan.f_min_hz", "plan.f_max_hz", "antenna.length_m", "dispersion.theta_max_deg",
+    *(f"grid.{a}_{end}_m" for a in "xyz" for end in ("min", "max")),
+    *(f"scene.targets[0].{name}"
+      for name in ("x_m", "y_m", "z_m", "alpha_re", "alpha_im", "alpha_x_re")),
+)
 LARGEST = 1.7976931348623157e308
-VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, LARGEST,
-          -LARGEST, -1.0)
+FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, LARGEST,
+          -LARGEST, -1.0, 1e-30, 1e30, 1e154, 1e200)
+# Counts are at most 10 or at least 2**60: numpy would allocate a count between lazily,
+# and could exhaust the memory.
+COUNT_KEYS = ("plan.n_points", "grid.nx", "grid.ny", "grid.nz", "scene.seed")
+COUNTS = {"0": 0, "1": 1, "2": 2, "10": 10, "-1": -1, "2**60": 2**60, "2**63-1": 2**63 - 1,
+          "2**63": 2**63, "2**64": 2**64, "10**400": 10**400}
+ROWS = [
+    *(pytest.param(key, value, id=f"{key}-{value!r}") for key in FLOAT_KEYS for value in FLOATS),
+    *(pytest.param(key, value, id=f"{key}-{label}")
+      for key in COUNT_KEYS for label, value in COUNTS.items()),
+]
 
 # name, then the verb and its flags other than --config and --out, in run order
 RUNS = (
@@ -50,12 +65,14 @@ RUNS = (
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
-@pytest.mark.parametrize("value", VALUES, ids=repr)
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key, value", ROWS)
 def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
-    section, name = key.split(".")
     cfg = json.loads(json.dumps(BASE))
-    cfg[section][name] = value
+    *path, name = (int(part) if part.isdigit() else part for part in re.findall(r"\w+", key))
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[name] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
-from sweepsense import cli, fingerprint
+from sweepsense import cli, fingerprint, synth
 from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
@@ -547,7 +548,8 @@ class TestSweep:
             for t in range(trials):
                 noise = NoiseConfig(snr, derive_seed(scene.noise.seed, k, t))
                 meas = simulate_measurement(replace(scene, noise=noise), plan, model, antenna)
-                expected.append(float(np.linalg.norm(localize(meas, dictionary).position - truth)))
+                dx, dy, dz = localize(meas, dictionary).position - truth
+                expected.append(float(np.hypot(np.hypot(dx, dy), dz)))
             assert point.errors == tuple(expected)
         assert points[0].rmse == 0.0 < points[1].rmse
 
@@ -617,24 +619,37 @@ class TestSweep:
             f"snr_db,rmse_m,trials\nnoiseless,{rmse},3\n0.000000000e+00,{rmse},3\n"
         )
 
-    def test_distances_are_each_entrys_norm(self):
+    def test_distances_are_each_entrys_norm(self, monkeypatch):
         # the bench's small and large grids, and one whose corners lie 1.8e154 m apart
         grids = [PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), n, n, n) for n in (9, 21)]
         grids.append(PositionGrid((0.0, 0.0), (-9e153, 9e153), (9e153, 9e153), 1, 2, 1))
         rng = np.random.default_rng(5)
         truths = [*rng.uniform([-0.6, -0.6, 1.9], [0.6, 0.6, 4.1], (4, 3)), (0.5, -0.5, 2.0),
                   (0.0, 0.0, 1e154), (0.0, -9e153, 9e153)]
+        plan = FrequencyPlan(60e9, 66e9, 8)
+        model = LinearSineDispersion.for_plan(plan)
+        # trial t of a noisy point draws no noise and is scored as grid index t
+        monkeypatch.setattr(cli, "noise", lambda seeds, sigma, m: synth.noise(seeds, 0.0, m))
+        trial = None  # counts the trials of one sweep
+
+        def every_index(block, dictionary):
+            return np.array([next(trial) for _ in block]), None
+
+        monkeypatch.setattr(cli, "localize_batch", every_index)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for grid in grids:
                 positions = grid.points()
                 for truth in truths:
-                    truth = np.asarray(truth)
-                    expected = [cli._norm(p - truth) for p in positions]
-                    assert cli._distances(positions, truth).tolist() == expected
+                    trial = itertools.count()
+                    scene = Scene(targets=(Target(tuple(truth)),))
+                    [point] = cli.run_sweep(plan, model, AntennaModel(length=0.012), scene,
+                                            grid, [0.0], grid.size)
+                    expected = [float(np.hypot(np.hypot(x, y), z)) for x, y, z in positions - truth]
+                    assert point.errors == tuple(expected)
         assert [str(w.message) for w in caught] == []
-        # the squares of (0, 1.8e154, 0) overflow: its norm is taken over its largest component
-        assert cli._distances(grids[2].points(), truths[-1]).tolist() == [0.0, 1.8e154]
+        # the squares of (0, 1.8e154, 0) overflow, and hypot squares none of them
+        assert point.errors == (0.0, 1.8e154)
 
     def test_degenerate_trial_exits_3(self, tmp_path, config_path, capsys):
         # x = 50 m at z = 1 m is far outside the 12 cm antenna's 60 deg scan:
@@ -711,6 +726,23 @@ class TestSweep:
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ae4f5938f9e1b3de428b0787f1f00cc8b2acd70bf32de2f56b26a8810bfe3913"
+        )
+
+    def test_bench_shaped_sweep_bytes_are_pinned(self, tmp_path, config_path):
+        # The mc-sweep shape: a 9^3 grid, M=32, the 1.2 cm antenna, one off-grid truth and
+        # 6 SNR points of 500 trials. A change to noise keying, scoring or the miss and RMSE
+        # rule moves this digest.
+        cfg = base_config()
+        cfg["grid"].update(x_min_m=-0.5, x_max_m=0.5, nx=9, y_min_m=-0.5, y_max_m=0.5, ny=9,
+                           z_min_m=2.0, z_max_m=4.0, nz=9)
+        cfg["scene"]["targets"][0].update(x_m=0.13, y_m=-0.21, z_m=2.87, alpha_re=0.7,
+                                          alpha_im=-0.3)
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--config", config_path(cfg), "--snr", "noiseless,-10,0,10,20,30",
+                       "--trials", "500", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a7dc36c1cefa10ad5722b78bbf8c5079e9d8871082a3b80b17d54fffd355d332"
         )
 
     def test_probe_and_dictionary_bytes_are_pinned(self, tmp_path, config_path, capsys):
@@ -844,6 +876,26 @@ class TestExtremeMagnitudes:
         captured = capsys.readouterr()
         assert captured.err == (
             "error: the scene's echo is not finite: a reflectivity is too large or NaN\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb, args", [
+        ("simulate", []),
+        ("sweep", ["--snr", "noiseless,10", "--trials", "3"]),
+    ])
+    def test_echo_phase_overflow_exits_3_naming_the_target(self, tmp_path, config_path, capsys,
+                                                          verb, args):
+        # 4 pi f R / c overflows at the largest double's frequency; every reflectivity is 1
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 1.7976931348623157e308,
+                                "n_points": 32})
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: target 0 at (0.0, 0.0, 3.0): the echo phase 4 pi f R / c is not finite "
+            "for the plan's frequencies\n"
         )
         assert captured.out == ""
         assert not out.exists()
