@@ -26,6 +26,7 @@ import numpy as np
 from sweepsense import archcomp
 from sweepsense.core import (
     FLOAT_FMT,
+    SPEED_OF_LIGHT,
     DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
@@ -47,17 +48,16 @@ from sweepsense.dispersion import (
     LookupTableDispersion,
 )
 from sweepsense.fingerprint import (
-    _CHUNK_ROWS,
+    CHUNK_ROWS,
     SCORE_CELLS,
-    LazyDictionary,
+    Dictionary,
     PositionGrid,
-    _direction_norm,
-    _normalize,
     ambiguity_probe,
-    build_dictionary,
     build_fingerprint,
     dictionary_text,
+    direction_norm,
     localize_batch,
+    normalize,
 )
 from sweepsense.synth import (
     AntennaModel,
@@ -209,11 +209,18 @@ def parse_dispersion(sec, plan: FrequencyPlan, config_path) -> DispersionModel:
     raise ConfigError(f"dispersion: unknown kind {kind!r}")
 
 
-def parse_antenna(sec) -> AntennaModel:
+def parse_antenna(sec, plan: FrequencyPlan | None = None) -> AntennaModel:
+    """The antenna; with a ``plan``, its narrowest beamwidth c/(f_max L) must be a normal double."""
     kinds = {"length_m": float, "two_way": bool}
     v = _read("antenna", sec, kinds, optional=kinds)
-    return _build("antenna", AntennaModel, v.get("length_m", AntennaModel.length),
-                  v.get("two_way", AntennaModel.two_way))
+    antenna = _build("antenna", AntennaModel, v.get("length_m", AntennaModel.length),
+                     v.get("two_way", AntennaModel.two_way))
+    width = SPEED_OF_LIGHT / plan.f_max / antenna.length if plan else 1.0
+    if not sys.float_info.min <= width < math.inf:
+        raise ConfigError(f"antenna: plan.f_max_hz = {plan.f_max!r} and antenna.length_m = "
+                          f"{antenna.length!r} give a narrowest beamwidth c/(f_max L) of "
+                          f"{width!r} rad, which is not a normal double")
+    return antenna
 
 
 # alpha_re/_im, and the per-channel alpha_x_* and alpha_y_* that override them
@@ -277,7 +284,7 @@ def parse_architectures(sec) -> list[archcomp.ArchitectureSpec]:
 _SECTIONS = {
     "plan": lambda sec, got, args: parse_plan(sec),
     "dispersion": lambda sec, got, args: parse_dispersion(sec, _section(got, "plan"), args.config),
-    "antenna": lambda sec, got, args: parse_antenna(sec),
+    "antenna": lambda sec, got, args: parse_antenna(sec, got.get("plan")),
     "scene": lambda sec, got, args: parse_scene(sec, getattr(args, "seed", None)),
     "grid": lambda sec, got, args: parse_grid(sec, got.get("plan")),
     "architectures": lambda sec, got, args: parse_architectures(sec),
@@ -350,41 +357,52 @@ def run_sweep(
     """Monte-Carlo localization RMSE per SNR point.
 
     Trial k of SNR point i is the clean scene plus the noise keyed by
-    derive_seed(scene seed, i, k), localized against one dictionary, so its
-    measurement never depends on trial count, ordering, or workers. Trials
-    are scored in batches of SCORE_CELLS // _CHUNK_ROWS (64), against
-    _CHUNK_ROWS dictionary rows at a time. The last bits of a score depend on
-    the batch width, so a trial gets the grid index that localizing it on its
-    own gives except at a score tie within rounding (about 2e-16). With noise
-    sigma 0 every trial is the clean scene, scored once. Each error, and the
-    RMSE, is taken with hypot, which squares nothing and so cannot overflow.
-    The first configured target is the ground truth, so a scene without one
-    raises ConfigError; every SNR must be finite, or None for noiseless.
+    derive_seed(scene seed, i, k), so its measurement never depends on trial
+    count, ordering, or workers. Trials are normalized in batches of
+    SCORE_CELLS // CHUNK_ROWS (64), held until they reach the grid's row
+    count (the size of its entries), then scored in one pass over the
+    dictionary. The last bits of a score depend on the batch width, so a
+    trial gets the grid index that localizing it on its own gives except at
+    a score tie within rounding (about 2e-16). With noise sigma 0 every trial
+    is the clean scene, scored once. Each error, and the RMSE, is taken with
+    hypot, which squares nothing and so cannot overflow. The first
+    configured target is the ground truth, so a scene without one raises
+    ConfigError; every SNR must be finite, or None for noiseless.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not scene.targets:
         raise ConfigError("sweep needs at least one target as ground truth")
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigmas = [noise_sigma(clean, snr) for snr in snrs]
-    dictionary = build_dictionary(grid, plan, model, antenna, workers=workers)
-    dx, dy, dz = (dictionary.positions - scene.targets[0].position).T
-    miss = np.hypot(np.hypot(dx, dy), dz)
-    batch = SCORE_CELLS // _CHUNK_ROWS
-
-    points = []
-    for snr_idx, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-        indices = np.empty(trials if sigma else 1, dtype=np.intp)
-        for start in range(0, len(indices), batch):
-            stop = min(start + batch, len(indices))
+    dictionary = Dictionary(grid, plan, model, antenna)
+    batch = SCORE_CELLS // CHUNK_ROWS
+    indices = [np.empty(trials if sigma else 1, dtype=np.intp) for sigma in sigmas]
+    blocks, outs = [], []  # the held trial batches, and the indices each one fills
+    for snr_idx, sigma in enumerate(sigmas):
+        for start in range(0, len(indices[snr_idx]), batch):
+            stop = min(start + batch, len(indices[snr_idx]))
             # noise with sigma 0 reads no seed, so none is keyed and OpenSSL stays unloaded
             seeds = (derive_seeds(scene.noise.seed, ((snr_idx, t) for t in range(start, stop)))
                      if sigma else [None])
             with np.errstate(over="ignore"):  # a sum that overflows is rejected as not finite
                 measured = clean + noise(seeds, sigma, plan.n_points)
-            block = _normalize(measured, lambda i: f"trial {start + i} of SNR point {snr_idx}")
-            indices[start:stop], _ = localize_batch(block, dictionary)
-        errors = miss[np.broadcast_to(indices, trials)].tolist()
+            blocks.append(normalize(measured,
+                                    lambda i: f"trial {start + i} of SNR point {snr_idx}"))
+            outs.append(indices[snr_idx][start:stop])
+            last = (snr_idx, stop) == (len(sigmas) - 1, len(indices[-1]))
+            if last or sum(map(len, blocks)) >= grid.size:
+                for out, (found, _) in zip(outs, localize_batch(blocks, dictionary)):
+                    out[:] = found
+                blocks, outs = [], []
+
+    dx, dy, dz = (dictionary.positions - scene.targets[0].position).T
+    miss = np.hypot(np.hypot(dx, dy), dz)
+    points = []
+    for snr, found in zip(snrs, indices):
+        errors = miss[np.broadcast_to(found, trials)].tolist()
         rmse = math.hypot(*errors) / math.sqrt(trials)
         points.append(SweepPoint(snr_db=snr, rmse=rmse, errors=tuple(errors)))
     return points
@@ -415,7 +433,7 @@ def cmd_simulate(args) -> tuple:
 
 def cmd_dict(args) -> tuple:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    return dictionary_text(LazyDictionary(grid, plan, model, antenna)), None
+    return dictionary_text(Dictionary(grid, plan, model, antenna)), None
 
 
 def cmd_localize(args) -> tuple:
@@ -428,8 +446,8 @@ def cmd_localize(args) -> tuple:
     except (OSError, ValueError) as exc:
         fault = exc
     try:
-        indices, scores = localize_batch(block, LazyDictionary(grid, plan, model, antenna),
-                                         args.dict)
+        [(indices, scores)] = localize_batch([block], Dictionary(grid, plan, model, antenna),
+                                             args.dict)
         if fault is not None:
             raise fault
     except (OSError, ValueError) as exc:
@@ -524,7 +542,7 @@ def _axis(text: str):
     vector = _vector(text)
     if vector is None:
         return None
-    _direction_norm(vector)  # a ValueError unless the probe can divide by its norm
+    direction_norm(vector)  # a ValueError unless the probe can divide by its norm
     return text, vector
 
 

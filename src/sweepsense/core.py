@@ -300,19 +300,27 @@ def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
 
 def write_text(dest, blocks) -> str | None:
     """Write the ASCII ``blocks`` to ``dest``: a path, or an open text file that gets
-    each block decoded; with None the text is returned. A file this creates at a
-    path is removed again if drawing or writing a block fails."""
+    each block decoded; with None the text is returned. A missing path or a regular file
+    is written through a new file beside it, which replaces it with the same mode once
+    every block is written, so a failure leaves it as it was; a link, a pipe, a device or
+    a file this process may not write is written in place."""
     if dest is None or hasattr(dest, "write"):
         text = (block.decode("ascii") for block in blocks)
         return "".join(text) if dest is None else dest.writelines(text)
-    created = not os.path.lexists(dest)
-    fh = open(dest, "wb")
+    if os.path.islink(dest) or os.path.exists(dest) and not (os.path.isfile(dest)
+                                                            and os.access(dest, os.W_OK)):
+        with open(dest, "wb") as fh:
+            return fh.writelines(blocks)
+    tmp = f"{dest}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
     try:
         with fh:
+            if os.path.exists(dest):
+                os.chmod(tmp, os.stat(dest).st_mode & 0o7777)
             fh.writelines(blocks)
+        os.replace(tmp, dest)
     except BaseException:
-        if created:
-            os.unlink(dest)
+        os.unlink(tmp)
         raise
 
 

@@ -11,6 +11,7 @@ displaced from a reference point.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ from sweepsense.synth import AntennaModel, echo
 
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
-_CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds temporaries
+CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds temporaries
 SCORE_CELLS = 2**14  # entry x trial scores per sweep call: bounds its temporaries
 
 
@@ -59,7 +60,7 @@ class Fingerprint:
         object.__setattr__(self, "vector", vec)
 
 
-def _normalize(s: np.ndarray, describe) -> np.ndarray:
+def normalize(s: np.ndarray, describe) -> np.ndarray:
     """Unit-normalize each channel of (N, 2, M) echoes into (N, 2M) rows.
 
     A channel whose sum of squares overflows or is not a normal double is
@@ -85,7 +86,7 @@ def _normalize(s: np.ndarray, describe) -> np.ndarray:
 
 def build_fingerprint(meas: Measurement) -> Fingerprint:
     """Normalize each channel to unit norm and concatenate."""
-    rows = _normalize(np.stack([meas.s_x, meas.s_y])[None], lambda _: "measurement")
+    rows = normalize(np.stack([meas.s_x, meas.s_y])[None], lambda _: "measurement")
     return Fingerprint(rows[0], meas.plan)
 
 
@@ -147,44 +148,9 @@ class PositionGrid:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Noiseless unit-reflectivity fingerprints, one row of entries per grid position."""
-
-    grid: PositionGrid
-    entries: np.ndarray = field(repr=False)  # (size, 2M) complex rows
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return self.grid.size
-
-    @property
-    def n_points(self) -> int:  # frequency points per channel (M)
-        return self.entries.shape[1] // 2
-
-    @property
-    def positions(self) -> np.ndarray:  # (size, 3)
-        return self.grid.points()
-
-    def chunks(self):
-        """Yield (start, rows): slices of the entries, _CHUNK_ROWS rows at a time."""
-        return ((start, self.entries[start : start + _CHUNK_ROWS])
-                for start in range(0, len(self.entries), _CHUNK_ROWS))
-
-    def held(self) -> Dictionary:
-        """The dictionary itself: its rows are held already."""
-        return self
-
-
-@dataclass(frozen=True)
-class LazyDictionary:
-    """The dictionary of a grid, plan, dispersion model and antenna, never held:
-    each pass over it builds its rows _CHUNK_ROWS at a time, and a consumer
-    drops each chunk before the next is built. export_dictionary,
-    import_dictionary, localize and localize_batch take it as a Dictionary."""
+    """Noiseless unit-reflectivity fingerprints of a grid's positions, one row per grid
+    index. Each pass over chunks() builds the rows CHUNK_ROWS at a time; ``entries``
+    builds all of them on first use and keeps them, and later passes slice them."""
 
     grid: PositionGrid
     plan: FrequencyPlan
@@ -192,24 +158,34 @@ class LazyDictionary:
     antenna: AntennaModel
 
     @property
-    def n_points(self) -> int:
+    def size(self) -> int:
+        return self.grid.size
+
+    @property
+    def n_points(self) -> int:  # frequency points per channel (M)
         return self.plan.n_points
 
-    def chunks(self):
-        """Yield (start, rows): the fingerprints of the grid, built _CHUNK_ROWS at a time."""
-        positions = self.grid.points()
+    @property
+    def positions(self) -> np.ndarray:  # (size, 3)
+        return self.grid.points()
 
-        def describe(i: int) -> str:
-            return f"grid index {i} at position {tuple(positions[i].tolist())}"
-
-        return _fingerprint_rows(positions, self.plan, self.model, self.antenna, describe)
-
-    def held(self) -> Dictionary:
-        """Every row built into one Dictionary."""
-        entries = np.empty((self.grid.size, 2 * self.n_points), dtype=np.complex128)
+    @functools.cached_property
+    def entries(self) -> np.ndarray:  # (size, 2M) complex rows, read-only
+        entries = np.empty((self.size, 2 * self.n_points), dtype=np.complex128)
         for start, rows in self.chunks():
             entries[start : start + len(rows)] = rows
-        return Dictionary(self.grid, entries)
+        entries.setflags(write=False)
+        return entries
+
+    def chunks(self):
+        """Yield (start, rows): the fingerprints of the grid, CHUNK_ROWS at a time."""
+        if "entries" in vars(self):  # built already
+            return ((start, self.entries[start : start + CHUNK_ROWS])
+                    for start in range(0, self.size, CHUNK_ROWS))
+        positions = self.grid.points()
+        return _fingerprint_rows(
+            positions, self.plan, self.model, self.antenna,
+            lambda i: f"grid index {i} at position {tuple(positions[i].tolist())}")
 
 
 def _fingerprint_rows(
@@ -219,16 +195,16 @@ def _fingerprint_rows(
     antenna: AntennaModel,
     describe,
 ):
-    """Yield (start, rows): unit-reflectivity fingerprints, _CHUNK_ROWS at a time.
+    """Yield (start, rows): unit-reflectivity fingerprints, CHUNK_ROWS at a time.
 
     Echoes go into one block reused for every chunk; the rows are new arrays.
     """
-    block = np.empty((min(len(positions), _CHUNK_ROWS), 2, plan.n_points), dtype=np.complex128)
-    for start in range(0, len(positions), _CHUNK_ROWS):
-        chunk = positions[start : start + _CHUNK_ROWS]
-        with np.errstate(over="ignore", invalid="ignore"):  # _normalize rejects a non-finite echo
+    block = np.empty((min(len(positions), CHUNK_ROWS), 2, plan.n_points), dtype=np.complex128)
+    for start in range(0, len(positions), CHUNK_ROWS):
+        chunk = positions[start : start + CHUNK_ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):  # normalize rejects a non-finite echo
             s = echo(chunk, 1.0, plan, model, antenna, out=block[: len(chunk)])
-        yield start, _normalize(s, lambda i: describe(start + i))
+        yield start, normalize(s, lambda i: describe(start + i))
 
 
 def build_dictionary(
@@ -246,7 +222,9 @@ def build_dictionary(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return LazyDictionary(grid, plan, model, antenna).held()
+    dictionary = Dictionary(grid, plan, model, antenna)
+    dictionary.entries  # every row is built here: one that cannot be normalized raises
+    return dictionary
 
 
 @dataclass(frozen=True)
@@ -256,41 +234,40 @@ class LocalizationResult:
     index: int
 
 
-def localize_batch(block: np.ndarray, dictionary, dict_path=None) -> tuple[np.ndarray, np.ndarray]:
-    """Best-matching entry of a Dictionary or LazyDictionary for each fingerprint
-    of a (T, 2M) block.
+def localize_batch(blocks, dictionary, dict_path=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Best-matching dictionary entry for each fingerprint of each (T, 2M) block of ``blocks``.
 
-    Returns the grid indices and their similarity scores, both of length T.
-    The rows are scored a chunk at a time, in one pass, and a later chunk
-    takes a trial only with a strictly higher score, so ties resolve to the
-    lowest grid index. With a ``dict_path``, the same pass checks that the
-    CSV there is ``dictionary``, as import_dictionary does.
+    Returns, per block, the grid indices and similarity scores of its T fingerprints.
+    One pass builds the rows a chunk at a time and scores each block against each
+    chunk, so a block's scores have the bits they have alone; a later chunk takes a
+    fingerprint only with a strictly higher score, so ties resolve to the lowest grid
+    index. With a ``dict_path``, the same pass checks that the CSV there is
+    ``dictionary``, as import_dictionary does.
     """
-    if block.shape[-1] != 2 * dictionary.n_points:
-        raise ValueError(
-            f"measurement has {block.shape[-1] // 2} frequency points but the "
-            f"dictionary was built with {dictionary.n_points}"
-        )
-    trials = np.arange(len(block))
-    indices = np.zeros(len(block), dtype=np.intp)
-    best = np.full(len(block), -math.inf)
+    for block in blocks:
+        if block.shape[-1] != 2 * dictionary.n_points:
+            raise ValueError(f"measurement has {block.shape[-1] // 2} frequency points but "
+                             f"the dictionary was built with {dictionary.n_points}")
+    found = [(np.zeros(len(block), dtype=np.intp), np.full(len(block), -math.inf))
+             for block in blocks]
 
     def score(chunk):
         start, rows = chunk
-        scores = _scores(rows, block)
-        top = np.argmax(scores, axis=0)  # the first maximum within the chunk
-        got = scores[top, trials]
-        won = got > best
-        indices[won] = start + top[won]
-        best[won] = got[won]
+        for block, (indices, best) in zip(blocks, found):
+            scores = _scores(rows, block)
+            top = np.argmax(scores, axis=0)  # the first maximum within the chunk
+            got = scores[top, np.arange(len(block))]
+            won = got > best
+            indices[won] = start + top[won]
+            best[won] = got[won]
         return chunk
 
     chunks = map(score, dictionary.chunks())  # map holds no chunk once it is scored
     if dict_path is None:
-        _drain(chunks)
+        collections.deque(chunks, maxlen=0)  # draws every chunk, holding none
     else:
         _check_file(dict_path, dictionary, chunks)
-    return indices, best
+    return found
 
 
 def localize(meas: Measurement, dictionary) -> LocalizationResult:
@@ -299,17 +276,12 @@ def localize(meas: Measurement, dictionary) -> LocalizationResult:
     The one-measurement case of ``localize_batch``. The score is the
     similarity of the measurement's fingerprint to the winning entry.
     """
-    [idx], [score] = localize_batch(build_fingerprint(meas).vector[None], dictionary)
+    [([idx], [score])] = localize_batch([build_fingerprint(meas).vector[None]], dictionary)
     return LocalizationResult(
         position=dictionary.grid.points()[idx].copy(),
         score=float(score),
         index=int(idx),
     )
-
-
-def _drain(chunks) -> None:
-    """Draw every chunk, holding none."""
-    collections.deque(chunks, maxlen=0)
 
 
 def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
@@ -326,10 +298,10 @@ def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
             return np.column_stack([np.full_like(c, x), y * c + z * s, -y * s + z * c])
         raise ValueError(f"unknown probe axis {axis!r}")
     direction = np.asarray(axis, dtype=float)
-    return p0 + deltas[:, None] * direction / _direction_norm(direction)
+    return p0 + deltas[:, None] * direction / direction_norm(direction)
 
 
-def _direction_norm(direction) -> float:
+def direction_norm(direction) -> float:
     """Norm of a probe direction; ValueError unless it is a 3-vector of finite nonzero norm.
 
     Components that are each finite and not all zero can still underflow
@@ -416,8 +388,8 @@ def _csv_header(m: int) -> str:
 
 
 def dictionary_text(dictionary, chunks=None):
-    """The table_text of a Dictionary's or LazyDictionary's CSV (indices, position, re/im
-    pairs), printing the rows ``chunks`` yields, by default its chunks(), as they come."""
+    """The table_text of a Dictionary's CSV (indices, position, re/im pairs), printing the
+    rows ``chunks`` yields, by default its chunks(), as they come."""
     chunks = dictionary.chunks() if chunks is None else chunks
     indices, positions = dictionary.grid.indices(), dictionary.grid.points()
 
@@ -461,7 +433,7 @@ def _check_file(path, dictionary, chunks) -> None:
             if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
                 return
             header = _csv_header(dictionary.n_points)
-            expected = np.ascontiguousarray(dictionary.held().entries).view(np.float64)
+            expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
             try:
                 body = read_table(path, header, fh)
             except HeaderError as exc:
@@ -479,4 +451,4 @@ def _check_file(path, dictionary, chunks) -> None:
                            f"(from the config), got {body[row, 6 + col]:.10g}")
                 raise line_error(path, row, message, fh)
     finally:
-        _drain(chunks)  # a row that cannot be built raises here, over the file's error
+        collections.deque(chunks, maxlen=0)  # a row's error is raised here, over the file's

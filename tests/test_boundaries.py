@@ -6,6 +6,9 @@ Whatever the value, a verb exits 0, 2 or 3, and raises no warning. On exit 2 or 
 prints exactly one ``error: `` line and leaves no ``--out`` file; on exit 0 no output
 holds a ``nan`` or ``inf`` token. ``localize`` reads the measurement that ``simulate``
 wrote for the same row, and ``--dict`` the file that ``dict`` wrote.
+
+Two keys that meet in one expression have their own rows: ``plan.f_max_hz`` with
+``antenna.length_m`` give the narrowest beamwidth the antenna gain divides by.
 """
 
 import json
@@ -92,3 +95,32 @@ def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
         else:
             for text in (outs[name].read_text(), stdout, stderr):
                 assert not NON_FINITE.search(text), (run, NON_FINITE.search(text))
+
+
+@pytest.mark.parametrize("f_max_hz, length_m, width", [
+    (1e200, 1e154, "0.0"),  # c/(f_max L) underflows to 0
+    (66e9, LARGEST, "2.5267437927023e-311"),  # subnormal
+    (66e9, 5e-324, "inf"),  # c/f_max over a subnormal length overflows
+], ids=["zero", "subnormal", "infinite"])
+def test_a_beamwidth_that_is_not_a_normal_double_exits_2_naming_both_keys(
+    tmp_path, capsys, f_max_hz, length_m, width
+):
+    cfg = json.loads(json.dumps(BASE))
+    cfg["plan"]["f_max_hz"] = f_max_hz
+    cfg["antenna"]["length_m"] = length_m
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
+    for name, command in RUNS:
+        argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2, name
+        stdout, stderr = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [], name
+        assert stdout == "", name
+        assert stderr == (
+            f"error: antenna: plan.f_max_hz = {f_max_hz!r} and antenna.length_m = {length_m!r} "
+            f"give a narrowest beamwidth c/(f_max L) of {width} rad, which is not a normal "
+            "double\n"), name
+        assert not outs[name].exists(), name

@@ -23,12 +23,12 @@ from sweepsense.archcomp import ArchitectureSpec
 from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
-    _CHUNK_ROWS,
+    CHUNK_ROWS,
     SCORE_CELLS,
     PositionGrid,
-    _normalize,
     build_dictionary,
     localize,
+    normalize,
 )
 from sweepsense.synth import AntennaModel, derive_seed, echo, simulate_measurement
 
@@ -529,18 +529,32 @@ class TestSweep:
             assert a.errors == b.errors
             assert a.rmse == b.rmse
 
-    def test_trials_equal_one_at_a_time_localization(self):
+    @pytest.mark.parametrize("n, last, passes", [
+        # 729 rows: every batch is held, and one pass scores them at the end
+        (9, 1, [[1, 64, 64, 1, 64, 64, 1]]),
+        # 27 rows: each batch of 64 starts a pass, with the batches held before it
+        (3, 5, [[1, 64], [64], [5, 64], [64], [5]]),
+    ], ids=["9^3", "3^3"])
+    def test_trials_equal_one_at_a_time_localization(self, monkeypatch, n, last, passes):
         plan = FrequencyPlan(60e9, 66e9, 32)
         model = LinearSineDispersion.for_plan(plan)
         antenna = AntennaModel(length=0.012)
         scene = Scene(
             targets=(Target((0.125, -0.25, 3.0), 0.7 - 0.3j),), noise=NoiseConfig(seed=5)
         )
-        grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
-        trials = 2 * (SCORE_CELLS // _CHUNK_ROWS) + 1  # three score batches, the last of one
-        assert grid.size > _CHUNK_ROWS  # each batch is scored against three chunks of rows
+        grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), n, n, n)
+        batch = SCORE_CELLS // CHUNK_ROWS
+        trials = 2 * batch + last  # three score batches a noisy point
+        scored = []
+
+        def counting(blocks, dictionary, dict_path=None):
+            scored.append([len(block) for block in blocks])
+            return fingerprint.localize_batch(blocks, dictionary, dict_path)
+
+        monkeypatch.setattr(cli, "localize_batch", counting)
         snrs = [None, -10.0, 10.0]
         points = cli.run_sweep(plan, model, antenna, scene, grid, snrs, trials)
+        assert batch == 64 and scored == passes
         dictionary = build_dictionary(grid, plan, model, antenna)
         truth = np.asarray(scene.targets[0].position)
         for k, (snr, point) in enumerate(zip(snrs, points)):
@@ -551,7 +565,7 @@ class TestSweep:
                 dx, dy, dz = localize(meas, dictionary).position - truth
                 expected.append(float(np.hypot(np.hypot(dx, dy), dz)))
             assert point.errors == tuple(expected)
-        assert points[0].rmse == 0.0 < points[1].rmse
+        assert points[0].rmse < points[1].rmse and len(set(points[1].errors)) > 1
 
     @pytest.mark.parametrize("token", ["nan", "-inf", "inf"])
     def test_non_finite_snr_exits_2_naming_it(self, tmp_path, config_path, capsys, token):
@@ -632,8 +646,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "noise", lambda seeds, sigma, m: synth.noise(seeds, 0.0, m))
         trial = None  # counts the trials of one sweep
 
-        def every_index(block, dictionary):
-            return np.array([next(trial) for _ in block]), None
+        def every_index(blocks, dictionary):
+            return [(np.array([next(trial) for _ in block]), None) for block in blocks]
 
         monkeypatch.setattr(cli, "localize_batch", every_index)
         with warnings.catch_warnings(record=True) as caught:
@@ -672,9 +686,9 @@ class TestSweep:
 
         def counting(s, describe):
             rows.append(len(s))
-            return _normalize(s, describe)
+            return normalize(s, describe)
 
-        monkeypatch.setattr(cli, "_normalize", counting)
+        monkeypatch.setattr(cli, "normalize", counting)
         return rows
 
     def test_zero_sigma_point_scores_one_trial(self, tmp_path, config_path, normalized):
@@ -719,7 +733,7 @@ class TestSweep:
         cfg = base_config()
         cfg["grid"].update(nx=5, ny=5, nz=5)
         cfg["scene"]["targets"][0].update(x_m=0.125, alpha_re=0.7, alpha_im=-0.3)
-        trials = 2 * (SCORE_CELLS // _CHUNK_ROWS) + 2  # three score batches, the last of two
+        trials = 2 * (SCORE_CELLS // CHUNK_ROWS) + 2  # three score batches, the last of two
         out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", "--config", config_path(cfg), "--snr=-10,0",
                        "--trials", str(trials), "--seed", str(2**64 - 1), "--out", str(out)])
@@ -754,7 +768,7 @@ class TestSweep:
                           antenna={"length_m": 0.12, "two_way": True})
         out = tmp_path / "probe.csv"
         steps = 2101
-        assert steps > 2 * _CHUNK_ROWS
+        assert steps > 2 * CHUNK_ROWS
         rc = cli.main(["probe", "--config", config_path(cfg), "--axis", "azimuth",
                        "--p0=0.1,0,3", "--span", "40", "--steps", str(steps), "--out", str(out)])
         assert rc == 0
@@ -833,8 +847,27 @@ class TestDegenerateDictionary:
         assert capsys.readouterr().err == (
             "error: grid index 366 at position (7.32, 0.0, 1.0) has a zero-norm channel\n"
         )
-        assert 366 > _CHUNK_ROWS
+        assert 366 > CHUNK_ROWS
         assert not out.exists()
+
+    def test_point_outside_the_beam_in_a_later_chunk_keeps_an_existing_file(
+        self, tmp_path, config_path, capsys
+    ):
+        # the rows are written to a new file, which replaces the old one only on success
+        cfg = base_config(antenna={"length_m": 0.12, "two_way": True})
+        cfg["grid"] = {
+            "x_min_m": 0.0, "x_max_m": 20.0, "nx": 1001,
+            "y_min_m": 0.0, "y_max_m": 0.0, "ny": 1,
+            "z_min_m": 1.0, "z_max_m": 1.0, "nz": 1,
+        }
+        path = config_path(cfg)
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"earlier output\n")
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(["dict", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: grid index 366 ")
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestExtremeMagnitudes:
@@ -1790,7 +1823,8 @@ class TestOutputRule:
 
 class TestStreamedDictionary:
     def test_verbs_hold_a_chunk_of_rows_not_the_dictionary(self, tmp_path, config_path):
-        # 9 x 9 x 64 positions at M = 128: the entries take 21 MB, a chunk of 256 rows 1 MB.
+        # 9 x 9 x 64 positions at M = 128: the entries take 21 MB, a chunk of 256 rows 1 MB,
+        # and the sweep's 101 trial fingerprints 0.4 MB.
         # (At 9^3 one chunk is a third of the entries, so it could not show the difference.)
         cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
                           antenna={"length_m": 0.12, "two_way": True})
@@ -1802,7 +1836,9 @@ class TestStreamedDictionary:
         localize = ["localize", "--config", path, "--measurement", str(meas),
                     "--out", str(tmp_path / "loc.json")]
         runs = {"dict": ["dict", "--config", path, "--out", str(dict_csv)],
-                "localize": localize, "localize --dict": [*localize, "--dict", str(dict_csv)]}
+                "localize": localize, "localize --dict": [*localize, "--dict", str(dict_csv)],
+                "sweep": ["sweep", "--config", path, "--snr", "noiseless,10", "--trials", "100",
+                          "--out", str(tmp_path / "sweep.csv")]}
         assert cli.main(runs["dict"]) == 0  # tables built on first use are not counted
         peaks = {}
         for name, argv in runs.items():

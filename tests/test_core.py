@@ -1,6 +1,7 @@
 """Core types: frequency grid, geometry, validation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sweepsense.core import (
     Target,
     frequency_grid,
     range_of,
+    write_text,
 )
 
 
@@ -197,3 +199,45 @@ def test_noise_seed_range():
     with pytest.raises(ValueError):
         NoiseConfig(snr_db=10.0, seed=-1)
     assert NoiseConfig(snr_db=10.0, seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestWriteText:
+    @staticmethod
+    def failing(blocks):
+        """Yield ``blocks``, then fail as a block that cannot be drawn does."""
+        yield from blocks
+        raise ValueError("block 2")
+
+    def test_existing_file_keeps_its_bytes_when_a_block_fails(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match="block 2"):
+            write_text(path, self.failing([b"a\n", b"b\n"]))
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_missing_path_stays_missing_when_a_block_fails(self, tmp_path):
+        with pytest.raises(ValueError, match="block 2"):
+            write_text(tmp_path / "out.csv", self.failing([b"a\n"]))
+        assert os.listdir(tmp_path) == []
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o640)
+        write_text(path, [b"a\n", b"b\n"])
+        assert path.read_bytes() == b"a\nb\n"
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        (tmp_path / "by_open").write_bytes(b"")
+        write_text(tmp_path / "out.csv", [b"a\n"])
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes["out.csv"] == modes["by_open"]
+
+    def test_missing_directory_is_named_with_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            write_text(path, [b"a\n"])
+        assert err.value.filename.startswith(f"{path}.")

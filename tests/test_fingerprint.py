@@ -1,6 +1,7 @@
 """Fingerprints, similarity, dictionaries, localization, ambiguity probes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,16 +18,14 @@ from sweepsense.core import (
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
-    _CHUNK_ROWS,
+    CHUNK_ROWS,
     HALF_POWER,
     Dictionary,
     Fingerprint,
-    LazyDictionary,
     PositionGrid,
     _csv_header,
     _displace,
     _fingerprint_rows,
-    _normalize,
     _scores,
     ambiguity_probe,
     build_dictionary,
@@ -36,6 +35,7 @@ from sweepsense.fingerprint import (
     import_dictionary,
     localize,
     localize_batch,
+    normalize,
 )
 from sweepsense.synth import AntennaModel, echo, simulate_measurement
 
@@ -58,6 +58,26 @@ def unit_measurement(position, plan=PLAN8, model=MODEL8, antenna=ANT, refl=1.0 +
     return simulate_measurement(scene, plan, model, antenna)
 
 
+@dataclass(frozen=True)
+class Entries:
+    """Hand-made entries of a grid, scored and printed as a Dictionary's rows are."""
+
+    grid: PositionGrid
+    entries: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.grid.size
+
+    @property
+    def n_points(self) -> int:
+        return self.entries.shape[1] // 2
+
+    def chunks(self):
+        return ((start, self.entries[start : start + CHUNK_ROWS])
+                for start in range(0, len(self.entries), CHUNK_ROWS))
+
+
 def similarity(a: Fingerprint, b: Fingerprint) -> float:
     """Oracle for the matched-filter score: the mean of the per-channel |<a, b>|."""
     if a.plan.n_points != b.plan.n_points:
@@ -73,7 +93,7 @@ class TestNormalize:
         rng = np.random.default_rng(4)
         scale = 10.0 ** rng.integers(-150, 150, (50, 2, 1))
         s = (rng.normal(size=(50, 2, 37)) + 1j * rng.normal(size=(50, 2, 37))) * scale
-        rows = _normalize(s, str)
+        rows = normalize(s, str)
         assert rows.shape == (50, 74)
         halves = rows.reshape(50, 2, 37)
         np.testing.assert_allclose(np.linalg.norm(halves, axis=-1), 1.0, rtol=0, atol=1e-15)
@@ -87,8 +107,8 @@ class TestNormalize:
         rng = np.random.default_rng(9)
         s = rng.normal(size=(3, 2, 16)) + 1j * rng.normal(size=(3, 2, 16))
         s[1, 0, 1:] = 0.0  # one nonzero sample is enough
-        expected = _normalize(s, str)
-        rows = _normalize(s * scale, str)
+        expected = normalize(s, str)
+        rows = normalize(s * scale, str)
         np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(rows.reshape(3, 2, 16), axis=-1), 1.0,
                                    rtol=0, atol=1e-15)
@@ -99,7 +119,7 @@ class TestNormalize:
         mixed = s.copy()
         mixed[1, 1] *= 1e300
         mixed[2, 0] *= 1e-200
-        rows, plain = _normalize(mixed, str), _normalize(s, str)
+        rows, plain = normalize(mixed, str), normalize(s, str)
         for i in (0, 3):
             np.testing.assert_array_equal(rows[i].view(np.uint64), plain[i].view(np.uint64))
         np.testing.assert_array_equal(rows[1, :8].view(np.uint64), plain[1, :8].view(np.uint64))
@@ -108,14 +128,14 @@ class TestNormalize:
     def test_only_an_all_zero_channel_is_degenerate(self):
         s = np.zeros((1, 2, 3), dtype=np.complex128)
         s[0, :, 1] = 5e-324  # the smallest subnormal double
-        np.testing.assert_array_equal(_normalize(s, str), [[0, 1, 0, 0, 1, 0]])
+        np.testing.assert_array_equal(normalize(s, str), [[0, 1, 0, 0, 1, 0]])
 
     def test_zero_norm_channel_names_the_first_such_row(self):
         s = np.ones((4, 2, 3), dtype=np.complex128)
         s[2, 1] = 0.0
         s[3, 0] = 0.0
         with pytest.raises(DegenerateMeasurementError) as err:
-            _normalize(s, lambda i: f"grid index {i}")
+            normalize(s, lambda i: f"grid index {i}")
         assert str(err.value) == "grid index 2 has a zero-norm channel"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
@@ -124,7 +144,7 @@ class TestNormalize:
         s[1, 1, 2] = bad
         s[3, 0, 0] = bad
         with pytest.raises(DegenerateMeasurementError) as err:
-            _normalize(s, lambda i: f"grid index {i}")
+            normalize(s, lambda i: f"grid index {i}")
         assert str(err.value) == "grid index 1 has a sample that is not finite"
 
 
@@ -375,49 +395,67 @@ class TestLocalize:
         # two identical entries: argmax must pick index 0 deterministically
         grid = PositionGrid((0.0, 0.1), (0.0, 0.0), (3.0, 3.0), nx=2, ny=1, nz=1)
         entry = build_fingerprint(unit_measurement((0.0, 0.0, 3.0))).vector
-        d = Dictionary(grid, np.vstack([entry, entry]))
+        d = Entries(grid, np.vstack([entry, entry]))
         assert localize(unit_measurement((0.0, 0.0, 3.0)), d).index == 0
 
     def test_tie_across_chunks_resolves_to_the_lower_index(self):
-        # the same entry at grid index 5 and, in the next chunk of rows, at 5 + _CHUNK_ROWS
-        grid = PositionGrid((0.0, 0.1), (0.0, 0.0), (3.0, 3.0), nx=_CHUNK_ROWS + 6, ny=1, nz=1)
+        # the same entry at grid index 5 and, in the next chunk of rows, at 5 + CHUNK_ROWS
+        grid = PositionGrid((0.0, 0.1), (0.0, 0.0), (3.0, 3.0), nx=CHUNK_ROWS + 6, ny=1, nz=1)
         entry = build_fingerprint(unit_measurement((0.0, 0.0, 3.0))).vector
         entries = np.zeros((grid.size, len(entry)), complex)
-        entries[[5, _CHUNK_ROWS + 5]] = entry
-        assert localize(unit_measurement((0.0, 0.0, 3.0)), Dictionary(grid, entries)).index == 5
+        entries[[5, CHUNK_ROWS + 5]] = entry
+        assert localize(unit_measurement((0.0, 0.0, 3.0)), Entries(grid, entries)).index == 5
 
-    def test_lazy_dictionary_gives_the_held_results(self, tmp_path):
+    def test_streamed_dictionary_gives_the_built_results(self, tmp_path):
         grid = PositionGrid((-0.4, 0.4), (-0.4, 0.4), (2.0, 4.0), nx=9, ny=9, nz=9)
-        dictionary = build_dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
-        lazy = LazyDictionary(grid, PLAN8, MODEL8, ANT_WIDE)
-        assert grid.size > 2 * _CHUNK_ROWS
-        assert lazy.held().entries.tobytes() == dictionary.entries.tobytes()
-        assert export_dictionary(lazy, None) == export_dictionary(dictionary, None)
+        built = build_dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
+        streamed = Dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
+        assert grid.size > 2 * CHUNK_ROWS
+        rows = np.concatenate([rows for _, rows in streamed.chunks()])
+        assert rows.tobytes() == built.entries.tobytes()
+        assert export_dictionary(streamed, None) == export_dictionary(built, None)
         path = tmp_path / "dict.csv"
-        export_dictionary(lazy, path)
-        import_dictionary(path, lazy)
+        export_dictionary(streamed, path)
+        import_dictionary(path, streamed)
         rng = np.random.default_rng(6)
-        positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(4, 3))
+        positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(7, 3))
         block = np.stack([build_fingerprint(unit_measurement(p, antenna=ANT_WIDE)).vector
                           for p in positions])
-        for got, expected in zip(localize_batch(block, lazy, path),
-                                 localize_batch(block, dictionary)):
-            assert got.tobytes() == expected.tobytes()
+        blocks = [block[:4], block[4:]]
+        got = localize_batch(blocks, streamed, path)
+        expected = localize_batch(blocks, built)
+        assert len(got) == len(expected) == 2
+        for (got_idx, got_score), (idx, score) in zip(got, expected):
+            assert got_idx.tobytes() == idx.tobytes()
+            assert got_score.tobytes() == score.tobytes()
+        assert "entries" not in vars(streamed)  # no pass held every row
 
     def test_localize_is_the_one_row_batch(self, dictionary):
         rng = np.random.default_rng(5)
         positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(6, 3))
         measurements = [unit_measurement(p, antenna=ANT_WIDE) for p in positions]
         block = np.stack([build_fingerprint(m).vector for m in measurements])
-        indices, scores = localize_batch(block, dictionary)
+        [(indices, scores)] = localize_batch([block], dictionary)
         for t, m in enumerate(measurements):
             result = localize(m, dictionary)
-            [idx], [score] = localize_batch(block[t : t + 1], dictionary)
+            [([idx], [score])] = localize_batch([block[t : t + 1]], dictionary)
             assert (result.index, result.score) == (idx, score)
             np.testing.assert_array_equal(result.position, dictionary.positions[idx])
             # a wider batch is one matrix product: same winner, scores to rounding
             assert indices[t] == idx
             assert scores[t] == pytest.approx(score, rel=1e-12)
+
+    def test_each_block_keeps_the_bits_it_has_alone(self, dictionary):
+        # blocks scored in one pass get the indices and score bits of scoring each on its own
+        rng = np.random.default_rng(8)
+        positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(9, 3))
+        block = np.stack([build_fingerprint(unit_measurement(p, antenna=ANT_WIDE)).vector
+                          for p in positions])
+        blocks = [block[:1], block[1:6], block[6:], block[:0]]
+        for (indices, scores), alone in zip(localize_batch(blocks, dictionary), blocks):
+            [(idx, score)] = localize_batch([alone], dictionary)
+            assert indices.tobytes() == idx.tobytes()
+            assert scores.tobytes() == score.tobytes()
 
     def test_size_mismatch_rejected(self, dictionary):
         plan4 = FrequencyPlan(60e9, 66e9, 4)
@@ -516,15 +554,15 @@ class TestFingerprintRows:
         # aliased the reused echo block would show the last chunk's values.
         plan = FrequencyPlan(60e9, 66e9, 32)
         model = LinearSineDispersion.for_plan(plan)
-        n = 2 * _CHUNK_ROWS + 3
+        n = 2 * CHUNK_ROWS + 3
         positions = _displace(np.array([0.1, 0.0, 3.0]), "range", np.linspace(-0.5, 0.5, n))
         chunks = list(_fingerprint_rows(positions, plan, model, ANT, str))
         assert [(start, len(rows)) for start, rows in chunks] == [
-            (0, _CHUNK_ROWS), (_CHUNK_ROWS, _CHUNK_ROWS), (2 * _CHUNK_ROWS, 3)
+            (0, CHUNK_ROWS), (CHUNK_ROWS, CHUNK_ROWS), (2 * CHUNK_ROWS, 3)
         ]
         got = np.concatenate([rows for _, rows in chunks])
         expected = np.concatenate(
-            [_normalize(echo(p[None], 1.0, plan, model, ANT), str) for p in positions]
+            [normalize(echo(p[None], 1.0, plan, model, ANT), str) for p in positions]
         )
         assert (expected == 0).any()  # the 12 cm beam's gain underflows at some points
         assert got.tobytes() == expected.tobytes()
@@ -535,7 +573,7 @@ class TestDictionaryCsv:
     def read_back(path, grid, m):
         """The dictionary of the cells the file holds."""
         body = read_table(path, _csv_header(m))
-        return Dictionary(grid, body[:, 6:].view(np.complex128))
+        return Entries(grid, body[:, 6:].view(np.complex128))
 
     def test_round_trip_bytes(self, tmp_path):
         grid = PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=2)

@@ -1,4 +1,5 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
+the CLI imports no private name of another module,
 every module-level private name is used somewhere in the package, the README's
 library layout lists every module, the package module itself exports nothing,
 no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
@@ -54,6 +55,41 @@ def test_no_unused_import(path):
 ])
 def test_guard_finds_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names ``source`` imports from other modules, and the modules it
+    imports by a ``_``-prefixed dotted name, in import order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            modules = [node.module or ""]
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [m for m in modules if any(part.startswith("_") for part in m.split("."))]
+    return found
+
+
+def test_cli_imports_no_private_name():
+    assert private_imports((ROOT / "src" / "sweepsense" / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from sweepsense.fingerprint import _CHUNK_ROWS, SCORE_CELLS\n", ["_CHUNK_ROWS"]),
+    ("from sweepsense.fingerprint import (\n    PositionGrid,\n    _normalize as norm,\n)\n",
+     ["_normalize"]),
+    ("def f():\n    from sweepsense.core import _WRITE_CELLS\n", ["_WRITE_CELLS"]),
+    ("from numpy._core._exceptions import _ArrayMemoryError\n",
+     ["_ArrayMemoryError", "numpy._core._exceptions"]),
+    ("import numpy._core as core\n", ["numpy._core"]),
+    ("from __future__ import annotations\nimport numpy as np\n", []),
+    ("from sweepsense.fingerprint import CHUNK_ROWS, normalize\n", []),
+])
+def test_private_import_guard_finds_a_planted_import(source, found):
+    assert private_imports(source) == found
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -30,7 +30,7 @@ from sweepsense.core import (
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
-    _CHUNK_ROWS,
+    CHUNK_ROWS,
     PositionGrid,
     build_dictionary,
     export_dictionary,
@@ -759,7 +759,7 @@ class TestDictionaryImport:
         import_dictionary(source, d)
         # each chunk of rows is printed in blocks of k rows: 5 + 5 + 4 for 256 + 256 + 217
         k = core._WRITE_CELLS // (6 + 4 * d.n_points)
-        chunks = [min(_CHUNK_ROWS, d.size - start) for start in range(0, d.size, _CHUNK_ROWS)]
+        chunks = [min(CHUNK_ROWS, d.size - start) for start in range(0, d.size, CHUNK_ROWS)]
         assert len(calls) == sum(-(-rows // k) for rows in chunks) == 14
         # With CRLF line ends the header line already differs: no block is
         # printed, and the file is still accepted.
