@@ -32,7 +32,7 @@ from sweepsense.core import (
     write_text,
 )
 from sweepsense.dispersion import DispersionModel
-from sweepsense.synth import AntennaModel, echo
+from sweepsense.synth import AntennaModel, echo, phase_fault
 
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
@@ -203,8 +203,16 @@ def _fingerprint_rows(
     for start in range(0, len(positions), CHUNK_ROWS):
         chunk = positions[start : start + CHUNK_ROWS]
         with np.errstate(over="ignore", invalid="ignore"):  # normalize rejects a non-finite echo
-            s = echo(chunk, 1.0, plan, model, antenna, out=block[: len(chunk)])
-        yield start, normalize(s, lambda i: describe(start + i))
+            s = echo(chunk, plan, model, antenna, out=block[: len(chunk)])
+        try:
+            rows = normalize(s, lambda i: describe(start + i))
+        except DegenerateMeasurementError as exc:  # name an overflowing phase as the cause
+            bad = ~np.isfinite(s).all(axis=(1, 2))  # normalize names the first such row
+            cause = phase_fault(chunk[bad.argmax()], plan) if bad.any() else None
+            if cause:
+                raise DegenerateMeasurementError(f"{exc}: {cause}") from None
+            raise
+        yield start, rows
 
 
 def build_dictionary(

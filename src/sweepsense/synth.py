@@ -6,7 +6,7 @@ The per-frequency-point echo model is
 
 with the antenna's directional response folded into ``gain`` and the exact
 spherical two-way phase 4 pi f R / c carrying the near-field curvature that
-makes positions separable; ``echo`` evaluates it for batches of positions.
+makes positions separable; ``echo`` evaluates it at refl = 1 for position batches.
 Noise is circular complex Gaussian, drawn per (seed, channel) from one
 counter-based Philox stream keyed by a hash of the two, so results never
 depend on evaluation order; ``noise`` draws it for a batch of seeds at once,
@@ -67,10 +67,12 @@ class AntennaModel:
         """
         dtheta = axis.target_angle(position) - np.asarray(beam_angle, dtype=float)
         with np.errstate(over="ignore"):  # an offset of many beamwidths: exp(-inf) is 0
-            a = -_FOUR_LN2 * (1 + self.two_way) * (dtheta / self.half_power_beamwidth(f)) ** 2
+            a = np.asarray(dtheta / self.half_power_beamwidth(f))  # squared and scaled in place
+            np.square(a, out=a)
+            a *= -_FOUR_LN2 * (1 + self.two_way)
         # exp(a) is +0.0 for a <= -746: skip numpy's slow path for those (NaN still propagates)
-        g = np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0))
-        return float(g) if np.ndim(g) == 0 else g
+        g = np.exp(a, out=np.zeros(a.shape), where=~(a <= -746.0))
+        return float(g) if g.ndim == 0 else g
 
 
 def phase_curvature(f, position) -> float | np.ndarray:
@@ -80,12 +82,11 @@ def phase_curvature(f, position) -> float | np.ndarray:
     return float(phase) if phase.ndim == 0 else phase
 
 
-def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
-         antenna: AntennaModel, out: np.ndarray | None = None) -> np.ndarray:
-    """Noiseless echoes refl * gain * exp(-j 4 pi f R / c), shape (N, 2, M).
+def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: AntennaModel,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Noiseless unit-reflectivity echoes gain * exp(-j 4 pi f R / c), shape (N, 2, M).
 
-    ``positions`` is (N, 3); ``refl`` holds per-channel (x, y) reflectivities
-    broadcasting to (N, 2). Entries depend only on their own position, so
+    ``positions`` is (N, 3). Entries depend only on their own position, so
     any split of the batch gives the same bits. The sweep is uniform, so the
     carrier at point K a + b is that of f[K a] times that of b * step.
     The echoes are written into ``out``, an (N, 2, M) complex block, when
@@ -106,10 +107,7 @@ def echo(positions, refl, plan: FrequencyPlan, model: DispersionModel,
     if out is None:
         out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
     for c, axis in enumerate(ChannelAxis):
-        gain = antenna.gain(freqs, thetas, rows, axis)  # real, so no complex cast and product
-        np.multiply(carrier.real, gain, out=out[:, c].real)
-        np.multiply(carrier.imag, gain, out=out[:, c].imag)
-    out *= np.asarray(refl, dtype=np.complex128)[..., None]  # against the M axis
+        np.multiply(carrier, antenna.gain(freqs, thetas, rows, axis), out=out[:, c])
     out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
     return out
 
@@ -126,16 +124,25 @@ def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
     positions = [t.position for t in targets]
     refl = np.array([(t.refl_x, t.refl_y) for t in targets], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = echo(positions, refl.reshape(-1, 2), plan, model, antenna).sum(axis=0)
-        if np.isfinite(clean).all():
-            return clean
-        phases = phase_curvature(frequency_grid(plan), np.reshape(positions, (-1, 1, 3)))
-    finite = np.isfinite(phases).all(axis=1)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise ValueError(f"target {i} at {positions[i]}: the echo phase 4 pi f R / c is not "
-                         "finite for the plan's frequencies")
+        rows = echo(positions, plan, model, antenna)
+        rows *= refl.reshape(-1, 2, 1)  # against the M axis
+        clean = rows.sum(axis=0) + 0.0  # as in echo: no -0.0
+    if np.isfinite(clean).all():
+        return clean
+    for i, position in enumerate(positions):
+        cause = phase_fault(position, plan)
+        if cause:
+            raise ValueError(f"target {i} at {position}: {cause}")
     raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
+
+
+def phase_fault(position, plan: FrequencyPlan) -> str | None:
+    """Why the echo at ``position`` is not finite, where its phase 4 pi f R / c is not finite
+    at a frequency of the plan; None where it is finite at every one."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(phase_curvature(frequency_grid(plan), position)).all()
+    return None if finite else ("the echo phase 4 pi f R / c is not finite for the plan's "
+                                "frequencies")
 
 
 def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:

@@ -934,6 +934,36 @@ class TestExtremeMagnitudes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb, row", [
+        ("dict", "grid index 0 at position (-0.25, -0.25, 2.75)"),
+        ("localize", "grid index 0 at position (-0.25, -0.25, 2.75)"),
+        ("localize --dict", "grid index 0 at position (-0.25, -0.25, 2.75)"),
+        ("probe", "reference p0"),
+    ], ids=["dict", "localize", "localize-dict", "probe"])
+    def test_echo_phase_overflow_exits_3_naming_the_row_and_the_phase(
+        self, tmp_path, config_path, capsys, verb, row
+    ):
+        # the rows of a dictionary or a probe overflow as a scene's target does
+        verb, *flags = verb.split()
+        args = _verb_args(verb, tmp_path, config_path)
+        if flags:
+            base_dict = tmp_path / "base_dict.csv"
+            assert cli.main(["dict", "--config", config_path(base_config(), "base.json"),
+                             "--out", str(base_dict)]) == 0
+            args += [*flags, str(base_dict)]
+        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 1.7976931348623157e308,
+                                "n_points": 32})
+        out = tmp_path / "out"
+        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {row} has a sample that is not finite: the echo phase 4 pi f R / c is not "
+            "finite for the plan's frequencies\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("verb, snr, code, err", [
         ("simulate", -4000, 3, "error: the measurement at SNR -4000.0 dB is not finite\n"),
         ("sweep", -4000, 3, "error: trial 0 of SNR point 0 has a sample that is not finite\n"),

@@ -168,7 +168,7 @@ class TestVirtualAperture:
         # schedule for both channels, the x-channel echo of (a, b, z) is then
         # the y-channel echo of (b, a, z), and vice versa.
         positions = [(0.3, -0.1, 2.0), (-0.1, 0.3, 2.0)]
-        echoes = echo(positions, 1.0, PLAN, MODEL, AntennaModel(length=0.012))
+        echoes = echo(positions, PLAN, MODEL, AntennaModel(length=0.012))
         assert (np.abs(echoes).max(axis=-1) > 0.5).all()  # every channel is lit
         assert not np.array_equal(np.abs(echoes[0, 0]), np.abs(echoes[0, 1]))
         np.testing.assert_array_equal(echoes[0, 0], echoes[1, 1])

@@ -562,7 +562,7 @@ class TestFingerprintRows:
         ]
         got = np.concatenate([rows for _, rows in chunks])
         expected = np.concatenate(
-            [normalize(echo(p[None], 1.0, plan, model, ANT), str) for p in positions]
+            [normalize(echo(p[None], plan, model, ANT), str) for p in positions]
         )
         assert (expected == 0).any()  # the 12 cm beam's gain underflows at some points
         assert got.tobytes() == expected.tobytes()

@@ -30,6 +30,7 @@ from sweepsense.synth import (
     noise,
     noise_sigma,
     phase_curvature,
+    scene_echo,
     simulate_measurement,
 )
 
@@ -149,6 +150,44 @@ class TestAntennaGain:
         assert ((0 < expected) & (expected < tiny)).sum() > 100 and (exponent < -746).sum() > 50
         assert got.tobytes() == expected.tobytes()
         assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("two_way", [True, False])
+    def test_in_place_exponent_gives_the_bits_of_the_out_of_place_one(self, two_way):
+        ant = AntennaModel(two_way=two_way)
+        four_ln2 = 4.0 * math.log(2.0)
+
+        def reference(f, beam, position, axis):
+            dtheta = axis.target_angle(position) - np.asarray(beam, dtype=float)
+            with np.errstate(over="ignore"):
+                a = -four_ln2 * (1 + two_way) * (dtheta / ant.half_power_beamwidth(f)) ** 2
+            return np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0)), a
+
+        freqs = frequency_grid(PLAN)
+        thetas = MODEL.beam_angle(freqs)
+        rows = np.array(TestEcho.ORACLE_POSITIONS)[:, None, :]
+        # beams whose exponent steps across -746 at the 0.2 rad target
+        hpbw = ant.half_power_beamwidth(np.full(401, 63e9))
+        across = 0.2 - hpbw * np.sqrt(np.linspace(736.0, 756.0, 401) / (four_ln2 * (1 + two_way)))
+        _, exponent = reference(63e9, across, pos_at_azimuth(0.2), ChannelAxis.X_SCAN)
+        assert (exponent <= -746.0).any() and (exponent > -746.0).any()
+        cases = [
+            (63e9, 0.3, pos_at_azimuth(0.31), ChannelAxis.X_SCAN),  # Python floats
+            (63e9, 0.1, (0.2, 0.1, 3.0), ChannelAxis.Y_SCAN),
+            (63e9, math.nan, pos_at_azimuth(0.3), ChannelAxis.X_SCAN),  # a NaN beam angle
+            (freqs, thetas, (0.1, -0.2, 3.0), ChannelAxis.X_SCAN),  # 1-D arrays
+            (freqs, 0.1, (0.1, -0.2, 3.0), ChannelAxis.X_SCAN),  # f alone an array
+            (freqs, np.where(np.arange(PLAN.n_points) % 5, thetas, math.nan), (0.1, -0.2, 3.0),
+             ChannelAxis.Y_SCAN),
+            (np.full(401, 63e9), across, pos_at_azimuth(0.2), ChannelAxis.X_SCAN),
+            *((freqs, thetas, rows, axis) for axis in ChannelAxis),  # echo's (N, 1, 3) by (M,)
+        ]
+        for f, beam, position, axis in cases:
+            expected, _ = reference(f, beam, position, axis)
+            got = ant.gain(f, beam, position, axis)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got, dtype=float).tobytes() == expected.tobytes()
+            assert np.isnan(got).any() == np.isnan(beam).any()  # NaN stays NaN, not 0
+        np.testing.assert_array_equal(thetas, MODEL.beam_angle(freqs))  # no input is written
 
     def test_scalar_gain_is_a_float_even_where_it_underflows(self):
         on_beam = ANT.gain(63e9, 0.3, pos_at_azimuth(0.3), ChannelAxis.X_SCAN)
@@ -333,27 +372,22 @@ class TestEcho:
             Target((0.1, -0.2, 3.0), refl_x=2.0 + 1.0j, refl_y=0.5j),
             Target((-0.3, 0.2, 3.5), refl_x=1.0 - 2.0j),
         )
-        rows = echo(
-            [t.position for t in targets],
-            [(t.refl_x, t.refl_y) for t in targets],
-            PLAN, MODEL, ANT,
-        )
+        rows = echo([t.position for t in targets], PLAN, MODEL, ANT)
         assert rows.shape == (2, 2, PLAN.n_points)
         for row, target in zip(rows, targets):
             meas = simulate_measurement(Scene(targets=(target,)), PLAN, MODEL, ANT)
-            np.testing.assert_array_equal(row[0], meas.s_x)
-            np.testing.assert_array_equal(row[1], meas.s_y)
+            np.testing.assert_array_equal(row[0] * target.refl_x, meas.s_x)
+            np.testing.assert_array_equal(row[1] * target.refl_y, meas.s_y)
 
     def test_empty_batch(self):
-        assert echo(np.empty((0, 3)), 1.0, PLAN, MODEL, ANT).shape == (0, 2, PLAN.n_points)
+        assert echo(np.empty((0, 3)), PLAN, MODEL, ANT).shape == (0, 2, PLAN.n_points)
 
     def test_fills_and_returns_a_given_block(self):
         positions = [(0.1, -0.2, 3.0), (-0.4, 0.35, 2.2), (5.0, 0.1, 0.5)]
-        refl = [(2.0 + 1.0j, 0.5j), (1.0, 1.0), (-0.3 + 0.7j, 1e-3)]
         block = np.full((5, 2, PLAN.n_points), complex(math.nan, math.nan))
         view = block[1:4]
-        assert echo(positions, refl, PLAN, MODEL, ANT, out=view) is view
-        assert view.tobytes() == echo(positions, refl, PLAN, MODEL, ANT).tobytes()
+        assert echo(positions, PLAN, MODEL, ANT, out=view) is view
+        assert view.tobytes() == echo(positions, PLAN, MODEL, ANT).tobytes()
         assert np.isnan(block[[0, 4]].view(np.float64)).all()  # nothing outside the view
 
     # In view of the 60 deg scan, at its edge, and far outside it, where a
@@ -371,34 +405,40 @@ class TestEcho:
     def test_matches_the_scalar_oracle_for_any_point_count(self, m, antenna, underflows):
         # M of 1, 7 and 31 is no multiple of the kernel's carrier block; only
         # the 12 cm beam is narrow enough for its gain to underflow
+        # at unit reflectivity through echo, and at complex ones through a scene of each
+        # position alone
         plan = FrequencyPlan(60e9, 66e9, m)
         model = LinearSineDispersion.for_plan(plan)
+        unit = [(1.0, 1.0)] * len(self.ORACLE_POSITIONS)
         refl = [(2.0 + 1.0j, 0.5j), (1.0, 1.0), (-0.3 + 0.7j, 1e-3)] * 3
         refl = refl[: len(self.ORACLE_POSITIONS)]
-        got = echo(self.ORACLE_POSITIONS, refl, plan, model, antenna)
+        scenes = np.array([scene_echo([Target(p, *rs)], plan, model, antenna)
+                           for p, rs in zip(self.ORACLE_POSITIONS, refl)])
         freqs = frequency_grid(plan)
         thetas = model.beam_angle(freqs)
-        expected = np.array([
-            [[synthesize_sample(f, p, r, antenna.gain(f, theta, p, axis))
-              for f, theta in zip(freqs, thetas)]
-             for axis, r in zip(ChannelAxis, rs)]
-            for p, rs in zip(self.ORACLE_POSITIONS, refl)
-        ])
-        zero = expected == 0
-        assert zero.any() == underflows and not zero.all()
-        # Exact zeros where the oracle's gain underflows, and never a -0.0.
-        np.testing.assert_array_equal(got == 0, zero)
-        assert not np.signbit(got.view(np.float64)).reshape(got.shape + (2,))[zero].any()
-        # Below 2.2e-308 the doubles are too coarse for a relative bound, so
-        # subnormal samples get a floor of 20 of their steps (4.9e-324 each).
-        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-322)
+        for got, reflectivities in ((echo(self.ORACLE_POSITIONS, plan, model, antenna), unit),
+                                    (scenes, refl)):
+            expected = np.array([
+                [[synthesize_sample(f, p, r, antenna.gain(f, theta, p, axis))
+                  for f, theta in zip(freqs, thetas)]
+                 for axis, r in zip(ChannelAxis, rs)]
+                for p, rs in zip(self.ORACLE_POSITIONS, reflectivities)
+            ])
+            zero = expected == 0
+            assert zero.any() == underflows and not zero.all()
+            # Exact zeros where the oracle's gain underflows, and never a -0.0.
+            np.testing.assert_array_equal(got == 0, zero)
+            assert not np.signbit(got.view(np.float64)).reshape(got.shape + (2,))[zero].any()
+            # Below 2.2e-308 the doubles are too coarse for a relative bound, so
+            # subnormal samples get a floor of 20 of their steps (4.9e-324 each).
+            np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-322)
 
     @pytest.mark.parametrize(
         "bad", [(0.0, 0.0, 0.0), (0.1, 0.0, -1.0), (math.nan, 0.0, 3.0), (0.0, math.inf, 3.0)]
     )
     def test_rejects_positions_a_target_rejects(self, bad):
         with pytest.raises(GeometryError):
-            echo([(0.0, 0.0, 3.0), bad], 1.0, PLAN, MODEL, ANT)
+            echo([(0.0, 0.0, 3.0), bad], PLAN, MODEL, ANT)
 
 
 class TestDechirp:
