@@ -223,6 +223,7 @@ def _positive(where: str, key: str, value: float) -> float:
 def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> ArchitectureRow:
     # Each derived field is checked, in field order, before a closed form is given it.
     delta_r = _positive(where, "range_resolution_m", range_resolution(spec.bandwidth_hz))
+    _positive(where, "range_resolution_m in cm (dR_cm)", delta_r * 100.0)  # as to_text prints it
     if spec.aperture_kind == APERTURE_VIRTUAL:
         aperture = _positive(where, "effective_aperture_m",
                              effective_aperture(spec.n_samples, spec.f_ref_hz))
@@ -234,6 +235,7 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> Arc
         theta = angular_resolution_mimo(spec.f_ref_hz, spec.physical_size_m)
         # A linear array resolves one plane; the other is only FoV-limited.
         other = 2.0 * math.tan(math.radians(spec.fov_deg))
+    _positive(where, "effective_aperture_m in mm (D_eff_mm)", aperture * 1000.0)
     _positive(where, "angular_resolution_rad", theta)
     theta_deg = _positive(where, "angular_resolution_deg", math.degrees(theta))
     cell = _positive(where, "cell_volume_m3",

@@ -39,7 +39,6 @@ from sweepsense.core import (
     open_bytes,
     read_table,
     table_text,
-    write_table,
     write_text,
 )
 from sweepsense.dispersion import (
@@ -315,7 +314,8 @@ def _measurement_keys(plan: FrequencyPlan, model: DispersionModel) -> np.ndarray
 
 def measurement_to_csv(meas: Measurement, model: DispersionModel) -> str:
     s = np.stack([meas.s_x, meas.s_y], axis=1).view(np.float64)  # sx_re, sx_im, sy_re, sy_im
-    return write_table(None, _MEAS_HEADER, (_measurement_keys(meas.plan, model), s), n_int=1)
+    table = table_text(_MEAS_HEADER, [(_measurement_keys(meas.plan, model), s)], n_int=1)
+    return b"".join(table).decode("ascii")
 
 
 def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> Measurement:
@@ -357,7 +357,7 @@ def run_sweep(
     """Monte-Carlo localization RMSE per SNR point.
 
     Trial k of SNR point i is the clean scene plus the noise keyed by
-    derive_seed(scene seed, i, k), so its measurement never depends on trial
+    derive_seeds(scene seed, [(i, k)]), so its measurement never depends on trial
     count, ordering, or workers. Trials are normalized in batches of
     SCORE_CELLS // CHUNK_ROWS (64), held until they reach the grid's row
     count (the size of its entries), then scored in one pass over the
@@ -469,6 +469,9 @@ def cmd_probe(args) -> tuple:
     angular = axis in ("azimuth", "elevation")
     # Flags and files use degrees for angular offsets; the probe works in rad.
     span = math.radians(args.span) if angular else args.span
+    if not math.isfinite(2 * span):  # the width of the offsets, which linspace divides
+        raise ConfigError(f"--span: {args.span!r} m puts the offsets -span to span {2 * span} m "
+                          "apart, more than a double holds")
     offsets = np.linspace(-span, span, args.steps)
     try:
         curve = ambiguity_probe(args.p0, axis, offsets, plan, model, antenna)
@@ -622,9 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads "--axis -0.3,0.2,1.0" as two options; attach the value.
+    # argparse reads "--axis -0.3,0.2,1.0" or "--snr -10,0" as two options; attach the value.
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] in ("--p0", "--axis"):
+        if argv[i] in ("--p0", "--axis", "--snr"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)

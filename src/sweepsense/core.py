@@ -293,20 +293,14 @@ def _table_blocks(table, n_int: int):
         yield _format_block(block, n_int)
 
 
-def write_table(dest, header: str, table, n_int: int = 0) -> str | None:
-    """Write the table_text of ``header`` and the one ``table`` to ``dest``, as write_text."""
-    return write_text(dest, table_text(header, [table], n_int))
-
-
-def write_text(dest, blocks) -> str | None:
+def write_text(dest, blocks) -> None:
     """Write the ASCII ``blocks`` to ``dest``: a path, or an open text file that gets
-    each block decoded; with None the text is returned. A missing path or a regular file
-    is written through a new file beside it, which replaces it with the same mode once
-    every block is written, so a failure leaves it as it was; a link, a pipe, a device or
-    a file this process may not write is written in place."""
-    if dest is None or hasattr(dest, "write"):
-        text = (block.decode("ascii") for block in blocks)
-        return "".join(text) if dest is None else dest.writelines(text)
+    each block decoded. A missing path or a regular file is written through a new file
+    beside it, which replaces it with the same mode once every block is written, so a
+    failure leaves it as it was; a link, a pipe, a device or a file this process may not
+    write is written in place."""
+    if hasattr(dest, "write"):
+        return dest.writelines(block.decode("ascii") for block in blocks)
     if os.path.islink(dest) or os.path.exists(dest) and not (os.path.isfile(dest)
                                                             and os.access(dest, os.W_OK)):
         with open(dest, "wb") as fh:

@@ -29,7 +29,6 @@ from sweepsense.core import (
     range_of,
     read_table,
     table_text,
-    write_text,
 )
 from sweepsense.dispersion import DispersionModel
 from sweepsense.synth import AntennaModel, echo, phase_fault
@@ -250,7 +249,7 @@ def localize_batch(blocks, dictionary, dict_path=None) -> list[tuple[np.ndarray,
     chunk, so a block's scores have the bits they have alone; a later chunk takes a
     fingerprint only with a strictly higher score, so ties resolve to the lowest grid
     index. With a ``dict_path``, the same pass checks that the CSV there is
-    ``dictionary``, as import_dictionary does.
+    ``dictionary`` (_check_file); with no blocks it only checks the file.
     """
     for block in blocks:
         if block.shape[-1] != 2 * dictionary.n_points:
@@ -409,16 +408,11 @@ def dictionary_text(dictionary, chunks=None):
     return table_text(_csv_header(dictionary.n_points), map(table, chunks), n_int=3)
 
 
-def export_dictionary(dictionary, path) -> str | None:
-    """Write the dictionary_text of a dictionary to ``path``, as core.write_text: each chunk
-    of rows is printed as it is built, and with None the text is returned."""
-    return write_text(path, dictionary_text(dictionary))
+def _check_file(path, dictionary, chunks) -> None:
+    """Check that the CSV at ``path`` is ``dictionary``, the one the config builds, against
+    the rows ``chunks`` yields.
 
-
-def import_dictionary(path, dictionary) -> None:
-    """Check that the CSV at ``path`` is ``dictionary``, the one the config builds.
-
-    A file of the bytes export_dictionary prints for it passes without being
+    A file of the bytes dictionary_text prints for it passes without being
     parsed; the comparison prints one chunk of rows at a time and stops at
     the first block of text that differs. Every row is built either way, so
     an error of the dictionary's own comes before any error of the file.
@@ -429,11 +423,6 @@ def import_dictionary(path, dictionary) -> None:
     ValueError names the line, and for an entry its column. A pipe or FIFO
     is read once.
     """
-    _check_file(path, dictionary, dictionary.chunks())
-
-
-def _check_file(path, dictionary, chunks) -> None:
-    """import_dictionary's check of ``path``, comparing the rows ``chunks`` yields."""
     try:
         with open_bytes(path) as fh:
             text = dictionary_text(dictionary, chunks)

@@ -192,11 +192,6 @@ def derive_seeds(seed: int, paths) -> list[int]:
     return _keys([seed], paths)[:, 0].tolist()
 
 
-def derive_seed(seed: int, *path) -> int:
-    """64-bit child seed for (seed, *path): the first word of its stream key."""
-    return derive_seeds(seed, [path])[0]
-
-
 def noise(seeds, sigma: float, m: int) -> np.ndarray:
     """Circular complex Gaussian noise for each seed, shape (T, 2, M).
 

@@ -7,6 +7,10 @@ prints exactly one ``error: `` line and leaves no ``--out`` file; on exit 0 no o
 holds a ``nan`` or ``inf`` token. ``localize`` reads the measurement that ``simulate``
 wrote for the same row, and ``--dict`` the file that ``dict`` wrote.
 
+``compare`` also runs over one row per value of each numeric key of ``architectures[i]``,
+for a virtual and a physical aperture, alone and after the other kind, with and without
+``--out``.
+
 Two keys that meet in one expression have their own rows: ``plan.f_max_hz`` with
 ``antenna.length_m`` give the narrowest beamwidth the antenna gain divides by.
 """
@@ -69,9 +73,10 @@ RUNS = (
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
-@pytest.mark.parametrize("key, value", ROWS)
-def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
-    cfg = json.loads(json.dumps(BASE))
+def configured(tmp_path, cfg, key, value):
+    """The path of a copy of ``cfg`` with ``key`` (such as 'scene.targets[0].x_m') set to
+    ``value``."""
+    cfg = json.loads(json.dumps(cfg))
     *path, name = (int(part) if part.isdigit() else part for part in re.findall(r"\w+", key))
     section = cfg
     for part in path:
@@ -79,23 +84,97 @@ def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
     section[name] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
+    return config
+
+
+def run_cleanly(capsys, argv, out, run: str) -> int:
+    """``cli.main(argv)``'s exit code, once the table's invariants hold for it: ``out`` is
+    its --out file, or None when it writes to the standard streams alone."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    stdout, stderr = capsys.readouterr()
+    assert [str(w.message) for w in caught] == [], run
+    assert rc in (0, 2, 3), run
+    if rc:
+        assert re.fullmatch(r"error: [^\n]*\n", stderr), (run, stderr)
+        assert stdout == "", run
+        assert out is None or not out.exists(), run
+    else:
+        for text in (out.read_text() if out else "", stdout, stderr):
+            assert not NON_FINITE.search(text), (run, NON_FINITE.search(text))
+    return rc
+
+
+@pytest.mark.parametrize("key, value", ROWS)
+def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
+    config = configured(tmp_path, BASE, key, value)
     outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
     for name, command in RUNS:
         argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(argv)
-        stdout, stderr = capsys.readouterr()
-        run = f"{name}: {key} = {value!r}"
-        assert [str(w.message) for w in caught] == [], run
-        assert rc in (0, 2, 3), run
-        if rc:
-            assert re.fullmatch(r"error: [^\n]*\n", stderr), (run, stderr)
-            assert stdout == "", run
-            assert not outs[name].exists(), run
-        else:
-            for text in (outs[name].read_text(), stdout, stderr):
-                assert not NON_FINITE.search(text), (run, NON_FINITE.search(text))
+        run_cleanly(capsys, argv, outs[name], f"{name}: {key} = {value!r}")
+
+
+# A virtual and a physical aperture. Each row sets one key of the last spec of a config
+# that holds that spec alone, or the other aperture's spec and then it.
+APERTURES = {
+    "virtual": BASE["architectures"][0],
+    "physical": {"name": "1T3R-MIMO", "rf_chains": 4, "physical_size_m": 0.12,
+                 "bandwidth_hz": 6e9, "n_samples": 4, "aperture_kind": "physical",
+                 "f_ref_hz": 60e9, "power_mw": 1600.0, "cost_usd": 100.0, "fov_deg": 60.0,
+                 "eta_reference": 58.0},
+}
+ARCHITECTURE_FLOAT_KEYS = ("physical_size_m", "bandwidth_hz", "f_ref_hz", "power_mw", "cost_usd",
+                           "fov_deg", "eta_reference")
+ARCHITECTURE_COUNT_KEYS = ("rf_chains", "n_samples")
+ARCHITECTURE_ROWS = [
+    *(pytest.param(key, value, id=f"{key}-{value!r}")
+      for key in ARCHITECTURE_FLOAT_KEYS for value in FLOATS),
+    *(pytest.param(key, value, id=f"{key}-{label}")
+      for key in ARCHITECTURE_COUNT_KEYS for label, value in COUNTS.items()),
+]
+
+
+def architecture_configs(tmp_path, kind: str, key: str, value):
+    """(run name, i, config path) for a config of the ``kind`` aperture's spec alone, and
+    one of the other kind's spec and then it, with ``key`` of that spec, architectures[i],
+    set to ``value``."""
+    (other,) = (spec for k, spec in APERTURES.items() if k != kind)
+    for name, specs in (("alone", [APERTURES[kind]]), ("second", [other, APERTURES[kind]])):
+        i = len(specs) - 1
+        key_i = f"architectures[{i}].{key}"
+        config = configured(tmp_path, {"architectures": specs}, key_i, value)
+        yield f"{kind} {name}: {key_i} = {value!r}", i, config
+
+
+@pytest.mark.parametrize("key, value", ARCHITECTURE_ROWS)
+def test_compare_exits_cleanly_at_every_architecture_value(tmp_path, capsys, key, value):
+    out = tmp_path / "report.json"
+    for kind in APERTURES:
+        for run, _, config in architecture_configs(tmp_path, kind, key, value):
+            run_cleanly(capsys, ["compare", "--config", str(config)], None, run)
+            run_cleanly(capsys, ["compare", "--config", str(config), "--out", str(out)], out, run)
+            out.unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize("kind, key, value, metric", [
+    # c/2B is 1.5e308 m, and in cm it overflows
+    ("virtual", "bandwidth_hz", 1e-300, "range_resolution_m in cm (dR_cm)"),
+    ("physical", "bandwidth_hz", 1e-300, "range_resolution_m in cm (dR_cm)"),
+    # the aperture is M c / (2 f_ref) for a virtual one and the size for a physical one
+    ("virtual", "f_ref_hz", 1e-296, "effective_aperture_m in mm (D_eff_mm)"),
+    ("physical", "physical_size_m", 2e305, "effective_aperture_m in mm (D_eff_mm)"),
+])
+def test_a_text_table_cell_that_overflows_exits_2_naming_its_metric(
+    tmp_path, capsys, kind, key, value, metric
+):
+    out = tmp_path / "report.json"
+    for run, i, config in architecture_configs(tmp_path, kind, key, value):
+        for args in ([], ["--out", str(out)]):
+            assert cli.main(["compare", "--config", str(config), *args]) == 2, run
+            assert capsys.readouterr() == ("", f"error: architectures[{i}]: derived {metric} is "
+                                               "inf, not a finite number\n"), run
+            assert not out.exists(), run
 
 
 @pytest.mark.parametrize("f_max_hz, length_m, width", [

@@ -30,7 +30,7 @@ from sweepsense.fingerprint import (
     localize,
     normalize,
 )
-from sweepsense.synth import AntennaModel, derive_seed, echo, simulate_measurement
+from sweepsense.synth import AntennaModel, derive_seeds, echo, simulate_measurement
 
 
 def base_config(**overrides):
@@ -560,7 +560,7 @@ class TestSweep:
         for k, (snr, point) in enumerate(zip(snrs, points)):
             expected = []
             for t in range(trials):
-                noise = NoiseConfig(snr, derive_seed(scene.noise.seed, k, t))
+                noise = NoiseConfig(snr, derive_seeds(scene.noise.seed, [(k, t)])[0])
                 meas = simulate_measurement(replace(scene, noise=noise), plan, model, antenna)
                 dx, dy, dz = localize(meas, dictionary).position - truth
                 expected.append(float(np.hypot(np.hypot(dx, dy), dz)))
@@ -1484,6 +1484,52 @@ class TestFlags:
                        "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    # -1e308 dB scales the noise past the largest double: the sweep names the trial, exit 3
+    @pytest.mark.parametrize("value, code", [("-10,0", 0), ("-1e308", 3), ("-10,noiseless", 0)])
+    def test_snr_list_starting_negative_in_space_and_equals_form(
+        self, tmp_path, config_path, capsys, value, code
+    ):
+        path = config_path(base_config())
+        runs = []
+        for snr_flags in (["--snr", value], [f"--snr={value}"]):
+            rc = cli.main(["sweep", "--config", path, *snr_flags, "--trials", "3"])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+
+    @pytest.mark.parametrize("axis", ["range", "0,0,1", "-0.3,0.2,1.0"])
+    @pytest.mark.parametrize("span", ["1e308", "8.98846567431158e307", "1.7976931348623157e308"])
+    def test_span_whose_offsets_overflow_exits_2(
+        self, tmp_path, config_path, capsys, axis, span
+    ):
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["probe", "--config", config_path(base_config()), "--axis", axis,
+                           "--span", span, "--steps", "11", "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --span: {float(span)!r} m puts the offsets -span to "
+                                "span inf m apart, more than a double holds\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, span", [
+        ("range", "8.988465674311579e307"),  # the largest span whose 2 * span is finite
+        ("azimuth", "1.7976931348623157e308"),  # an angle in rad is finite at any span
+    ])
+    def test_span_below_the_overflow_reaches_the_probe(
+        self, tmp_path, config_path, capsys, axis, span
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["probe", "--config", config_path(base_config()), "--axis", axis,
+                           "--span", span, "--steps", "11", "--out", str(tmp_path / "c.csv")])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: probe geometry: position ")
 
     def test_each_verb_declares_only_the_flags_it_reads(self):
         (verbs,) = (a.choices for a in cli.build_parser()._actions

@@ -15,6 +15,7 @@ from sweepsense.core import (
     Scene,
     Target,
     read_table,
+    write_text,
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
@@ -30,9 +31,8 @@ from sweepsense.fingerprint import (
     ambiguity_probe,
     build_dictionary,
     build_fingerprint,
-    export_dictionary,
+    dictionary_text,
     half_power_width,
-    import_dictionary,
     localize,
     localize_batch,
     normalize,
@@ -413,10 +413,10 @@ class TestLocalize:
         assert grid.size > 2 * CHUNK_ROWS
         rows = np.concatenate([rows for _, rows in streamed.chunks()])
         assert rows.tobytes() == built.entries.tobytes()
-        assert export_dictionary(streamed, None) == export_dictionary(built, None)
+        assert b"".join(dictionary_text(streamed)) == b"".join(dictionary_text(built))
         path = tmp_path / "dict.csv"
-        export_dictionary(streamed, path)
-        import_dictionary(path, streamed)
+        write_text(path, dictionary_text(streamed))
+        localize_batch([], streamed, path)
         rng = np.random.default_rng(6)
         positions = rng.uniform([-0.35, -0.35, 2.1], [0.35, 0.35, 3.9], size=(7, 3))
         block = np.stack([build_fingerprint(unit_measurement(p, antenna=ANT_WIDE)).vector
@@ -579,19 +579,19 @@ class TestDictionaryCsv:
         grid = PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=2)
         d = build_dictionary(grid, PLAN8, MODEL8, ANT)
         path = tmp_path / "dict.csv"
-        export_dictionary(d, path)
-        import_dictionary(path, d)
+        write_text(path, dictionary_text(d))
+        localize_batch([], d, path)
         loaded = self.read_back(path, grid, PLAN8.n_points)
         assert loaded.n_points == d.n_points
         assert loaded.size == d.size
         # emit(parse(emit(x))) must equal emit(x) to the last digit
-        assert export_dictionary(loaded, None) == path.read_text()
+        assert b"".join(dictionary_text(loaded)) == path.read_bytes()
 
     def test_round_trip_preserves_localization(self, tmp_path):
         grid = PositionGrid((-0.2, 0.2), (-0.2, 0.2), (2.5, 3.5), nx=3, ny=3, nz=3)
         d = build_dictionary(grid, PLAN8, MODEL8, ANT_WIDE)
         path = tmp_path / "dict.csv"
-        export_dictionary(d, path)
+        write_text(path, dictionary_text(d))
         loaded = self.read_back(path, grid, PLAN8.n_points)
         m = unit_measurement((0.05, -0.1, 3.1), antenna=ANT_WIDE)
         assert localize(m, loaded).index == localize(m, d).index
@@ -600,9 +600,9 @@ class TestDictionaryCsv:
         grid = PositionGrid((0.0, 0.0), (0.0, 0.0), (3.0, 3.0), nx=1, ny=1, nz=1)
         d = build_dictionary(grid, PLAN8, MODEL8, ANT)
         path = tmp_path / "dict.csv"
-        export_dictionary(d, path)
+        write_text(path, dictionary_text(d))
         lines = path.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0]  # drop one field
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 2"):
-            import_dictionary(path, d)
+            localize_batch([], d, path)

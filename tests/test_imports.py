@@ -1,6 +1,8 @@
 """Every name a sweepsense module imports is used in it, or listed in its ``__all__``,
 the CLI imports no private name of another module,
-every module-level private name is used somewhere in the package, the README's
+every module-level private name is used somewhere in the package, every module-level
+public function and class is used by another statement of the package or imported by
+the acceptance suite, the README's
 library layout lists every module, the package module itself exports nothing,
 no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
 printer's tables are built only by a verb that prints a table, and OpenSSL is
@@ -92,6 +94,19 @@ def test_private_import_guard_finds_a_planted_import(source, found):
     assert private_imports(source) == found
 
 
+def references(node) -> set[str]:
+    """The names ``node`` references: its loaded names, attributes and imported names."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """The module-level ``_name`` defs, classes and assignments of ``sources`` (file name ->
     text) that no file references by a loaded name, an attribute or an import, as
@@ -110,13 +125,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
             defined.update((f"{file}: {name}", name) for name in names
                            if name.startswith("_") and not (name.startswith("__")
                                                             and name.endswith("__")))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= references(tree)
     return [where for where, name in defined.items() if name not in used]
 
 
@@ -135,6 +144,50 @@ def test_no_dead_private_name():
 ])
 def test_guard_finds_dead_private_names(sources, dead):
     assert dead_private_names(sources) == dead
+
+
+def uncalled_public_names(sources: dict[str, str], imported=frozenset()) -> list[str]:
+    """The module-level public defs and classes of ``sources`` (file name -> text) that no
+    other statement of any file references by a loaded name, an attribute or an import,
+    and that are not among ``imported``, as 'file: name'. A def that only calls itself is
+    uncalled."""
+    defined, uses = [], []
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((f"{file}: {node.name}", node))
+            uses.append((node, references(node)))
+    return [where for where, own in defined if own.name not in imported
+            and not any(own.name in names for node, names in uses if node is not own)]
+
+
+def acceptance_imports() -> set[str]:
+    """The names tests/test_acceptance.py imports from sweepsense modules."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("sweepsense") for alias in node.names}
+
+
+def test_every_public_name_is_called():
+    # the acceptance suite stays as stated, so what it imports stays too
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert uncalled_public_names(sources, acceptance_imports()) == []
+
+
+@pytest.mark.parametrize("sources, imported, uncalled", [
+    ({"a.py": "def f(): pass\nclass C: pass\nX = 1\ndef _g(): pass\n"}, (),
+     ["a.py: f", "a.py: C"]),
+    ({"a.py": "def f(n):\n    return f(n - 1)\n"}, (), ["a.py: f"]),
+    ({"a.py": "def f(): pass\ndef g():\n    return f()\n"}, (), ["a.py: g"]),
+    ({"a.py": "def f(): pass\n", "b.py": "from a import f\n"}, (), []),
+    ({"a.py": "class C: pass\n", "b.py": "import a\nx: a.C\n"}, (), []),
+    ({"a.py": "def main(): pass\nif __name__ == '__main__':\n    main()\n"}, (), []),
+    ({"a.py": "def f(): pass\nclass C:\n    def f(self): pass\nC\n"}, (), ["a.py: f"]),
+    ({"a.py": "def f(): pass\ndef g(): pass\n"}, {"f"}, ["a.py: g"]),
+])
+def test_guard_finds_uncalled_public_names(sources, imported, uncalled):
+    assert uncalled_public_names(sources, imported) == uncalled
 
 
 def layout_modules(readme: str) -> list[str]:

@@ -24,7 +24,6 @@ from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
-    derive_seed,
     derive_seeds,
     echo,
     noise,
@@ -312,7 +311,7 @@ class TestSimulateMeasurement:
     def test_noise_is_each_substream_bit_for_bit(self, m):
         # the ends of the seed range, and a seed above it, which is masked to 64 bits
         seeds = [0, 2**64 - 1, 2**64 + 12345]
-        seeds += [derive_seed(2024, k, t) for k in range(2) for t in range(100)]
+        seeds += derive_seeds(2024, [(k, t) for k in range(2) for t in range(100)])
         # sigmas across the double range; the first two make sigma * z underflow
         for sigma in (5e-324, 1e-310, 1e-9, 1e-3, 0.3, 7.7, 1e6, 1e300):
             block = noise(seeds, sigma, m)
@@ -328,14 +327,14 @@ class TestSimulateMeasurement:
     @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1, 2**64 + 12345])
     def test_batched_seeds_are_each_derive_seed(self, seed):
         paths = [(k, t) for k in range(3) for t in range(70)] + [(), ("x",), (2**70, "é", -1.5)]
-        expected = [derive_seed(seed, *path) for path in paths]
+        expected = [int(reference_key(seed, *path)[0]) for path in paths]
         assert derive_seeds(seed, paths) == expected
         assert derive_seeds(seed, iter(paths)) == expected
-        assert expected == [int(reference_key(seed, *path)[0]) for path in paths]
+        assert [derive_seeds(seed, [path])[0] for path in paths] == expected
         assert derive_seeds(seed, []) == []
 
     def test_noise_with_sigma_zero_is_zeros(self):
-        block = noise([derive_seed(3, t) for t in range(5)], 0.0, 16)
+        block = noise(derive_seeds(3, [(t,) for t in range(5)]), 0.0, 16)
         np.testing.assert_array_equal(block.view(np.uint64), np.zeros((5, 2, 32), np.uint64))
 
     def test_different_seeds_differ(self):

@@ -26,23 +26,24 @@ from sweepsense.core import (
     check_rows,
     line_error,
     read_table,
-    write_table,
+    table_text,
+    write_text,
 )
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
     CHUNK_ROWS,
     PositionGrid,
     build_dictionary,
-    export_dictionary,
-    import_dictionary,
+    dictionary_text,
+    localize_batch,
 )
 from sweepsense.synth import AntennaModel
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
 WIDE_SHA256 = "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"  # wide_dictionary
 READ_BYTES = 1 << 17  # 128 KB: the line-end and blank-line tests span several of these
-WIDTH = 7  # columns of the write_table block tests
-BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows write_table formats at once at that width
+WIDTH = 7  # columns of the table_text block tests
+BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows table_text formats at once at that width
 MODEL8 = LinearSineDispersion.for_plan(PLAN8)
 ANT = AntennaModel()
 PROPERTY = settings(
@@ -50,23 +51,28 @@ PROPERTY = settings(
 )
 
 
+def table_csv(header, table, n_int=0) -> str:
+    """The text table_text prints for ``header`` and the one ``table``."""
+    return b"".join(table_text(header, [table], n_int)).decode("ascii")
+
+
 class TestWriteTable:
     def test_path_file_and_text_agree(self, tmp_path):
         table = np.array([[0, 1.5, -0.0], [12, 2.5e-300, 1e300]])
-        text = write_table(None, "i,a,b", table, n_int=1)
+        text = table_csv("i,a,b", table, n_int=1)
         assert text == (
             "i,a,b\n"
             "0,1.500000000e+00,-0.000000000e+00\n"
             "12,2.500000000e-300,1.000000000e+300\n"
         )
-        write_table(tmp_path / "t.csv", "i,a,b", table, n_int=1)
+        write_text(tmp_path / "t.csv", table_text("i,a,b", [table], n_int=1))
         buf = io.StringIO()
-        write_table(buf, "i,a,b", table, n_int=1)
+        write_text(buf, table_text("i,a,b", [table], n_int=1))
         assert (tmp_path / "t.csv").read_text() == buf.getvalue() == text
 
     @staticmethod
     def savetxt(header, table, n_int):
-        """The text np.savetxt writes for the table, as write_table once called it."""
+        """The text np.savetxt writes for the table, as the table writer once called it."""
         fmt = ["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)
         buf = io.StringIO()
         np.savetxt(buf, table, fmt=fmt, delimiter=",", header=header, comments="")
@@ -76,8 +82,8 @@ class TestWriteTable:
         rng = np.random.default_rng(11)
         table = np.column_stack([np.linspace(-5.0, 5.0, 2001), rng.uniform(0.0, 1.0, 2001)])
         expected = self.savetxt("offset,similarity", table, 0)
-        assert write_table(None, "offset,similarity", table) == expected
-        write_table(tmp_path / "t.csv", "offset,similarity", table)
+        assert table_csv("offset,similarity", table) == expected
+        write_text(tmp_path / "t.csv", table_text("offset,similarity", [table]))
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
     def test_wide_table_with_extreme_cells_matches_savetxt(self, tmp_path):
@@ -92,14 +98,14 @@ class TestWriteTable:
         header = ",".join(f"c{i}" for i in range(table.shape[1]))
         expected = self.savetxt(header, table, 3)
         assert "-0.000000000e+00" in expected and "1.000000000e+300" in expected
-        assert write_table(None, header, table, n_int=3) == expected
+        assert table_csv(header, table, n_int=3) == expected
         with open(tmp_path / "t.csv", "w") as fh:
-            write_table(fh, header, table, n_int=3)
+            write_text(fh, table_text(header, [table], n_int=3))
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
     @staticmethod
     def per_row(header, table, n_int):
-        """The text of one % format per row, as write_table once built it."""
+        """The text of one % format per row, as the table writer once built it."""
         line = ",".join(["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)) + "\n"
         return header + "\n" + "".join(line % tuple(row.tolist()) for row in table)
 
@@ -111,24 +117,24 @@ class TestWriteTable:
         table[:, :n_int] = rng.integers(0, 50, (n, n_int))
         table[:1, -3:] = [-0.0, 1e-320, 1e300]
         header = ",".join(f"c{i}" for i in range(WIDTH))
-        text = write_table(None, header, table, n_int)
+        text = table_csv(header, table, n_int)
         assert text == self.per_row(header, table, n_int)
         assert text.count("\n") == n + 1
         assert n == 0 or "-0.000000000e+00,9.999888672e-321,1.000000000e+300\n" in text  # 1e-320
 
 
 def per_cell(table, n_int=0):
-    """The body write_table must print: ``"%d" % x`` or ``"%.9e" % x`` per cell."""
+    """The body table_text must print: ``"%d" % x`` or ``"%.9e" % x`` per cell."""
     line = ",".join(["%d"] * n_int + ["%.9e"] * (table.shape[1] - n_int)) + "\n"
     return "".join(line % tuple(row) for row in table.tolist())
 
 
 def body(table, n_int=0):
-    return write_table(None, "h", table, n_int).removeprefix("h\n")
+    return table_csv("h", table, n_int).removeprefix("h\n")
 
 
 class TestWriteTableOracle:
-    """write_table against Python's % formatting, cell for cell."""
+    """table_text against Python's % formatting, cell for cell."""
 
     @pytest.mark.parametrize("width", [1, 2, 7, 518])
     def test_random_bit_patterns(self, width):
@@ -190,19 +196,19 @@ class TestWriteTableOracle:
         with pytest.raises(error):
             "%d" % cell
         with pytest.raises(error):
-            write_table(None, "i,a", np.array([[1.0, 2.0], [cell, 3.0]]), n_int=1)
+            table_csv("i,a", np.array([[1.0, 2.0], [cell, 3.0]]), n_int=1)
 
     def test_column_groups_match_one_table(self):
         rng = np.random.default_rng(14)
         n = 3 * _WRITE_CELLS // 9 + 5
         groups = (np.arange(n), rng.normal(size=(n, 3)), rng.normal(size=(n, 5)))
         table = np.column_stack(groups)
-        assert write_table(None, "h", groups, n_int=1) == write_table(None, "h", table, n_int=1)
+        assert table_csv("h", groups, n_int=1) == table_csv("h", table, n_int=1)
         assert body(table, 1) == per_cell(table, 1)
 
     def test_column_groups_of_other_row_counts_rejected(self):
         with pytest.raises(ValueError, match="row count"):
-            write_table(None, "a,b", (np.zeros(3), np.zeros(4)))
+            table_csv("a,b", (np.zeros(3), np.zeros(4)))
 
 
 def loadtxt_read_table(path, header):
@@ -311,7 +317,7 @@ def wide_dictionary(tmp_path_factory):
     d = build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan),
                          AntennaModel(length=0.12, two_way=True))
     path = tmp_path_factory.mktemp("wide") / "dict.csv"
-    export_dictionary(d, path)
+    write_text(path, dictionary_text(d))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256
     return path, d
 
@@ -332,7 +338,7 @@ class TestReadTableOracle:
     @staticmethod
     def table_text(table, n_int=0):
         header = ",".join(f"c{i}" for i in range(table.shape[1]))
-        return write_table(None, header, table, n_int)
+        return table_csv(header, table, n_int)
 
     @pytest.mark.parametrize("width", [1, 2, 7, 518])
     def test_random_bit_patterns(self, tmp_path, width):
@@ -490,7 +496,7 @@ def dictionary_32(tmp_path_factory):
     grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
     d = build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan), AntennaModel(0.012))
     path = tmp_path_factory.mktemp("dictionary_32") / "dict.csv"
-    export_dictionary(d, path)
+    write_text(path, dictionary_text(d))
     return path, d
 
 
@@ -623,7 +629,7 @@ def rewrite(path, edit):
 class TestDictionaryImport:
     def exported(self, tmp_path):
         path = tmp_path / "dict.csv"
-        export_dictionary(small_dictionary(), path)
+        write_text(path, dictionary_text(small_dictionary()))
         return path
 
     def test_reversed_rows_rejected(self, tmp_path):
@@ -635,13 +641,13 @@ class TestDictionaryImport:
         rewrite(path, reverse)
         with pytest.raises(ValueError, match="line 2: expected ix,iy,iz,x,y,z = 0,0,0,-0.2,0,2.5 "
                                              r"\(from the config\), got 2,0,1,0.2,0,3.5$"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
     def test_duplicated_row_rejected(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(4, lines[3]))
         with pytest.raises(ValueError, match="line 5: expected ix,iy,iz,x,y,z = 0,0,1,"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
     def test_position_off_grid_rejected(self, tmp_path):
         path = self.exported(tmp_path)
@@ -653,13 +659,13 @@ class TestDictionaryImport:
 
         rewrite(path, shift_x)
         with pytest.raises(ValueError, match="line 4: expected ix,iy,iz,x,y,z = 2,0,0,0.2,"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
     def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(2, "1000000000000" + lines[2][1:]))
         with pytest.raises(ValueError, match="line 3: expected ix,iy,iz,x,y,z = 1,0,0,"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
     def test_non_unit_row_named(self, tmp_path):
         path = self.exported(tmp_path)
@@ -670,7 +676,7 @@ class TestDictionaryImport:
 
         rewrite(path, scale)
         with pytest.raises(ValueError) as err:
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
         # the first cell whose change is beyond the print tolerance, of all 32 that doubled
         found = re.fullmatch(fr"{path}: line 7: expected ((re|im)_(\d+)) = (\S+) "
                              r"\(from the config\), got (\S+)", str(err.value))
@@ -691,7 +697,7 @@ class TestDictionaryImport:
     def test_other_grid_rejected(self, tmp_path, grid, match):
         path = self.exported(tmp_path)
         with pytest.raises(ValueError, match=match):
-            import_dictionary(path, build_dictionary(grid, PLAN8, MODEL8, ANT))
+            localize_batch([], build_dictionary(grid, PLAN8, MODEL8, ANT), path)
 
     def test_other_point_count_names_both(self, tmp_path):
         path = self.exported(tmp_path)
@@ -699,22 +705,22 @@ class TestDictionaryImport:
         d = build_dictionary(GRID, plan, LinearSineDispersion.for_plan(plan), ANT)
         with pytest.raises(ValueError, match=f"^{path}: line 1: has 8 frequency points but the "
                                              "plan expects 4$"):
-            import_dictionary(path, d)
+            localize_batch([], d, path)
 
     def test_malformed_header_named(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(0, lines[0].replace("re_3", "re_x")))
         with pytest.raises(HeaderError, match=f"^{path}: line 1: expected header 'ix,iy,iz,"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
     def test_import_holds_no_second_copy(self, wide_dictionary):
         # A file of the dictionary's own bytes is compared as it is printed,
         # a block at a time: neither its table nor a copy of the entries is held.
         path, d = wide_dictionary
-        import_dictionary(path, d)  # tables built on first use are not counted
+        localize_batch([], d, path)  # tables built on first use are not counted
         tracemalloc.start()
         try:
-            import_dictionary(path, d)
+            localize_batch([], d, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -725,10 +731,10 @@ class TestDictionaryImport:
         # A path is written in binary a block at a time: the text is never joined.
         _, d = wide_dictionary
         path = tmp_path / "dict.csv"
-        export_dictionary(d, path)  # tables built on first use are not counted
+        write_text(path, dictionary_text(d))  # tables built on first use are not counted
         tracemalloc.start()
         try:
-            export_dictionary(d, path)
+            write_text(path, dictionary_text(d))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -742,10 +748,10 @@ class TestDictionaryImport:
         source, d = wide_dictionary
         path = tmp_path / "crlf.csv"
         path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
-        import_dictionary(path, d)
+        localize_batch([], d, path)
         tracemalloc.start()
         try:
-            import_dictionary(path, d)
+            localize_batch([], d, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -756,7 +762,7 @@ class TestDictionaryImport:
                                                             monkeypatch):
         source, d = dictionary_32
         calls = counting(monkeypatch, core, "_format_block")
-        import_dictionary(source, d)
+        localize_batch([], d, source)
         # each chunk of rows is printed in blocks of k rows: 5 + 5 + 4 for 256 + 256 + 217
         k = core._WRITE_CELLS // (6 + 4 * d.n_points)
         chunks = [min(CHUNK_ROWS, d.size - start) for start in range(0, d.size, CHUNK_ROWS)]
@@ -766,13 +772,13 @@ class TestDictionaryImport:
         path = tmp_path / "crlf.csv"
         path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
         calls.clear()
-        import_dictionary(path, d)
+        localize_batch([], d, path)
         assert calls == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.insert(3, ""))
-        import_dictionary(path, small_dictionary())
+        localize_batch([], small_dictionary(), path)
 
     @pytest.mark.parametrize("spell", [
         lambda c: c.replace("e", "E"),
@@ -788,16 +794,16 @@ class TestDictionaryImport:
             lines[3] = ",".join(cells)
 
         rewrite(path, respell)
-        import_dictionary(path, small_dictionary())
+        localize_batch([], small_dictionary(), path)
 
     def test_missing_last_line_end_or_extra_bytes_take_the_full_check(self, tmp_path):
         path = self.exported(tmp_path)
         text = path.read_bytes()
         path.write_bytes(text.rstrip(b"\n"))
-        import_dictionary(path, small_dictionary())
+        localize_batch([], small_dictionary(), path)
         path.write_bytes(text + b"0,0,0,0,0,0" + b",0" * 32 + b"\n")
         with pytest.raises(ValueError, match="has 7 data rows but the config expects 6"):
-            import_dictionary(path, small_dictionary())
+            localize_batch([], small_dictionary(), path)
 
 
 @st.composite
@@ -847,20 +853,20 @@ class TestRoundTripProperties:
     @given(d=dictionaries())
     def test_dictionary_emit_import_emit(self, tmp_path, d):
         path = tmp_path / "dict.csv"
-        export_dictionary(d, path)
-        assert export_dictionary(d, None) == path.read_text()
-        import_dictionary(path, d)  # the bytes it prints
+        write_text(path, dictionary_text(d))
+        assert b"".join(dictionary_text(d)) == path.read_bytes()
+        localize_batch([], d, path)  # the bytes it prints
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        import_dictionary(path, d)  # the cells it prints, read back
+        localize_batch([], d, path)  # the cells it prints, read back
 
     @PROPERTY
     @given(d=dictionaries(), data=st.data())
     def test_dictionary_bad_cell_names_line(self, tmp_path, d, data):
-        text, lineno = corrupt(data.draw, export_dictionary(d, None))
+        text, lineno = corrupt(data.draw, b"".join(dictionary_text(d)).decode("ascii"))
         path = tmp_path / "dict.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {lineno}: field"):
-            import_dictionary(path, d)
+            localize_batch([], d, path)
 
     @PROPERTY
     @given(meas=measurements())
