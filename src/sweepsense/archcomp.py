@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 
-from sweepsense.core import SPEED_OF_LIGHT
+from sweepsense.core import SPEED_OF_LIGHT, Record
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -83,8 +82,7 @@ def efficiency(theta_res: float, chains: int, length: float) -> float:
     return (1.0 / theta_res) / (chains * length)
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(Record):
     """Configuration of one candidate architecture.
 
     n_samples counts frequency points for virtual apertures and antenna
@@ -132,8 +130,7 @@ class ArchitectureSpec:
             raise ValueError("power_mw, cost_usd and eta_reference must be finite")
 
 
-@dataclass(frozen=True)
-class ArchitectureRow:
+class ArchitectureRow(Record):
     """All derived metrics for one architecture at the query range; a field
     named as an ArchitectureSpec field is that spec's value."""
 
@@ -155,8 +152,7 @@ class ArchitectureRow:
     noise_rejection: str | None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Per-architecture rows plus pairwise efficiency ratios."""
 
     r_query_m: float
@@ -165,7 +161,11 @@ class ComparisonReport:
     eta_ratios_reference: dict[str, float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        rows = [{name: getattr(row, name) for name in ArchitectureRow.__annotations__}
+                for row in self.rows]
+        return {"r_query_m": self.r_query_m, "rows": rows,
+                "eta_ratios_computed": dict(self.eta_ratios_computed),
+                "eta_ratios_reference": dict(self.eta_ratios_reference)}
 
     def to_text(self) -> str:
         cols = [
@@ -248,7 +248,8 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> Arc
             spec.eta_reference
         )
     return ArchitectureRow(
-        **{f.name: getattr(spec, f.name) for f in fields(ArchitectureRow) if hasattr(spec, f.name)},
+        **{name: getattr(spec, name) for name in ArchitectureRow.__annotations__
+           if hasattr(spec, name)},
         range_resolution_m=delta_r,
         effective_aperture_m=aperture,
         angular_resolution_rad=theta,

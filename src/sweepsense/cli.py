@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from sweepsense.core import (
     GeometryError,
     Measurement,
     NoiseConfig,
+    Record,
     Scene,
     Target,
     check_rows,
@@ -271,7 +271,7 @@ def parse_architectures(sec) -> list[archcomp.ArchitectureSpec]:
     spec = archcomp.ArchitectureSpec
     kinds = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
              for key, hint in typing.get_type_hints(spec).items()}
-    optional = {f.name for f in fields(spec) if f.default is not MISSING}
+    optional = {key for key in kinds if hasattr(spec, key)}
     specs = []
     for i, entry in enumerate(sec):
         name = f"architectures[{i}]"
@@ -333,8 +333,7 @@ def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> M
 # SNR sweep
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     snr_db: float | None  # None means noiseless
     rmse: float
     errors: tuple[float, ...]

@@ -17,7 +17,6 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +42,60 @@ class DegenerateMeasurementError(ValueError):
     cannot be normalized."""
 
 
-@dataclass(frozen=True)
-class FrequencyPlan:
+class Record:
+    """Base of the immutable record types. A subclass's annotated names, in order, are its
+    fields; ``hidden`` names the fields its repr leaves out.
+
+    The constructor binds positional and keyword arguments to the fields, a missing one
+    taking its class attribute as default, then runs __post_init__, which may still set a
+    field through object.__setattr__. Records compare, hash and print as their tuple of
+    fields, and no attribute can be set or deleted. Nothing is generated: defining a record
+    type compiles no code at import (the README's start-up paragraph says why that matters).
+    """
+
+    def __init_subclass__(cls, hidden=(), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields) or kwargs.keys() - set(cls._fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {len(args)} "
+                            f"positional arguments and the keywords {sorted(kwargs)}")
+        given = {**dict(zip(cls._fields, args)), **kwargs}
+        for name in cls._fields:
+            if name not in given and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            vars(self)[name] = given[name] if name in given else getattr(cls, name)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class FrequencyPlan(Record):
     """Schedule of chirp center frequencies spanning [f_min, f_max].
 
     The n_points sub-band centers are f[i] = f_min + (i + 1/2) * step for
@@ -83,8 +134,7 @@ def frequency_grid(plan: FrequencyPlan) -> np.ndarray:
     return plan.f_min + (idx + 0.5) * plan.step
 
 
-@dataclass(frozen=True)
-class ChirpConfig:
+class ChirpConfig(Record):
     """Fast-time parameters of a single chirp slot.
 
     duration is the chirp slot length, guard the TDD guard interval, slope the
@@ -134,8 +184,7 @@ class ChannelAxis(enum.Enum):
         return float(angle) if angle.ndim == 0 else angle
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     """Point scatterer with per-channel complex reflectivity.
 
     refl_y defaults to refl_x: the two scanning channels see the same
@@ -158,8 +207,7 @@ class Target:
             object.__setattr__(self, "refl_y", complex(self.refl_x))
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(Record):
     """Additive-noise settings; snr_db=None means noiseless."""
 
     snr_db: float | None = None
@@ -174,8 +222,7 @@ class NoiseConfig:
 _DEFAULT_NOISE = NoiseConfig()
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     """Collection of point targets plus a noise configuration."""
 
     targets: tuple[Target, ...] = ()
@@ -185,13 +232,12 @@ class Scene:
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record, hidden=("s_x", "s_y")):
     """Dual-channel complex measurement vectors indexed by frequency point."""
 
     plan: FrequencyPlan
-    s_x: np.ndarray = field(repr=False)
-    s_y: np.ndarray = field(repr=False)
+    s_x: np.ndarray
+    s_y: np.ndarray
 
     def __post_init__(self) -> None:
         s_x = np.array(self.s_x, dtype=np.complex128, copy=True)

@@ -9,17 +9,15 @@ one schedule shared by the two orthogonal channels in their own scan planes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from sweepsense.core import BandError, FrequencyPlan, read_table
+from sweepsense.core import BandError, FrequencyPlan, Record, read_table
 
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class LinearSineDispersion:
+class LinearSineDispersion(Record):
     """Beam angle whose sine varies linearly with frequency across the band.
 
     With the symmetric default theta_min = -theta_max this is
@@ -68,8 +66,7 @@ class LinearSineDispersion:
         return float(theta) if theta.ndim == 0 else theta
 
 
-@dataclass(frozen=True)
-class LookupTableDispersion:
+class LookupTableDispersion(Record):
     """Measured or simulated dispersion points with linear interpolation."""
 
     frequencies: np.ndarray  # Hz, strictly increasing

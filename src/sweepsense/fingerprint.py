@@ -13,7 +13,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from sweepsense.core import (
     FrequencyPlan,
     HeaderError,
     Measurement,
+    Record,
     check_rows,
     first_off_cell,
     line_error,
@@ -39,11 +39,10 @@ CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds tem
 SCORE_CELLS = 2**14  # entry x trial scores per sweep call: bounds its temporaries
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record, hidden=("vector",)):
     """Concatenated unit-norm channel vectors, x half then y half (length 2M)."""
 
-    vector: np.ndarray = field(repr=False)
+    vector: np.ndarray
     plan: FrequencyPlan
 
     def __post_init__(self) -> None:
@@ -103,8 +102,7 @@ def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class PositionGrid:
+class PositionGrid(Record):
     """Axis-aligned candidate-position box, enumerated x-fastest then y then z."""
 
     x_range: tuple[float, float]
@@ -145,8 +143,7 @@ class PositionGrid:
         return np.column_stack([axis[i] for axis, i in zip(self.axis_points(), self.indices().T)])
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(Record):
     """Noiseless unit-reflectivity fingerprints of a grid's positions, one row per grid
     index. Each pass over chunks() builds the rows CHUNK_ROWS at a time; ``entries``
     builds all of them on first use and keeps them, and later passes slice them."""
@@ -234,8 +231,7 @@ def build_dictionary(
     return dictionary
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(Record):
     position: np.ndarray
     score: float
     index: int
@@ -349,8 +345,7 @@ def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
     return min(crossings) if crossings else None
 
 
-@dataclass(frozen=True)
-class AmbiguityCurve:
+class AmbiguityCurve(Record):
     offsets: np.ndarray
     similarities: np.ndarray
     width: float | None  # half-power width, same unit as offsets

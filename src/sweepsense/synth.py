@@ -16,7 +16,6 @@ and ``derive_seeds`` gives each Monte-Carlo trial of a batch its own seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from sweepsense.core import (
     FrequencyPlan,
     GeometryError,
     Measurement,
+    Record,
     Scene,
     frequency_grid,
     range_of,
@@ -38,8 +38,7 @@ _FOUR_LN2 = 4.0 * math.log(2.0)
 _K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per position
 
 
-@dataclass(frozen=True)
-class AntennaModel:
+class AntennaModel(Record):
     """Gaussian-mainlobe surrogate for the frequency-scanned antenna response.
 
     The one-way pattern has half-power beamwidth lambda(f) / length radians;

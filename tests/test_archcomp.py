@@ -1,7 +1,6 @@
 """Architecture-comparison metrics and report assembly."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +19,12 @@ from sweepsense.archcomp import (
     resolution_cell_volume,
 )
 from sweepsense.core import SPEED_OF_LIGHT
+
+
+def edited(spec: ArchitectureSpec, **changes) -> ArchitectureSpec:
+    """A new spec with the fields of ``spec``, ``changes`` replacing some of them."""
+    fields = {name: getattr(spec, name) for name in ArchitectureSpec.__annotations__}
+    return ArchitectureSpec(**{**fields, **changes})
 
 
 class TestRangeResolution:
@@ -284,13 +289,13 @@ REAL_RANGE = "physical_size_m, bandwidth_hz and f_ref_hz must be finite and posi
 ])
 def test_spec_rejects_values_out_of_range(field, value, message):
     with pytest.raises(ValueError) as exc:
-        replace(default_architectures()[0], **{field: value})
+        edited(default_architectures()[0], **{field: value})
     assert str(exc.value) == message
 
 
 def test_compare_of_a_nan_size_raises_the_range_message():
     with pytest.raises(ValueError, match=f"^{REAL_RANGE}$"):
-        compare([replace(default_architectures()[0], physical_size_m=NAN)])
+        compare([edited(default_architectures()[0], physical_size_m=NAN)])
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -309,7 +314,7 @@ def test_compare_of_a_nan_size_raises_the_range_message():
      "architectures: eta_ratios_reference 'FaA-Single/FaA-Dual' is inf"),
 ])
 def test_compare_raises_at_the_first_metric_that_is_not_finite(edits, message):
-    specs = [replace(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
+    specs = [edited(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
     with pytest.raises(NonFiniteMetricError) as exc:
         compare(specs)
     assert isinstance(exc.value, ValueError)
@@ -326,7 +331,7 @@ def test_compare_raises_at_the_first_metric_that_is_not_finite(edits, message):
      "architectures: eta_ratios_reference 'FaA-Single/FaA-Dual' is 0.0"),
 ])
 def test_compare_raises_at_the_first_metric_that_underflows(edits, message):
-    specs = [replace(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
+    specs = [edited(spec, **edits.get(i, {})) for i, spec in enumerate(default_architectures())]
     with pytest.raises(NonFiniteMetricError) as exc:
         compare(specs)
     assert str(exc.value) == f"{message}, not a number > 0"

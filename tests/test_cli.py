@@ -11,7 +11,6 @@ import re
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -561,7 +560,7 @@ class TestSweep:
             expected = []
             for t in range(trials):
                 noise = NoiseConfig(snr, derive_seeds(scene.noise.seed, [(k, t)])[0])
-                meas = simulate_measurement(replace(scene, noise=noise), plan, model, antenna)
+                meas = simulate_measurement(Scene(scene.targets, noise), plan, model, antenna)
                 dx, dy, dz = localize(meas, dictionary).position - truth
                 expected.append(float(np.hypot(np.hypot(dx, dy), dz)))
             assert point.errors == tuple(expected)

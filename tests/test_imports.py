@@ -304,11 +304,11 @@ import sys
 from sweepsense import cli
 
 assert cli.main(sys.argv[1:]) == 0
-print("_hashlib" in sys.modules)
+print("_hashlib" in sys.modules, "dataclasses" in sys.modules)
 """
 
-
-@pytest.mark.parametrize("argv, loads_openssl", [
+# Each verb's argv, and whether it keys noise
+VERBS = [
     ("dict --config {quiet}", False),
     ("localize --config {quiet} --measurement {meas}", False),
     ("localize --config {quiet} --measurement {meas} --dict {dict}", False),
@@ -318,11 +318,15 @@ print("_hashlib" in sys.modules)
     ("simulate --config {noisy}", True),
     ("sweep --config {quiet} --snr 10 --trials 2", True),
     ("sweep --config {quiet} --snr noiseless --trials 5", False),
-], ids=["dict", "localize", "localize-dict", "probe", "compare", "simulate-noiseless",
-        "simulate-noisy", "sweep", "sweep-noiseless"])
-def test_only_a_verb_that_keys_noise_loads_openssl(tmp_path, argv, loads_openssl):
-    # A fresh interpreter per verb: in this one another test may have loaded OpenSSL, which
-    # hashlib's _hashlib module links (about 3.6 MB of a child's peak).
+]
+VERB_IDS = ["dict", "localize", "localize-dict", "probe", "compare", "simulate-noiseless",
+            "simulate-noisy", "sweep", "sweep-noiseless"]
+
+
+def footprint(tmp_path, argv: str) -> list[str]:
+    """Run one verb in a fresh interpreter; return whether it loaded _hashlib and dataclasses.
+
+    A fresh interpreter per verb: in this one another test may have loaded either."""
     grid = {f"{a}_{end}_m": v for a in "xy" for end, v in (("min", -0.1), ("max", 0.1))}
     config = {
         "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 8},
@@ -346,4 +350,17 @@ def test_only_a_verb_that_keys_noise_loads_openssl(tmp_path, argv, loads_openssl
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    assert run.stdout.split("\n")[-2] == str(loads_openssl)
+    return run.stdout.split("\n")[-2].split()
+
+
+@pytest.mark.parametrize("argv, loads_openssl", VERBS, ids=VERB_IDS)
+def test_only_a_verb_that_keys_noise_loads_openssl(tmp_path, argv, loads_openssl):
+    # hashlib's _hashlib module links OpenSSL (about 3.6 MB of a child's peak).
+    assert footprint(tmp_path, argv)[0] == str(loads_openssl)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in VERBS], ids=VERB_IDS)
+def test_no_verb_loads_dataclasses(tmp_path, argv):
+    # A frozen dataclass compiles its generated methods with exec each time its module is
+    # imported, bytecode cache or not; the record types derive from core.Record instead.
+    assert footprint(tmp_path, argv)[1] == "False"
