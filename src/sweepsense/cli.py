@@ -643,7 +643,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # GeometryError, BandError, AliasingError and DegenerateMeasurementError are ValueErrors.
+    # GeometryError and DegenerateMeasurementError are ValueErrors.
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -29,14 +29,6 @@ class GeometryError(ValueError):
     """Target or probe position violates the geometry conventions."""
 
 
-class BandError(ValueError):
-    """Frequency falls outside a dispersion model's calibrated band."""
-
-
-class AliasingError(ValueError):
-    """Beat frequency at or above Nyquist for the configured sampling."""
-
-
 class DegenerateMeasurementError(ValueError):
     """Measurement channel has zero norm or a sample that is not finite, and
     cannot be normalized."""
@@ -491,9 +483,11 @@ def read_table(path, header: str, fh=None) -> np.ndarray:
         raise HeaderError(path, header, fields)
     if not body.size:
         raise ValueError(f"{path}: no data rows after line 1")
-    bad = (body.shape[1] != len(fields)) | ~np.isfinite(body).all(axis=1)
-    if bad.any():  # a wrong width marks every row; the rows before the first bad one are good
-        raise _first_bad_line(path, len(fields), fh, start=int(np.argmax(bad)))
+    good = np.isfinite(body) if body.shape[1] == len(fields) else np.zeros(body.shape, bool)
+    if not good.all():  # a wrong width marks every cell, so the first line is named
+        row, col = divmod(int(np.argmin(good)), body.shape[1])
+        lineno, text = next(itertools.islice(_body_lines(path, fh), row, None))
+        raise _line_fault(path, len(fields), lineno, text, col)
     return body
 
 
@@ -549,36 +543,40 @@ def _body_lines(path, fh=None):
                 yield lineno, text
 
 
-def _first_bad_line(path, n_fields: int, fh, start: int = 0) -> ValueError:
-    """The error for the first line read_table rejects, from body row ``start`` on, found
-    by halving runs of lines, then of its cells, that np.loadtxt cannot read as finite."""
-
-    def bad(texts: list[str], width: int) -> bool:
+def _first_bad_line(path, n_fields: int, fh) -> ValueError:
+    """The error for the first line of a body that np.loadtxt rejects, read once in order:
+    one np.loadtxt per run of about _WRITE_CELLS cells, then the first bad run a line at a time."""
+    lines, k = _body_lines(path, fh), max(1, _WRITE_CELLS // n_fields)  # k lines per run
+    while True:
+        run, error = [], None
         try:
-            values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return True
-        return values.shape != (len(texts), width) or not np.isfinite(values).all()
+            for item in itertools.islice(lines, k):
+                run.append(item)
+        except ValueError as exc:  # a line that is not UTF-8 text: the run before it goes first
+            error = exc
+        if run and _unreadable([text for _, text in run], n_fields):
+            for lineno, text in run:
+                if _unreadable([text], n_fields):
+                    return _line_fault(path, n_fields, lineno, text)
+        if error or len(run) < k:
+            return error or ValueError(f"{path}: unreadable CSV body")
 
-    def first(items: list, run_is_bad) -> int:  # the first bad item, or the last if none is
-        lo, hi = 0, len(items)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if run_is_bad(items[lo:mid]) else (mid, hi)
-        return lo
 
-    lines, error = [], ValueError(f"{path}: unreadable CSV body")
+def _unreadable(lines: list[str], width: int) -> bool:
+    """Whether np.loadtxt cannot read ``lines`` as a (len(lines), width) array of finite numbers."""
     try:
-        for item in itertools.islice(_body_lines(path, fh), start, None):
-            lines.append(item)
-    except ValueError as exc:  # a line that is not UTF-8 text
-        error = exc
-    if lines:
-        lineno, line = lines[first(lines, lambda run: bad([text for _, text in run], n_fields))]
-        cells, at = line.split(","), f"{path}: line {lineno}:"
-        if len(cells) != n_fields:
-            return ValueError(f"{at} expected {n_fields} fields, got {len(cells)}")
-        i = first(cells, lambda run: bad([",".join(run)], len(run)))
-        if bad(cells[i : i + 1], 1):
-            return ValueError(f"{at} field {i + 1} is not a finite number: {cells[i].strip()!r}")
-    return error
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return True
+    return values.shape != (len(lines), width) or not np.isfinite(values).all()
+
+
+def _line_fault(path, n_fields: int, lineno: int, text: str, col=None) -> ValueError:
+    """The error for body line ``lineno``, ``text``: its field count, else its field ``col``,
+    by default the first that np.loadtxt cannot read as a finite number."""
+    cells, at = text.split(","), f"{path}: line {lineno}:"
+    if len(cells) != n_fields:
+        return ValueError(f"{at} expected {n_fields} fields, got {len(cells)}")
+    if col is None:
+        col = next(i for i, cell in enumerate(cells) if _unreadable([cell], 1))
+    return ValueError(f"{at} field {col + 1} is not a finite number: {cells[col].strip()!r}")

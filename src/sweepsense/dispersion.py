@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from sweepsense.core import BandError, FrequencyPlan, Record, read_table
+from sweepsense.core import FrequencyPlan, Record, line_error, open_bytes, read_table
 
 _HALF_PI = math.pi / 2.0
 
@@ -75,16 +75,9 @@ class LookupTableDispersion(Record):
     def __post_init__(self) -> None:
         freqs = np.asarray(self.frequencies, dtype=float)
         angs = np.asarray(self.angles, dtype=float)
-        if freqs.ndim != 1 or freqs.shape != angs.shape or freqs.size < 2:
-            raise ValueError("need matching 1-D frequency/angle arrays with >= 2 rows")
-        if not np.isfinite(freqs).all():
-            raise ValueError("lookup frequencies must be finite")
-        if not np.all(np.diff(freqs) > 0.0):
-            raise ValueError("lookup frequencies must be strictly increasing")
-        if not np.all(np.diff(angs) > 0.0):
-            raise ValueError("lookup angles must be strictly increasing")
-        if np.any(np.abs(angs) >= _HALF_PI):
-            raise ValueError("lookup angles must lie within (-pi/2, pi/2)")
+        fault = _table_fault(freqs, angs)
+        if fault is not None:
+            raise ValueError(fault[1])
         freqs.setflags(write=False)
         angs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
@@ -92,9 +85,15 @@ class LookupTableDispersion(Record):
 
     @classmethod
     def from_csv(cls, path) -> "LookupTableDispersion":
-        """Load a two-column CSV (frequency_hz, angle_deg); header mandatory."""
-        body = read_table(path, "frequency_hz,angle_deg")
-        return cls(body[:, 0], np.radians(body[:, 1]))
+        """Load a two-column CSV (frequency_hz, angle_deg); header mandatory. A row
+        that breaks a rule of the table raises ValueError naming the path and its line."""
+        with open_bytes(path) as fh:
+            body = read_table(path, "frequency_hz,angle_deg", fh)
+            angles = np.radians(body[:, 1])
+            fault = _table_fault(body[:, 0], angles, "(-90, 90) degrees")
+            if fault is not None:
+                raise line_error(path, *fault, fh)
+        return cls(body[:, 0], angles)
 
     @property
     def band(self) -> tuple[float, float]:
@@ -111,9 +110,23 @@ class LookupTableDispersion(Record):
 DispersionModel = LinearSineDispersion | LookupTableDispersion
 
 
+def _table_fault(freqs: np.ndarray, angs: np.ndarray,
+                 limits: str = "(-pi/2, pi/2)") -> tuple[int, str] | None:
+    """(row, rule) of the first row of a lookup table that breaks one of its rules, with the
+    first rule it breaks, or None; ``limits`` prints the range of angles in the table's unit."""
+    if freqs.ndim != 1 or freqs.shape != angs.shape or freqs.size < 2:
+        return 0, "need matching 1-D frequency/angle arrays with >= 2 rows"
+    rises = lambda x: np.r_[True, x[1:] > x[:-1]]
+    rules = {"lookup frequencies must be finite": ~np.isfinite(freqs),
+             "lookup frequencies must be strictly increasing": ~rises(freqs),
+             "lookup angles must be strictly increasing": ~rises(angs),
+             f"lookup angles must lie within {limits}": ~(np.abs(angs) < _HALF_PI)}
+    row = int(np.argmax(np.any(list(rules.values()), axis=0)))
+    broken = [rule for rule, bad in rules.items() if bad[row]]
+    return (row, broken[0]) if broken else None
+
+
 def _check_band(f: np.ndarray, band: tuple[float, float]) -> None:
     lo, hi = band
     if np.any(f < lo) or np.any(f > hi):
-        raise BandError(
-            f"frequency outside calibrated band [{lo:.6g}, {hi:.6g}] Hz"
-        )
+        raise ValueError(f"frequency outside calibrated band [{lo:.6g}, {hi:.6g}] Hz")

@@ -411,12 +411,12 @@ def _check_file(path, dictionary, chunks) -> None:
     parsed; the comparison prints one chunk of rows at a time and stops at
     the first block of text that differs. Every row is built either way, so
     an error of the dictionary's own comes before any error of the file.
-    Any other file is read with read_table, against the full entries built
-    again: line 1 must be the header for its M, the rows must list its grid
-    in index order at its positions (core.check_rows), and every entry cell
-    must match within the print tolerance (core.first_off_cell); otherwise
-    ValueError names the line, and for an entry its column. A pipe or FIFO
-    is read once.
+    Any other file is read with read_table: line 1 must be the header for its
+    M, and the rows must list its grid in index order at its positions
+    (core.check_rows). Only then are the full entries built again, and every
+    entry cell must match them within the print tolerance
+    (core.first_off_cell). Otherwise ValueError names the line, and for an
+    entry its column. A pipe or FIFO is read once.
     """
     try:
         with open_bytes(path) as fh:
@@ -425,7 +425,6 @@ def _check_file(path, dictionary, chunks) -> None:
             if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
                 return
             header = _csv_header(dictionary.n_points)
-            expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
             try:
                 body = read_table(path, header, fh)
             except HeaderError as exc:
@@ -436,6 +435,7 @@ def _check_file(path, dictionary, chunks) -> None:
                 raise ValueError(f"{path}: line 1: {message}") from None
             keys = np.hstack([dictionary.grid.indices(), dictionary.grid.points()])
             check_rows(path, body, keys, "ix,iy,iz,x,y,z", fh)
+            expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
             off = first_off_cell(body[:, 6:], expected)
             if off is not None:
                 row, col = off

@@ -21,7 +21,6 @@ import numpy as np
 
 from sweepsense.core import (
     SPEED_OF_LIGHT,
-    AliasingError,
     ChannelAxis,
     ChirpConfig,
     FrequencyPlan,
@@ -251,7 +250,7 @@ def dechirp_range_profile(
     ``targets`` are (range_m, complex_amplitude) pairs. Each target produces a
     beat tone at 2 k R / c; the returned profile is the n_samples-point DFT of
     the composite beat signal, with range axis R(q) = c q f_s / (2 k N).
-    Raises AliasingError if any beat frequency reaches f_s / 2.
+    Raises ValueError if any beat frequency reaches f_s / 2.
     """
     t = np.arange(chirp.n_samples) / chirp.sample_rate
     beat = np.zeros(chirp.n_samples, dtype=np.complex128)
@@ -260,10 +259,8 @@ def dechirp_range_profile(
             raise GeometryError(f"target range must be positive, got {r}")
         f_beat = 2.0 * chirp.slope * r / SPEED_OF_LIGHT
         if f_beat >= chirp.sample_rate / 2.0:
-            raise AliasingError(
-                f"beat frequency {f_beat:.6g} Hz aliases at sample rate "
-                f"{chirp.sample_rate:.6g} Hz"
-            )
+            raise ValueError(f"beat frequency {f_beat:.6g} Hz aliases at sample rate "
+                             f"{chirp.sample_rate:.6g} Hz")
         beat += amp * np.exp(2j * math.pi * f_beat * t)
     profile = np.fft.fft(beat)
     bins = np.arange(chirp.n_samples)

@@ -364,6 +364,19 @@ class TestProbe:
         assert captured.out.startswith("offset,similarity\n") and body.shape == (21, 2)
         assert json.loads(captured.err) == json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("length_m", [0.012, 0.12])
+    def test_elevation_probe_on_boresight_is_the_azimuth_one(self, tmp_path, config_path,
+                                                             length_m):
+        # At p0 = (0, 0, 3) the model is symmetric under swapping x and y, which swaps the
+        # azimuth and elevation rotations and the two channels, whose mean is the similarity.
+        path = config_path(base_config(antenna={"length_m": length_m, "two_way": True}))
+        csv = {}
+        for axis in ("azimuth", "elevation"):
+            csv[axis] = tmp_path / f"{axis}.csv"
+            assert cli.main(["probe", "--config", path, "--axis", axis, "--p0", "0,0,3",
+                             "--span", "5.0", "--steps", "201", "--out", str(csv[axis])]) == 0
+        assert csv["azimuth"].read_bytes() == csv["elevation"].read_bytes()
+
     def test_bad_axis_exits_2(self, tmp_path, config_path):
         rc = cli.main(
             ["probe", "--config", config_path(base_config()), "--axis", "spiral",
@@ -812,6 +825,13 @@ class TestWorkersFlag:
         with pytest.raises(ValueError, match="workers"):
             cli.run_sweep(plan, model, AntennaModel(), scene, grid, [None], 1, workers=0)
 
+    def test_dictionary_rejects_workers_below_one(self):
+        plan = FrequencyPlan(60e9, 66e9, 8)
+        grid = PositionGrid((0.0, 0.0), (0.0, 0.0), (3.0, 3.0), 1, 1, 1)
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+            build_dictionary(grid, plan, LinearSineDispersion.for_plan(plan), AntennaModel(),
+                             workers=0)
+
 
 class TestDegenerateDictionary:
     def test_point_outside_field_of_view_named(self, tmp_path, config_path, capsys):
@@ -1082,6 +1102,23 @@ class TestLookupDispersionConfig:
             "error: dispersion: frequency outside calibrated band [6e+10, 6.5e+10] Hz\n"
         )
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, line, rule", [
+        ("60e9,-60\n66e9,0\n63e9,60\n", 4, "lookup frequencies must be strictly increasing"),
+        ("63e9,0\n", 2, "need matching 1-D frequency/angle arrays with >= 2 rows"),
+        ("60e9,-60\n63e9,10\n66e9,5\n", 4, "lookup angles must be strictly increasing"),
+        ("60e9,-60\n\n66e9,90\n", 4, "lookup angles must lie within (-90, 90) degrees"),
+        ("60e9,-90\n66e9,0\n66e9,60\n", 2, "lookup angles must lie within (-90, 90) degrees"),
+    ], ids=["falling-frequency", "one-row", "falling-angle", "90-degrees", "first-bad-row"])
+    def test_table_rule_names_the_file_and_line(self, tmp_path, config_path, capsys,
+                                                rows, line, rule):
+        table = tmp_path / "disp.csv"
+        table.write_text("frequency_hz,angle_deg\n" + rows)
+        cfg = base_config(dispersion={"kind": "lookup_table", "table_path": "disp.csv"})
+        out = tmp_path / "meas.csv"
+        assert cli.main(["simulate", "--config", config_path(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: dispersion: {table}: line {line}: {rule}\n")
         assert not out.exists()
 
     def test_missing_table_exits_2(self, tmp_path, config_path):
@@ -1621,6 +1658,26 @@ class TestMeasurementBoundary:
         assert capsys.readouterr().err.startswith(
             f"error: {tmp_path / 'input.fifo'}: line 6: expected m,f_hz,theta_deg = 4,")
 
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "line 4: field 7 is not a finite number: 'nan'"),
+        ("1e400", "line 4: field 7 is not a finite number: '1e400'"),
+        (" abc ", "line 4: field 7 is not a finite number: 'abc'"),
+        (None, "no data rows after line 1"),
+    ], ids=["nan", "overflow", "text", "header-only"])
+    def test_unreadable_cell_exits_2_naming_it(self, tmp_path, config_path, capsys,
+                                               cell, message):
+        path = config_path(base_config())
+        meas = self.simulated(tmp_path, path)
+        lines = meas.read_text().splitlines()
+        if cell is None:
+            del lines[1:]
+        else:
+            lines[3] = ",".join(lines[3].split(",")[:6] + [cell])
+        meas.write_text("\n".join(lines) + "\n")
+        assert self.localize(tmp_path, path, meas) == 2
+        assert capsys.readouterr() == ("", f"error: {meas}: {message}\n")
+        assert not (tmp_path / "loc.json").exists()
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_non_utf8_file_names_path_and_line(self, tmp_path, config_path, capsys, line):
         path = config_path(base_config())
@@ -1894,6 +1951,32 @@ class TestOutputRule:
         if verb == "compare":  # with no --out it prints its table alone
             assert cli.main(argv) == 0
             assert capsys.readouterr() == (to_file.out, "")
+
+
+    @pytest.mark.parametrize("target", ["symlink", "fifo", "devnull"])
+    def test_out_that_is_not_a_regular_file_is_written_in_place(self, tmp_path, config_path,
+                                                                 target):
+        path = config_path(base_config())
+        argv = ["simulate", "--config", path, "--out"]
+        assert cli.main([*argv, str(tmp_path / "meas.csv")]) == 0
+        expected = (tmp_path / "meas.csv").read_bytes()
+        if target == "symlink":
+            real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+            real.write_text("old\n")
+            link.symlink_to(real)
+            assert cli.main([*argv, str(link)]) == 0
+            assert link.is_symlink() and real.read_bytes() == expected
+        elif target == "fifo":
+            fifo, got = tmp_path / "out.fifo", []
+            os.mkfifo(fifo)
+            reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+            reader.start()
+            assert cli.main([*argv, str(fifo)]) == 0
+            reader.join(timeout=10)
+            assert got == [expected]
+        else:
+            assert cli.main([*argv, os.devnull]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
 
 
 class TestStreamedDictionary:

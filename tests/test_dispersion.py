@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepsense.core import BandError, FrequencyPlan, frequency_grid
+from sweepsense.core import FrequencyPlan, frequency_grid
 from sweepsense.dispersion import LinearSineDispersion, LookupTableDispersion
 from sweepsense.synth import AntennaModel, echo
 
@@ -30,9 +30,9 @@ class TestLinearSine:
         assert math.degrees(theta) == pytest.approx(-25.65890627, rel=1e-8)
 
     def test_out_of_band_rejected(self):
-        with pytest.raises(BandError):
+        with pytest.raises(ValueError, match="outside calibrated band"):
             MODEL.beam_angle(59.9e9)
-        with pytest.raises(BandError):
+        with pytest.raises(ValueError, match="outside calibrated band"):
             MODEL.beam_angle(66.1e9)
 
     def test_sine_is_linear_in_frequency(self):
@@ -100,7 +100,7 @@ class TestLookupTable:
 
     def test_band_is_table_span(self):
         model = self.make()
-        with pytest.raises(BandError):
+        with pytest.raises(ValueError, match="outside calibrated band"):
             model.beam_angle(59e9)
 
     def test_monotonicity_enforced(self):

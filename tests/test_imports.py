@@ -2,13 +2,15 @@
 the CLI imports no private name of another module,
 every module-level private name is used somewhere in the package, every module-level
 public function and class is used by another statement of the package or imported by
-the acceptance suite, the README's
+the acceptance suite, every error class of the package is caught by its name somewhere
+in it or imported by the acceptance suite, the README's
 library layout lists every module, the package module itself exports nothing,
 no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
 printer's tables are built only by a verb that prints a table, and OpenSSL is
 loaded only by a verb that keys noise."""
 
 import ast
+import builtins
 import json
 import os
 import re
@@ -188,6 +190,54 @@ def test_every_public_name_is_called():
 ])
 def test_guard_finds_uncalled_public_names(sources, imported, uncalled):
     assert uncalled_public_names(sources, imported) == uncalled
+
+
+def uncaught_error_classes(sources: dict[str, str], imported=frozenset()) -> list[str]:
+    """The exception classes of ``sources`` (file name -> text), those derived from a
+    builtin exception or from another of them, that no ``except`` clause or ``isinstance``
+    call of any file names, by a name or an attribute, and that are not among ``imported``,
+    as 'file: name'."""
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes, caught = [], set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                classes.append((file, node))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= references(node.type)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                caught |= references(node.args[1])
+    own = set()
+    while new := {node.name for _, node in classes if node.name not in own
+                  and any(references(base) & (errors | own) for base in node.bases)}:
+        own |= new
+    return [f"{file}: {node.name}" for file, node in classes
+            if node.name in own and node.name not in caught | set(imported)]
+
+
+def test_every_error_class_is_caught():
+    # an error class that nothing tells apart from its base only renames that base
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert uncaught_error_classes(sources, acceptance_imports()) == []
+
+
+@pytest.mark.parametrize("sources, imported, uncaught", [
+    ({"a.py": "class E(ValueError): pass\nclass F(E): pass\nclass G: pass\n"}, (),
+     ["a.py: E", "a.py: F"]),
+    ({"a.py": "class E(ValueError): pass\n", "b.py": "try:\n    f()\nexcept a.E:\n    pass\n"},
+     (), []),
+    ({"a.py": "class E(KeyError): pass\nclass F(E): pass\ntry:\n    f()\n"
+              "except (OSError, F) as exc:\n    pass\n"}, (), ["a.py: E"]),
+    ({"a.py": "class E(Exception): pass\nif isinstance(x, (int, E)):\n    pass\n"}, (), []),
+    ({"a.py": "class E(ValueError): pass\nraise E('x')\nissubclass(E, ValueError)\n"}, (),
+     ["a.py: E"]),
+    ({"a.py": "class E(ValueError): pass\nclass F(ValueError): pass\n"}, {"F"}, ["a.py: E"]),
+    ({"a.py": "class R:\n    class E(ArithmeticError): pass\n"}, (), ["a.py: E"]),
+])
+def test_error_guard_finds_a_planted_class(sources, imported, uncaught):
+    assert uncaught_error_classes(sources, imported) == uncaught
 
 
 def layout_modules(readme: str) -> list[str]:

@@ -32,6 +32,7 @@ from sweepsense.core import (
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
     CHUNK_ROWS,
+    Dictionary,
     PositionGrid,
     build_dictionary,
     dictionary_text,
@@ -501,9 +502,10 @@ def dictionary_32(tmp_path_factory):
 
 
 def counting(monkeypatch, owner, name) -> list:
-    """A list that grows by one at each call of ``owner.name`` for the rest of the test."""
+    """A list that grows by the first argument of each call of ``owner.name`` for the rest
+    of the test."""
     calls, func = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or func(*a, **k))
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a[0]) or func(*a, **k))
     return calls
 
 
@@ -544,9 +546,10 @@ class TestReadTable:
         with pytest.raises(ValueError, match=f"{path}: {match}"):
             read_table(path, text.split("\n")[0])
 
-    def test_non_finite_cell_rescans_only_its_line(self, tmp_path, dictionary_32, monkeypatch):
-        # np.loadtxt read the rows before the bad one, so naming it takes one
-        # loadtxt of its line and one per cell up to the bad one.
+    def test_non_finite_cell_is_named_with_one_loadtxt(self, tmp_path, dictionary_32,
+                                                         monkeypatch):
+        # np.loadtxt read the whole body, so the bad cell is named from the array it gave
+        # and the text of its line, with no second parse.
         text = dictionary_32[0].read_text()
         path = self.write(tmp_path, text[: text.rindex(",") + 1] + "nan\n")
         header = text[: text.index("\n")]
@@ -555,7 +558,22 @@ class TestReadTable:
         message = f"line 730: field {n_fields} is not a finite number: 'nan'"
         with pytest.raises(ValueError, match=f"^{path}: {message}$"):
             read_table(path, header)
-        assert len(calls) <= n_fields + 2
+        assert len(calls) == 1
+
+    def test_text_cell_in_line_2_is_named_after_one_run_of_lines(
+        self, tmp_path, dictionary_32, monkeypatch
+    ):
+        lines = dictionary_32[0].read_text().splitlines()
+        n_fields = lines[0].count(",") + 1
+        lines[1] = "x" + lines[1][1:]  # its ix cell, 0
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        drawn, body_lines = [], core._body_lines
+        monkeypatch.setattr(core, "_body_lines",
+                            lambda *a: (drawn.append(line) or line for line in body_lines(*a)))
+        with pytest.raises(ValueError, match=f"^{path}: line 2: field 1 is not a finite number: "
+                                             "'x'$"):
+            read_table(path, lines[0])
+        assert 1 <= len(drawn) <= _WRITE_CELLS // n_fields
 
     @pytest.mark.parametrize("row", [0, 300, 728])
     @pytest.mark.parametrize("spoil, message", [
@@ -566,8 +584,9 @@ class TestReadTable:
     def test_rejected_file_is_halved_to_its_first_bad_line(
         self, tmp_path, dictionary_32, monkeypatch, row, spoil, message
     ):
-        # np.loadtxt rejects the file, so the first bad line is found by halving
-        # runs of lines, then its first bad cell by halving runs of its cells.
+        # np.loadtxt rejects the file, so the lines are read again in runs of about
+        # _WRITE_CELLS cells, then the first bad run a line at a time, and its bad line a
+        # cell at a time: past the bad line, loadtxt is handed at most one run more.
         lines = dictionary_32[0].read_text().splitlines()
         header, n_fields, n_rows = lines[0], lines[0].count(",") + 1, len(lines) - 1
         for at in {row + 1, n_rows}:  # a later bad line is not the one named
@@ -577,7 +596,9 @@ class TestReadTable:
         expected = message.format(fields=n_fields, short=n_fields - 1)
         with pytest.raises(ValueError, match=f"^{path}: line {row + 2}: {expected}$"):
             read_table(path, header)
-        assert len(calls) <= math.ceil(math.log2(n_rows)) + math.ceil(math.log2(n_fields)) + 3
+        file, *rescan = calls
+        assert not isinstance(file, list) and all(isinstance(run, list) for run in rescan)
+        assert sum(map(len, rescan)) <= row + 1 + _WRITE_CELLS // n_fields + n_fields
 
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
@@ -660,6 +681,20 @@ class TestDictionaryImport:
         rewrite(path, shift_x)
         with pytest.raises(ValueError, match="line 4: expected ix,iy,iz,x,y,z = 2,0,0,0.2,"):
             localize_batch([], small_dictionary(), path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines.__setitem__(4, lines[3]), "line 5: expected ix,iy,iz,x,y,z = 0,0,1,"),
+        (lambda lines: lines.__setitem__(3, lines[3] + "x"), "line 4: field 38 is not a finite "),
+    ], ids=["key-cell", "text-cell"])
+    def test_rejected_file_builds_no_entries(self, tmp_path, edit, match):
+        # the rows are built once, to score and to print; the full entries only for a file
+        # whose keys are read and pass
+        path = self.exported(tmp_path)
+        rewrite(path, edit)
+        d = Dictionary(GRID, PLAN8, MODEL8, ANT)
+        with pytest.raises(ValueError, match=match):
+            localize_batch([], d, path)
+        assert "entries" not in vars(d)
 
     def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
         path = self.exported(tmp_path)
