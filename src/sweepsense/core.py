@@ -545,21 +545,38 @@ def _body_lines(path, fh=None):
 
 def _first_bad_line(path, n_fields: int, fh) -> ValueError:
     """The error for the first line of a body that np.loadtxt rejects, read once in order:
-    one np.loadtxt per run of about _WRITE_CELLS cells, then the first bad run a line at a time."""
-    lines, k = _body_lines(path, fh), max(1, _WRITE_CELLS // n_fields)  # k lines per run
+    one np.loadtxt per run of lines, then the first bad run in sub-runs of s lines, then the
+    first bad sub-run a line at a time. With k lines in _WRITE_CELLS cells and s = isqrt(k), a
+    run holds k - s lines, so a run and a sub-run together hold at most k lines."""
+    k = max(1, _WRITE_CELLS // n_fields)
+    s = math.isqrt(k)
+    sizes, n = ((s, 1), k - s) if s > 1 else ((1,), k)  # lines per part of a bad run; per run
+    lines = _body_lines(path, fh)
     while True:
         run, error = [], None
         try:
-            for item in itertools.islice(lines, k):
+            for item in itertools.islice(lines, n):
                 run.append(item)
         except ValueError as exc:  # a line that is not UTF-8 text: the run before it goes first
             error = exc
-        if run and _unreadable([text for _, text in run], n_fields):
-            for lineno, text in run:
-                if _unreadable([text], n_fields):
-                    return _line_fault(path, n_fields, lineno, text)
-        if error or len(run) < k:
+        bad = _first_unreadable(run, n_fields, *sizes)
+        if bad:
+            return _line_fault(path, n_fields, *bad)
+        if error or len(run) < n:
             return error or ValueError(f"{path}: unreadable CSV body")
+
+
+def _first_unreadable(run: list, n_fields: int, *sizes: int) -> tuple[int, str] | None:
+    """The first (line number, text) of ``run`` that np.loadtxt cannot read, or None where it
+    reads the whole run: the parts of ``sizes[0]`` lines are read in order, and the first bad
+    one in parts of the next size."""
+    if not run or not _unreadable([text for _, text in run], n_fields):
+        return None
+    if not sizes:
+        return run[0]
+    parts = (run[i : i + sizes[0]] for i in range(0, len(run), sizes[0]))
+    return next(filter(None, (_first_unreadable(part, n_fields, *sizes[1:]) for part in parts)),
+                None)
 
 
 def _unreadable(lines: list[str], width: int) -> bool:

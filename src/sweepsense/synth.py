@@ -34,7 +34,7 @@ from sweepsense.core import (
 from sweepsense.dispersion import DispersionModel
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
-_K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per position
+_K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per distinct range
 
 
 class AntennaModel(Record):
@@ -63,21 +63,61 @@ class AntennaModel(Record):
         Real-valued in [0, 1]; peak 1.0 on the beam axis, one-way value 0.5 at
         half the half-power beamwidth off axis. Vectorized over f/beam_angle.
         """
-        dtheta = axis.target_angle(position) - np.asarray(beam_angle, dtype=float)
+        g = self._angle_gain(axis.target_angle(position), f, beam_angle)
+        return float(g) if g.ndim == 0 else g
+
+    def _angle_gain(self, angle, f, beam_angle) -> np.ndarray:
+        """``gain`` toward a target at in-plane ``angle``, as an array."""
         with np.errstate(over="ignore"):  # an offset of many beamwidths: exp(-inf) is 0
-            a = np.asarray(dtheta / self.half_power_beamwidth(f))  # squared and scaled in place
+            # The offset is freed before exp's block is allocated; a is squared and scaled in place.
+            a = np.asarray((angle - np.asarray(beam_angle, dtype=float))
+                           / self.half_power_beamwidth(f))
             np.square(a, out=a)
             a *= -_FOUR_LN2 * (1 + self.two_way)
         # exp(a) is +0.0 for a <= -746: skip numpy's slow path for those (NaN still propagates)
-        g = np.exp(a, out=np.zeros(a.shape), where=~(a <= -746.0))
-        return float(g) if g.ndim == 0 else g
+        return np.exp(a, out=np.zeros(a.shape), where=~(a <= -746.0))
 
 
 def phase_curvature(f, position) -> float | np.ndarray:
     """Two-way propagation phase 4 pi f R / c in rad, not reduced mod 2 pi."""
-    r = range_of(position)
-    phase = 4.0 * math.pi * np.asarray(f, dtype=float) * r / SPEED_OF_LIGHT
+    phase = _phase(np.asarray(f, dtype=float), range_of(position))
     return float(phase) if phase.ndim == 0 else phase
+
+
+def _phase(f: np.ndarray, r):
+    """phase_curvature at frequencies ``f`` for ranges ``r``."""
+    return 4.0 * math.pi * f * r / SPEED_OF_LIGHT
+
+
+def _carrier(r: np.ndarray, plan: FrequencyPlan, freqs: np.ndarray) -> np.ndarray:
+    """exp(-j 4 pi f R / c) for each range of the (N, 1) column ``r``, shape (N, M).
+
+    The sweep is uniform, so the carrier at point K a + b is that of f[K a]
+    times that of b * step.
+    """
+    coarse = np.exp(-1j * _phase(freqs[::_K], r))
+    fine = np.exp(-1j * _phase(np.arange(_K) * plan.step, r))
+    carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
+    return carrier[:, : plan.n_points]
+
+
+def _per_distinct(evaluate, keys: np.ndarray) -> np.ndarray:
+    """evaluate(keys) for an (N, 1) column of doubles, evaluated once per distinct bit pattern.
+
+    ``evaluate`` must give each row a value that depends only on that row's
+    key, so the rows it returns for the distinct keys are gathered back.
+    Where no two keys share their bits, it is called on ``keys`` itself.
+    """
+    bits = keys.reshape(-1).view(np.uint64)
+    order = np.argsort(bits, kind="stable")  # maps less sort code than the default kind
+    ordered = bits[order]
+    new = np.ones(len(bits), dtype=bool)  # where a key's bits first appear in ``ordered``
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if new.all():
+        return evaluate(keys)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return evaluate(keys[order[new]])[inverse]
 
 
 def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: AntennaModel,
@@ -85,8 +125,9 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     """Noiseless unit-reflectivity echoes gain * exp(-j 4 pi f R / c), shape (N, 2, M).
 
     ``positions`` is (N, 3). Entries depend only on their own position, so
-    any split of the batch gives the same bits. The sweep is uniform, so the
-    carrier at point K a + b is that of f[K a] times that of b * step.
+    any split of the batch gives the same bits. The carrier depends only on
+    the range, and each channel's gain only on the target's in-plane angle,
+    so each is computed once per distinct range or angle of the batch.
     The echoes are written into ``out``, an (N, 2, M) complex block, when
     one is given, and it is returned.
     """
@@ -98,14 +139,13 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     freqs = frequency_grid(plan)
     thetas = model.beam_angle(freqs)
     rows = positions[:, None, :]  # (N, 1, 3) against a frequency axis
-    coarse = np.exp(-1j * phase_curvature(freqs[::_K], rows))
-    fine = np.exp(-1j * phase_curvature(np.arange(_K) * plan.step, rows))
-    carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
-    carrier = carrier[:, : plan.n_points]
+    carrier = _per_distinct(lambda r: _carrier(r, plan, freqs), range_of(rows))
     if out is None:
         out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
     for c, axis in enumerate(ChannelAxis):
-        np.multiply(carrier, antenna.gain(freqs, thetas, rows, axis), out=out[:, c])
+        gain = _per_distinct(lambda angle: antenna._angle_gain(angle, freqs, thetas),
+                             axis.target_angle(rows))
+        np.multiply(carrier, gain, out=out[:, c])
     out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
     return out
 

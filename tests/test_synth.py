@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sweepsense import synth
 from sweepsense.core import (
     SPEED_OF_LIGHT,
     ChannelAxis,
@@ -18,8 +19,10 @@ from sweepsense.core import (
     Scene,
     Target,
     frequency_grid,
+    range_of,
 )
 from sweepsense.dispersion import LinearSineDispersion
+from sweepsense.fingerprint import CHUNK_ROWS, PositionGrid
 from sweepsense.synth import (
     AntennaModel,
     dechirp_range_profile,
@@ -437,6 +440,64 @@ class TestEcho:
     def test_rejects_positions_a_target_rejects(self, bad):
         with pytest.raises(GeometryError):
             echo([(0.0, 0.0, 3.0), bad], PLAN, MODEL, ANT)
+
+
+def rows_evaluated(monkeypatch, owner, name, arg) -> list:
+    """A list that grows by the row count of argument ``arg`` of each call of ``owner.name``
+    for the rest of the test."""
+    calls, func = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(len(a[arg])) or func(*a, **k))
+    return calls
+
+
+def _arc(p0, offsets, kind):
+    """p0 moved along its line of sight by ``offsets`` m, or rotated by them in the x-z plane."""
+    p0, offsets = np.asarray(p0), np.asarray(offsets)
+    if kind == "range":
+        return p0 * (1.0 + offsets / np.linalg.norm(p0))[:, None]
+    c, s = np.cos(offsets), np.sin(offsets)
+    return np.column_stack([p0[0] * c + p0[2] * s, np.full_like(c, p0[1]), -p0[0] * s + p0[2] * c])
+
+
+# A chunk of the 9^3 bench grid, a range line, an azimuth arc, repeated positions
+# with signed zeros, and positions of which no two share a range or an angle.
+_SIGNED = [(sx * 0.0, sy * 0.0, 3.0) for sx in (1, -1) for sy in (1, -1)]
+KERNEL_BATCHES = {
+    "grid-chunk": PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), 9, 9, 9)
+    .points()[CHUNK_ROWS : 2 * CHUNK_ROWS],
+    "range-line": _arc((0.24, -0.31, 3.02), np.linspace(-0.5, 0.5, 101), "range"),
+    "azimuth-arc": _arc((0.24, -0.31, 3.02), np.linspace(-0.04, 0.04, 101), "azimuth"),
+    "repeats-signed-zeros": np.array(
+        _SIGNED + [(0.3, -0.0, 2.0), (0.3, 0.0, 2.0), (0.6, 0.8, 2.5), (0.8, 0.6, 2.5),
+                   (0.1, 0.2, 1.0), (0.2, 0.4, 2.0)] + _SIGNED[::-1] + [(0.3, 0.0, 2.0)]),
+    "all-distinct": np.random.default_rng(7).uniform([-1, -1, 0.5], [1, 1, 4], (64, 3)),
+}
+
+
+class TestEchoPerDistinctKey:
+    @pytest.mark.parametrize("m, antenna", [(16, ANT), (128, ANT), (31, AntennaModel(0.012))])
+    @pytest.mark.parametrize("batch", KERNEL_BATCHES)
+    def test_batch_has_the_bits_of_each_position_alone(self, m, antenna, batch):
+        plan = FrequencyPlan(60e9, 66e9, m)
+        model = LinearSineDispersion.for_plan(plan)
+        positions = KERNEL_BATCHES[batch]
+        alone = np.concatenate([echo(p[None], plan, model, antenna) for p in positions])
+        np.testing.assert_array_equal(echo(positions, plan, model, antenna).view(np.uint64),
+                                      alone.view(np.uint64))
+
+    @pytest.mark.parametrize("batch", KERNEL_BATCHES)
+    def test_each_factor_is_evaluated_once_per_distinct_key(self, monkeypatch, batch):
+        positions = KERNEL_BATCHES[batch]
+        distinct = lambda keys: len(np.unique(keys.view(np.uint64)))
+        carrier = rows_evaluated(monkeypatch, synth, "_carrier", 0)
+        gain = rows_evaluated(monkeypatch, AntennaModel, "_angle_gain", 1)
+        echo(positions, PLAN, MODEL, ANT)
+        assert carrier == [distinct(range_of(positions))]
+        assert gain == [distinct(axis.target_angle(positions)) for axis in ChannelAxis]
+        if batch == "grid-chunk":  # 256 positions: 57 ranges, 33 x and 27 y angles
+            assert carrier[0] < len(positions) // 4 and max(gain) < len(positions) // 7
+        if batch == "all-distinct":
+            assert carrier + gain == [len(positions)] * 3
 
 
 class TestDechirp:

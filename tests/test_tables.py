@@ -600,6 +600,22 @@ class TestReadTable:
         assert not isinstance(file, list) and all(isinstance(run, list) for run in rescan)
         assert sum(map(len, rescan)) <= row + 1 + _WRITE_CELLS // n_fields + n_fields
 
+    @pytest.mark.parametrize("lineno", [2, 4033, 4097])
+    def test_narrow_file_is_rescanned_in_about_twice_root_k_calls(
+        self, tmp_path, monkeypatch, lineno
+    ):
+        # k = 4096 lines of 2 cells per _WRITE_CELLS, so a line at a time would cost
+        # thousands of calls. Line 4033 ends the first run: its every sub-run and the
+        # last sub-run's every line are read. Line 4097 ends the first sub-run of the second.
+        lines = [f"{i}.5,{2 * i}.25" for i in range(8192)]
+        lines[lineno - 2] = lines[lineno - 2].split(",")[0] + ",x"
+        path = self.write(tmp_path, "a,b\n" + "\n".join(lines) + "\n")
+        calls = counting(monkeypatch, core.np, "loadtxt")
+        with pytest.raises(ValueError, match=f"^{path}: line {lineno}: field 2 is not a "
+                                             "finite number: 'x'$"):
+            read_table(path, "a,b")
+        assert len(calls) <= 2 * math.isqrt(_WRITE_CELLS // 2) + 3
+
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
         assert [str(line_error(path, i, "bad")) for i in range(3)] == [
