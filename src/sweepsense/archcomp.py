@@ -238,6 +238,7 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> Arc
     _positive(where, "effective_aperture_m in mm (D_eff_mm)", aperture * 1000.0)
     _positive(where, "angular_resolution_rad", theta)
     theta_deg = _positive(where, "angular_resolution_deg", math.degrees(theta))
+    _positive(where, "cell_volume_m3", other)  # 2 tan(fov) is 0 where radians(fov) underflows
     cell = _positive(where, "cell_volume_m3",
                      resolution_cell_volume(theta, other, delta_r, r_query))
     eta_c = _positive(where, "eta_computed",

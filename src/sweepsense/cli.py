@@ -25,7 +25,6 @@ import numpy as np
 from sweepsense import archcomp
 from sweepsense.core import (
     FLOAT_FMT,
-    SPEED_OF_LIGHT,
     DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
@@ -214,7 +213,8 @@ def parse_antenna(sec, plan: FrequencyPlan | None = None) -> AntennaModel:
     v = _read("antenna", sec, kinds, optional=kinds)
     antenna = _build("antenna", AntennaModel, v.get("length_m", AntennaModel.length),
                      v.get("two_way", AntennaModel.two_way))
-    width = SPEED_OF_LIGHT / plan.f_max / antenna.length if plan else 1.0
+    with np.errstate(over="ignore"):  # an infinite width is rejected below
+        width = float(antenna.half_power_beamwidth(plan.f_max)) if plan else 1.0
     if not sys.float_info.min <= width < math.inf:
         raise ConfigError(f"antenna: plan.f_max_hz = {plan.f_max!r} and antenna.length_m = "
                           f"{antenna.length!r} give a narrowest beamwidth c/(f_max L) of "

@@ -57,17 +57,10 @@ class AntennaModel(Record):
         """One-way half-power beamwidth lambda(f)/length in rad."""
         return (SPEED_OF_LIGHT / np.asarray(f, dtype=float)) / self.length
 
-    def gain(self, f, beam_angle, position, axis: ChannelAxis):
-        """Directional response toward ``position`` for a beam at ``beam_angle``.
-
-        Real-valued in [0, 1]; peak 1.0 on the beam axis, one-way value 0.5 at
-        half the half-power beamwidth off axis. Vectorized over f/beam_angle.
-        """
-        g = self._angle_gain(axis.target_angle(position), f, beam_angle)
-        return float(g) if g.ndim == 0 else g
-
-    def _angle_gain(self, angle, f, beam_angle) -> np.ndarray:
-        """``gain`` toward a target at in-plane ``angle``, as an array."""
+    def gain(self, angle, f, beam_angle) -> np.ndarray:
+        """Directional response toward in-plane ``angle`` (a channel's ``target_angle``) for a
+        beam at ``beam_angle``, as an array: real-valued in [0, 1], peak 1.0 on the beam axis,
+        one-way value 0.5 at half the half-power beamwidth off axis."""
         with np.errstate(over="ignore"):  # an offset of many beamwidths: exp(-inf) is 0
             # The offset is freed before exp's block is allocated; a is squared and scaled in place.
             a = np.asarray((angle - np.asarray(beam_angle, dtype=float))
@@ -78,14 +71,9 @@ class AntennaModel(Record):
         return np.exp(a, out=np.zeros(a.shape), where=~(a <= -746.0))
 
 
-def phase_curvature(f, position) -> float | np.ndarray:
-    """Two-way propagation phase 4 pi f R / c in rad, not reduced mod 2 pi."""
-    phase = _phase(np.asarray(f, dtype=float), range_of(position))
-    return float(phase) if phase.ndim == 0 else phase
-
-
 def _phase(f: np.ndarray, r):
-    """phase_curvature at frequencies ``f`` for ranges ``r``."""
+    """Two-way propagation phase 4 pi f R / c in rad at frequencies ``f`` for ranges ``r``,
+    not reduced mod 2 pi."""
     return 4.0 * math.pi * f * r / SPEED_OF_LIGHT
 
 
@@ -143,7 +131,7 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     if out is None:
         out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
     for c, axis in enumerate(ChannelAxis):
-        gain = _per_distinct(lambda angle: antenna._angle_gain(angle, freqs, thetas),
+        gain = _per_distinct(lambda angle: antenna.gain(angle, freqs, thetas),
                              axis.target_angle(rows))
         np.multiply(carrier, gain, out=out[:, c])
     out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
@@ -178,7 +166,7 @@ def phase_fault(position, plan: FrequencyPlan) -> str | None:
     """Why the echo at ``position`` is not finite, where its phase 4 pi f R / c is not finite
     at a frequency of the plan; None where it is finite at every one."""
     with np.errstate(over="ignore"):
-        finite = np.isfinite(phase_curvature(frequency_grid(plan), position)).all()
+        finite = np.isfinite(_phase(frequency_grid(plan), range_of(position))).all()
     return None if finite else ("the echo phase 4 pi f R / c is not finite for the plan's "
                                 "frequencies")
 

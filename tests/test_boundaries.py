@@ -11,8 +11,12 @@ wrote for the same row, and ``--dict`` the file that ``dict`` wrote.
 for a virtual and a physical aperture, alone and after the other kind, with and without
 ``--out``.
 
-Two keys that meet in one expression have their own rows: ``plan.f_max_hz`` with
-``antenna.length_m`` give the narrowest beamwidth the antenna gain divides by.
+Two keys that meet in one expression of the echo model have their own table, under the
+same invariants: ``plan.f_max_hz`` with a target coordinate or a grid bound (the phase
+4 pi f R / c), a reflectivity, ``plan.f_min_hz`` or ``dispersion.theta_max_deg`` with
+``antenna.length_m`` (the gain), and ``plan.n_points`` with each grid count (the
+dictionary's size). ``plan.f_max_hz`` with ``antenna.length_m`` give the narrowest
+beamwidth the antenna gain divides by, and have rows of their own.
 """
 
 import json
@@ -73,15 +77,16 @@ RUNS = (
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
-def configured(tmp_path, cfg, key, value):
-    """The path of a copy of ``cfg`` with ``key`` (such as 'scene.targets[0].x_m') set to
-    ``value``."""
+def configured(tmp_path, cfg, settings: dict):
+    """The path of a copy of ``cfg`` with each key of ``settings`` (such as
+    'scene.targets[0].x_m') set to its value."""
     cfg = json.loads(json.dumps(cfg))
-    *path, name = (int(part) if part.isdigit() else part for part in re.findall(r"\w+", key))
-    section = cfg
-    for part in path:
-        section = section[part]
-    section[name] = value
+    for key, value in settings.items():
+        *path, name = (int(part) if part.isdigit() else part for part in re.findall(r"\w+", key))
+        section = cfg
+        for part in path:
+            section = section[part]
+        section[name] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     return config
@@ -106,13 +111,41 @@ def run_cleanly(capsys, argv, out, run: str) -> int:
     return rc
 
 
-@pytest.mark.parametrize("key, value", ROWS)
-def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
-    config = configured(tmp_path, BASE, key, value)
+def run_every_verb(tmp_path, capsys, settings: dict) -> None:
+    """Run each of RUNS on BASE with ``settings`` under the table's invariants."""
+    config = configured(tmp_path, BASE, settings)
     outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
     for name, command in RUNS:
         argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]
-        run_cleanly(capsys, argv, outs[name], f"{name}: {key} = {value!r}")
+        run_cleanly(capsys, argv, outs[name], f"{name}: {settings!r}")
+
+
+@pytest.mark.parametrize("key, value", ROWS)
+def test_every_verb_exits_0_2_or_3_cleanly(tmp_path, capsys, key, value):
+    run_every_verb(tmp_path, capsys, {key: value})
+
+
+# The one-key table's extremes that are valid alone, for each pair of keys
+PAIR_FLOATS = (1e-300, 1e-30, 1e154, 1e200, 1e300, LARGEST)
+PAIR_COUNTS = (1, 2, 10, 2**60, 2**63 - 1)  # at most 10 or at least 2**60, as in COUNTS
+PAIRS = [
+    *(("plan.f_max_hz", PAIR_FLOATS, other, PAIR_FLOATS)
+      for other in ("scene.targets[0].z_m", "scene.targets[0].x_m", "grid.z_max_m")),
+    ("scene.targets[0].alpha_re", PAIR_FLOATS, "antenna.length_m", PAIR_FLOATS),
+    ("plan.f_min_hz", PAIR_FLOATS, "antenna.length_m", PAIR_FLOATS),
+    ("dispersion.theta_max_deg", (1e-300, 1e-30, 1e-10, 45.0, 89.999999), "antenna.length_m",
+     PAIR_FLOATS),
+    *(("plan.n_points", PAIR_COUNTS, f"grid.n{a}", PAIR_COUNTS) for a in "xyz"),
+]
+PAIR_ROWS = [pytest.param({key: value, other: other_value}, id=f"{key}-{value!r}-{other}-"
+                          f"{other_value!r}")
+             for key, values, other, other_values in PAIRS
+             for value in values for other_value in other_values]
+
+
+@pytest.mark.parametrize("settings", PAIR_ROWS)
+def test_every_verb_exits_0_2_or_3_cleanly_at_a_key_pair(tmp_path, capsys, settings):
+    run_every_verb(tmp_path, capsys, settings)
 
 
 # A virtual and a physical aperture. Each row sets one key of the last spec of a config
@@ -143,7 +176,7 @@ def architecture_configs(tmp_path, kind: str, key: str, value):
     for name, specs in (("alone", [APERTURES[kind]]), ("second", [other, APERTURES[kind]])):
         i = len(specs) - 1
         key_i = f"architectures[{i}].{key}"
-        config = configured(tmp_path, {"architectures": specs}, key_i, value)
+        config = configured(tmp_path, {"architectures": specs}, {key_i: value})
         yield f"{kind} {name}: {key_i} = {value!r}", i, config
 
 
@@ -177,6 +210,22 @@ def test_a_text_table_cell_that_overflows_exits_2_naming_its_metric(
             assert not out.exists(), run
 
 
+def test_a_physical_fov_whose_radians_underflow_exits_2_naming_the_cell_volume(
+    tmp_path, capsys
+):
+    # radians(5e-324) is 0, so the other plane's factor 2 tan(fov) is 0; 1e-310 is not
+    out = tmp_path / "report.json"
+    for run, i, config in architecture_configs(tmp_path, "physical", "fov_deg", 5e-324):
+        for args in ([], ["--out", str(out)]):
+            assert cli.main(["compare", "--config", str(config), *args]) == 2, run
+            assert capsys.readouterr() == ("", f"error: architectures[{i}]: derived "
+                                               "cell_volume_m3 is 0.0, not a number > 0\n"), run
+            assert not out.exists(), run
+    for run, _, config in architecture_configs(tmp_path, "physical", "fov_deg", 1e-310):
+        assert cli.main(["compare", "--config", str(config)]) == 0, run
+        assert capsys.readouterr().err == "", run
+
+
 @pytest.mark.parametrize("f_max_hz, length_m, width", [
     (1e200, 1e154, "0.0"),  # c/(f_max L) underflows to 0
     (66e9, LARGEST, "2.5267437927023e-311"),  # subnormal
@@ -185,11 +234,7 @@ def test_a_text_table_cell_that_overflows_exits_2_naming_its_metric(
 def test_a_beamwidth_that_is_not_a_normal_double_exits_2_naming_both_keys(
     tmp_path, capsys, f_max_hz, length_m, width
 ):
-    cfg = json.loads(json.dumps(BASE))
-    cfg["plan"]["f_max_hz"] = f_max_hz
-    cfg["antenna"]["length_m"] = length_m
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg))
+    config = configured(tmp_path, BASE, {"plan.f_max_hz": f_max_hz, "antenna.length_m": length_m})
     outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
     for name, command in RUNS:
         argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]

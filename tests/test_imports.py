@@ -2,8 +2,9 @@
 the CLI imports no private name of another module,
 every module-level private name is used somewhere in the package, every module-level
 public function and class is used by another statement of the package or imported by
-the acceptance suite, every error class of the package is caught by its name somewhere
-in it or imported by the acceptance suite, the README's
+the acceptance suite, every public method or property of a class is named as an attribute
+outside itself in the package or the acceptance suite, every error class of the package is
+caught by its name somewhere in it or imported by the acceptance suite, the README's
 library layout lists every module, the package module itself exports nothing,
 no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
 printer's tables are built only by a verb that prints a table, and OpenSSL is
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,44 @@ def test_every_public_name_is_called():
 ])
 def test_guard_finds_uncalled_public_names(sources, imported, uncalled):
     assert uncalled_public_names(sources, imported) == uncalled
+
+
+def unreferenced_public_methods(sources: dict[str, str], outside=()) -> list[str]:
+    """The public methods and properties of the classes of ``sources`` (file name -> text)
+    that no attribute of any file or of the ``outside`` texts names, other than in the
+    method itself, as 'file: Class.name'."""
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    named = Counter(node.attr for tree in [*trees.values(), *map(ast.parse, outside)]
+                    for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return [f"{file}: {cls.name}.{node.name}" for file, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and named[node.name] == sum(isinstance(n, ast.Attribute) and n.attr == node.name
+                                        for n in ast.walk(node))]
+
+
+def test_every_public_method_is_referenced():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert unreferenced_public_methods(sources, [acceptance]) == []
+
+
+@pytest.mark.parametrize("sources, outside, unreferenced", [
+    ({"a.py": "class C:\n    def f(self): pass\n    @property\n    def p(self): pass\n"
+              "    def _g(self): pass\n    def __len__(self): pass\nC\n"}, (),
+     ["a.py: C.f", "a.py: C.p"]),
+    ({"a.py": "class C:\n    def f(self):\n        return self.f()\n"}, (), ["a.py: C.f"]),
+    ({"a.py": "class C:\n    def f(self): pass\n    def g(self):\n        self.f()\n"}, (),
+     ["a.py: C.g"]),
+    ({"a.py": "class C:\n    def f(self): pass\n", "b.py": "c.f()\n"}, (), []),
+    ({"a.py": "class C:\n    def f(self): pass\n"}, ["c.f\n"], []),
+    ({"a.py": "def f(): pass\nclass C:\n    def f(self): pass\nf()\n"}, (), ["a.py: C.f"]),
+    ({"a.py": "def g():\n    class C:\n        @staticmethod\n        def f(): pass\n"}, (),
+     ["a.py: C.f"]),
+])
+def test_method_guard_finds_a_planted_method(sources, outside, unreferenced):
+    assert unreferenced_public_methods(sources, outside) == unreferenced
 
 
 def uncaught_error_classes(sources: dict[str, str], imported=frozenset()) -> list[str]:

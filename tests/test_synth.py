@@ -1,5 +1,6 @@
 """Measurement synthesis, noise reproducibility, dechirp."""
 
+import cmath
 import hashlib
 import math
 import struct
@@ -30,7 +31,6 @@ from sweepsense.synth import (
     echo,
     noise,
     noise_sigma,
-    phase_curvature,
     scene_echo,
     simulate_measurement,
 )
@@ -56,13 +56,19 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=reference_key(seed, *path)))
 
 
-def synthesize_sample(f, position, refl: complex, gain) -> complex:
-    """Scalar oracle for one noiseless echo sample refl * gain * exp(-j 4 pi f R / c)."""
-    return complex(refl * gain * np.exp(-1j * phase_curvature(f, position)))
-
-
-def pos_at_azimuth(theta, r=3.0):
-    return (r * math.sin(theta), 0.0, r * math.cos(theta))
+def oracle_sample(f, beam, position, axis, refl: complex, antenna) -> complex:
+    """Scalar oracle for one noiseless echo sample, from the formulas alone:
+    refl * gain * exp(-j 4 pi f R / c), where the one-way gain is
+    exp(-4 ln2 (dtheta / (c / (f L)))^2), squared when two-way, and dtheta is the target's
+    in-plane angle, atan2(x, z) on the x channel and atan2(y, z) on the y channel, less the
+    beam angle."""
+    x, y, z = position
+    dtheta = math.atan2(x if axis is ChannelAxis.X_SCAN else y, z) - beam
+    width = SPEED_OF_LIGHT / f / antenna.length
+    one_way = math.exp(-4.0 * math.log(2.0) * (dtheta / width) ** 2)
+    gain = one_way * one_way if antenna.two_way else one_way
+    phase = 4.0 * math.pi * f * math.sqrt(x * x + y * y + z * z) / SPEED_OF_LIGHT
+    return complex(refl) * gain * cmath.exp(-1j * phase)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
@@ -108,19 +114,16 @@ def test_noise_power_that_overflows_gives_an_infinite_sigma():
 
 class TestAntennaGain:
     def test_peak_on_beam_axis(self):
-        g = ANT.gain(63e9, 0.3, pos_at_azimuth(0.3), ChannelAxis.X_SCAN)
-        assert g == pytest.approx(1.0, abs=1e-12)
+        assert ANT.gain(0.3, 63e9, 0.3) == 1.0
 
     def test_half_power_offset_one_way(self):
         ant = AntennaModel(two_way=False)
         thp = ant.half_power_beamwidth(63e9)
-        g = ant.gain(63e9, 0.0, pos_at_azimuth(thp / 2), ChannelAxis.X_SCAN)
-        assert g == pytest.approx(0.5, rel=1e-9)
+        assert ant.gain(thp / 2, 63e9, 0.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_half_power_offset_two_way_squares(self):
         thp = ANT.half_power_beamwidth(63e9)
-        g = ANT.gain(63e9, 0.0, pos_at_azimuth(thp / 2), ChannelAxis.X_SCAN)
-        assert g == pytest.approx(0.25, rel=1e-9)
+        assert ANT.gain(thp / 2, 63e9, 0.0) == pytest.approx(0.25, rel=1e-9)
 
     def test_beamwidth_scale(self):
         # lambda / L at 63 GHz with the 12 cm default
@@ -130,23 +133,22 @@ class TestAntennaGain:
 
     def test_no_taper_in_orthogonal_plane(self):
         # moving in x must not change the y-scan gain
-        g1 = ANT.gain(63e9, 0.1, (0.0, 0.2, 3.0), ChannelAxis.Y_SCAN)
-        g2 = ANT.gain(63e9, 0.1, (1.5, 0.2, 3.0), ChannelAxis.Y_SCAN)
+        g1 = ANT.gain(ChannelAxis.Y_SCAN.target_angle((0.0, 0.2, 3.0)), 63e9, 0.1)
+        g2 = ANT.gain(ChannelAxis.Y_SCAN.target_angle((1.5, 0.2, 3.0)), 63e9, 0.1)
         assert g1 == pytest.approx(g2, rel=1e-12)
 
     def test_masked_exp_is_bit_equal_to_plain_exp(self):
         # exponents through the normal, subnormal (-708 ... -745.1) and
-        # underflow (< -746) regions of exp
+        # underflow (< -746) regions of exp, which gives +0.0 there
         target = -np.concatenate([np.linspace(0.0, 700.0, 50), np.linspace(707.0, 747.0, 801),
                                   np.linspace(747.0, 5000.0, 50)])
         f = np.full(target.shape, 63e9)
         hpbw = ANT.half_power_beamwidth(f)
-        position = pos_at_azimuth(0.2)
-        angle = ChannelAxis.X_SCAN.target_angle(position)
+        angle = 0.2
         beam = angle - hpbw * np.sqrt(-target / (2 * 4 * math.log(2)))  # two-way
         exponent = -4 * math.log(2) * 2 * ((angle - beam) / hpbw) ** 2  # as gain forms it
         expected = np.exp(exponent)
-        got = ANT.gain(f, beam, position, ChannelAxis.X_SCAN)
+        got = ANT.gain(angle, f, beam)
         tiny = np.finfo(float).tiny
         assert ((0 < expected) & (expected < tiny)).sum() > 100 and (exponent < -746).sum() > 50
         assert got.tobytes() == expected.tobytes()
@@ -157,8 +159,8 @@ class TestAntennaGain:
         ant = AntennaModel(two_way=two_way)
         four_ln2 = 4.0 * math.log(2.0)
 
-        def reference(f, beam, position, axis):
-            dtheta = axis.target_angle(position) - np.asarray(beam, dtype=float)
+        def reference(angle, f, beam):
+            dtheta = angle - np.asarray(beam, dtype=float)
             with np.errstate(over="ignore"):
                 a = -four_ln2 * (1 + two_way) * (dtheta / ant.half_power_beamwidth(f)) ** 2
             return np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0)), a
@@ -169,48 +171,43 @@ class TestAntennaGain:
         # beams whose exponent steps across -746 at the 0.2 rad target
         hpbw = ant.half_power_beamwidth(np.full(401, 63e9))
         across = 0.2 - hpbw * np.sqrt(np.linspace(736.0, 756.0, 401) / (four_ln2 * (1 + two_way)))
-        _, exponent = reference(63e9, across, pos_at_azimuth(0.2), ChannelAxis.X_SCAN)
+        _, exponent = reference(0.2, 63e9, across)
         assert (exponent <= -746.0).any() and (exponent > -746.0).any()
         cases = [
-            (63e9, 0.3, pos_at_azimuth(0.31), ChannelAxis.X_SCAN),  # Python floats
-            (63e9, 0.1, (0.2, 0.1, 3.0), ChannelAxis.Y_SCAN),
-            (63e9, math.nan, pos_at_azimuth(0.3), ChannelAxis.X_SCAN),  # a NaN beam angle
-            (freqs, thetas, (0.1, -0.2, 3.0), ChannelAxis.X_SCAN),  # 1-D arrays
-            (freqs, 0.1, (0.1, -0.2, 3.0), ChannelAxis.X_SCAN),  # f alone an array
-            (freqs, np.where(np.arange(PLAN.n_points) % 5, thetas, math.nan), (0.1, -0.2, 3.0),
-             ChannelAxis.Y_SCAN),
-            (np.full(401, 63e9), across, pos_at_azimuth(0.2), ChannelAxis.X_SCAN),
-            *((freqs, thetas, rows, axis) for axis in ChannelAxis),  # echo's (N, 1, 3) by (M,)
+            (0.31, 63e9, 0.3),  # Python floats
+            (math.nan, 63e9, 0.3),  # a NaN target angle
+            (0.31, 63e9, math.nan),  # a NaN beam angle
+            (0.1, freqs, thetas),  # 1-D arrays
+            (0.1, freqs, 0.1),  # f alone an array
+            (-0.2, freqs, np.where(np.arange(PLAN.n_points) % 5, thetas, math.nan)),
+            (0.2, np.full(401, 63e9), across),
+            # echo's (N, 1) angles by (M,)
+            *((axis.target_angle(rows), freqs, thetas) for axis in ChannelAxis),
         ]
-        for f, beam, position, axis in cases:
-            expected, _ = reference(f, beam, position, axis)
-            got = ant.gain(f, beam, position, axis)
+        for angle, f, beam in cases:
+            expected, _ = reference(angle, f, beam)
+            got = ant.gain(angle, f, beam)
             assert np.shape(got) == np.shape(expected)
-            assert np.asarray(got, dtype=float).tobytes() == expected.tobytes()
-            assert np.isnan(got).any() == np.isnan(beam).any()  # NaN stays NaN, not 0
+            assert got.tobytes() == expected.tobytes()
+            # NaN stays NaN, not 0
+            assert np.isnan(got).any() == (np.isnan(angle).any() or np.isnan(beam).any())
         np.testing.assert_array_equal(thetas, MODEL.beam_angle(freqs))  # no input is written
 
-    def test_scalar_gain_is_a_float_even_where_it_underflows(self):
-        on_beam = ANT.gain(63e9, 0.3, pos_at_azimuth(0.3), ChannelAxis.X_SCAN)
-        far_off = ANT.gain(63e9, -1.0, pos_at_azimuth(1.0), ChannelAxis.X_SCAN)
-        assert type(on_beam) is float and type(far_off) is float
-        assert far_off == 0.0 and not math.copysign(1.0, far_off) < 0
-
     def test_nan_angle_gives_nan_gain(self):
-        assert math.isnan(ANT.gain(63e9, math.nan, pos_at_azimuth(0.3), ChannelAxis.X_SCAN))
+        assert math.isnan(ANT.gain(0.3, 63e9, math.nan))
 
 
 class TestSampleSynthesis:
     def test_zero_reflectivity(self):
-        assert synthesize_sample(60e9, (0, 0, 3), 0.0, 1.0) == 0.0 + 0.0j
+        assert oracle_sample(60e9, 0.0, (0, 0, 3), ChannelAxis.X_SCAN, 0.0, ANT) == 0.0
 
-    def test_zero_gain(self):
-        assert synthesize_sample(60e9, (0, 0, 3), 1.0 + 1.0j, 0.0) == 0.0 + 0.0j
+    def test_gain_far_off_the_beam_underflows_to_zero(self):
+        assert oracle_sample(60e9, 0.0, (3, 0, 0.1), ChannelAxis.X_SCAN, 1.0 + 1.0j, ANT) == 0.0
 
     def test_half_wavelength_round_trip_gives_pi_phase(self):
-        # R chosen so 4 pi f R / c == pi exactly
+        # R chosen so 4 pi f R / c == pi exactly, on the beam axis
         r = SPEED_OF_LIGHT / 2.4e11
-        s = synthesize_sample(60e9, (0.0, 0.0, r), 1.0, 1.0)
+        s = oracle_sample(60e9, 0.0, (0.0, 0.0, r), ChannelAxis.X_SCAN, 1.0, ANT)
         assert s.real == pytest.approx(-1.0, rel=1e-12)
         assert s.imag == pytest.approx(0.0, abs=1e-9)
 
@@ -219,33 +216,28 @@ class TestSampleSynthesis:
         for _ in range(50):
             f = rng.uniform(55e9, 70e9)
             p = rng.uniform(0.1, 5.0, 3)
-            p[2] = abs(p[2])
             alpha = rng.normal() + 1j * rng.normal()
-            g = rng.uniform(0.0, 1.0)
-            s = synthesize_sample(f, p, alpha, g)
+            s = oracle_sample(f, math.atan2(p[0], p[2]), p, ChannelAxis.X_SCAN, alpha, ANT)
             expected = (
                 np.angle(alpha) - 4 * math.pi * f * np.linalg.norm(p) / SPEED_OF_LIGHT
             )
-            if abs(s) > 0:
-                diff = (np.angle(s) - expected) % (2 * math.pi)
-                assert min(diff, 2 * math.pi - diff) < 1e-6
+            diff = (np.angle(s) - expected) % (2 * math.pi)
+            assert min(diff, 2 * math.pi - diff) < 1e-6
 
 
-class TestPhaseCurvature:
-    def test_pi_construction(self):
-        r = SPEED_OF_LIGHT / 2.4e11
-        assert phase_curvature(60e9, (0, 0, r)) == pytest.approx(math.pi, rel=1e-12)
+class TestEchoPhase:
+    # one sweep point at 60 GHz, where the beam is on the axis z
+    PLAN1 = FrequencyPlan(59e9, 61e9, 1)
+
+    def sample(self, r):
+        model = LinearSineDispersion.for_plan(self.PLAN1)
+        return complex(echo([(0.0, 0.0, r)], self.PLAN1, model, AntennaModel(0.012))[0, 0, 0])
+
+    def test_half_wavelength_round_trip_gives_pi_phase(self):
+        assert self.sample(SPEED_OF_LIGHT / 2.4e11) == pytest.approx(-1.0, abs=1e-12)
 
     def test_linear_in_range(self):
-        p1 = phase_curvature(60e9, (0, 0, 1.0))
-        p2 = phase_curvature(60e9, (0, 0, 2.0))
-        assert p2 == pytest.approx(2 * p1, rel=1e-12)
-
-    def test_not_wrapped(self):
-        assert phase_curvature(60e9, (0, 0, 3.0)) > 2 * math.pi
-
-    def test_zero_frequency_gives_zero_phase(self):
-        assert phase_curvature(0.0, (0, 0, 3.0)) == 0.0
+        assert self.sample(2.0) == pytest.approx(self.sample(1.0) ** 2, rel=1e-9)
 
 
 class TestSimulateMeasurement:
@@ -260,14 +252,12 @@ class TestSimulateMeasurement:
         freqs = frequency_grid(PLAN)
         thetas = MODEL.beam_angle(freqs)
         for i in range(PLAN.n_points):
-            gx = ANT.gain(freqs[i], thetas[i], target.position, ChannelAxis.X_SCAN)
-            gy = ANT.gain(freqs[i], thetas[i], target.position, ChannelAxis.Y_SCAN)
-            assert meas.s_x[i] == pytest.approx(
-                synthesize_sample(freqs[i], target.position, target.refl_x, gx), rel=1e-12
-            )
-            assert meas.s_y[i] == pytest.approx(
-                synthesize_sample(freqs[i], target.position, target.refl_y, gy), rel=1e-12
-            )
+            assert meas.s_x[i] == pytest.approx(oracle_sample(
+                freqs[i], thetas[i], target.position, ChannelAxis.X_SCAN, target.refl_x, ANT
+            ), rel=1e-12)
+            assert meas.s_y[i] == pytest.approx(oracle_sample(
+                freqs[i], thetas[i], target.position, ChannelAxis.Y_SCAN, target.refl_y, ANT
+            ), rel=1e-12)
 
     def test_superposition(self):
         t1 = Target((0.1, 0.0, 2.5))
@@ -420,8 +410,7 @@ class TestEcho:
         for got, reflectivities in ((echo(self.ORACLE_POSITIONS, plan, model, antenna), unit),
                                     (scenes, refl)):
             expected = np.array([
-                [[synthesize_sample(f, p, r, antenna.gain(f, theta, p, axis))
-                  for f, theta in zip(freqs, thetas)]
+                [[oracle_sample(f, theta, p, axis, r, antenna) for f, theta in zip(freqs, thetas)]
                  for axis, r in zip(ChannelAxis, rs)]
                 for p, rs in zip(self.ORACLE_POSITIONS, reflectivities)
             ])
@@ -490,7 +479,7 @@ class TestEchoPerDistinctKey:
         positions = KERNEL_BATCHES[batch]
         distinct = lambda keys: len(np.unique(keys.view(np.uint64)))
         carrier = rows_evaluated(monkeypatch, synth, "_carrier", 0)
-        gain = rows_evaluated(monkeypatch, AntennaModel, "_angle_gain", 1)
+        gain = rows_evaluated(monkeypatch, AntennaModel, "gain", 1)
         echo(positions, PLAN, MODEL, ANT)
         assert carrier == [distinct(range_of(positions))]
         assert gain == [distinct(axis.target_angle(positions)) for axis in ChannelAxis]
