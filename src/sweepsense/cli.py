@@ -14,6 +14,7 @@ internal math is radians.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -649,5 +650,17 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry of ``python -m sweepsense.cli`` and the ``sweepsense`` script.
+
+    ``gc.freeze()`` moves the objects the imports made, mostly numpy's, to the collector's
+    permanent generation: neither the run's collections nor those at interpreter exit
+    walk them, and the OS reclaims the cycles among them. ``main``, the in-process API,
+    does not freeze: each call would keep its reference cycles alive for good.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -10,6 +10,7 @@ displaced from a reference point.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import math
@@ -19,6 +20,7 @@ import numpy as np
 from sweepsense.core import (
     DegenerateMeasurementError,
     FrequencyPlan,
+    GeometryError,
     HeaderError,
     Measurement,
     Record,
@@ -102,6 +104,25 @@ def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     return x
 
 
+def _nearest_zero(lo: float, hi: float, n: int) -> float:
+    """The sample of np.linspace(lo, hi, n) nearest 0, found without building the axis.
+
+    numpy computes sample k < n - 1 as k * step + lo, with step = (hi - lo) / (n - 1), or
+    as k / (n - 1) * (hi - lo) + lo where that step underflows to 0, and sets the last to
+    hi. Those are nondecreasing in k, so a bisection finds the first that is >= 0.
+    """
+    if n == 1:
+        return lo
+    div = float(n - 1)
+    step = (hi - lo) / div
+
+    def sample(k: int) -> float:
+        return float(k) * step + lo if step else float(k) / div * (hi - lo) + lo
+
+    first = bisect.bisect_left(range(n - 1), 0.0, key=sample)  # n - 1 if every one is < 0
+    return min([sample(k) for k in (first - 1, first) if 0 <= k < n - 1] + [hi], key=abs)
+
+
 class PositionGrid(Record):
     """Axis-aligned candidate-position box, enumerated x-fastest then y then z."""
 
@@ -122,6 +143,13 @@ class PositionGrid(Record):
         if self.z_range[0] <= 0.0:
             raise ValueError("z range must be strictly positive (forward half-space)")
         range_of([max(map(abs, r)) for r in ranges])  # GeometryError unless finite at any corner
+        counts = (self.nx, self.ny, self.nz)
+        near = tuple(_nearest_zero(lo, hi, n) for (lo, hi), n in zip(ranges, counts))
+        try:
+            range_of(near)
+        except GeometryError:
+            raise GeometryError(f"the grid point nearest the origin, {near}, has a range "
+                                "that underflows to 0") from None
 
     @property
     def size(self) -> int:

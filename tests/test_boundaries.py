@@ -111,13 +111,32 @@ def run_cleanly(capsys, argv, out, run: str) -> int:
     return rc
 
 
-def run_every_verb(tmp_path, capsys, settings: dict) -> None:
-    """Run each of RUNS on BASE with ``settings`` under the table's invariants."""
+def verb_runs(tmp_path, settings: dict):
+    """(name, argv, --out path) of each of RUNS on BASE with ``settings``."""
     config = configured(tmp_path, BASE, settings)
     outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
     for name, command in RUNS:
         argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]
-        run_cleanly(capsys, argv, outs[name], f"{name}: {settings!r}")
+        yield name, argv, outs[name]
+
+
+def run_every_verb(tmp_path, capsys, settings: dict) -> list[int]:
+    """Run each of RUNS on BASE with ``settings`` under the table's invariants; return
+    their exit codes."""
+    return [run_cleanly(capsys, argv, out, f"{name}: {settings!r}")
+            for name, argv, out in verb_runs(tmp_path, settings)]
+
+
+def every_verb_exits_2(tmp_path, capsys, settings: dict, error: str) -> None:
+    """Run each of RUNS on BASE with ``settings``: each exits 2 with the one stderr line
+    ``error: {error}``, writes no --out file and raises no warning."""
+    for name, argv, out in verb_runs(tmp_path, settings):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2, name
+        assert [str(w.message) for w in caught] == [], name
+        assert capsys.readouterr() == ("", f"error: {error}\n"), name
+        assert not out.exists(), name
 
 
 @pytest.mark.parametrize("key, value", ROWS)
@@ -234,18 +253,29 @@ def test_a_physical_fov_whose_radians_underflow_exits_2_naming_the_cell_volume(
 def test_a_beamwidth_that_is_not_a_normal_double_exits_2_naming_both_keys(
     tmp_path, capsys, f_max_hz, length_m, width
 ):
-    config = configured(tmp_path, BASE, {"plan.f_max_hz": f_max_hz, "antenna.length_m": length_m})
-    outs = {name: tmp_path / f"{name}.out" for name, _ in RUNS}
-    for name, command in RUNS:
-        argv = [*command.format(**outs).split(), "--config", str(config), "--out", str(outs[name])]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(argv) == 2, name
-        stdout, stderr = capsys.readouterr()
-        assert [str(w.message) for w in caught] == [], name
-        assert stdout == "", name
-        assert stderr == (
-            f"error: antenna: plan.f_max_hz = {f_max_hz!r} and antenna.length_m = {length_m!r} "
-            f"give a narrowest beamwidth c/(f_max L) of {width} rad, which is not a normal "
-            "double\n"), name
-        assert not outs[name].exists(), name
+    every_verb_exits_2(
+        tmp_path, capsys, {"plan.f_max_hz": f_max_hz, "antenna.length_m": length_m},
+        f"antenna: plan.f_max_hz = {f_max_hz!r} and antenna.length_m = {length_m!r} give a "
+        f"narrowest beamwidth c/(f_max L) of {width} rad, which is not a normal double")
+
+
+@pytest.mark.parametrize("settings, point", [
+    ({"grid.z_min_m": 1e-200}, "(0.0, 0.0, 1e-200)"),
+    ({"grid.z_min_m": 5e-324}, "(0.0, 0.0, 5e-324)"),
+    # x's samples miss 0, but by so little that x^2 underflows too
+    ({"grid.x_min_m": -1e-200, "grid.x_max_m": 2e-200, "grid.nx": 2, "grid.z_min_m": 1e-200},
+     "(-1e-200, 0.0, 1e-200)"),
+    ({"grid.x_min_m": -3e-200, "grid.x_max_m": 1e-200, "grid.nx": 3, "grid.z_min_m": 1e-200},
+     "(-1e-200, 0.0, 1e-200)"),
+], ids=["z-1e-200", "z-5e-324", "x-two-samples", "x-three-samples"])
+def test_a_grid_point_whose_range_underflows_exits_2_naming_it(tmp_path, capsys, settings,
+                                                                point):
+    # x^2 + y^2 + z^2 is 0 at that point, so the dictionary could not be built
+    every_verb_exits_2(tmp_path, capsys, settings, f"grid: the grid point nearest the origin, "
+                                                   f"{point}, has a range that underflows to 0")
+
+
+def test_a_grid_whose_samples_miss_the_origin_keeps_working(tmp_path, capsys):
+    # x is -1 or 1, so each grid point's range is about 1 or more
+    settings = {"grid.x_min_m": -1.0, "grid.x_max_m": 1.0, "grid.nx": 2, "grid.z_min_m": 1e-200}
+    assert run_every_verb(tmp_path, capsys, settings) == [0] * len(RUNS)

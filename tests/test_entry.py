@@ -1,0 +1,108 @@
+"""The process entry ``cli.entry``, which ``python -m sweepsense.cli`` and the
+``sweepsense`` script run: a verb run as a child through it writes the same ``--out``
+bytes, stdout and stderr, and exits with the same code, as ``cli.main`` in process. The
+entry freezes the import-time heap (``gc.freeze``); ``cli.main`` freezes nothing."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sweepsense import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+# M = 8, a 3^3 grid around the one target, which is off the grid; one architecture
+CONFIG = {
+    "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 8},
+    "dispersion": {"kind": "linear_sine", "theta_max_deg": 60.0},
+    "antenna": {"length_m": 0.012, "two_way": True},
+    "scene": {"targets": [{"x_m": 0.1, "y_m": -0.05, "z_m": 2.9}], "snr_db": 10.0,
+              "seed": 7},
+    "grid": {"x_min_m": -0.25, "x_max_m": 0.25, "nx": 3, "y_min_m": -0.25, "y_max_m": 0.25,
+             "ny": 3, "z_min_m": 2.75, "z_max_m": 3.25, "nz": 3},
+    "architectures": [{"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12,
+                       "bandwidth_hz": 6e9, "n_samples": 128, "aperture_kind": "virtual",
+                       "f_ref_hz": 63e9, "power_mw": 850.0, "cost_usd": 55.0,
+                       "fov_deg": 60.0, "eta_reference": 926.0}],
+}
+
+# name, exit code, then the verb and its flags other than --config and --out; the paths
+# are relative to a directory that holds config.json, meas.csv, dict.csv and zero.csv
+RUNS = [
+    ("simulate", 0, "simulate --seed 3"),
+    ("dict", 0, "dict"),
+    ("localize", 0, "localize --measurement meas.csv --dict dict.csv"),
+    ("probe", 0, "probe --span 1.0 --steps 11 --axis range"),
+    ("compare", 0, "compare"),
+    ("sweep", 0, "sweep --snr noiseless,0,10 --trials 5"),
+    ("bad-flag", 2, "sweep --snr 10 --trials 0"),
+    ("zero-norm", 3, "localize --measurement zero.csv"),
+]
+
+
+def inputs(work: Path) -> Path:
+    """``work`` holding the config, a measurement, a dictionary and a measurement whose
+    channels are all zero."""
+    work.mkdir()
+    (work / "config.json").write_text(json.dumps(CONFIG))
+    for verb, out in (("simulate", "meas.csv"), ("dict", "dict.csv")):
+        assert cli.main([verb, "--config", str(work / "config.json"), "--out",
+                         str(work / out)]) == 0
+    header, *rows = (work / "meas.csv").read_text().splitlines()
+    zero = [",".join(row.split(",")[:3] + ["0.000000000e+00"] * 4) for row in rows]
+    (work / "zero.csv").write_text("\n".join([header, *zero]) + "\n")
+    return work
+
+
+@pytest.mark.parametrize("name, code, command", RUNS, ids=[name for name, _, _ in RUNS])
+def test_a_child_through_the_entry_matches_main_in_process(
+    tmp_path, monkeypatch, capsysbinary, name, code, command
+):
+    argv = [*command.split(), "--config", "config.json", "--out", "out"]
+    child_dir, main_dir = inputs(tmp_path / "child"), inputs(tmp_path / "main")
+    capsysbinary.readouterr()
+    child = subprocess.run([sys.executable, "-m", "sweepsense.cli", *argv], cwd=child_dir,
+                           env=ENV, capture_output=True)
+    monkeypatch.chdir(main_dir)
+    rc = cli.main(argv)
+    stdout, stderr = capsysbinary.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (rc, stdout, stderr)
+    assert rc == code, stderr
+    outs = [(d / "out").read_bytes() if (d / "out").exists() else None
+            for d in (child_dir, main_dir)]
+    assert outs[0] == outs[1]
+    assert (outs[0] is None) == bool(code)
+
+
+FROZEN = """
+import atexit, gc, sys
+from sweepsense import cli
+
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+sys.argv = ["sweepsense", "compare", "--config", sys.argv[1]]
+cli.entry()
+"""
+
+
+def test_the_entry_freezes_the_import_time_heap(tmp_path):
+    # numpy's import alone leaves about 20k objects the collector tracks
+    work = inputs(tmp_path / "work")
+    run = subprocess.run([sys.executable, "-c", FROZEN, str(work / "config.json")],
+                         env=ENV, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    label, count = run.stderr.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 10_000
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    work = inputs(tmp_path / "work")
+    before = gc.get_freeze_count()
+    for verb in ("compare", "sweep --snr 10 --trials 2"):
+        assert cli.main([*verb.split(), "--config", str(work / "config.json")]) == 0
+    assert gc.get_freeze_count() == before

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sweepsense.core import (
     DegenerateMeasurementError,
     FrequencyPlan,
+    GeometryError,
     Measurement,
     Scene,
     Target,
@@ -27,6 +28,7 @@ from sweepsense.fingerprint import (
     _csv_header,
     _displace,
     _fingerprint_rows,
+    _nearest_zero,
     _scores,
     ambiguity_probe,
     build_dictionary,
@@ -262,6 +264,33 @@ class TestPositionGrid:
         ranges[axis] = bounds
         with pytest.raises(ValueError, match=f"^{'xyz'[axis]}_range must satisfy lo <= hi"):
             PositionGrid(*ranges, nx=2, ny=2, nz=2)
+
+    @given(st.floats(-1e154, 1e154), st.floats(-1e154, 1e154), st.integers(1, 2000))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_sample_to_zero_is_a_linspace_sample_of_least_magnitude(self, a, b, n):
+        lo, hi = sorted((a, b))
+        axis = np.linspace(lo, hi, n)
+        nearest = _nearest_zero(lo, hi, n)
+        assert abs(nearest) == np.abs(axis).min() and nearest in axis
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-1.0, 1.0, 3), (-1.0, 1.0, 2), (-3e-200, 1e-200, 3), (2.0, 3.0, 5), (-3.0, -2.0, 5),
+        (-5e-324, 5e-324, 3), (-1e-323, 5e-324, 4), (0.0, 1e-300, 10**6), (-1.0, 1.0, 1),
+        # the step (hi - lo) / (n - 1) underflows to 0, and numpy scales k / (n - 1) instead
+        (-5e-324, 5e-324, 5), (-1e-323, 5e-324, 7), (-5e-324, 1.5e-323, 1001),
+    ])
+    def test_nearest_sample_to_zero_at_edges(self, lo, hi, n):
+        axis = np.linspace(lo, hi, n)
+        assert _nearest_zero(lo, hi, n) == axis[np.argmin(np.abs(axis))]
+
+    def test_rejects_a_point_whose_range_underflows_on_an_axis_too_large_to_build(self):
+        # 2**60 + 1 samples of [-1, 1] hold 0; numpy could not size the axis
+        with pytest.raises(GeometryError, match=r"nearest the origin, \(0\.0, 0\.0, 1e-200\)"):
+            PositionGrid((-1.0, 1.0), (0.0, 0.0), (1e-200, 1.0), nx=2**60 + 1, ny=1, nz=1)
+
+    def test_a_point_near_the_origin_whose_range_is_a_double_is_kept(self):
+        grid = PositionGrid((-1.0, 1.0), (0.0, 0.0), (1e-200, 1.0), nx=2, ny=1, nz=2)
+        assert grid.points()[0].tolist() == [-1.0, 0.0, 1e-200]
 
 
 class TestDictionary:

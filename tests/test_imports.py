@@ -6,7 +6,8 @@ the acceptance suite, every public method or property of a class is named as an 
 outside itself in the package or the acceptance suite, every error class of the package is
 caught by its name somewhere in it or imported by the acceptance suite, the README's
 library layout lists every module, the package module itself exports nothing,
-no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the CSV
+no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the ``sweepsense``
+script and ``python -m sweepsense.cli`` launch one function of the CLI, the CSV
 printer's tables are built only by a verb that prints a table, and OpenSSL is
 loaded only by a verb that keys noise."""
 
@@ -346,6 +347,50 @@ def test_only_main_writes_a_verbs_output():
 ])
 def test_write_guard_finds_a_planted_write(source, found):
     assert writes_outside_main(source) == found
+
+
+def launcher_faults(pyproject: str, source: str) -> list[str]:
+    """How the ``sweepsense`` script of ``pyproject`` and the ``__main__`` block of
+    ``source`` (the CLI's) fail to launch one function: [] when the script is
+    'sweepsense.cli:<name>', ``<name>`` is a function of ``source``, and its one
+    ``__main__`` block is the one call ``<name>()``."""
+    import tomllib  # Python 3.11 and later; the rest of this module runs on 3.10
+
+    script = tomllib.loads(pyproject)["project"]["scripts"]["sweepsense"]
+    module, _, name = script.partition(":")
+    tree = ast.parse(source)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    if module != "sweepsense.cli" or name not in functions:
+        return [f"script {script!r} is not sweepsense.cli:<a function of the CLI>"]
+    blocks = [list(map(ast.unparse, node.body)) for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    want = [[f"{name}()"]]
+    return [] if blocks == want else [f"__main__ blocks {blocks} are not {want}"]
+
+
+def test_both_launchers_call_one_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert launcher_faults(pyproject, (ROOT / "src" / "sweepsense" / "cli.py").read_text()) == []
+
+
+SCRIPT = '[project.scripts]\nsweepsense = "sweepsense.cli:{}"\n'
+MAIN_BLOCK = "if __name__ == '__main__':\n    "
+
+
+@pytest.mark.parametrize("script, source, faults", [
+    ("entry", f"def entry(): pass\n{MAIN_BLOCK}entry()\n", []),
+    ("main", f"def main(): pass\ndef entry(): pass\n{MAIN_BLOCK}entry()\n",
+     ["__main__ blocks [['entry()']] are not [['main()']]"]),
+    ("entry", f"def main(): pass\ndef entry(): pass\n{MAIN_BLOCK}sys.exit(main())\n",
+     ["__main__ blocks [['sys.exit(main())']] are not [['entry()']]"]),
+    ("entry", "def entry(): pass\n", ["__main__ blocks [] are not [['entry()']]"]),
+    ("entry", f"def entry(): pass\n{MAIN_BLOCK}entry()\n{MAIN_BLOCK}entry()\n",
+     ["__main__ blocks [['entry()'], ['entry()']] are not [['entry()']]"]),
+    ("start", f"def entry(): pass\n{MAIN_BLOCK}start()\n",
+     ["script 'sweepsense.cli:start' is not sweepsense.cli:<a function of the CLI>"]),
+])
+def test_launcher_guard_finds_a_planted_launcher(script, source, faults):
+    assert launcher_faults(SCRIPT.format(script), source) == faults
 
 
 ARCHITECTURE = {"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12,
