@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -47,8 +48,6 @@ from sweepsense.dispersion import (
     LookupTableDispersion,
 )
 from sweepsense.fingerprint import (
-    CHUNK_ROWS,
-    SCORE_CELLS,
     Dictionary,
     PositionGrid,
     ambiguity_probe,
@@ -208,7 +207,7 @@ def parse_dispersion(sec, plan: FrequencyPlan, config_path) -> DispersionModel:
     raise ConfigError(f"dispersion: unknown kind {kind!r}")
 
 
-def parse_antenna(sec, plan: FrequencyPlan | None = None) -> AntennaModel:
+def parse_antenna(sec, plan: FrequencyPlan | None) -> AntennaModel:
     """The antenna; with a ``plan``, its narrowest beamwidth c/(f_max L) must be a normal double."""
     kinds = {"length_m": float, "two_way": bool}
     v = _read("antenna", sec, kinds, optional=kinds)
@@ -239,7 +238,7 @@ def _parse_target(i: int, sec) -> Target:
     return _build(name, Target, (v["x_m"], v["y_m"], v["z_m"]), refl_x, refl_y)
 
 
-def parse_scene(sec, seed_override: int | None = None) -> Scene:
+def parse_scene(sec, seed_override: int | None) -> Scene:
     noiseless = isinstance(sec, dict) and sec.get("snr_db") == "noiseless"
     v = _read("scene", sec, {"targets": list, "snr_db": str if noiseless else float, "seed": int})
     targets = tuple(_parse_target(i, t) for i, t in enumerate(v["targets"]))
@@ -248,7 +247,7 @@ def parse_scene(sec, seed_override: int | None = None) -> Scene:
     return Scene(targets=targets, noise=noise)
 
 
-def parse_grid(sec, plan: FrequencyPlan | None = None) -> PositionGrid:
+def parse_grid(sec, plan: FrequencyPlan | None) -> PositionGrid:
     """The grid; with a ``plan``, numpy must be able to size its (nx*ny*nz, 2*n_points)
     complex dictionary entries."""
     ranges = {f"{a}_{end}_m": float for a in "xyz" for end in ("min", "max")}
@@ -339,9 +338,10 @@ class SweepPoint(Record):
     rmse: float
     errors: tuple[float, ...]
 
-    @property
-    def label(self) -> str:
-        return "noiseless" if self.snr_db is None else FLOAT_FMT % self.snr_db
+
+# Trials normalized and scored together. The last bits of a score depend on this width, so
+# the sweep CSV's bytes do; fingerprint.CHUNK_ROWS, the rows a score call takes, changes none.
+SWEEP_BATCH = 64
 
 
 def run_sweep(
@@ -359,12 +359,12 @@ def run_sweep(
     Trial k of SNR point i is the clean scene plus the noise keyed by
     derive_seeds(scene seed, [(i, k)]), so its measurement never depends on trial
     count, ordering, or workers. Trials are normalized in batches of
-    SCORE_CELLS // CHUNK_ROWS (64), held until they reach the grid's row
-    count (the size of its entries), then scored in one pass over the
-    dictionary. The last bits of a score depend on the batch width, so a
-    trial gets the grid index that localizing it on its own gives except at
-    a score tie within rounding (about 2e-16). With noise sigma 0 every trial
-    is the clean scene, scored once. Each error, and the RMSE, is taken with
+    SWEEP_BATCH (64), held until they reach the grid's row count (the size
+    of its entries), then scored in one pass over the dictionary. The last
+    bits of a score depend on the batch width, so a trial gets the grid
+    index that localizing it on its own gives except at a score tie within
+    rounding (about 2e-16). With noise sigma 0 every trial is the clean
+    scene, scored once. Each error, and the RMSE, is taken with
     hypot, which squares nothing and so cannot overflow. The first
     configured target is the ground truth, so a scene without one raises
     ConfigError; every SNR must be finite, or None for noiseless.
@@ -378,12 +378,11 @@ def run_sweep(
     clean = scene_echo(scene.targets, plan, model, antenna)
     sigmas = [noise_sigma(clean, snr) for snr in snrs]
     dictionary = Dictionary(grid, plan, model, antenna)
-    batch = SCORE_CELLS // CHUNK_ROWS
     indices = [np.empty(trials if sigma else 1, dtype=np.intp) for sigma in sigmas]
     blocks, outs = [], []  # the held trial batches, and the indices each one fills
     for snr_idx, sigma in enumerate(sigmas):
-        for start in range(0, len(indices[snr_idx]), batch):
-            stop = min(start + batch, len(indices[snr_idx]))
+        for start in range(0, len(indices[snr_idx]), SWEEP_BATCH):
+            stop = min(start + SWEEP_BATCH, len(indices[snr_idx]))
             # noise with sigma 0 reads no seed, so none is keyed and OpenSSL stays unloaded
             seeds = (derive_seeds(scene.noise.seed, ((snr_idx, t) for t in range(start, stop)))
                      if sigma else [None])
@@ -411,7 +410,8 @@ def run_sweep(
 def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
     lines = ["snr_db,rmse_m,trials"]
     for p in points:
-        lines.append(f"{p.label},{FLOAT_FMT % p.rmse},{trials}")
+        label = "noiseless" if p.snr_db is None else FLOAT_FMT % p.snr_db
+        lines.append(f"{label},{FLOAT_FMT % p.rmse},{trials}")
     return "\n".join(lines) + "\n"
 
 
@@ -477,7 +477,7 @@ def cmd_probe(args) -> tuple:
         curve = ambiguity_probe(args.p0, axis, offsets, plan, model, antenna)
     except GeometryError as exc:
         raise ConfigError(f"probe geometry: {exc}") from None
-    file_offsets = np.degrees(curve.offsets) if angular else curve.offsets
+    file_offsets = np.degrees(offsets) if angular else offsets
     csv = table_text("offset,similarity", [(file_offsets, curve.similarities)])
     summary = {
         "axis": axis_text,
@@ -530,6 +530,10 @@ def _flag(reason: str, parse, accept=lambda value: True):
 
 
 _POSITIVE = _flag("must be a finite number > 0", float, lambda x: 0 < x < math.inf)
+# checked as the flags are parsed, so a path with no directory to write in fails before the run
+_OUT = _flag("must be '-' or a file path in a directory that exists", str,
+             lambda p: p == "-" or p != "" and not os.path.isdir(p)
+             and os.path.isdir(os.path.dirname(p) or "."))
 
 
 def _vector(text: str) -> tuple[float, float, float] | None:
@@ -565,9 +569,17 @@ def _snrs(text: str) -> list[float | None]:
     return snrs
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse error as ArgumentError for main: exit_on_error=False does so only
+    for a rejected flag value, not an unknown argument or a missing verb or flag."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # With exit_on_error=False a rejected flag value raises ArgumentError for main.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sweepsense",
         description="Frequency-scanned virtual-aperture near-field sensing simulator",
         exit_on_error=False,
@@ -578,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Register ``name`` running ``func``, with --config, --out and, if asked, --seed."""
         p = sub.add_parser(name, help=help, exit_on_error=False)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=out_default, help="output path ('-' = stdout)")
+        p.add_argument("--out", default=out_default, type=_OUT, help="output path ('-' = stdout)")
         if seed:
             seed_type = _flag("must be an integer in [0, 2**64)", int, lambda n: 0 <= n < 2**64)
             p.add_argument("--seed", type=seed_type, help="override the scene seed")
@@ -639,7 +651,8 @@ def main(argv=None) -> int:
             (sys.stderr if args.out == "-" else sys.stdout).write(side)
         return 0
     except argparse.ArgumentError as exc:
-        print(f"error: {exc.argument_name}: {exc.message}", file=sys.stderr)
+        flag = f"{exc.argument_name}: " if exc.argument_name else ""
+        print(f"error: {flag}{exc.message}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

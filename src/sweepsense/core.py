@@ -110,14 +110,9 @@ class FrequencyPlan(Record):
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
     @property
-    def bandwidth(self) -> float:
-        """Total swept bandwidth f_max - f_min in Hz."""
-        return self.f_max - self.f_min
-
-    @property
     def step(self) -> float:
         """Per-chirp bandwidth (band / n_points) in Hz."""
-        return self.bandwidth / self.n_points
+        return (self.f_max - self.f_min) / self.n_points
 
 
 def frequency_grid(plan: FrequencyPlan) -> np.ndarray:
@@ -211,14 +206,11 @@ class NoiseConfig(Record):
         object.__setattr__(self, "seed", int(self.seed))
 
 
-_DEFAULT_NOISE = NoiseConfig()
-
-
 class Scene(Record):
     """Collection of point targets plus a noise configuration."""
 
     targets: tuple[Target, ...] = ()
-    noise: NoiseConfig = _DEFAULT_NOISE
+    noise: NoiseConfig = NoiseConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -307,8 +299,8 @@ def table_text(header: str, tables, n_int: int = 0):
     of each of ``tables`` in turn, one block of rows at a time, each formatted
     when asked for.
 
-    A table is a 2-D array, or a sequence of column groups (1-D or 2-D arrays
-    of equal row counts) that are joined a block of rows at a time.
+    A table is a sequence of column groups (1-D or 2-D arrays of equal row
+    counts) that are joined a block of rows at a time.
     ``tables`` may be a generator: the next table is drawn once the lines of
     the one before are printed, and that one is no longer held. The first
     ``n_int`` columns print as ``"%d" % x``, the rest as ``FLOAT_FMT % x``,
@@ -321,8 +313,7 @@ def table_text(header: str, tables, n_int: int = 0):
 
 def _table_blocks(table, n_int: int):
     """The lines of one table of table_text, a block of rows at a time."""
-    groups = [g[:, None] if g.ndim == 1 else g
-              for g in map(np.asarray, (table,) if isinstance(table, np.ndarray) else table)]
+    groups = [g[:, None] if g.ndim == 1 else g for g in map(np.asarray, table)]
     if len({len(g) for g in groups}) > 1:
         raise ValueError("column groups differ in row count")
     k = max(1, _WRITE_CELLS // sum(g.shape[1] for g in groups))  # rows per block
@@ -455,18 +446,15 @@ def open_bytes(path):
         yield raw if raw.seekable() else io.BytesIO(raw.read())
 
 
-def read_table(path, header: str, fh=None) -> np.ndarray:
+def read_table(path, header: str, fh) -> np.ndarray:
     """Float body, shape (rows, fields), of a UTF-8 CSV file whose line 1 is ``header``.
 
     Another line 1, its fields space-stripped, raises HeaderError. Empty lines
     are skipped. A line that is not UTF-8 text, a row whose field count
     differs from the header's, a cell that is not a finite number, or a file
     without rows raises ValueError naming the path and the line of the file.
-    ``fh`` is ``path`` as open_bytes gives it; without it ``path`` is opened.
+    ``fh`` is ``path`` as open_bytes gives it.
     """
-    if fh is None:
-        with open_bytes(path) as fh:
-            return read_table(path, header, fh)
     fh.seek(0)
     text = io.TextIOWrapper(fh, encoding="utf-8")  # lines as open(path) in text mode reads them
     with warnings.catch_warnings():
@@ -506,7 +494,7 @@ def first_off_cell(cells: np.ndarray, expected: np.ndarray) -> tuple[int, int] |
     return None
 
 
-def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh=None) -> None:
+def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh) -> None:
     """Raise ValueError naming the row count or the first line of ``body`` whose
     leading cells ``names`` hold a first_off_cell of ``expected``; ``fh`` as in read_table."""
     if len(body) != len(expected):
@@ -520,27 +508,26 @@ def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh=None
         raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}", fh)
 
 
-def line_error(path, row: int, message: str, fh=None) -> ValueError:
+def line_error(path, row: int, message: str, fh) -> ValueError:
     """ValueError naming the line of the file that holds body row ``row``;
     ``fh`` as in read_table."""
     lineno, _ = next(itertools.islice(_body_lines(path, fh), row, None))
     return ValueError(f"{path}: line {lineno}: {message}")
 
 
-def _body_lines(path, fh=None):
-    """(line number, text) of each non-empty line after the header, split as text mode
-    splits them; a line that is not UTF-8 text, the header too, raises ValueError naming it."""
-    with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
-        fh.seek(0)
-        raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
-        for lineno, raw in enumerate(raw_lines, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
-                raise ValueError(f"{path}: line {lineno}: {message}") from None
-            if lineno > 1 and text:
-                yield lineno, text
+def _body_lines(path, fh):
+    """(line number, text) of each non-empty line of ``fh`` after the header, split as text
+    mode splits them; a line that is not UTF-8 text, the header too, raises ValueError naming it."""
+    fh.seek(0)
+    raw_lines = itertools.chain.from_iterable(raw.splitlines() for raw in fh)
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at column {exc.start + 1}"
+            raise ValueError(f"{path}: line {lineno}: {message}") from None
+        if lineno > 1 and text:
+            yield lineno, text
 
 
 def _first_bad_line(path, n_fields: int, fh) -> ValueError:

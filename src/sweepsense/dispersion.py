@@ -52,14 +52,10 @@ class LinearSineDispersion(Record):
             theta_min = -theta_max
         return cls(plan.f_min, plan.f_max, theta_min, theta_max)
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return (self.f_min, self.f_max)
-
     def beam_angle(self, f):
         """Pointing angle (rad) at frequency f; accepts scalars or arrays."""
         f = np.asarray(f, dtype=float)
-        _check_band(f, self.band)
+        _check_band(f, self.f_min, self.f_max)
         frac = (f - self.f_min) / (self.f_max - self.f_min)
         s_lo, s_hi = math.sin(self.theta_min), math.sin(self.theta_max)
         theta = np.arcsin(s_lo + (s_hi - s_lo) * frac)
@@ -95,14 +91,10 @@ class LookupTableDispersion(Record):
                 raise line_error(path, *fault, fh)
         return cls(body[:, 0], angles)
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return (float(self.frequencies[0]), float(self.frequencies[-1]))
-
     def beam_angle(self, f):
         """Interpolated pointing angle (rad) at frequency f."""
         f = np.asarray(f, dtype=float)
-        _check_band(f, self.band)
+        _check_band(f, float(self.frequencies[0]), float(self.frequencies[-1]))
         theta = np.interp(f, self.frequencies, self.angles)
         return float(theta) if theta.ndim == 0 else theta
 
@@ -126,7 +118,6 @@ def _table_fault(freqs: np.ndarray, angs: np.ndarray,
     return (row, broken[0]) if broken else None
 
 
-def _check_band(f: np.ndarray, band: tuple[float, float]) -> None:
-    lo, hi = band
+def _check_band(f: np.ndarray, lo: float, hi: float) -> None:
     if np.any(f < lo) or np.any(f > hi):
         raise ValueError(f"frequency outside calibrated band [{lo:.6g}, {hi:.6g}] Hz")

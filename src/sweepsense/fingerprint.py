@@ -38,7 +38,6 @@ from sweepsense.synth import AntennaModel, echo, phase_fault
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
 CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds temporaries
-SCORE_CELLS = 2**14  # entry x trial scores per sweep call: bounds its temporaries
 
 
 class Fingerprint(Record, hidden=("vector",)):
@@ -155,26 +154,24 @@ class PositionGrid(Record):
     def size(self) -> int:
         return self.nx * self.ny * self.nz
 
-    def axis_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.x_range[0], self.x_range[1], self.nx),
-            np.linspace(self.y_range[0], self.y_range[1], self.ny),
-            np.linspace(self.z_range[0], self.z_range[1], self.nz),
-        )
-
     def indices(self) -> np.ndarray:
         """Integer (ix, iy, iz) triples, shape (size, 3), x index varying fastest."""
         return np.column_stack(np.indices((self.nz, self.ny, self.nx)).reshape(3, -1)[::-1])
 
     def points(self) -> np.ndarray:
         """All grid positions, shape (size, 3), in the order of indices()."""
-        return np.column_stack([axis[i] for axis, i in zip(self.axis_points(), self.indices().T)])
+        axes = (
+            np.linspace(self.x_range[0], self.x_range[1], self.nx),
+            np.linspace(self.y_range[0], self.y_range[1], self.ny),
+            np.linspace(self.z_range[0], self.z_range[1], self.nz),
+        )
+        return np.column_stack([axis[i] for axis, i in zip(axes, self.indices().T)])
 
 
 class Dictionary(Record):
     """Noiseless unit-reflectivity fingerprints of a grid's positions, one row per grid
     index. Each pass over chunks() builds the rows CHUNK_ROWS at a time; ``entries``
-    builds all of them on first use and keeps them, and later passes slice them."""
+    builds all of them on first use and keeps them."""
 
     grid: PositionGrid
     plan: FrequencyPlan
@@ -203,9 +200,6 @@ class Dictionary(Record):
 
     def chunks(self):
         """Yield (start, rows): the fingerprints of the grid, CHUNK_ROWS at a time."""
-        if "entries" in vars(self):  # built already
-            return ((start, self.entries[start : start + CHUNK_ROWS])
-                    for start in range(0, self.size, CHUNK_ROWS))
         positions = self.grid.points()
         return _fingerprint_rows(
             positions, self.plan, self.model, self.antenna,
@@ -318,14 +312,13 @@ def localize(meas: Measurement, dictionary) -> LocalizationResult:
 def _displace(p0: np.ndarray, axis, deltas: np.ndarray) -> np.ndarray:
     """Positions p0 displaced by each of ``deltas`` along ``axis``, shape (K, 3)."""
     if isinstance(axis, str):
-        kind = axis.lower()
         x, y, z = p0
-        if kind == "range":
+        if axis == "range":
             return p0 * (1.0 + deltas / range_of(p0))[:, None]
         c, s = np.cos(deltas), np.sin(deltas)
-        if kind == "azimuth":  # rotate in the x-z plane, range preserved
+        if axis == "azimuth":  # rotate in the x-z plane, range preserved
             return np.column_stack([x * c + z * s, np.full_like(c, y), -x * s + z * c])
-        if kind == "elevation":  # rotate in the y-z plane
+        if axis == "elevation":  # rotate in the y-z plane
             return np.column_stack([np.full_like(c, x), y * c + z * s, -y * s + z * c])
         raise ValueError(f"unknown probe axis {axis!r}")
     direction = np.asarray(axis, dtype=float)
@@ -354,8 +347,6 @@ def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
     definition and anchors each branch. Returns None if no crossing occurs
     within the sampled span.
     """
-    offsets = np.asarray(offsets, dtype=float)
-    values = np.asarray(values, dtype=float)
     crossings = []
     for sign in (1.0, -1.0):
         mask = (offsets * sign) > 0.0
@@ -374,9 +365,8 @@ def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
 
 
 class AmbiguityCurve(Record):
-    offsets: np.ndarray
-    similarities: np.ndarray
-    width: float | None  # half-power width, same unit as offsets
+    similarities: np.ndarray  # one per offset probed
+    width: float | None  # half-power width, same unit as the offsets
 
 
 def ambiguity_probe(
@@ -400,16 +390,14 @@ def ambiguity_probe(
     [(_, ref)] = _fingerprint_rows(p0[None], plan, model, antenna, lambda _: "reference p0")
     positions = _displace(p0, axis, offsets)
     sims = np.empty(offsets.shape, dtype=float)
-    unit = "rad" if isinstance(axis, str) and axis.lower() != "range" else "m"
+    unit = "rad" if isinstance(axis, str) and axis != "range" else "m"
 
     def describe(i: int) -> str:
         return f"probe offset {offsets[i]:g} {unit}"
 
     for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
         sims[start : start + len(rows)] = _scores(rows, ref)[:, 0]
-    return AmbiguityCurve(
-        offsets=offsets, similarities=sims, width=half_power_width(offsets, sims)
-    )
+    return AmbiguityCurve(similarities=sims, width=half_power_width(offsets, sims))
 
 
 def _csv_header(m: int) -> str:

@@ -23,7 +23,6 @@ from sweepsense.core import FrequencyPlan, NoiseConfig, Scene, Target
 from sweepsense.dispersion import LinearSineDispersion
 from sweepsense.fingerprint import (
     CHUNK_ROWS,
-    SCORE_CELLS,
     PositionGrid,
     build_dictionary,
     localize,
@@ -555,7 +554,7 @@ class TestSweep:
             targets=(Target((0.125, -0.25, 3.0), 0.7 - 0.3j),), noise=NoiseConfig(seed=5)
         )
         grid = PositionGrid((-0.5, 0.5), (-0.5, 0.5), (2.0, 4.0), n, n, n)
-        batch = SCORE_CELLS // CHUNK_ROWS
+        batch = cli.SWEEP_BATCH
         trials = 2 * batch + last  # three score batches a noisy point
         scored = []
 
@@ -745,7 +744,7 @@ class TestSweep:
         cfg = base_config()
         cfg["grid"].update(nx=5, ny=5, nz=5)
         cfg["scene"]["targets"][0].update(x_m=0.125, alpha_re=0.7, alpha_im=-0.3)
-        trials = 2 * (SCORE_CELLS // CHUNK_ROWS) + 2  # three score batches, the last of two
+        trials = 2 * cli.SWEEP_BATCH + 2  # three score batches, the last of two
         out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", "--config", config_path(cfg), "--snr=-10,0",
                        "--trials", str(trials), "--seed", str(2**64 - 1), "--out", str(out)])
@@ -1331,9 +1330,9 @@ class TestConfigReader:
         assert type(plan.f_min) is float
         model = cli.parse_dispersion(cfg["dispersion"], plan, tmp_path / "config.json")
         assert model == LinearSineDispersion(60e9, 66e9, math.radians(-30.0), math.radians(45.0))
-        assert cli.parse_antenna(cfg["antenna"]) == AntennaModel(length=0.05, two_way=False)
-        assert cli.parse_antenna({}) == AntennaModel(length=0.12, two_way=True)
-        scene = cli.parse_scene(cfg["scene"])
+        assert cli.parse_antenna(cfg["antenna"], None) == AntennaModel(length=0.05, two_way=False)
+        assert cli.parse_antenna({}, plan) == AntennaModel(length=0.12, two_way=True)
+        scene = cli.parse_scene(cfg["scene"], None)
         assert scene == Scene(
             targets=(
                 Target((0.1, -0.2, 3.0), refl_x=0.5 - 1j, refl_y=2 + 0.25j),
@@ -1344,8 +1343,8 @@ class TestConfigReader:
         assert type(scene.noise.snr_db) is float
         assert cli.parse_scene(cfg["scene"], seed_override=3).noise == NoiseConfig(5.0, 3)
         cfg["scene"]["snr_db"] = "noiseless"
-        assert cli.parse_scene(cfg["scene"]).noise == NoiseConfig(None, 11)
-        assert cli.parse_grid(cfg["grid"]) == PositionGrid(
+        assert cli.parse_scene(cfg["scene"], None).noise == NoiseConfig(None, 11)
+        assert cli.parse_grid(cfg["grid"], plan) == PositionGrid(
             (-0.25, 0.25), (-0.25, 0.25), (2.75, 3.25), 3, 3, 3
         )
         specs = cli.parse_architectures(cfg["architectures"])
@@ -1454,6 +1453,8 @@ BAD_FLAGS = [
     *(("sweep", "--trials", str(v)) for v in (MAX_COUNT, MAX_COUNT // 8 + 1)),
     *(("sweep", "--snr", v) for v in ("0,nan", "0,,1")),
     *(("simulate", "--seed", v) for v in ("-1", str(2**64))),
+    # no directory to write it in, no name, a directory
+    *(("simulate", "--out", v) for v in ("no-such-dir/s.csv", "", ".")),
 ]
 
 # verb, arguments at the edge of what the parser types accept
@@ -1581,11 +1582,31 @@ class TestFlags:
         out = tmp_path / "out"
         argv = [verb, "--config", config_path(base_config()), *REQUIRED.get(verb, []),
                 flag, "1", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {flag} 1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--config", "x.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+        (["simulate"], "the following arguments are required: --config"),
+    ])
+    def test_parse_error_exits_2_with_one_line(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sweepsense simulate ")
+
+    @pytest.mark.parametrize("out", ["absent/s.csv", "."])
+    def test_bad_out_exits_2_before_the_config_is_read(self, tmp_path, capsys, out):
+        path = str(tmp_path / out)
+        assert cli.main(["dict", "--config", str(tmp_path / "absent.json"), "--out", path]) == 2
+        assert capsys.readouterr() == ("", "error: --out: must be '-' or a file path in a "
+                                           f"directory that exists, got '{path}'\n")
 
 
 def through_fifo(tmp_path, data: bytes, run):

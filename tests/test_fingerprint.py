@@ -15,6 +15,7 @@ from sweepsense.core import (
     Measurement,
     Scene,
     Target,
+    open_bytes,
     read_table,
     write_text,
 )
@@ -58,6 +59,15 @@ def meas(plan, s_x, s_y):
 def unit_measurement(position, plan=PLAN8, model=MODEL8, antenna=ANT, refl=1.0 + 0.0j):
     scene = Scene(targets=(Target(tuple(position), refl),))
     return simulate_measurement(scene, plan, model, antenna)
+
+
+def axis_points(grid):
+    """The x, y and z samples of a grid, each np.linspace over its range."""
+    return (
+        np.linspace(*grid.x_range, grid.nx),
+        np.linspace(*grid.y_range, grid.ny),
+        np.linspace(*grid.z_range, grid.nz),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,7 +253,7 @@ class TestPositionGrid:
         grid = PositionGrid((0, 1), (-1, 1), (1, 3), nx=3, ny=2, nz=4)
         idx = grid.indices()
         pts = grid.points()
-        xs, ys, zs = grid.axis_points()
+        xs, ys, zs = axis_points(grid)
         for row in range(grid.size):
             np.testing.assert_allclose(
                 pts[row], [xs[idx[row, 0]], ys[idx[row, 1]], zs[idx[row, 2]]]
@@ -392,7 +402,7 @@ class TestLocalize:
         ant = AntennaModel(length=0.025)
         grid = PositionGrid((-0.4, 0.4), (-0.4, 0.4), (2.7, 3.3), nx=5, ny=5, nz=5)
         d = build_dictionary(grid, plan, model, ant)
-        xs, ys, zs = grid.axis_points()
+        xs, ys, zs = axis_points(grid)
         steps = np.array([xs[1] - xs[0], ys[1] - ys[0], zs[1] - zs[0]])
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -517,10 +527,9 @@ class TestHalfPowerWidth:
 
 class TestAmbiguityProbe:
     def test_zero_offset_similarity_is_one(self):
-        curve = ambiguity_probe(
-            (0, 0, 3.0), "range", np.linspace(-0.2, 0.2, 21), PLAN8, MODEL8, ANT
-        )
-        mid = np.argmin(np.abs(curve.offsets))
+        offsets = np.linspace(-0.2, 0.2, 21)
+        curve = ambiguity_probe((0, 0, 3.0), "range", offsets, PLAN8, MODEL8, ANT)
+        mid = np.argmin(np.abs(offsets))
         assert curve.similarities[mid] == pytest.approx(1.0, abs=1e-12)
 
     def test_azimuth_rotation_preserves_range_channel(self):
@@ -601,7 +610,8 @@ class TestDictionaryCsv:
     @staticmethod
     def read_back(path, grid, m):
         """The dictionary of the cells the file holds."""
-        body = read_table(path, _csv_header(m))
+        with open_bytes(path) as fh:
+            body = read_table(path, _csv_header(m), fh)
         return Entries(grid, body[:, 6:].view(np.complex128))
 
     def test_round_trip_bytes(self, tmp_path):

@@ -3,12 +3,13 @@ the CLI imports no private name of another module,
 every module-level private name is used somewhere in the package, every module-level
 public function and class is used by another statement of the package or imported by
 the acceptance suite, every public method or property of a class is named as an attribute
-outside itself in the package or the acceptance suite, every error class of the package is
-caught by its name somewhere in it or imported by the acceptance suite, the README's
-library layout lists every module, the package module itself exports nothing,
-no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the ``sweepsense``
-script and ``python -m sweepsense.cli`` launch one function of the CLI, the CSV
-printer's tables are built only by a verb that prints a table, and OpenSSL is
+outside itself in the package or the acceptance suite, no parameter default of the
+package is passed by every call in it and the acceptance suite, every error class of
+the package is caught by its name somewhere in it or imported by the acceptance suite,
+the README's library layout lists every module, the package module itself exports
+nothing, no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the
+``sweepsense`` script and ``python -m sweepsense.cli`` launch one function of the CLI,
+the CSV printer's tables are built only by a verb that prints a table, and OpenSSL is
 loaded only by a verb that keys noise."""
 
 import ast
@@ -85,7 +86,7 @@ def test_cli_imports_no_private_name():
 
 
 @pytest.mark.parametrize("source, found", [
-    ("from sweepsense.fingerprint import _CHUNK_ROWS, SCORE_CELLS\n", ["_CHUNK_ROWS"]),
+    ("from sweepsense.fingerprint import _CHUNK_ROWS, HALF_POWER\n", ["_CHUNK_ROWS"]),
     ("from sweepsense.fingerprint import (\n    PositionGrid,\n    _normalize as norm,\n)\n",
      ["_normalize"]),
     ("def f():\n    from sweepsense.core import _WRITE_CELLS\n", ["_WRITE_CELLS"]),
@@ -210,10 +211,15 @@ def unreferenced_public_methods(sources: dict[str, str], outside=()) -> list[str
                                         for n in ast.walk(node))]
 
 
+# The calls of the standard library into a hook a package class overrides: argparse calls
+# the error method of the CLI's parser.
+HOOK_CALLS = "parser.error(message)\n"
+
+
 def test_every_public_method_is_referenced():
     sources = {path.name: path.read_text() for path in SOURCES}
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
-    assert unreferenced_public_methods(sources, [acceptance]) == []
+    assert unreferenced_public_methods(sources, [acceptance, HOOK_CALLS]) == []
 
 
 @pytest.mark.parametrize("sources, outside, unreferenced", [
@@ -231,6 +237,81 @@ def test_every_public_method_is_referenced():
 ])
 def test_method_guard_finds_a_planted_method(sources, outside, unreferenced):
     assert unreferenced_public_methods(sources, outside) == unreferenced
+
+
+def passed_parameters(call: ast.Call, positional: list[str], bound: bool) -> set[str]:
+    """The parameters ``call`` surely passes to a function whose positional parameters are
+    ``positional``, the first bound when ``bound``: each one it names by keyword, and by
+    position the first ones up to its first ``*x`` and, after its last ``*x``, as many of
+    the last ones as plain arguments follow. ``*x`` and ``**x`` pass none themselves."""
+    stars = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    before = bound + (stars[0] if stars else len(call.args))
+    after = len(call.args) - 1 - stars[-1] if stars else 0
+    by_position = positional[:before] + positional[max(0, len(positional) - after) :]
+    return set(by_position) | {keyword.arg for keyword in call.keywords if keyword.arg}
+
+
+def overridden_defaults(sources: dict[str, str], outside=()) -> list[str]:
+    """The parameters with a default, of the functions and methods of ``sources`` (file name
+    -> text) other than dunder methods, that every call naming the function in any file or
+    ``outside`` text passes (passed_parameters), as 'function.parameter'. A method is
+    bound when called as an attribute, a static one never; a function no call names is
+    left out."""
+    trees = [ast.parse(source) for source in sources.values()]
+    calls = [node for tree in [*trees, *map(ast.parse, outside)] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for tree in trees:
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for func in ast.walk(tree):
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or func.name.startswith("__") and func.name.endswith("__")):
+                continue
+            a = func.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaults = positional[len(positional) - len(a.defaults) :] + [
+                p.arg for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            method = id(func) in methods and "staticmethod" not in map(ast.unparse,
+                                                                       func.decorator_list)
+            named = [call for call in calls if func.name in (getattr(call.func, "id", None),
+                                                             getattr(call.func, "attr", None))]
+            passed = [passed_parameters(call, positional,
+                                        method and isinstance(call.func, ast.Attribute))
+                      for call in named]
+            found += [f"{func.name}.{name}" for name in defaults
+                      if passed and all(name in each for each in passed)]
+    return found
+
+
+def test_no_default_is_passed_by_every_call():
+    # a default that no call relies on is a second way in that nothing takes
+    sources = {path.name: path.read_text() for path in SOURCES}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert overridden_defaults(sources, [acceptance]) == []
+
+
+METHOD = "class C:\n    def m(self, x=1): pass\n"
+
+
+@pytest.mark.parametrize("sources, outside, overridden", [
+    ({"a.py": "def f(a, b=1, *, k=2): pass\nf(1, 2, k=3)\nf(1, b=2, k=3)\n"}, (),
+     ["f.b", "f.k"]),
+    ({"a.py": "def f(a, b=1): pass\nf(1, 2)\nf(1)\n"}, (), []),
+    ({"a.py": "def f(a, b=1): pass\nf(1, 2)\n"}, ["f(1)\n"], []),
+    ({"a.py": "def f(a, b=1): pass\n"}, (), []),
+    ({"a.py": "def f(a, b=1): pass\nf(1, 2)\nf(*args)\n"}, (), []),
+    ({"a.py": "def f(a, b=1): pass\nf(1, 2)\nf(1, **kwargs)\n"}, (), []),
+    ({"a.py": "def f(a, b=1, c=2): pass\nf(1, *xs, 3)\n"}, (), ["f.c"]),
+    ({"a.py": "def f(x=1): pass\n", "b.py": "import a\na.f(2)\n"}, (), ["f.x"]),
+    ({"a.py": METHOD + "C().m(2)\n"}, (), ["m.x"]),
+    ({"a.py": METHOD + "C().m()\n"}, (), []),
+    ({"a.py": "class C:\n    @staticmethod\n    def m(x=1): pass\nC.m(2)\n"}, (), ["m.x"]),
+    ({"a.py": "class C:\n    def __init__(self, x=1): pass\n    def __eq__(self, o=None): pass\n"
+              "C(2).__eq__(3)\n"}, (), []),
+])
+def test_default_guard_finds_a_planted_default(sources, outside, overridden):
+    assert overridden_defaults(sources, outside) == overridden
 
 
 def uncaught_error_classes(sources: dict[str, str], imported=frozenset()) -> list[str]:

@@ -72,8 +72,8 @@ RECORDS = [
      {"antenna": AntennaModel(0.03)}),
     (LocalizationResult, {"position": np.array([0.0, 0.1, 3.0]), "score": 0.9, "index": 4},
      {"index": 5}),
-    (AmbiguityCurve, {"offsets": np.array([-1.0, 0.0, 1.0]),
-                      "similarities": np.array([0.5, 1.0, 0.5]), "width": 1.0}, {"width": None}),
+    (AmbiguityCurve, {"similarities": np.array([0.5, 1.0, 0.5]), "width": 1.0},
+     {"width": None}),
     (ArchitectureSpec, SPEC, {"eta_reference": None}),
     (ArchitectureRow, ROW, {"eta_consistent": True}),
     (ComparisonReport, {"r_query_m": 3.0, "rows": (ArchitectureRow(**ROW),),
@@ -110,8 +110,7 @@ REPRS = {
                 "model=LinearSineDispersion(f_min=60000000000.0, f_max=66000000000.0, "
                 "theta_min=-0.5, theta_max=0.5), antenna=AntennaModel(length=0.12, two_way=True))",
     LocalizationResult: "LocalizationResult(position=array([0. , 0.1, 3. ]), score=0.9, index=4)",
-    AmbiguityCurve: "AmbiguityCurve(offsets=array([-1.,  0.,  1.]), "
-                    "similarities=array([0.5, 1. , 0.5]), width=1.0)",
+    AmbiguityCurve: "AmbiguityCurve(similarities=array([0.5, 1. , 0.5]), width=1.0)",
     ArchitectureSpec: "ArchitectureSpec(name='FaA', rf_chains=1, physical_size_m=0.12, "
                       "bandwidth_hz=6000000000.0, n_samples=128, aperture_kind='virtual', "
                       "f_ref_hz=63000000000.0, power_mw=850.0, cost_usd=55.0, fov_deg=60.0, "
