@@ -146,9 +146,16 @@ def _build(where: str, make, *args, **kwargs):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")  # JSON is UTF-8 whatever the locale (RFC 8259)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        message = f"not UTF-8 text: byte 0x{data[exc.start]:02x} at column {column}"
+        raise ConfigError(f"{path}: line {line}: {message}") from None
 
     def non_finite(name: str):
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
@@ -163,7 +170,11 @@ def load_config(path) -> dict:
 
     try:
         cfg = json.loads(text, parse_constant=non_finite, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
+    except ConfigError:  # a non-finite constant or a repeated key, named already
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() takes
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -262,7 +262,8 @@ _WRITE_CELLS = 8192  # cells per block in table_text and first_off_cell: bounds 
 
 # table_text prints each cell of a block into a fixed-width byte field, NUL where
 # unused, then deletes the NULs: sign, digit, '.', 9 digits, 'e' and a signed 2-3
-# digit exponent for a float, sign and 1-10 digits for an int, then the separator.
+# digit exponent for a float, the "%d" text for an int, then the separator. A field
+# is 18 bytes unless an int's text is longer, which widens every field of its block.
 # Tables are built on first use: verbs that write no CSV never hold them.
 _FIELD = 18
 
@@ -334,7 +335,7 @@ def write_text(dest, blocks) -> None:
                                                             and os.access(dest, os.W_OK)):
         with open(dest, "wb") as fh:
             return fh.writelines(blocks)
-    tmp = f"{dest}.{os.urandom(6).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(dest), f"{os.urandom(6).hex()}.tmp")  # fits any name limit
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -349,44 +350,20 @@ def write_text(dest, blocks) -> None:
 
 def _format_block(block: np.ndarray, n_int: int) -> bytes:
     """The CSV lines of the rows of ``block``, as table_text prints them."""
-    field = np.empty(block.shape + (_FIELD,), np.uint8)
+    ints = [b"%d" % v for v in block[:, :n_int].ravel().tolist()]
+    width = max([_FIELD - 1, *map(len, ints)])  # an int longer than a float's text widens every field
+    field = np.empty(block.shape + (width + 1,), np.uint8)
     field[..., -1] = ord(",")
     field[:, -1, -1] = ord("\n")
-    odd = np.concatenate([_fill_ints(block[:, :n_int], field[:, :n_int]),
-                          _fill_floats(block[:, n_int:], field[:, n_int:])], axis=1)
-    if odd.any():  # cells the byte fields cannot prove exact keep their own % format
-        cells = np.argwhere(odd).tolist()
-        texts = [(("%d" if c < n_int else FLOAT_FMT) % block.item(r, c)).encode() for r, c in cells]
-        wider = [_FIELD - 1] * (max(map(len, texts)) + 1 - _FIELD)  # for ints of 11+ digits
-        if wider:
-            field = np.insert(field, wider, 0, axis=2)
-        for (r, c), text in zip(cells, texts):
-            field[r, c, :-1] = np.frombuffer(text.ljust(field.shape[2] - 1, b"\0"), np.uint8)
+    field[:, :n_int, :-1] = np.array(ints, f"S{width}").view(np.uint8).reshape(len(block), n_int, width)
+    x, floats = block[:, n_int:], field[:, n_int:]
+    odd = _fill_floats(x, floats)
+    floats[..., _FIELD - 1 : -1] = 0  # the bytes a long int added
+    if odd.any():  # cells the byte fields cannot prove exact keep their own %
+        for r, c in np.argwhere(odd).tolist():
+            text = (FLOAT_FMT % x.item(r, c)).encode()
+            floats[r, c, :-1] = np.frombuffer(text.ljust(width, b"\0"), np.uint8)
     return field.tobytes().translate(None, b"\0")
-
-
-def _put_digits(digits: np.ndarray, q: np.ndarray, lead: np.ndarray) -> None:
-    """Write ``lead[q // 10^8]`` and the last 8 decimal digits of each of ``q``,
-    zero-padded, into the three 4-byte items of ``digits``; ``q`` is overwritten."""
-    for i, (table, unit) in enumerate(((lead, 100_000_000), (_digits4(), 10_000))):
-        part = q // unit
-        digits[..., i] = table[part]
-        part *= unit
-        q -= part
-    digits[..., 2] = _digits4()[q]
-
-
-def _fill_ints(x: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """Fill the fields of ``"%d" % x``; True where a cell needs its own %."""
-    v = np.trunc(x)
-    ok = np.abs(v) < 1e10  # at most 10 digits; false for NaN and inf
-    q = np.where(ok, np.abs(v), 0).astype(np.int64)
-    _put_digits(field[..., 1:13].view("V4"), q, _digits4())
-    leading = field[..., 1:12]  # all but the last digit, which 0 prints
-    leading[~np.logical_or.accumulate(leading != ord("0"), axis=-1)] = 0
-    field[..., 0] = np.where(v < 0, ord("-"), 0)  # not for -0.0, which %d prints as 0
-    field[..., 13:-1] = 0
-    return ~ok
 
 
 def _fill_floats(x: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -415,7 +392,15 @@ def _fill_floats(x: np.ndarray, field: np.ndarray) -> np.ndarray:
     q *= good
     q += np.signbit(x) * 1e10  # selects the lead with a '-'
     e = (e + carry) * good
-    _put_digits(field[..., :12].view("V4"), q.astype(np.int64), _lead())
+    # lead[q // 10^8] (sign, digit, '.', digit), then q's last 8 digits, 4 at a time
+    q = q.astype(np.int64)
+    digits = field[..., :12].view("V4")
+    for i, (table, unit) in enumerate(((_lead(), 100_000_000), (_digits4(), 10_000))):
+        part = q // unit
+        digits[..., i] = table[part]
+        part *= unit
+        q -= part
+    digits[..., 2] = _digits4()[q]
     field[..., 12] = ord("e")
     field[..., 13:17].view("V4")[..., 0] = _exponents()[e + 324]
     return odd

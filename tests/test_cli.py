@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -29,6 +31,8 @@ from sweepsense.fingerprint import (
     normalize,
 )
 from sweepsense.synth import AntennaModel, derive_seeds, echo, simulate_measurement
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -160,18 +164,42 @@ class TestSimulate:
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("text, message", [
+    @pytest.mark.parametrize("data, message", [
         (None, "cannot read config {}: [Errno 2] No such file or directory"),
-        ("[1, 2]", "{}: top level must be a JSON object"),
+        (b"[1, 2]", "{}: top level must be a JSON object"),
+        pytest.param(b'{\n  "plan": "\x93"\n}',
+                     "{}: line 2: not UTF-8 text: byte 0x93 at column 12", id="byte-0x93"),
+        pytest.param(b'{"plan": "\xe2\x80"}',
+                     "{}: line 1: not UTF-8 text: byte 0xe2 at column 11", id="cut-sequence"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000,
+                     "{}: invalid JSON: arrays or objects nested too deeply", id="deep"),
+        pytest.param(b'{"plan": {"n_points": ' + b"9" * 4301 + b"}}",
+                     "{}: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+                     id="long-int"),
     ])
-    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, text, message):
+    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "config.json"
-        if text is not None:
-            path.write_text(text)
+        if data is not None:
+            path.write_bytes(data)
         out = tmp_path / "x.csv"
         assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message.format(path)}")
         assert not out.exists()
+
+    def test_config_is_read_as_utf8_in_a_c_locale(self, tmp_path):
+        # a C locale without UTF-8 mode would decode a text file as ASCII
+        cfg = base_config()
+        cfg["architectures"][0]["name"] = "FaA\u2013Single"  # an en dash
+        path, out = tmp_path / "config.json", tmp_path / "x.csv"
+        path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+        run = subprocess.run(
+            [sys.executable, "-m", "sweepsense.cli", "simulate", "--config", str(path),
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert out.read_text().startswith("m,")
 
 
 class TestLocalizeFlow:
@@ -1973,6 +2001,13 @@ class TestOutputRule:
             assert cli.main(argv) == 0
             assert capsys.readouterr() == (to_file.out, "")
 
+
+    def test_out_of_the_longest_name_the_directory_allows(self, tmp_path, config_path):
+        # the new file beside it must not need a longer name than the path's own
+        out = tmp_path / ("o" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        assert cli.main(["simulate", "--config", config_path(base_config()), "--out", str(out)]) == 0
+        assert out.read_text().startswith("m,")
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
 
     @pytest.mark.parametrize("target", ["symlink", "fifo", "devnull"])
     def test_out_that_is_not_a_regular_file_is_written_in_place(self, tmp_path, config_path,
