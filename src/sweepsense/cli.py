@@ -133,6 +133,9 @@ def _read(name: str, sec, kinds: dict, optional=()) -> dict:
     for key, value in values.items():
         if value is None:
             raise ConfigError(f"section '{name}': key '{key}' must be {_KINDS[kinds[key]]}")
+        if isinstance(value, str) and any("\ud800" <= c <= "\udfff" for c in value):
+            raise ConfigError(f"section '{name}': key '{key}' holds a lone surrogate (a JSON "
+                              "\\u escape), which UTF-8 cannot encode")
     return values
 
 
@@ -418,11 +421,11 @@ def run_sweep(
     return points
 
 
-def sweep_to_csv(points: list[SweepPoint], trials: int) -> str:
+def sweep_to_csv(points: list[SweepPoint]) -> str:
     lines = ["snr_db,rmse_m,trials"]
     for p in points:
         label = "noiseless" if p.snr_db is None else FLOAT_FMT % p.snr_db
-        lines.append(f"{label},{FLOAT_FMT % p.rmse},{trials}")
+        lines.append(f"{label},{FLOAT_FMT % p.rmse},{len(p.errors)}")
     return "\n".join(lines) + "\n"
 
 
@@ -506,10 +509,7 @@ def cmd_probe(args) -> tuple:
 
 
 def cmd_compare(args) -> tuple:
-    try:
-        report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
-    except archcomp.NonFiniteMetricError as exc:
-        raise ConfigError(str(exc)) from None
+    report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
     return None if args.out is None else _json_dumps(report.to_dict()), report.to_text()
 
 
@@ -517,7 +517,7 @@ def cmd_sweep(args) -> tuple:
     plan, model, antenna, scene, grid = _load(
         args, "plan", "dispersion", "antenna", "scene", "grid")
     points = run_sweep(plan, model, antenna, scene, grid, args.snr, args.trials)
-    return sweep_to_csv(points, args.trials), None
+    return sweep_to_csv(points), None
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +665,7 @@ def main(argv=None) -> int:
         flag = f"{exc.argument_name}: " if exc.argument_name else ""
         print(f"error: {flag}{exc.message}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, archcomp.NonFiniteMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # GeometryError and DegenerateMeasurementError are ValueErrors.
@@ -680,9 +680,13 @@ def entry() -> None:
     ``gc.freeze()`` moves the objects the imports made, mostly numpy's, to the collector's
     permanent generation: neither the run's collections nor those at interpreter exit
     walk them, and the OS reclaims the cycles among them. ``main``, the in-process API,
-    does not freeze: each call would keep its reference cycles alive for good.
+    does not freeze: each call would keep its reference cycles alive for good. stdout
+    and stderr are set to UTF-8, so a verb prints the same bytes whatever the locale;
+    ``main`` writes text to whichever streams it is given.
     """
     gc.freeze()
+    sys.stdout.reconfigure(encoding="utf-8", errors="strict")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

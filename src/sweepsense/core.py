@@ -159,7 +159,7 @@ class ChannelAxis(enum.Enum):
     X_SCAN = "x"
     Y_SCAN = "y"
 
-    def target_angle(self, position) -> float | np.ndarray:
+    def target_angle(self, position) -> np.ndarray:
         """In-plane angle of a position for this channel's scan plane.
 
         X_SCAN measures azimuth atan2(x, z); Y_SCAN elevation atan2(y, z);
@@ -167,8 +167,7 @@ class ChannelAxis(enum.Enum):
         """
         p = np.asarray(position, dtype=float)
         side = p[..., 0] if self is ChannelAxis.X_SCAN else p[..., 1]
-        angle = np.asarray(_ATAN2(side, p[..., 2]), dtype=float)
-        return float(angle) if angle.ndim == 0 else angle
+        return np.asarray(_ATAN2(side, p[..., 2]), dtype=float)
 
 
 class Target(Record):
@@ -248,7 +247,7 @@ def range_of(position) -> float | np.ndarray:
         r = np.sqrt(x * x + y * y + z * z)
     if not ((0.0 < r) & (r < math.inf)).all():
         raise GeometryError("position has no finite nonzero range")
-    return float(r) if r.ndim == 0 else r
+    return r
 
 
 # ---------------------------------------------------------------------------

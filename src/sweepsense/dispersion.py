@@ -58,8 +58,7 @@ class LinearSineDispersion(Record):
         _check_band(f, self.f_min, self.f_max)
         frac = (f - self.f_min) / (self.f_max - self.f_min)
         s_lo, s_hi = math.sin(self.theta_min), math.sin(self.theta_max)
-        theta = np.arcsin(s_lo + (s_hi - s_lo) * frac)
-        return float(theta) if theta.ndim == 0 else theta
+        return np.arcsin(s_lo + (s_hi - s_lo) * frac)
 
 
 class LookupTableDispersion(Record):
@@ -95,8 +94,7 @@ class LookupTableDispersion(Record):
         """Interpolated pointing angle (rad) at frequency f."""
         f = np.asarray(f, dtype=float)
         _check_band(f, float(self.frequencies[0]), float(self.frequencies[-1]))
-        theta = np.interp(f, self.frequencies, self.angles)
-        return float(theta) if theta.ndim == 0 else theta
+        return np.interp(f, self.frequencies, self.angles)
 
 
 DispersionModel = LinearSineDispersion | LookupTableDispersion

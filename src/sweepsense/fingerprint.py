@@ -288,10 +288,11 @@ def localize_batch(blocks, dictionary, dict_path=None) -> list[tuple[np.ndarray,
         return chunk
 
     chunks = map(score, dictionary.chunks())  # map holds no chunk once it is scored
-    if dict_path is None:
-        collections.deque(chunks, maxlen=0)  # draws every chunk, holding none
-    else:
-        _check_file(dict_path, dictionary, chunks)
+    try:
+        if dict_path is not None:
+            _check_file(dict_path, dictionary, chunks)
+    finally:  # draws every chunk left, holding none
+        collections.deque(chunks, maxlen=0)  # a row's error is raised here, over the file's
     return found
 
 
@@ -425,38 +426,35 @@ def _check_file(path, dictionary, chunks) -> None:
 
     A file of the bytes dictionary_text prints for it passes without being
     parsed; the comparison prints one chunk of rows at a time and stops at
-    the first block of text that differs. Every row is built either way, so
-    an error of the dictionary's own comes before any error of the file.
-    Any other file is read with read_table: line 1 must be the header for its
-    M, and the rows must list its grid in index order at its positions
-    (core.check_rows). Only then are the full entries built again, and every
-    entry cell must match them within the print tolerance
+    the first block of text that differs. localize_batch draws the chunks
+    left, so an error of the dictionary's own comes before any error of the
+    file. Any other file is read with read_table: line 1 must be the header
+    for its M, and the rows must list its grid in index order at its
+    positions (core.check_rows). Only then are the full entries built
+    again, and every entry cell must match them within the print tolerance
     (core.first_off_cell). Otherwise ValueError names the line, and for an
     entry its column. A pipe or FIFO is read once.
     """
-    try:
-        with open_bytes(path) as fh:
-            text = dictionary_text(dictionary, chunks)
-            # map drops each block before the next is printed; a generator would hold it
-            if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
-                return
-            header = _csv_header(dictionary.n_points)
-            try:
-                body = read_table(path, header, fh)
-            except HeaderError as exc:
-                m = (len(exc.fields) - 6) // 4
-                if ",".join(exc.fields) != _csv_header(m):
-                    raise
-                message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
-                raise ValueError(f"{path}: line 1: {message}") from None
-            keys = np.hstack([dictionary.grid.indices(), dictionary.grid.points()])
-            check_rows(path, body, keys, "ix,iy,iz,x,y,z", fh)
-            expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
-            off = first_off_cell(body[:, 6:], expected)
-            if off is not None:
-                row, col = off
-                message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
-                           f"(from the config), got {body[row, 6 + col]:.10g}")
-                raise line_error(path, row, message, fh)
-    finally:
-        collections.deque(chunks, maxlen=0)  # a row's error is raised here, over the file's
+    with open_bytes(path) as fh:
+        text = dictionary_text(dictionary, chunks)
+        # map drops each block before the next is printed; a generator would hold it
+        if all(map(lambda data: fh.read(len(data)) == data, text)) and not fh.read(1):
+            return
+        header = _csv_header(dictionary.n_points)
+        try:
+            body = read_table(path, header, fh)
+        except HeaderError as exc:
+            m = (len(exc.fields) - 6) // 4
+            if ",".join(exc.fields) != _csv_header(m):
+                raise
+            message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
+            raise ValueError(f"{path}: line 1: {message}") from None
+        keys = np.hstack([dictionary.grid.indices(), dictionary.grid.points()])
+        check_rows(path, body, keys, "ix,iy,iz,x,y,z", fh)
+        expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
+        off = first_off_cell(body[:, 6:], expected)
+        if off is not None:
+            row, col = off
+            message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
+                       f"(from the config), got {body[row, 6 + col]:.10g}")
+            raise line_error(path, row, message, fh)

@@ -1239,6 +1239,10 @@ MALFORMED = [
      "section 'architectures[2]': key 'noise_rejection' must be a string"),
     ("simulate", "dispersion", {"kind": "lookup_table", "table_path": 5},
      "section 'dispersion': key 'table_path' must be a string"),
+    # JSON spells a lone surrogate with a \u escape; UTF-8 cannot encode it
+    pytest.param("compare", "architectures.0.name", "\ud800",
+                 "section 'architectures[0]': key 'name' holds a lone surrogate (a JSON \\u "
+                 "escape), which UTF-8 cannot encode", id="compare-name-lone-surrogate"),
     ("simulate", "scene.targets", {}, "section 'scene': key 'targets' must be a list"),
     *(("simulate", "scene.snr_db", snr, "section 'scene': key 'snr_db' must be a finite number")
       for snr in (True, False, "loud", None, [5.0])),

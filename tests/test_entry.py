@@ -1,7 +1,8 @@
 """The process entry ``cli.entry``, which ``python -m sweepsense.cli`` and the
 ``sweepsense`` script run: a verb run as a child through it writes the same ``--out``
-bytes, stdout and stderr, and exits with the same code, as ``cli.main`` in process. The
-entry freezes the import-time heap (``gc.freeze``); ``cli.main`` freezes nothing."""
+bytes, stdout and stderr, and exits with the same code, as ``cli.main`` in process, in
+the test's locale and in a C locale without UTF-8 mode alike. The entry freezes the
+import-time heap (``gc.freeze``); ``cli.main`` freezes nothing."""
 
 import gc
 import json
@@ -16,8 +17,12 @@ from sweepsense import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# a locale whose streams would be ASCII if the entry did not set them
+C_ENV = {**{k: v for k, v in ENV.items() if k != "PYTHONIOENCODING"},
+         "LC_ALL": "C", "PYTHONUTF8": "0"}
 
-# M = 8, a 3^3 grid around the one target, which is off the grid; one architecture
+# M = 8, a 3^3 grid around the one target, which is off the grid; one architecture, whose
+# name is not ASCII
 CONFIG = {
     "plan": {"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 8},
     "dispersion": {"kind": "linear_sine", "theta_max_deg": 60.0},
@@ -26,31 +31,35 @@ CONFIG = {
               "seed": 7},
     "grid": {"x_min_m": -0.25, "x_max_m": 0.25, "nx": 3, "y_min_m": -0.25, "y_max_m": 0.25,
              "ny": 3, "z_min_m": 2.75, "z_max_m": 3.25, "nz": 3},
-    "architectures": [{"name": "FaA-Single", "rf_chains": 1, "physical_size_m": 0.12,
+    "architectures": [{"name": "FaA\u2013Single", "rf_chains": 1, "physical_size_m": 0.12,
                        "bandwidth_hz": 6e9, "n_samples": 128, "aperture_kind": "virtual",
                        "f_ref_hz": 63e9, "power_mw": 850.0, "cost_usd": 55.0,
                        "fov_deg": 60.0, "eta_reference": 926.0}],
 }
 
-# name, exit code, then the verb and its flags other than --config and --out; the paths
-# are relative to a directory that holds config.json, meas.csv, dict.csv and zero.csv
+# name, exit code, then the verb and its flags other than --out; the paths are relative
+# to a directory that holds config.json, kind.json, meas.csv, dict.csv and zero.csv
 RUNS = [
-    ("simulate", 0, "simulate --seed 3"),
-    ("dict", 0, "dict"),
-    ("localize", 0, "localize --measurement meas.csv --dict dict.csv"),
-    ("probe", 0, "probe --span 1.0 --steps 11 --axis range"),
-    ("compare", 0, "compare"),
-    ("sweep", 0, "sweep --snr noiseless,0,10 --trials 5"),
-    ("bad-flag", 2, "sweep --snr 10 --trials 0"),
-    ("zero-norm", 3, "localize --measurement zero.csv"),
+    ("simulate", 0, "simulate --config config.json --seed 3"),
+    ("dict", 0, "dict --config config.json"),
+    ("localize", 0, "localize --config config.json --measurement meas.csv --dict dict.csv"),
+    ("probe", 0, "probe --config config.json --span 1.0 --steps 11 --axis range"),
+    ("compare", 0, "compare --config config.json"),
+    ("sweep", 0, "sweep --config config.json --snr noiseless,0,10 --trials 5"),
+    ("bad-flag", 2, "sweep --config config.json --snr 10 --trials 0"),
+    ("non-ascii-error", 2, "simulate --config kind.json"),
+    ("zero-norm", 3, "localize --config config.json --measurement zero.csv"),
 ]
+LOCALES = {"test-locale": ENV, "c-locale": C_ENV}
 
 
 def inputs(work: Path) -> Path:
-    """``work`` holding the config, a measurement, a dictionary and a measurement whose
-    channels are all zero."""
+    """``work`` holding the config, one whose dispersion kind is unknown and not ASCII, a
+    measurement, a dictionary and a measurement whose channels are all zero."""
     work.mkdir()
     (work / "config.json").write_text(json.dumps(CONFIG))
+    kind = {**CONFIG, "dispersion": {**CONFIG["dispersion"], "kind": "l\u00ednea"}}
+    (work / "kind.json").write_text(json.dumps(kind))
     for verb, out in (("simulate", "meas.csv"), ("dict", "dict.csv")):
         assert cli.main([verb, "--config", str(work / "config.json"), "--out",
                          str(work / out)]) == 0
@@ -60,15 +69,16 @@ def inputs(work: Path) -> Path:
     return work
 
 
+@pytest.mark.parametrize("env", LOCALES.values(), ids=LOCALES)
 @pytest.mark.parametrize("name, code, command", RUNS, ids=[name for name, _, _ in RUNS])
 def test_a_child_through_the_entry_matches_main_in_process(
-    tmp_path, monkeypatch, capsysbinary, name, code, command
+    tmp_path, monkeypatch, capsysbinary, name, code, command, env
 ):
-    argv = [*command.split(), "--config", "config.json", "--out", "out"]
+    argv = [*command.split(), "--out", "out"]
     child_dir, main_dir = inputs(tmp_path / "child"), inputs(tmp_path / "main")
     capsysbinary.readouterr()
     child = subprocess.run([sys.executable, "-m", "sweepsense.cli", *argv], cwd=child_dir,
-                           env=ENV, capture_output=True)
+                           env=env, capture_output=True)
     monkeypatch.chdir(main_dir)
     rc = cli.main(argv)
     stdout, stderr = capsysbinary.readouterr()
