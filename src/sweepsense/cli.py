@@ -646,6 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _then(blocks, finish):
+    """``blocks``, then ``finish()`` once the last is drawn: write_text draws every block
+    before it puts a file in place, so a failure in ``finish`` leaves the file as it was."""
+    yield from blocks
+    finish()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads "--axis -0.3,0.2,1.0" or "--snr -10,0" as two options; attach the value.
@@ -655,11 +662,17 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output, side = args.func(args)
-        if output is not None:
+
+        def finish():  # a full or closed stdout fails here, before an --out file is in place
+            if side is not None:  # on stderr when the output takes stdout, so each stream parses
+                (sys.stderr if args.out == "-" else sys.stdout).write(side)
+            sys.stdout.flush()
+
+        if output is None:
+            finish()
+        else:
             blocks = [output.encode("ascii")] if isinstance(output, str) else output
-            write_text(sys.stdout if args.out == "-" else args.out, blocks)
-        if side is not None:  # on stderr when the output takes stdout, so each stream parses
-            (sys.stderr if args.out == "-" else sys.stdout).write(side)
+            write_text(sys.stdout if args.out == "-" else args.out, _then(blocks, finish))
         return 0
     except argparse.ArgumentError as exc:
         flag = f"{exc.argument_name}: " if exc.argument_name else ""
@@ -682,12 +695,19 @@ def entry() -> None:
     walk them, and the OS reclaims the cycles among them. ``main``, the in-process API,
     does not freeze: each call would keep its reference cycles alive for good. stdout
     and stderr are set to UTF-8, so a verb prints the same bytes whatever the locale;
-    ``main`` writes text to whichever streams it is given.
+    ``main`` writes text to whichever streams it is given. When stdout is full or closed,
+    ``main`` has said so and returned 3; fd 1 then points at the null device, so the
+    interpreter's flush at exit does not fail a second time on the text left unwritten.
     """
     gc.freeze()
     sys.stdout.reconfigure(encoding="utf-8", errors="strict")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ and ``derive_seeds`` gives each Monte-Carlo trial of a batch its own seed.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from sweepsense.core import (
 from sweepsense.dispersion import DispersionModel
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
+# ln of the smallest normal double: exp below it is subnormal or +0.0, and subnormal
+# gains cost many times a normal value in exp and in every product and sum after it.
+_EXP_FLOOR = math.log(sys.float_info.min)
 _K = 16  # echo's carrier tables: ceil(M / K) coarse and K fine exps per distinct range
 
 
@@ -67,8 +71,8 @@ class AntennaModel(Record):
                            / self.half_power_beamwidth(f))
             np.square(a, out=a)
             a *= -_FOUR_LN2 * (1 + self.two_way)
-        # exp(a) is +0.0 for a <= -746: skip numpy's slow path for those (NaN still propagates)
-        return np.exp(a, out=np.zeros(a.shape), where=~(a <= -746.0))
+        # The gain is +0.0 below the floor, so every gain is +0.0 or normal (NaN still propagates)
+        return np.exp(a, out=np.zeros(a.shape), where=~(a < _EXP_FLOOR))
 
 
 def _phase(f: np.ndarray, r):

@@ -801,8 +801,8 @@ class TestSweep:
     def test_probe_and_dictionary_bytes_are_pinned(self, tmp_path, config_path, capsys):
         # A change to the echo kernel, the normalisation or the CSV writer
         # moves these digests. The 12 cm, M=128 probe spans three echo chunks,
-        # and about half of its two-way gain exponents lie below -746, where
-        # exp underflows to 0.
+        # and about half of its two-way gain exponents lie below ln of the smallest
+        # normal double, about -708.4, where the gain is +0.0.
         cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
                           antenna={"length_m": 0.12, "two_way": True})
         out = tmp_path / "probe.csv"
@@ -821,13 +821,13 @@ class TestSweep:
         out = tmp_path / "dict.csv"
         assert cli.main(["dict", "--config", config_path(cfg), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "2198ce16c7a0fbb3333f93215c20d417fd5ccbf1c2f0017ab58132d1fcae4fdb"
+            "802243b0b379c352642a42d491bf8606600942043573cd1f8d52225424243edf"
         )
 
     def test_wide_dictionary_and_measurement_bytes_are_pinned(self, tmp_path, config_path):
         # A change to the echo kernel or the CSV writer moves these digests.
-        # The 12 cm, M=128 antenna's gain wings reach subnormal cells
-        # (exponents down to -324) in both files.
+        # The 12 cm, M=128 antenna's gain wings reach +0.0 in both files; the dictionary
+        # still prints 84 subnormal cells, each a product of normal factors.
         cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 66e9, "n_points": 128},
                           antenna={"length_m": 0.12, "two_way": True})
         cfg["grid"].update(nx=9, ny=9, nz=9)
@@ -838,8 +838,8 @@ class TestSweep:
             assert cli.main([verb, "--config", path, "--out", str(out)]) == 0
             digests[verb] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digests == {
-            "dict": "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b",
-            "simulate": "be6a9ae39b5964e971fa0b1d93ad2b2197d36ad96e3411cb6c11a1ed536e2289",
+            "dict": "919a50c1db183bc038038218c290fe210544355ac57bd12b5c67a738c8f050ec",
+            "simulate": "97ac5f2954edc092412e5e5379310668015c7b08eb5978252ba0a1bdc364ae34",
         }
 
 
@@ -891,9 +891,9 @@ class TestDegenerateDictionary:
         out = tmp_path / "d.csv"
         assert cli.main(["dict", "--config", config_path(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "error: grid index 366 at position (7.32, 0.0, 1.0) has a zero-norm channel\n"
+            "error: grid index 338 at position (6.76, 0.0, 1.0) has a zero-norm channel\n"
         )
-        assert 366 > CHUNK_ROWS
+        assert 338 > CHUNK_ROWS
         assert not out.exists()
 
     def test_point_outside_the_beam_in_a_later_chunk_keeps_an_existing_file(
@@ -911,7 +911,7 @@ class TestDegenerateDictionary:
         out.write_bytes(b"earlier output\n")
         before = sorted(os.listdir(tmp_path))
         assert cli.main(["dict", "--config", path, "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: grid index 366 ")
+        assert capsys.readouterr().err.startswith("error: grid index 338 ")
         assert out.read_bytes() == b"earlier output\n"
         assert sorted(os.listdir(tmp_path)) == before
 

@@ -2,7 +2,8 @@
 ``sweepsense`` script run: a verb run as a child through it writes the same ``--out``
 bytes, stdout and stderr, and exits with the same code, as ``cli.main`` in process, in
 the test's locale and in a C locale without UTF-8 mode alike. The entry freezes the
-import-time heap (``gc.freeze``); ``cli.main`` freezes nothing."""
+import-time heap (``gc.freeze``); ``cli.main`` freezes nothing. A verb whose stdout is
+full or closed exits 3 with one ``error:`` line and leaves its ``--out`` file as it was."""
 
 import gc
 import json
@@ -88,6 +89,47 @@ def test_a_child_through_the_entry_matches_main_in_process(
             for d in (child_dir, main_dir)]
     assert outs[0] == outs[1]
     assert (outs[0] is None) == bool(code)
+
+
+# name, a verb that writes its output or its side text to stdout, and the bytes of f.csv
+# before the run, or None
+PROBE = "probe --config config.json --span 1.0 --steps 11 --axis range --out f.csv"
+FULL_RUNS = [
+    ("simulate", "simulate --config config.json", None),
+    ("localize", "localize --config config.json --measurement meas.csv", None),
+    ("compare", "compare --config config.json", None),
+    ("probe-new-file", PROBE, None),
+    ("probe-over-a-file", PROBE, b"earlier output\n"),
+]
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose read end is closed: a write to it fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed-pipe"])
+@pytest.mark.parametrize("name, command, earlier", FULL_RUNS, ids=[run[0] for run in FULL_RUNS])
+def test_a_full_or_closed_stdout_exits_3_leaving_no_file(tmp_path, name, command, earlier,
+                                                         stdout):
+    # without PYTHONUNBUFFERED the text waits in stdout's buffer until the last flush
+    work = inputs(tmp_path / "work")
+    if earlier is not None:
+        (work / "f.csv").write_bytes(earlier)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else closed_pipe()
+    try:
+        child = subprocess.run([sys.executable, "-m", "sweepsense.cli", *command.split()],
+                               cwd=work, env=env, stdout=fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    assert child.returncode == 3, child.stderr
+    [line] = child.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 FROZEN = """

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from sweepsense.synth import (
 PLAN = FrequencyPlan(60e9, 66e9, 16)
 MODEL = LinearSineDispersion.for_plan(PLAN)
 ANT = AntennaModel()
+EXP_FLOOR = math.log(sys.float_info.min)  # below it exp is subnormal or +0.0
 
 
 def reference_key(seed: int, *path) -> np.ndarray:
@@ -61,12 +63,14 @@ def oracle_sample(f, beam, position, axis, refl: complex, antenna) -> complex:
     refl * gain * exp(-j 4 pi f R / c), where the one-way gain is
     exp(-4 ln2 (dtheta / (c / (f L)))^2), squared when two-way, and dtheta is the target's
     in-plane angle, atan2(x, z) on the x channel and atan2(y, z) on the y channel, less the
-    beam angle."""
+    beam angle. A gain below the smallest normal double is 0.0."""
     x, y, z = position
     dtheta = math.atan2(x if axis is ChannelAxis.X_SCAN else y, z) - beam
     width = SPEED_OF_LIGHT / f / antenna.length
     one_way = math.exp(-4.0 * math.log(2.0) * (dtheta / width) ** 2)
     gain = one_way * one_way if antenna.two_way else one_way
+    if gain < sys.float_info.min:
+        gain = 0.0
     phase = 4.0 * math.pi * f * math.sqrt(x * x + y * y + z * z) / SPEED_OF_LIGHT
     return complex(refl) * gain * cmath.exp(-1j * phase)
 
@@ -138,8 +142,8 @@ class TestAntennaGain:
         assert g1 == pytest.approx(g2, rel=1e-12)
 
     def test_masked_exp_is_bit_equal_to_plain_exp(self):
-        # exponents through the normal, subnormal (-708 ... -745.1) and
-        # underflow (< -746) regions of exp, which gives +0.0 there
+        # exponents through the normal, subnormal (-708.4 ... -745.1) and
+        # underflow (< -745.1) regions of exp; the gain is +0.0 below the floor
         target = -np.concatenate([np.linspace(0.0, 700.0, 50), np.linspace(707.0, 747.0, 801),
                                   np.linspace(747.0, 5000.0, 50)])
         f = np.full(target.shape, 63e9)
@@ -150,9 +154,11 @@ class TestAntennaGain:
         expected = np.exp(exponent)
         got = ANT.gain(angle, f, beam)
         tiny = np.finfo(float).tiny
+        above = exponent >= EXP_FLOOR
         assert ((0 < expected) & (expected < tiny)).sum() > 100 and (exponent < -746).sum() > 50
-        assert got.tobytes() == expected.tobytes()
-        assert not np.signbit(got).any()
+        assert above.sum() > 50 and (above & (exponent < -707.0)).sum() > 20
+        assert got[above].tobytes() == expected[above].tobytes()
+        assert got[~above].tobytes() == bytes(got[~above].nbytes)  # +0.0
 
     @pytest.mark.parametrize("two_way", [True, False])
     def test_in_place_exponent_gives_the_bits_of_the_out_of_place_one(self, two_way):
@@ -163,16 +169,16 @@ class TestAntennaGain:
             dtheta = angle - np.asarray(beam, dtype=float)
             with np.errstate(over="ignore"):
                 a = -four_ln2 * (1 + two_way) * (dtheta / ant.half_power_beamwidth(f)) ** 2
-            return np.exp(a, out=np.zeros(np.shape(a)), where=~(a <= -746.0)), a
+            return np.exp(a, out=np.zeros(np.shape(a)), where=~(a < EXP_FLOOR)), a
 
         freqs = frequency_grid(PLAN)
         thetas = MODEL.beam_angle(freqs)
         rows = np.array(TestEcho.ORACLE_POSITIONS)[:, None, :]
-        # beams whose exponent steps across -746 at the 0.2 rad target
+        # beams whose exponent steps across the floor at the 0.2 rad target
         hpbw = ant.half_power_beamwidth(np.full(401, 63e9))
-        across = 0.2 - hpbw * np.sqrt(np.linspace(736.0, 756.0, 401) / (four_ln2 * (1 + two_way)))
+        across = 0.2 - hpbw * np.sqrt(np.linspace(698.0, 718.0, 401) / (four_ln2 * (1 + two_way)))
         _, exponent = reference(0.2, 63e9, across)
-        assert (exponent <= -746.0).any() and (exponent > -746.0).any()
+        assert (exponent < EXP_FLOOR).any() and (exponent >= EXP_FLOOR).any()
         cases = [
             (0.31, 63e9, 0.3),  # Python floats
             (math.nan, 63e9, 0.3),  # a NaN target angle
@@ -192,6 +198,27 @@ class TestAntennaGain:
             # NaN stays NaN, not 0
             assert np.isnan(got).any() == (np.isnan(angle).any() or np.isnan(beam).any())
         np.testing.assert_array_equal(thetas, MODEL.beam_angle(freqs))  # no input is written
+
+    def test_gain_is_zero_or_normal_across_the_floor(self):
+        # One-way, a 1 rad beamwidth (f = c, length 1 m) and beam 0: gain forms its exponent
+        # as angle * angle * -4 ln2, so the angles below give exactly known exponents.
+        ant = AntennaModel(length=1.0, two_way=False)
+        k = -4.0 * math.log(2.0)
+        x0 = math.sqrt(EXP_FLOOR / k)
+        near = x0 + np.arange(-64, 65) * np.spacing(x0)  # consecutive doubles around the floor
+        sweep = np.sqrt(np.linspace(-746.5, -708.0, 2001) / k)
+        angle = np.concatenate([sweep, near, [math.nan]])
+        exponent = angle * angle * k
+        for edge in (np.nextafter(EXP_FLOOR, -math.inf), np.nextafter(EXP_FLOOR, math.inf)):
+            assert (exponent == edge).any()
+        assert ((0 < np.exp(exponent)) & (np.exp(exponent) < sys.float_info.min)).sum() > 1000
+        got = ant.gain(angle, SPEED_OF_LIGHT, 0.0)
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+        got, exponent = got[:-1], exponent[:-1]
+        assert (got[got != 0] >= sys.float_info.min).all()
+        above = exponent >= EXP_FLOOR
+        assert got[above].tobytes() == np.exp(exponent[above]).tobytes()
+        assert not np.signbit(got).any()
 
     def test_nan_angle_gives_nan_gain(self):
         assert math.isnan(ANT.gain(0.3, 63e9, math.nan))

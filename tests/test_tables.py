@@ -42,7 +42,7 @@ from sweepsense.fingerprint import (
 from sweepsense.synth import AntennaModel
 
 PLAN8 = FrequencyPlan(60e9, 66e9, 8)
-WIDE_SHA256 = "7b97524b8965d22d57f90810fab67d2fc986fe3ff7594b7f945a46b4f59ecd3b"  # wide_dictionary
+WIDE_SHA256 = "919a50c1db183bc038038218c290fe210544355ac57bd12b5c67a738c8f050ec"  # wide_dictionary
 READ_BYTES = 1 << 17  # 128 KB: the line-end and blank-line tests span several of these
 WIDTH = 7  # columns of the table_text block tests
 BLOCK_ROWS = _WRITE_CELLS // WIDTH  # rows table_text formats at once at that width
