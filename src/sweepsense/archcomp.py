@@ -14,6 +14,7 @@ bundled defaults are known to disagree, so both numbers are always shown.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -31,6 +32,10 @@ ETA_CONSISTENCY_TOL = 0.01
 
 class NonFiniteMetricError(ValueError):
     """A metric or efficiency ratio that compare derives is not a finite number > 0."""
+
+
+class RatioKeyError(ValueError):
+    """Two ordered pairs of architectures whose names give compare the same ratio key."""
 
 
 def range_resolution(bandwidth: float) -> float:
@@ -262,25 +267,25 @@ def _architecture_row(spec: ArchitectureSpec, r_query: float, where: str) -> Arc
 
 
 def compare(specs: list[ArchitectureSpec], r_query: float = 3.0) -> ComparisonReport:
-    """Derive every metric row plus pairwise efficiency ratios; NonFiniteMetricError
-    names the first of them that is not a finite number > 0, and a spec by its
-    index in ``specs``."""
+    """Derive every metric row plus each ordered pair's efficiency ratios; NonFiniteMetricError
+    names the first of them that is not a finite number > 0, and a spec by its index in
+    ``specs``, and RatioKeyError two pairs whose names give one key, 'name/name'."""
     if not specs:
         raise ValueError("need at least one architecture spec")
     if not 0.0 < r_query < math.inf:
         raise ValueError(f"query range must be finite and positive, got {r_query}")
     rows = tuple(_architecture_row(spec, r_query, f"architectures[{i}]: derived")
                  for i, spec in enumerate(specs))
-    ratios_c: dict[str, float] = {}
-    ratios_r: dict[str, float] = {}
-    for a in rows:
-        for b in rows:
-            if a.name == b.name:
-                continue
-            key = f"{a.name}/{b.name}"
-            ratios_c[key] = a.eta_computed / b.eta_computed
-            if a.eta_reference is not None and b.eta_reference is not None:
-                ratios_r[key] = a.eta_reference / b.eta_reference
+    pairs: dict[str, tuple[int, int]] = {}  # 'name/name' -> the ordered pair of row indices
+    for i, j in itertools.permutations(range(len(rows)), 2):
+        key = f"{rows[i].name}/{rows[j].name}"
+        if pairs.setdefault(key, (i, j)) != (i, j):
+            pair = "architectures[{}]/architectures[{}]".format
+            raise RatioKeyError(f"architectures: {pair(i, j)} repeats the efficiency ratio key "
+                                f"'{key}' of {pair(*pairs[key])}")
+    ratios_c = {key: rows[i].eta_computed / rows[j].eta_computed for key, (i, j) in pairs.items()}
+    ratios_r = {key: rows[i].eta_reference / rows[j].eta_reference for key, (i, j) in pairs.items()
+                if None not in (rows[i].eta_reference, rows[j].eta_reference)}
     for name, ratios in (("eta_ratios_computed", ratios_c), ("eta_ratios_reference", ratios_r)):
         for key, value in ratios.items():
             _positive(f"architectures: {name}", f"'{key}'", value)

@@ -431,8 +431,8 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
 
 # ---------------------------------------------------------------------------
 # commands: each returns (output, side), and main writes both. output is the verb's
-# primary output, its text or the ASCII blocks it prints as they are drawn, or None;
-# side is the text for the other stream, or None.
+# primary output, its text or the ASCII blocks it prints as they are drawn (none for
+# compare without --out); side is the text for the other stream, or None.
 
 
 def _json_dumps(obj) -> str:
@@ -452,18 +452,15 @@ def cmd_dict(args) -> tuple:
 
 def cmd_localize(args) -> tuple:
     plan, model, antenna, grid = _load(args, "plan", "dispersion", "antenna", "grid")
-    # A measurement that cannot be read scores an empty block, and its error is raised
-    # last: the errors of the dictionary rows, then of the --dict file, come first.
-    block, fault = np.empty((0, 2 * plan.n_points), complex), None
+    dictionary = Dictionary(grid, plan, model, antenna)
     try:
-        block = build_fingerprint(read_measurement_csv(args.measurement, plan, model)).vector[None]
-    except (OSError, ValueError) as exc:
-        fault = exc
-    try:
-        [(indices, scores)] = localize_batch([block], Dictionary(grid, plan, model, antenna),
-                                             args.dict)
-        if fault is not None:
-            raise fault
+        try:
+            meas = read_measurement_csv(args.measurement, plan, model)
+            block = build_fingerprint(meas).vector[None]
+        except (OSError, ValueError):  # the rows' errors, then the file's, come first
+            localize_batch([], dictionary, args.dict)
+            raise
+        [(indices, scores)] = localize_batch([block], dictionary, args.dict)
     except (OSError, ValueError) as exc:
         if isinstance(exc, DegenerateMeasurementError):
             raise  # a measurement or dictionary row that cannot be normalized: exit 3
@@ -510,7 +507,7 @@ def cmd_probe(args) -> tuple:
 
 def cmd_compare(args) -> tuple:
     report = archcomp.compare(*_load(args, "architectures"), r_query=args.r_query)
-    return None if args.out is None else _json_dumps(report.to_dict()), report.to_text()
+    return () if args.out is None else _json_dumps(report.to_dict()), report.to_text()
 
 
 def cmd_sweep(args) -> tuple:
@@ -668,17 +665,14 @@ def main(argv=None) -> int:
                 (sys.stderr if args.out == "-" else sys.stdout).write(side)
             sys.stdout.flush()
 
-        if output is None:
-            finish()
-        else:
-            blocks = [output.encode("ascii")] if isinstance(output, str) else output
-            write_text(sys.stdout if args.out == "-" else args.out, _then(blocks, finish))
+        blocks = [output.encode("ascii")] if isinstance(output, str) else output
+        write_text(sys.stdout if args.out in ("-", None) else args.out, _then(blocks, finish))
         return 0
     except argparse.ArgumentError as exc:
         flag = f"{exc.argument_name}: " if exc.argument_name else ""
         print(f"error: {flag}{exc.message}", file=sys.stderr)
         return 2
-    except (ConfigError, archcomp.NonFiniteMetricError) as exc:
+    except (ConfigError, archcomp.NonFiniteMetricError, archcomp.RatioKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # GeometryError and DegenerateMeasurementError are ValueErrors.
@@ -698,8 +692,12 @@ def entry() -> None:
     ``main`` writes text to whichever streams it is given. When stdout is full or closed,
     ``main`` has said so and returned 3; fd 1 then points at the null device, so the
     interpreter's flush at exit does not fail a second time on the text left unwritten.
+    A stream closed at start is opened on the null device, stdout read-only so printing fails.
     """
     gc.freeze()
+    for name, flags in (("stdout", os.O_RDONLY), ("stderr", os.O_WRONLY)):
+        if getattr(sys, name) is None:  # its fd was closed at start
+            setattr(sys, name, open(os.open(os.devnull, flags), "w"))
     sys.stdout.reconfigure(encoding="utf-8", errors="strict")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     code = main()

@@ -238,7 +238,7 @@ def build_dictionary(
     plan: FrequencyPlan,
     model: DispersionModel,
     antenna: AntennaModel,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> Dictionary:
     """Fingerprint every grid position (noiseless, unit reflectivity).
 
@@ -246,7 +246,7 @@ def build_dictionary(
     result nor code path. Grid points must lie far enough inside the scanned
     field of view that every channel has non-vanishing gain somewhere.
     """
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     dictionary = Dictionary(grid, plan, model, antenna)
     dictionary.entries  # every row is built here: one that cannot be normalized raises
@@ -351,17 +351,11 @@ def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
     crossings = []
     for sign in (1.0, -1.0):
         mask = (offsets * sign) > 0.0
-        branch_off = np.abs(offsets[mask])
-        branch_val = values[mask]
-        order = np.argsort(branch_off)
-        prev_off, prev_val = 0.0, 1.0
-        for off, val in zip(branch_off[order], branch_val[order]):
-            if val < HALF_POWER:
-                crossings.append(
-                    prev_off + (prev_val - HALF_POWER) / (prev_val - val) * (off - prev_off)
-                )
-                break
-            prev_off, prev_val = off, val
+        order = np.argsort(np.abs(offsets[mask]))
+        off, val = np.r_[0.0, np.abs(offsets[mask][order])], np.r_[1.0, values[mask][order]]
+        for k in np.flatnonzero(val < HALF_POWER)[:1]:  # the first below, never 0, the anchor
+            (o0, o1), (v0, v1) = off[k - 1 : k + 1], val[k - 1 : k + 1]
+            crossings.append(o0 + (v0 - HALF_POWER) / (v0 - v1) * (o1 - o0))
     return min(crossings) if crossings else None
 
 

@@ -138,7 +138,9 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
         gain = _per_distinct(lambda angle: antenna.gain(angle, freqs, thetas),
                              axis.target_angle(rows))
         np.multiply(carrier, gain, out=out[:, c])
-    out += 0.0  # turns the -0.0 of an underflowed gain into +0.0
+    # a +0.0 gain, or an underflowed product, times a carrier part < 0 gives -0.0, as in
+    # (-0.5+0.3j) * 0.0 = -0.0+0.0j; adding +0.0 makes it +0.0
+    out += 0.0
     return out
 
 

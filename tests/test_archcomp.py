@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sweepsense.archcomp import (
     ArchitectureSpec,
     NonFiniteMetricError,
+    RatioKeyError,
     angular_resolution_mimo,
     angular_resolution_virtual,
     compare,
@@ -190,6 +191,35 @@ class TestCompare:
             resolution_cell_volume(theta, theta, range_resolution(spec.bandwidth_hz), 3.0),
             rel=1e-12,
         )
+
+    def test_distinct_names_give_every_ordered_pair_its_ratio_in_row_order(self):
+        specs = [edited(spec, name=name)
+                 for spec, name in zip(default_architectures(), ["A/B", "C", "A"])]
+        report = compare(specs)
+        assert list(report.eta_ratios_computed) == ["A/B/C", "A/B/A", "C/A/B", "C/A", "A/A/B",
+                                                    "A/C"]
+        assert report.eta_ratios_computed["A/B/C"] == (report.rows[0].eta_computed
+                                                       / report.rows[1].eta_computed)
+
+    @pytest.mark.parametrize("names, message", [
+        # two specs of one name give 'A/A' twice; 'A/B' over 'C' and 'A' over 'B/C' agree
+        (["A", "A", "B"], "architectures[1]/architectures[0] repeats the efficiency ratio key "
+                          "'A/A' of architectures[0]/architectures[1]"),
+        (["A/B", "C", "A", "B/C"], "architectures[2]/architectures[3] repeats the efficiency "
+                                   "ratio key 'A/B/C' of architectures[0]/architectures[1]"),
+    ])
+    def test_repeated_ratio_key_raises_naming_both_pairs(self, names, message):
+        trio = default_architectures()
+        specs = [edited(trio[i % 3], name=name) for i, name in enumerate(names)]
+        with pytest.raises(RatioKeyError) as exc:
+            compare(specs)
+        assert str(exc.value) == f"architectures: {message}"
+
+    def test_two_equal_specs_of_one_name_are_still_two_pairs(self):
+        spec = default_architectures()[0]
+        with pytest.raises(RatioKeyError, match=r"^architectures: architectures\[1\]/"
+                                                r"architectures\[0\] repeats "):
+            compare([spec, spec])
 
     def test_missing_reference_leaves_flag_unset(self):
         spec = ArchitectureSpec(

@@ -512,6 +512,27 @@ class TestCompare:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("names, key, pair, earlier", [
+        # two architectures of one name give 'A/A' twice, and 'A/B' would drop a ratio
+        (["A", "A", "B"], "A/A", "1]/architectures[0", "0]/architectures[1"),
+        # 'A/B' over 'C' and 'A' over 'B/C' both print as 'A/B/C'
+        (["A/B", "C", "A", "B/C"], "A/B/C", "2]/architectures[3", "0]/architectures[1"),
+    ], ids=["repeated-name", "slashed-names"])
+    @pytest.mark.parametrize("out", [None, "report.json"])
+    def test_repeated_ratio_key_exits_2_naming_both_pairs(self, tmp_path, config_path, capsys,
+                                                          names, key, pair, earlier, out):
+        cfg = base_config()
+        arch = cfg["architectures"]
+        cfg["architectures"] = [{**arch[i % len(arch)], "name": name}
+                                for i, name in enumerate(names)]
+        flags = [] if out is None else ["--out", str(tmp_path / out)]
+        assert cli.main(["compare", "--config", config_path(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: architectures: architectures[{pair}] repeats the "
+                                f"efficiency ratio key '{key}' of architectures[{earlier}]\n")
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
+
     def test_json_output_is_standard(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json_dumps({"width": math.inf})
@@ -1927,6 +1948,29 @@ class TestDictionaryCheck:
             built.clear()
             assert self.localize(tmp_path, path, meas, dict_csv)[0] == 0
             assert sum(built) == rows
+
+    def test_unreadable_measurement_still_builds_each_row_once_per_pass(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        # the rows, and the --dict file, are checked before the measurement's error is raised
+        path, _, own = self.prepared(tmp_path, config_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(own.read_bytes().replace(b"\n", b"\r\n"))
+        missing = tmp_path / "missing.csv"
+        built = []
+
+        def counted(positions, *args, **kwargs):
+            built.append(len(positions))
+            return echo(positions, *args, **kwargs)
+
+        monkeypatch.setattr(fingerprint, "echo", counted)
+        capsys.readouterr()
+        for dict_csv, rows in ((None, 27), (own, 27), (crlf, 2 * 27)):
+            built.clear()
+            assert self.localize(tmp_path, path, missing, dict_csv) == (2, None)
+            assert sum(built) == rows
+            assert capsys.readouterr().err == (
+                f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
     def test_fifo_of_the_own_dictionary_gives_the_in_memory_output(self, tmp_path, config_path):
         path, meas, own = self.prepared(tmp_path, config_path)

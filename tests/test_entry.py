@@ -3,7 +3,8 @@
 bytes, stdout and stderr, and exits with the same code, as ``cli.main`` in process, in
 the test's locale and in a C locale without UTF-8 mode alike. The entry freezes the
 import-time heap (``gc.freeze``); ``cli.main`` freezes nothing. A verb whose stdout is
-full or closed exits 3 with one ``error:`` line and leaves its ``--out`` file as it was."""
+full or closed, at start too, exits 3 with one ``error:`` line and leaves its ``--out``
+file as it was; one that writes nothing to an fd closed at start runs as ``cli.main``."""
 
 import gc
 import json
@@ -110,7 +111,15 @@ def closed_pipe() -> int:
     return write
 
 
-@pytest.mark.parametrize("stdout", ["full", "closed-pipe"])
+# how the child's stdout is failed: the fd it gets, or None for an fd 1 closed at start
+STDOUTS = {
+    "full": lambda: os.open("/dev/full", os.O_WRONLY),
+    "closed-pipe": closed_pipe,
+    "closed-at-start": lambda: None,
+}
+
+
+@pytest.mark.parametrize("stdout", STDOUTS)
 @pytest.mark.parametrize("name, command, earlier", FULL_RUNS, ids=[run[0] for run in FULL_RUNS])
 def test_a_full_or_closed_stdout_exits_3_leaving_no_file(tmp_path, name, command, earlier,
                                                          stdout):
@@ -120,16 +129,46 @@ def test_a_full_or_closed_stdout_exits_3_leaving_no_file(tmp_path, name, command
         (work / "f.csv").write_bytes(earlier)
     before = {p.name: p.read_bytes() for p in work.iterdir()}
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else closed_pipe()
+    fd = STDOUTS[stdout]()
     try:
         child = subprocess.run([sys.executable, "-m", "sweepsense.cli", *command.split()],
-                               cwd=work, env=env, stdout=fd, stderr=subprocess.PIPE, text=True)
+                               cwd=work, env=env, stdout=fd, stderr=subprocess.PIPE, text=True,
+                               preexec_fn=(lambda: os.close(1)) if fd is None else None)
     finally:
-        os.close(fd)
+        if fd is not None:
+            os.close(fd)
     assert child.returncode == 3, child.stderr
     [line] = child.stderr.splitlines()
     assert line.startswith("error: ")
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+# name, the fd closed at the child's start, the verb, and main's exit code
+CLOSED_RUNS = [
+    ("dict-out-without-stdout", 1, "dict --config config.json --out f.csv", 0),
+    ("compare-without-stderr", 2, "compare --config config.json", 0),
+    ("missing-config-without-stderr", 2, "compare --config missing.json", 2),
+]
+
+
+@pytest.mark.parametrize("name, fd, command, code", CLOSED_RUNS,
+                         ids=[run[0] for run in CLOSED_RUNS])
+def test_a_closed_fd_the_verb_does_not_need_leaves_mains_run(
+    tmp_path, monkeypatch, capsysbinary, name, fd, command, code
+):
+    # a verb that writes nothing to its closed stream runs as main does, files and all
+    child_dir, main_dir = inputs(tmp_path / "child"), inputs(tmp_path / "main")
+    capsysbinary.readouterr()
+    child = subprocess.run([sys.executable, "-m", "sweepsense.cli", *command.split()],
+                           cwd=child_dir, env=ENV, capture_output=True,
+                           preexec_fn=lambda: os.close(fd))
+    monkeypatch.chdir(main_dir)
+    rc = cli.main(command.split())
+    stdout, stderr = capsysbinary.readouterr()
+    assert child.returncode == rc == code, child.stderr
+    assert (child.stdout, child.stderr) == ((b"", stderr) if fd == 1 else (stdout, b""))
+    assert {p.name: p.read_bytes() for p in child_dir.iterdir()} == {
+        p.name: p.read_bytes() for p in main_dir.iterdir()}
 
 
 FROZEN = """

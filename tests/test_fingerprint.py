@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepsense.core import (
@@ -503,6 +503,35 @@ class TestLocalize:
             localize(m, dictionary)
 
 
+def walked_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
+    """The half-power width by a per-sample walk outward from offset 0 on each sign: the
+    oracle whose bits half_power_width keeps."""
+    crossings = []
+    for sign in (1.0, -1.0):
+        mask = (offsets * sign) > 0.0
+        branch_off = np.abs(offsets[mask])
+        branch_val = values[mask]
+        order = np.argsort(branch_off)
+        prev_off, prev_val = 0.0, 1.0
+        for off, val in zip(branch_off[order], branch_val[order]):
+            if val < HALF_POWER:
+                crossings.append(
+                    prev_off + (prev_val - HALF_POWER) / (prev_val - val) * (off - prev_off)
+                )
+                break
+            prev_off, prev_val = off, val
+    return min(crossings) if crossings else None
+
+
+# offsets from a coarse lattice, so that |offsets| repeat across and within signs and 0
+# occurs, or any finite double; values around HALF_POWER, on it and on either side
+CURVE_SAMPLES = st.lists(st.tuples(
+    st.integers(-6, 6).map(lambda k: k * 0.25) | st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, HALF_POWER, math.nextafter(HALF_POWER, 0.0), 1.0])
+    | st.floats(0.0, 1.0),
+), max_size=16)
+
+
 class TestHalfPowerWidth:
     def test_linear_interpolation_exact(self):
         # crafted curve: crosses 1/sqrt(2) exactly half way between samples
@@ -523,6 +552,20 @@ class TestHalfPowerWidth:
         offsets = np.linspace(-1, 1, 11)
         values = np.full(11, 0.95)
         assert half_power_width(offsets, values) is None
+
+    @given(samples=CURVE_SAMPLES)
+    @example(samples=[])
+    @example(samples=[(0.0, 0.1), (0.5, 0.9), (-0.5, 0.8)])  # no crossing on either sign
+    @example(samples=[(0.5, 0.9), (-0.5, 0.8), (-1.0, 0.2)])  # one on the negative side only
+    @example(samples=[(1.0, 0.2), (-1.0, 0.3), (1.0, 0.9), (-1.0, 0.1)])  # repeated |offsets|
+    @settings(max_examples=500, deadline=None)
+    def test_width_has_the_bits_of_the_walk(self, samples):
+        offsets = np.array([offset for offset, _ in samples], dtype=float)
+        values = np.array([value for _, value in samples], dtype=float)
+        got, want = half_power_width(offsets, values), walked_width(offsets, values)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestAmbiguityProbe:
