@@ -111,6 +111,9 @@ class ArchitectureSpec(Record):
     noise_rejection: str | None = None
 
     def __post_init__(self) -> None:
+        # a name is one cell of a report line and one side of a ratio key
+        if not (self.name and self.name.isprintable()):
+            raise ValueError(f"name must be a non-empty printable string, got {self.name!r}")
         if self.rf_chains < 1:
             raise ValueError("rf_chains must be >= 1")
         if not all(0.0 < x < math.inf

@@ -40,9 +40,11 @@ class Record:
 
     The constructor binds positional and keyword arguments to the fields, a missing one
     taking its class attribute as default, then runs __post_init__, which may still set a
-    field through object.__setattr__. Records compare, hash and print as their tuple of
-    fields, and no attribute can be set or deleted. Nothing is generated: defining a record
-    type compiles no code at import (the README's start-up paragraph says why that matters).
+    field through object.__setattr__, or through _own, which sets an array field to a
+    read-only copy, so the record shares no memory with its caller's array. Records compare,
+    hash and print as their tuple of fields, and no attribute can be set or deleted. Nothing
+    is generated: defining a record type compiles no code at import (the README's start-up
+    paragraph says why that matters).
     """
 
     def __init_subclass__(cls, hidden=(), **kwargs) -> None:
@@ -64,6 +66,14 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
+
+    def _own(self, name: str, dtype) -> np.ndarray:
+        """Set field ``name`` to a read-only copy of its value as an array of ``dtype``;
+        return that array."""
+        value = np.array(getattr(self, name), dtype=dtype)
+        value.setflags(write=False)
+        vars(self)[name] = value
+        return value
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -223,17 +233,12 @@ class Measurement(Record, hidden=("s_x", "s_y")):
     s_y: np.ndarray
 
     def __post_init__(self) -> None:
-        s_x = np.array(self.s_x, dtype=np.complex128, copy=True)
-        s_y = np.array(self.s_y, dtype=np.complex128, copy=True)
-        for name, vec in (("s_x", s_x), ("s_y", s_y)):
+        for name in ("s_x", "s_y"):
+            vec = self._own(name, np.complex128)
             if vec.shape != (self.plan.n_points,):
                 raise ValueError(
                     f"{name} must have shape ({self.plan.n_points},), got {vec.shape}"
                 )
-        s_x.setflags(write=False)
-        s_y.setflags(write=False)
-        object.__setattr__(self, "s_x", s_x)
-        object.__setattr__(self, "s_y", s_y)
 
 
 def range_of(position) -> float | np.ndarray:
@@ -326,12 +331,12 @@ def write_text(dest, blocks) -> None:
     """Write the ASCII ``blocks`` to ``dest``: a path, or an open text file that gets
     each block decoded. A missing path or a regular file is written through a new file
     beside it, which replaces it with the same mode once every block is written, so a
-    failure leaves it as it was; a link, a pipe, a device or a file this process may not
-    write is written in place."""
+    failure leaves it as it was; a link, a pipe, a device, a file this process may not
+    write, or a path in a directory where it may not create a file is written in place."""
     if hasattr(dest, "write"):
         return dest.writelines(block.decode("ascii") for block in blocks)
-    if os.path.islink(dest) or os.path.exists(dest) and not (os.path.isfile(dest)
-                                                            and os.access(dest, os.W_OK)):
+    if (os.path.islink(dest) or not os.access(os.path.dirname(dest) or ".", os.W_OK | os.X_OK)
+            or os.path.exists(dest) and not (os.path.isfile(dest) and os.access(dest, os.W_OK))):
         with open(dest, "wb") as fh:
             return fh.writelines(blocks)
     tmp = os.path.join(os.path.dirname(dest), f"{os.urandom(6).hex()}.tmp")  # fits any name limit

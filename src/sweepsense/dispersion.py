@@ -68,15 +68,9 @@ class LookupTableDispersion(Record):
     angles: np.ndarray  # rad, strictly increasing
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies, dtype=float)
-        angs = np.asarray(self.angles, dtype=float)
-        fault = _table_fault(freqs, angs)
+        fault = _table_fault(self._own("frequencies", float), self._own("angles", float))
         if fault is not None:
             raise ValueError(fault[1])
-        freqs.setflags(write=False)
-        angs.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "angles", angs)
 
     @classmethod
     def from_csv(cls, path) -> "LookupTableDispersion":

@@ -47,7 +47,7 @@ class Fingerprint(Record, hidden=("vector",)):
     plan: FrequencyPlan
 
     def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=np.complex128, copy=True)
+        vec = self._own("vector", np.complex128)
         m = self.plan.n_points
         if vec.shape != (2 * m,):
             raise ValueError(f"fingerprint must have length {2 * m}, got {vec.shape}")
@@ -55,8 +55,6 @@ class Fingerprint(Record, hidden=("vector",)):
             norm = np.linalg.norm(half)
             if abs(norm - 1.0) > 1e-9:
                 raise ValueError(f"{name} half must be unit-norm, got {norm!r}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
 
 def normalize(s: np.ndarray, describe) -> np.ndarray:
@@ -133,10 +131,12 @@ class PositionGrid(Record):
     nz: int
 
     def __post_init__(self) -> None:
-        ranges = (self.x_range, self.y_range, self.z_range)
-        for name, (lo, hi) in zip("xyz", ranges):
+        for name in ("x_range", "y_range", "z_range"):
+            lo, hi = map(float, getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))  # a tuple of floats, not the caller's list
             if not lo <= hi:
-                raise ValueError(f"{name}_range must satisfy lo <= hi, got ({lo}, {hi})")
+                raise ValueError(f"{name} must satisfy lo <= hi, got ({lo}, {hi})")
+        ranges = (self.x_range, self.y_range, self.z_range)
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("grid counts must all be >= 1")
         if self.z_range[0] <= 0.0:
@@ -385,11 +385,7 @@ def ambiguity_probe(
     [(_, ref)] = _fingerprint_rows(p0[None], plan, model, antenna, lambda _: "reference p0")
     positions = _displace(p0, axis, offsets)
     sims = np.empty(offsets.shape, dtype=float)
-    unit = "rad" if isinstance(axis, str) and axis != "range" else "m"
-
-    def describe(i: int) -> str:
-        return f"probe offset {offsets[i]:g} {unit}"
-
+    describe = lambda i: f"probe position {i} at {tuple(positions[i].tolist())}"
     for start, rows in _fingerprint_rows(positions, plan, model, antenna, describe):
         sims[start : start + len(rows)] = _scores(rows, ref)[:, 0]
     return AmbiguityCurve(similarities=sims, width=half_power_width(offsets, sims))

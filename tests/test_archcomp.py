@@ -316,11 +316,22 @@ REAL_RANGE = "physical_size_m, bandwidth_hz and f_ref_hz must be finite and posi
     *(pytest.param(field, 10**400,
                    f"{field} must be at most 1.7976931348623157e+308, the largest double",
                    id=f"{field}-10**400") for field in ("rf_chains", "n_samples")),
+    # a name is one cell of the report's line and one side of a ratio key
+    *(pytest.param("name", name, f"name must be a non-empty printable string, got {name!r}",
+                   id=f"name-{label}")
+      for name, label in (("", "empty"), ("A\nB", "newline"), ("A\tB", "tab"),
+                          ("\x1b[1mA", "escape"), ("A\u2028B", "line-separator"))),
 ])
 def test_spec_rejects_values_out_of_range(field, value, message):
     with pytest.raises(ValueError) as exc:
         edited(default_architectures()[0], **{field: value})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["FaA-Single", "FaA-Dual", "1T3R-MIMO", "FaA\u2013Single",
+                                  "A/B", "Fa A", "!"])
+def test_spec_keeps_a_printable_name(name):
+    assert edited(default_architectures()[0], name=name).name == name
 
 
 def test_compare_of_a_nan_size_raises_the_range_message():

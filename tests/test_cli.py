@@ -404,6 +404,22 @@ class TestProbe:
                              "--span", "5.0", "--steps", "201", "--out", str(csv[axis])]) == 0
         assert csv["azimuth"].read_bytes() == csv["elevation"].read_bytes()
 
+    @pytest.mark.parametrize("axis, side", [("azimuth", 0), ("elevation", 1)])
+    def test_zero_norm_row_exits_3_naming_its_position(self, tmp_path, config_path, capsys,
+                                                        axis, side):
+        # an 89 deg turn leaves the 12 cm antenna's beam: the first row has a zero-norm channel
+        path = config_path(base_config(antenna={"length_m": 0.12, "two_way": True}))
+        out = tmp_path / "probe.csv"
+        assert cli.main(["probe", "--config", path, "--axis", axis, "--span", "89",
+                         "--steps", "3", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        found = re.fullmatch(r"error: probe position 0 at \((\S+), (\S+), (\S+)\) has a "
+                             r"zero-norm channel\n", captured.err)
+        expected = [0.0, 0.0, 3.0 * math.cos(math.radians(89))]
+        expected[side] = -3.0 * math.sin(math.radians(89))
+        assert found and [float(v) for v in found.groups()] == pytest.approx(expected, rel=1e-12)
+        assert "rad" not in captured.err and captured.out == "" and not out.exists()
+
     def test_bad_axis_exits_2(self, tmp_path, config_path):
         rc = cli.main(
             ["probe", "--config", config_path(base_config()), "--axis", "spiral",
@@ -1295,6 +1311,11 @@ MALFORMED += [
     row for row in ((verb, *case) for verb in VERBS for case in INVALID_SECTIONS)
     if row not in MALFORMED
 ]
+# a name is one cell of compare's report line and one side of a ratio key
+MALFORMED += [pytest.param(verb, "architectures.1.name", name,
+                           f"architectures[1]: name must be a non-empty printable string, got "
+                           f"{name!r}", id=f"{verb}-architecture-name-{label}")
+              for verb in VERBS for name, label in (("", "empty"), ("A\nB", "newline"))]
 MALFORMED.append(("compare", "dispersion", {"kind": "lookup_table", "table_path": "nope.csv"},
                   "dispersion: [Errno 2] No such file or directory"))
 MALFORMED += [("compare", "architectures", value, "architectures: must be a non-empty list")

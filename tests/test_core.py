@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepsense import core
 from sweepsense.core import (
     SPEED_OF_LIGHT,
     ChannelAxis,
@@ -240,4 +241,37 @@ class TestWriteText:
         path = tmp_path / "missing" / "out.csv"
         with pytest.raises(FileNotFoundError) as err:
             write_text(path, [b"a\n"])
-        assert os.path.dirname(err.value.filename) == str(path.parent)  # the new file beside it
+        assert err.value.filename == str(path)
+
+    @pytest.fixture
+    def locked(self, tmp_path, monkeypatch):
+        """``tmp_path`` as a directory this process may not create a file in: os.access
+        says so, and opening a missing path there raises PermissionError, as the OS does
+        for a user without write permission on it (the tests may run as root)."""
+        real_access, real_open = os.access, open
+
+        def access(path, mode):
+            return os.fspath(path) != str(tmp_path) and real_access(path, mode)
+
+        def locked_open(path, mode="r", *args, **kwargs):
+            if os.path.dirname(path) == str(tmp_path) and not os.path.exists(path):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(core.os, "access", access)
+        monkeypatch.setattr(core, "open", locked_open, raising=False)
+        return tmp_path
+
+    def test_writable_file_in_a_locked_directory_is_written_in_place(self, locked):
+        path = locked / "out.csv"
+        path.write_bytes(b"old\n")
+        inode = path.stat().st_ino
+        write_text(path, [b"a\n", b"b\n"])
+        assert path.read_bytes() == b"a\nb\n" and path.stat().st_ino == inode
+        assert os.listdir(locked) == ["out.csv"]  # no *.tmp
+
+    def test_missing_path_in_a_locked_directory_is_named(self, locked):
+        path = locked / "out.csv"
+        with pytest.raises(PermissionError) as err:
+            write_text(path, [b"a\n"])
+        assert err.value.filename == str(path) and os.listdir(locked) == []

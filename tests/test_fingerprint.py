@@ -611,9 +611,11 @@ class TestAmbiguityProbe:
 
     def test_zero_norm_error_names_offset(self):
         # a 1.5 rad azimuth turn leaves the 60 deg scan: the x-channel gain
-        # underflows to zero there
-        with pytest.raises(DegenerateMeasurementError, match="offset 1.5 rad"):
+        # underflows to zero there; the row is named by its index and position
+        position = (3.0 * math.sin(1.5), 0.0, 3.0 * math.cos(1.5))
+        with pytest.raises(DegenerateMeasurementError) as exc:
             ambiguity_probe((0, 0, 3.0), "azimuth", np.array([0.0, 1.5]), PLAN8, MODEL8, ANT)
+        assert str(exc.value) == f"probe position 1 at {position} has a zero-norm channel"
 
     @pytest.mark.parametrize(
         "direction", [(0.0, 0.0, 0.0), (1e-200, 1e-200, 0.0), (1e200, 1e200, 0.0), (math.nan, 0, 1)]

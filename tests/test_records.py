@@ -30,6 +30,7 @@ from sweepsense.fingerprint import (
     Fingerprint,
     LocalizationResult,
     PositionGrid,
+    build_fingerprint,
 )
 from sweepsense.synth import AntennaModel
 
@@ -205,6 +206,43 @@ class TestRecord:
             assert same(twin, record)
             if not holds_array(record):
                 assert twin == record
+
+
+# the types built from arrays or sequences, and an output each computes from them
+OUTPUTS = {
+    Measurement: lambda r: build_fingerprint(r).vector,
+    LookupTableDispersion: lambda r: r.beam_angle(np.array([60e9, 63e9, 66e9])),
+    Fingerprint: lambda r: r.vector,  # no method reads it
+    PositionGrid: lambda r: r.points(),
+}
+OWNERS = [row for row in RECORDS if row[0] in OUTPUTS]
+
+
+def fresh(value):
+    """A new copy of a field value that its caller can write: an array, or a tuple as a list."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return list(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("cls, fields, change", OWNERS, ids=ids(OWNERS))
+def test_a_record_shares_no_state_with_its_callers_inputs(cls, fields, change):
+    inputs = {name: fresh(value) for name, value in fields.items()}
+    record = cls(**inputs)
+    kept, output = copy.deepcopy(values(record)), OUTPUTS[cls](record).copy()
+    arrays = [value for value in values(record) if isinstance(value, np.ndarray)]
+    assert all(not array.flags.writeable for array in arrays)
+    for value in inputs.values():
+        if isinstance(value, np.ndarray):
+            assert value.flags.writeable
+            assert not any(np.shares_memory(array, value) for array in arrays)
+        if isinstance(value, (np.ndarray, list)):
+            for i in range(len(value)):  # the caller writes every element
+                value[i] = value[-1] + 1
+    assert all(np.array_equal(a, b) for a, b in zip(values(record), kept, strict=True))
+    assert np.array_equal(OUTPUTS[cls](record), output) and same(record, cls(**fields))
+    if not holds_array(record):
+        assert hash(record) == hash(cls(**fields))
 
 
 class TestBinding:
