@@ -36,21 +36,24 @@ class DegenerateMeasurementError(ValueError):
 
 class Record:
     """Base of the immutable record types. A subclass's annotated names, in order, are its
-    fields; ``hidden`` names the fields its repr leaves out.
+    fields; ``hidden`` names the fields its repr leaves out, and ``arrays`` maps each array
+    field to its dtype.
 
     The constructor binds positional and keyword arguments to the fields, a missing one
-    taking its class attribute as default, then runs __post_init__, which may still set a
-    field through object.__setattr__, or through _own, which sets an array field to a
-    read-only copy, so the record shares no memory with its caller's array. Records compare,
-    hash and print as their tuple of fields, and no attribute can be set or deleted. Nothing
-    is generated: defining a record type compiles no code at import (the README's start-up
-    paragraph says why that matters).
+    taking its class attribute as default, sets each array field to a read-only copy of its
+    value, so the record shares no memory with its caller's array, then runs __post_init__,
+    which may still set a field through object.__setattr__. Records compare, hash and print
+    as their tuple of fields, and no attribute can be set or deleted; a record that holds an
+    array cannot be hashed (TypeError), and == raises ValueError once it compares two
+    distinct arrays of two or more elements. Nothing is generated: defining a record type
+    compiles no code at import (the README's start-up paragraph says why that matters).
     """
 
-    def __init_subclass__(cls, hidden=(), **kwargs) -> None:
+    def __init_subclass__(cls, hidden=(), arrays=(), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._arrays = dict(arrays)
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -62,18 +65,13 @@ class Record:
             if name not in given and not hasattr(cls, name):
                 raise TypeError(f"{cls.__name__} is missing field {name!r}")
             vars(self)[name] = given[name] if name in given else getattr(cls, name)
+        for name, dtype in cls._arrays.items():
+            vars(self)[name] = np.array(vars(self)[name], dtype=dtype)
+            vars(self)[name].setflags(write=False)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         pass
-
-    def _own(self, name: str, dtype) -> np.ndarray:
-        """Set field ``name`` to a read-only copy of its value as an array of ``dtype``;
-        return that array."""
-        value = np.array(getattr(self, name), dtype=dtype)
-        value.setflags(write=False)
-        vars(self)[name] = value
-        return value
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -225,7 +223,7 @@ class Scene(Record):
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
-class Measurement(Record, hidden=("s_x", "s_y")):
+class Measurement(Record, hidden=("s_x", "s_y"), arrays={"s_x": complex, "s_y": complex}):
     """Dual-channel complex measurement vectors indexed by frequency point."""
 
     plan: FrequencyPlan
@@ -234,7 +232,7 @@ class Measurement(Record, hidden=("s_x", "s_y")):
 
     def __post_init__(self) -> None:
         for name in ("s_x", "s_y"):
-            vec = self._own(name, np.complex128)
+            vec = getattr(self, name)
             if vec.shape != (self.plan.n_points,):
                 raise ValueError(
                     f"{name} must have shape ({self.plan.n_points},), got {vec.shape}"

@@ -61,14 +61,14 @@ class LinearSineDispersion(Record):
         return np.arcsin(s_lo + (s_hi - s_lo) * frac)
 
 
-class LookupTableDispersion(Record):
+class LookupTableDispersion(Record, arrays={"frequencies": float, "angles": float}):
     """Measured or simulated dispersion points with linear interpolation."""
 
     frequencies: np.ndarray  # Hz, strictly increasing
     angles: np.ndarray  # rad, strictly increasing
 
     def __post_init__(self) -> None:
-        fault = _table_fault(self._own("frequencies", float), self._own("angles", float))
+        fault = _table_fault(self.frequencies, self.angles)
         if fault is not None:
             raise ValueError(fault[1])
 

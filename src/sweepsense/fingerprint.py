@@ -40,14 +40,14 @@ HALF_POWER = 1.0 / math.sqrt(2.0)
 CHUNK_ROWS = 256  # positions per echo batch and rows per score call: bounds temporaries
 
 
-class Fingerprint(Record, hidden=("vector",)):
+class Fingerprint(Record, hidden=("vector",), arrays={"vector": complex}):
     """Concatenated unit-norm channel vectors, x half then y half (length 2M)."""
 
     vector: np.ndarray
     plan: FrequencyPlan
 
     def __post_init__(self) -> None:
-        vec = self._own("vector", np.complex128)
+        vec = self.vector
         m = self.plan.n_points
         if vec.shape != (2 * m,):
             raise ValueError(f"fingerprint must have length {2 * m}, got {vec.shape}")
@@ -92,8 +92,11 @@ def _scores(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     Returns (N, T): the mean over channels of |<row, fingerprint>|, from one
     matrix product per channel. ``rows`` is passed to BLAS as strided halves,
-    without a copy; with T = 1 the product is a matrix-vector one.
+    without a copy; with T = 1 the product is a matrix-vector one. One row is
+    scored as two copies of it, since numpy's vector product rounds differently.
     """
+    if len(rows) == 1:
+        return _scores(np.concatenate([rows, rows]), block)[:1]
     m = block.shape[-1] // 2
     x = np.abs(rows[:, :m] @ np.conj(block[:, :m]).T)
     x += np.abs(rows[:, m:] @ np.conj(block[:, m:]).T)
@@ -253,7 +256,7 @@ def build_dictionary(
     return dictionary
 
 
-class LocalizationResult(Record):
+class LocalizationResult(Record, arrays={"position": float}):
     position: np.ndarray
     score: float
     index: int
@@ -304,7 +307,7 @@ def localize(meas: Measurement, dictionary) -> LocalizationResult:
     """
     [([idx], [score])] = localize_batch([build_fingerprint(meas).vector[None]], dictionary)
     return LocalizationResult(
-        position=dictionary.grid.points()[idx].copy(),
+        position=dictionary.grid.points()[idx],
         score=float(score),
         index=int(idx),
     )
@@ -359,7 +362,7 @@ def half_power_width(offsets: np.ndarray, values: np.ndarray) -> float | None:
     return min(crossings) if crossings else None
 
 
-class AmbiguityCurve(Record):
+class AmbiguityCurve(Record, arrays={"similarities": float}):
     similarities: np.ndarray  # one per offset probed
     width: float | None  # half-power width, same unit as the offsets
 

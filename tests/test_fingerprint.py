@@ -238,6 +238,19 @@ class TestSimilarity:
         assert _scores(a.vector[None], b.vector[None])[0, 0] == pytest.approx(s_ab, abs=1e-12)
         assert 0.0 <= s_ab <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("t", [1, 64])
+    def test_a_row_scored_alone_has_the_bits_it_has_among_others(self, t):
+        # a chunk of one row, the last of a grid or probe of k * CHUNK_ROWS + 1 positions
+        rng = np.random.default_rng(5)
+
+        def unit_rows(n):
+            return normalize(rng.normal(size=(n, 2, 128)) + 1j * rng.normal(size=(n, 2, 128)),
+                             str)
+
+        rows, block = unit_rows(512), unit_rows(t)
+        alone = np.vstack([_scores(rows[i : i + 1], block) for i in range(len(rows))])
+        np.testing.assert_array_equal(alone, _scores(rows, block))
+
 
 class TestPositionGrid:
     def test_enumeration_is_x_fastest(self):

@@ -214,8 +214,19 @@ OUTPUTS = {
     LookupTableDispersion: lambda r: r.beam_angle(np.array([60e9, 63e9, 66e9])),
     Fingerprint: lambda r: r.vector,  # no method reads it
     PositionGrid: lambda r: r.points(),
+    LocalizationResult: lambda r: r.position,
+    AmbiguityCurve: lambda r: r.similarities,
 }
 OWNERS = [row for row in RECORDS if row[0] in OUTPUTS]
+
+
+def test_every_array_field_is_declared_in_the_class_arrays():
+    # the constructor copies and freezes exactly the fields a class declares in ``arrays``
+    for cls, _, _ in RECORDS:
+        annotated = [name for name, kind in cls.__annotations__.items()
+                     if kind in ("np.ndarray", np.ndarray)]
+        assert list(cls._arrays) == annotated, cls.__name__
+        assert not annotated or cls in OUTPUTS, cls.__name__  # so its ownership is tested
 
 
 def fresh(value):
