@@ -338,7 +338,7 @@ def read_measurement_csv(path, plan: FrequencyPlan, model: DispersionModel) -> M
     A malformed file raises ValueError naming its line."""
     with open_bytes(path) as fh:
         body = read_table(path, _MEAS_HEADER, fh)
-        check_rows(path, body, _measurement_keys(plan, model), "m,f_hz,theta_deg", fh)
+        check_rows(path, body[:, :3], _measurement_keys(plan, model), _MEAS_HEADER.split(","), fh)
     s = body[:, 3:].view(np.complex128)  # columns s_x, s_y
     return Measurement(plan, s[:, 0], s[:, 1])
 

@@ -42,11 +42,12 @@ class Record:
     The constructor binds positional and keyword arguments to the fields, a missing one
     taking its class attribute as default, sets each array field to a read-only copy of its
     value, so the record shares no memory with its caller's array, then runs __post_init__,
-    which may still set a field through object.__setattr__. Records compare, hash and print
-    as their tuple of fields, and no attribute can be set or deleted; a record that holds an
-    array cannot be hashed (TypeError), and == raises ValueError once it compares two
-    distinct arrays of two or more elements. Nothing is generated: defining a record type
-    compiles no code at import (the README's start-up paragraph says why that matters).
+    which may still set a field through object.__setattr__. Pickling, copy and deepcopy
+    rebuild a record through its constructor. Records compare, hash and print as their
+    tuple of fields, and no attribute can be set or deleted; a record that holds an array
+    cannot be hashed (TypeError), and == raises ValueError once it compares two distinct
+    arrays of two or more elements. Nothing is generated: defining a record type compiles
+    no code at import (the README's start-up paragraph says why that matters).
     """
 
     def __init_subclass__(cls, hidden=(), arrays=(), **kwargs) -> None:
@@ -75,6 +76,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -256,11 +260,11 @@ def range_of(position) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then one line of numbers per row. Every CSV the
 # CLI reads goes through read_table, and through check_rows where the config
-# gives its key cells; table_text prints every one it writes except the
+# gives its cells; table_text prints every one it writes except the
 # sweep CSV, whose snr_db cell may be the text 'noiseless' (cli.sweep_to_csv).
 
 FLOAT_FMT = "%.9e"  # every float cell: 10 significant digits
-_WRITE_CELLS = 8192  # cells per block in table_text and first_off_cell: bounds the bytes held
+_WRITE_CELLS = 8192  # cells per block in table_text and check_rows: bounds the bytes held
 
 # table_text prints each cell of a block into a fixed-width byte field, NUL where
 # unused, then deletes the NULs: sign, digit, '.', 9 digits, 'e' and a signed 2-3
@@ -466,10 +470,15 @@ def read_table(path, header: str, fh) -> np.ndarray:
     return body
 
 
-def first_off_cell(cells: np.ndarray, expected: np.ndarray) -> tuple[int, int] | None:
-    """(row, column) of the first cell, in row order, that differs from ``expected``
-    by more than 1e-9 of that column's largest |value|, or None; FLOAT_FMT moves a
-    cell by at most 5e-10 of it. Rows are compared _WRITE_CELLS cells at a time."""
+def check_rows(path, cells: np.ndarray, expected: np.ndarray, names, fh) -> None:
+    """The one rule for the cells the config gives: ``cells`` holds a row per row of
+    ``expected``, each cell within 1e-9 of its column's largest expected |value| (FLOAT_FMT
+    moves a cell by at most 5e-10 of it). Otherwise raise ValueError naming the row count,
+    or the line of the first off cell in row order, its column ``names[col]`` and both
+    values. Rows are compared _WRITE_CELLS cells at a time; ``fh`` as in read_table."""
+    if len(cells) != len(expected):
+        message = f"has {len(cells)} data rows but the config expects {len(expected)}"
+        raise ValueError(f"{path}: {message}")
     tol = 1e-9 * np.maximum(expected.max(axis=0), -expected.min(axis=0))
     k = max(1, _WRITE_CELLS // expected.shape[1])  # rows per block
     for start in range(0, len(expected), k):
@@ -477,22 +486,10 @@ def first_off_cell(cells: np.ndarray, expected: np.ndarray) -> tuple[int, int] |
         off = np.abs(off, out=off) > tol
         if off.any():
             row, col = divmod(int(np.argmax(off)), off.shape[1])
-            return start + row, col
-    return None
-
-
-def check_rows(path, body: np.ndarray, expected: np.ndarray, names: str, fh) -> None:
-    """Raise ValueError naming the row count or the first line of ``body`` whose
-    leading cells ``names`` hold a first_off_cell of ``expected``; ``fh`` as in read_table."""
-    if len(body) != len(expected):
-        message = f"has {len(body)} data rows but the config expects {len(expected)}"
-        raise ValueError(f"{path}: {message}")
-    keys = body[:, : expected.shape[1]]
-    off = first_off_cell(keys, expected)
-    if off is not None:
-        i = off[0]
-        want, got = (",".join(f"{v:.10g}" for v in row) for row in (expected[i], keys[i]))
-        raise line_error(path, i, f"expected {names} = {want} (from the config), got {got}", fh)
+            row += start
+            message = (f"expected {names[col]} = {expected[row, col]:.10g} (from the config), "
+                       f"got {cells[row, col]:.10g}")
+            raise line_error(path, row, message, fh)
 
 
 def line_error(path, row: int, message: str, fh) -> ValueError:

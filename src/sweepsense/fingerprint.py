@@ -25,8 +25,6 @@ from sweepsense.core import (
     Measurement,
     Record,
     check_rows,
-    first_off_cell,
-    line_error,
     open_bytes,
     range_of,
     read_table,
@@ -53,8 +51,8 @@ class Fingerprint(Record, hidden=("vector",), arrays={"vector": complex}):
             raise ValueError(f"fingerprint must have length {2 * m}, got {vec.shape}")
         for name, half in (("x", vec[:m]), ("y", vec[m:])):
             norm = np.linalg.norm(half)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"{name} half must be unit-norm, got {norm!r}")
+            if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+                raise ValueError(f"{name} half must be unit-norm, got {norm}")
 
 
 def normalize(s: np.ndarray, describe) -> np.ndarray:
@@ -423,10 +421,10 @@ def _check_file(path, dictionary, chunks) -> None:
     left, so an error of the dictionary's own comes before any error of the
     file. Any other file is read with read_table: line 1 must be the header
     for its M, and the rows must list its grid in index order at its
-    positions (core.check_rows). Only then are the full entries built
-    again, and every entry cell must match them within the print tolerance
-    (core.first_off_cell). Otherwise ValueError names the line, and for an
-    entry its column. A pipe or FIFO is read once.
+    positions. Only then are the full entries built again, and every entry
+    cell must match them. core.check_rows checks the keys, then the entries,
+    and its ValueError names the line and the column. A pipe or FIFO is read
+    once.
     """
     with open_bytes(path) as fh:
         text = dictionary_text(dictionary, chunks)
@@ -442,12 +440,8 @@ def _check_file(path, dictionary, chunks) -> None:
                 raise
             message = f"has {m} frequency points but the plan expects {dictionary.n_points}"
             raise ValueError(f"{path}: line 1: {message}") from None
+        names = header.split(",")
         keys = np.hstack([dictionary.grid.indices(), dictionary.grid.points()])
-        check_rows(path, body, keys, "ix,iy,iz,x,y,z", fh)
+        check_rows(path, body[:, :6], keys, names, fh)
         expected = np.ascontiguousarray(dictionary.entries).view(np.float64)
-        off = first_off_cell(body[:, 6:], expected)
-        if off is not None:
-            row, col = off
-            message = (f"expected {header.split(',')[6 + col]} = {expected[row, col]:.10g} "
-                       f"(from the config), got {body[row, 6 + col]:.10g}")
-            raise line_error(path, row, message, fh)
+        check_rows(path, body[:, 6:], expected, names[6:], fh)

@@ -194,6 +194,12 @@ class TestBuildFingerprint:
         with pytest.raises(ValueError, match="unit-norm"):
             Fingerprint(np.array([1.0, 1.0, 1.0, 0.0], complex), plan)
 
+    def test_nan_vector_rejected_on_construction(self):
+        # abs(nan - 1) > tol is False: the check must fail a norm that is not a number
+        plan = FrequencyPlan(60e9, 66e9, 2)
+        with pytest.raises(ValueError, match=r"^x half must be unit-norm, got nan$"):
+            Fingerprint(np.full(4, np.nan + 0j), plan)
+
 
 class TestSimilarity:
     def test_self_similarity_is_one(self):

@@ -6,6 +6,7 @@ the acceptance suite, every public method or property of a class is named as an 
 outside itself in the package or the acceptance suite, no parameter default of the
 package is passed by every call in it and the acceptance suite, every error class of
 the package is caught by its name somewhere in it or imported by the acceptance suite,
+one function of the package, ``core.check_rows``, reports a cell off the config's,
 the README's library layout lists every module, the package module itself exports
 nothing, no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the
 ``sweepsense`` script and ``python -m sweepsense.cli`` launch one function of the CLI,
@@ -360,6 +361,45 @@ def test_every_error_class_is_caught():
 ])
 def test_error_guard_finds_a_planted_class(sources, imported, uncaught):
     assert uncaught_error_classes(sources, imported) == uncaught
+
+
+def functions_holding(sources: dict[str, str], text: str) -> list[str]:
+    """Where a string constant of ``sources`` (file name -> text) holds ``text``, in file
+    order: 'file: function' for the innermost function around it, 'file' outside any."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}: {node.name}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for file, source in sources.items():
+        visit(ast.parse(source), file)
+    return found
+
+
+def test_one_function_reports_a_cell_off_the_config():
+    # the config-cell rule and its report have one owner: a second message shape is a
+    # second owner
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert functions_holding(sources, "(from the config)") == ["core: check_rows"]
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"a": "def f():\n    raise ValueError(f'x = {x} (from the config)')\n"}, ["a: f"]),
+    ({"a": "class C:\n    def m(self):\n        return '(from the config)'\n"}, ["a: m"]),
+    ({"a": "def f():\n    def g():\n        return '(from the config)'\n    return g\n"},
+     ["a: g"]),
+    ({"a": "X = 'got (from the config)'\n", "b": "def f():\n    return 1\n"}, ["a"]),
+    ({"a": "def f():\n    \"\"\"Says (from the config).\"\"\"\n", "b": "def g(): pass\n"},
+     ["a: f"]),
+    ({"a": "def f():\n    return 'from the config'\n"}, []),
+])
+def test_owner_guard_finds_a_planted_report(sources, found):
+    assert functions_holding(sources, "(from the config)") == found
 
 
 def layout_modules(readme: str) -> list[str]:

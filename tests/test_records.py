@@ -206,6 +206,10 @@ class TestRecord:
             assert same(twin, record)
             if not holds_array(record):
                 assert twin == record
+            for name in cls._arrays:  # the constructor rebuilt the twin: its arrays are its own
+                array = getattr(twin, name)
+                assert not array.flags.writeable, name
+                assert not np.shares_memory(array, getattr(record, name)), name
 
 
 # the types built from arrays or sequences, and an output each computes from them

@@ -644,18 +644,18 @@ class TestCheckRows:
         path = tmp_path / "t.csv"
         path.write_text("m,f,t\n" + "".join(",".join(map(str, row)) + "\n" for row in body))
         with open_bytes(path) as fh:
-            check_rows(path, np.array(body, dtype=float), self.EXPECTED, "m,f,t", fh)
+            check_rows(path, np.array(body, dtype=float)[:, :3], self.EXPECTED, ["m", "f", "t"], fh)
         return path
 
     def test_printed_cells_pass(self, tmp_path):
         printed = [[float(f"{v:.9e}") for v in row] for row in self.EXPECTED + 4e-10]
-        self.check(tmp_path, np.hstack([printed, [[7.0]] * 3]))  # extra cells are not keys
+        self.check(tmp_path, np.hstack([printed, [[7.0]] * 3]))  # the config gives 3 columns
 
     def test_rejects_a_cell_beyond_the_column_tolerance(self, tmp_path):
         body = self.EXPECTED.copy()
         body[2, 2] += 3.1e-8  # 1e-9 of the column's largest |value| is 3e-8
-        with pytest.raises(ValueError, match=r"line 4: expected m,f,t = 2,6.2e\+10,30 "
-                                             r"\(from the config\), got 2,6.2e\+10,30.00000003$"):
+        with pytest.raises(ValueError, match=r"line 4: expected t = 30 \(from the config\), "
+                                             r"got 30.00000003$"):
             self.check(tmp_path, body)
         body[2, 2] -= 2e-9
         self.check(tmp_path, body)
@@ -691,6 +691,31 @@ def rewrite(path, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("kind, name", [
+    *(("measurement", name) for name in ("m", "f_hz", "theta_deg")),
+    *(("dictionary", name) for name in ("ix", "iy", "iz", "x", "y", "z", "im_3")),
+])
+def test_an_off_cell_is_named_by_its_column(tmp_path, kind, name):
+    # a key cell is reported as an entry cell is: its line, its one column and both values
+    if kind == "measurement":
+        text = measurement_to_csv(Measurement(PLAN8, np.ones(8), np.ones(8)), MODEL8)
+        check = lambda path: read_measurement_csv(path, PLAN8, MODEL8)
+    else:
+        text = b"".join(dictionary_text(small_dictionary())).decode("ascii")
+        check = lambda path: localize_batch([], small_dictionary(), path)
+    lines = text.splitlines()
+    col = lines[0].split(",").index(name)
+    cells = lines[2].split(",")
+    cells[col] = f"{1.5 * float(cells[col]) + 1:.9e}"
+    lines[2] = ",".join(cells)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        check(path)
+    assert re.fullmatch(rf"{re.escape(str(path))}: line 3: expected {name} = \S+ "
+                        r"\(from the config\), got \S+", str(err.value))
+
+
 class TestDictionaryImport:
     def exported(self, tmp_path):
         path = tmp_path / "dict.csv"
@@ -704,14 +729,15 @@ class TestDictionaryImport:
             lines[1:] = lines[:0:-1]
 
         rewrite(path, reverse)
-        with pytest.raises(ValueError, match="line 2: expected ix,iy,iz,x,y,z = 0,0,0,-0.2,0,2.5 "
-                                             r"\(from the config\), got 2,0,1,0.2,0,3.5$"):
+        with pytest.raises(ValueError, match=r"line 2: expected ix = 0 \(from the config\)"
+                                             r", got 2$"):
             localize_batch([], small_dictionary(), path)
 
     def test_duplicated_row_rejected(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(4, lines[3]))
-        with pytest.raises(ValueError, match="line 5: expected ix,iy,iz,x,y,z = 0,0,1,"):
+        with pytest.raises(ValueError, match=r"line 5: expected ix = 0 \(from the config\)"
+                                             r", got 2$"):
             localize_batch([], small_dictionary(), path)
 
     def test_position_off_grid_rejected(self, tmp_path):
@@ -719,15 +745,16 @@ class TestDictionaryImport:
 
         def shift_x(lines):
             cells = lines[3].split(",")
-            cells[3] = "1.000000001e-01"  # grid x is 0.0 here
+            cells[3] = "1.000000001e-01"  # grid x is 0.2 here
             lines[3] = ",".join(cells)
 
         rewrite(path, shift_x)
-        with pytest.raises(ValueError, match="line 4: expected ix,iy,iz,x,y,z = 2,0,0,0.2,"):
+        with pytest.raises(ValueError, match=r"line 4: expected x = 0.2 \(from the config\), "
+                                             r"got 0.1000000001$"):
             localize_batch([], small_dictionary(), path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda lines: lines.__setitem__(4, lines[3]), "line 5: expected ix,iy,iz,x,y,z = 0,0,1,"),
+        (lambda lines: lines.__setitem__(4, lines[3]), r"line 5: expected ix = 0 \(from the "),
         (lambda lines: lines.__setitem__(3, lines[3] + "x"), "line 4: field 38 is not a finite "),
     ], ids=["key-cell", "text-cell"])
     def test_rejected_file_builds_no_entries(self, tmp_path, edit, match):
@@ -743,7 +770,8 @@ class TestDictionaryImport:
     def test_huge_index_rejected_without_sizing_a_grid(self, tmp_path):
         path = self.exported(tmp_path)
         rewrite(path, lambda lines: lines.__setitem__(2, "1000000000000" + lines[2][1:]))
-        with pytest.raises(ValueError, match="line 3: expected ix,iy,iz,x,y,z = 1,0,0,"):
+        with pytest.raises(ValueError, match=r"line 3: expected ix = 1 \(from the config\), "
+                                             r"got 1e\+12$"):
             localize_batch([], small_dictionary(), path)
 
     def test_non_unit_row_named(self, tmp_path):
@@ -767,9 +795,9 @@ class TestDictionaryImport:
     @pytest.mark.parametrize("grid, match", [
         # the same size and order, positions on another box: named at its first row
         (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.6), nx=3, ny=1, nz=2),
-         "line 5: expected ix,iy,iz,x,y,z = 0,0,1,-0.2,0,3.6 "),
+         r"line 5: expected z = 3.6 \(from the config\), got 3.5$"),
         (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=2, ny=1, nz=3),
-         "line 3: expected ix,iy,iz,x,y,z = 1,0,0,0.2,0,2.5 .*, got 1,0,0,0,0,2.5$"),
+         r"line 3: expected x = 0.2 \(from the config\), got 0$"),
         (PositionGrid((-0.2, 0.2), (0.0, 0.0), (2.5, 3.5), nx=3, ny=1, nz=3),
          "has 6 data rows but the config expects 9"),
     ])
