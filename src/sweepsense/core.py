@@ -438,7 +438,8 @@ def open_bytes(path):
 
 
 def read_table(path, header: str, fh) -> np.ndarray:
-    """Float body, shape (rows, fields), of a UTF-8 CSV file whose line 1 is ``header``.
+    """Float body, shape (rows, fields), of a UTF-8 CSV file whose line 1 is ``header``
+    (a leading byte-order mark skipped).
 
     Another line 1, its fields space-stripped, raises HeaderError. Empty lines
     are skipped. A line that is not UTF-8 text, a row whose field count
@@ -447,7 +448,7 @@ def read_table(path, header: str, fh) -> np.ndarray:
     ``fh`` is ``path`` as open_bytes gives it.
     """
     fh.seek(0)
-    text = io.TextIOWrapper(fh, encoding="utf-8")  # lines as open(path) in text mode reads them
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig")  # lines as text mode splits them
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns about an empty body
         try:
@@ -516,12 +517,10 @@ def _body_lines(path, fh):
 
 def _first_bad_line(path, n_fields: int, fh) -> ValueError:
     """The error for the first line of a body that np.loadtxt rejects, read once in order:
-    one np.loadtxt per run of lines, then the first bad run in sub-runs of s lines, then the
-    first bad sub-run a line at a time. With k lines in _WRITE_CELLS cells and s = isqrt(k), a
-    run holds k - s lines, so a run and a sub-run together hold at most k lines."""
-    k = max(1, _WRITE_CELLS // n_fields)
-    s = math.isqrt(k)
-    sizes, n = ((s, 1), k - s) if s > 1 else ((1,), k)  # lines per part of a bad run; per run
+    one np.loadtxt per run of n = k // 2 lines, k the lines in _WRITE_CELLS cells, then the
+    first bad run halved down to its first bad line. A run and its halves hold fewer than
+    2n <= k lines."""
+    n = max(1, _WRITE_CELLS // n_fields // 2)
     lines = _body_lines(path, fh)
     while True:
         run, error = [], None
@@ -530,30 +529,20 @@ def _first_bad_line(path, n_fields: int, fh) -> ValueError:
                 run.append(item)
         except ValueError as exc:  # a line that is not UTF-8 text: the run before it goes first
             error = exc
-        bad = _first_unreadable(run, n_fields, *sizes)
-        if bad:
-            return _line_fault(path, n_fields, *bad)
+        if run and _unreadable(run, n_fields):
+            while len(run) > 1:  # keep the first half where it is bad, else the second
+                half = len(run) // 2
+                run = run[:half] if _unreadable(run[:half], n_fields) else run[half:]
+            return _line_fault(path, n_fields, *run[0])
         if error or len(run) < n:
             return error or ValueError(f"{path}: unreadable CSV body")
 
 
-def _first_unreadable(run: list, n_fields: int, *sizes: int) -> tuple[int, str] | None:
-    """The first (line number, text) of ``run`` that np.loadtxt cannot read, or None where it
-    reads the whole run: the parts of ``sizes[0]`` lines are read in order, and the first bad
-    one in parts of the next size."""
-    if not run or not _unreadable([text for _, text in run], n_fields):
-        return None
-    if not sizes:
-        return run[0]
-    parts = (run[i : i + sizes[0]] for i in range(0, len(run), sizes[0]))
-    return next(filter(None, (_first_unreadable(part, n_fields, *sizes[1:]) for part in parts)),
-                None)
-
-
-def _unreadable(lines: list[str], width: int) -> bool:
-    """Whether np.loadtxt cannot read ``lines`` as a (len(lines), width) array of finite numbers."""
+def _unreadable(lines: list[tuple[int, str]], width: int) -> bool:
+    """Whether np.loadtxt cannot read the texts of (line number, text) ``lines`` as a
+    (len(lines), width) array of finite numbers."""
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt([text for _, text in lines], delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return True
     return values.shape != (len(lines), width) or not np.isfinite(values).all()
@@ -566,5 +555,5 @@ def _line_fault(path, n_fields: int, lineno: int, text: str, col=None) -> ValueE
     if len(cells) != n_fields:
         return ValueError(f"{at} expected {n_fields} fields, got {len(cells)}")
     if col is None:
-        col = next(i for i, cell in enumerate(cells) if _unreadable([cell], 1))
+        col = next(i for i, cell in enumerate(cells) if _unreadable([(lineno, cell)], 1))
     return ValueError(f"{at} field {col + 1} is not a finite number: {cells[col].strip()!r}")

@@ -48,6 +48,7 @@ FLOAT_KEYS = (
     *(f"scene.targets[0].{name}"
       for name in ("x_m", "y_m", "z_m", "alpha_re", "alpha_im", "alpha_x_re", "alpha_x_im",
                    "alpha_y_re", "alpha_y_im")),
+    "scene.snr_db",
 )
 LARGEST = 1.7976931348623157e308
 FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, LARGEST,

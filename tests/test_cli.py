@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, verbs, exit codes, determinism."""
 
 import argparse
+import codecs
 import hashlib
 import io
 import itertools
@@ -2026,6 +2027,40 @@ class TestDictionaryBoundary:
         assert capsys.readouterr().err == (
             f"error: {dict_csv}: line 2: expected ix = 0 (from the config), got 2\n"
         )
+
+
+class TestByteOrderMark:
+    """A CSV input that starts with a UTF-8 byte-order mark reads as it does without one."""
+
+    @pytest.mark.parametrize("marked", ["measurement", "dict", "lookup-table"])
+    def test_marked_input_gives_the_same_estimate(self, tmp_path, config_path, capsys, marked):
+        table = tmp_path / "disp.csv"
+        table.write_text("frequency_hz,angle_deg\n60e9,-60\n63e9,0\n66e9,60\n")
+        path = config_path(base_config(dispersion={"kind": "lookup_table",
+                                                   "table_path": "disp.csv"}))
+        meas, dict_csv = tmp_path / "meas.csv", tmp_path / "dict.csv"
+        assert cli.main(["simulate", "--config", path, "--out", str(meas)]) == 0
+        assert cli.main(["dict", "--config", path, "--out", str(dict_csv)]) == 0
+        argv = ["localize", "--config", path, "--measurement", str(meas), "--dict", str(dict_csv)]
+        assert cli.main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+        file = {"measurement": meas, "dict": dict_csv, "lookup-table": table}[marked]
+        file.write_bytes(codecs.BOM_UTF8 + file.read_bytes())
+        assert cli.main([*argv, "--out", str(tmp_path / "marked.json")]) == 0
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert capsys.readouterr() == ("", "")
+
+    def test_bad_line_of_a_marked_measurement_is_named(self, tmp_path, config_path, capsys):
+        path = config_path(base_config())
+        meas = tmp_path / "meas.csv"
+        assert cli.main(["simulate", "--config", path, "--out", str(meas)]) == 0
+        lines = meas.read_text().splitlines()
+        lines[4] = ",".join(lines[4].split(",")[:6] + ["x"])
+        meas.write_bytes(codecs.BOM_UTF8 + ("\n".join(lines) + "\n").encode())
+        rc = cli.main(["localize", "--config", path, "--measurement", str(meas),
+                       "--out", str(tmp_path / "loc.json")])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: {meas}: line 5: field 7 is not a finite number: 'x'\n")
 
 
 # verb, its flags other than --config and --out ({meas} and {dict} name localize's inputs),

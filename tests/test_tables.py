@@ -1,5 +1,6 @@
 """CSV tables: the shared reader and writer and the formats built on them."""
 
+import codecs
 import fractions
 import hashlib
 import io
@@ -226,7 +227,7 @@ class TestWriteTableOracle:
 
 def loadtxt_read_table(path, header):
     """read_table as np.loadtxt alone reads a file: the reference the reader must match."""
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             fields = [f.strip() for f in fh.readline().split(",")]
@@ -627,6 +628,30 @@ class TestReadTable:
                                              "finite number: 'x'$"):
             read_file(path, "a,b")
         assert len(calls) <= 2 * math.isqrt(_WRITE_CELLS // 2) + 3
+
+    @pytest.mark.parametrize("lineno", [2, 4033, 4097, 8193])
+    def test_narrow_file_is_halved_in_log_k_calls(self, tmp_path, monkeypatch, lineno):
+        # k = 4096 lines of 2 cells per _WRITE_CELLS, read again in runs of k // 2 lines:
+        # a call per run up to the bad one, one per halving of the bad run down to its
+        # line, one per cell of that line up to the bad one, and the whole file's call.
+        lines = [f"{i}.5,{2 * i}.25" for i in range(8192)]
+        lines[lineno - 2] = lines[lineno - 2].split(",")[0] + ",x"
+        path = self.write(tmp_path, "a,b\n" + "\n".join(lines) + "\n")
+        calls = counting(monkeypatch, core.np, "loadtxt")
+        with pytest.raises(ValueError, match=f"^{path}: line {lineno}: field 2 is not a "
+                                             "finite number: 'x'$"):
+            read_file(path, "a,b")
+        n = _WRITE_CELLS // 2 // 2
+        assert len(calls) <= (lineno - 2) // n + math.ceil(math.log2(n)) + 4
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,b\n1,2\n\n3,x\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 4: field 2 is not a finite "
+                                             "number: 'x'$"):
+            read_file(path, "a,b")
+        path.write_bytes(codecs.BOM_UTF8 + b"a,b\n1,2\n3,4\n")
+        assert read_file(path, "a,b").tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_line_error_counts_skipped_lines(self, tmp_path):
         path = self.write(tmp_path, "a\n1\n\n2\n\n\n3\n")
