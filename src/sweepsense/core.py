@@ -31,7 +31,8 @@ class GeometryError(ValueError):
 
 class DegenerateMeasurementError(ValueError):
     """Measurement channel has zero norm or a sample that is not finite, and
-    cannot be normalized."""
+    cannot be normalized; ``synth.echo`` raises it for a position whose echo
+    phase 4 pi f R / c is not finite."""
 
 
 class Record:
@@ -246,14 +247,17 @@ class Measurement(Record, hidden=("s_x", "s_y"), arrays={"s_x": complex, "s_y": 
 def range_of(position) -> float | np.ndarray:
     """Euclidean distance from the phase center; xyz on the last axis.
 
-    A range of 0, or one that overflows (|p| beyond about 1.34e154), raises GeometryError.
+    A range of 0, or one that overflows (|p| beyond about 1.34e154), raises GeometryError
+    naming the first such position.
     """
     p = np.asarray(position, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     with np.errstate(over="ignore"):
         r = np.sqrt(x * x + y * y + z * z)
-    if not ((0.0 < r) & (r < math.inf)).all():
-        raise GeometryError("position has no finite nonzero range")
+    bad = ~((0.0 < r) & (r < math.inf)).reshape(-1)
+    if bad.any():
+        where = tuple(p.reshape(-1, 3)[bad.argmax()].tolist())
+        raise GeometryError(f"position {where} has no finite nonzero range")
     return r
 
 

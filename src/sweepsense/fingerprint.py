@@ -31,7 +31,7 @@ from sweepsense.core import (
     table_text,
 )
 from sweepsense.dispersion import DispersionModel
-from sweepsense.synth import AntennaModel, echo, phase_fault
+from sweepsense.synth import AntennaModel, echo
 
 HALF_POWER = 1.0 / math.sqrt(2.0)
 
@@ -142,7 +142,7 @@ class PositionGrid(Record):
             raise ValueError("grid counts must all be >= 1")
         if self.z_range[0] <= 0.0:
             raise ValueError("z range must be strictly positive (forward half-space)")
-        range_of([max(map(abs, r)) for r in ranges])  # GeometryError unless finite at any corner
+        range_of([max(r, key=abs) for r in ranges])  # GeometryError naming the farthest corner
         counts = (self.nx, self.ny, self.nz)
         near = tuple(_nearest_zero(lo, hi, n) for (lo, hi), n in zip(ranges, counts))
         try:
@@ -221,17 +221,8 @@ def _fingerprint_rows(
     block = np.empty((min(len(positions), CHUNK_ROWS), 2, plan.n_points), dtype=np.complex128)
     for start in range(0, len(positions), CHUNK_ROWS):
         chunk = positions[start : start + CHUNK_ROWS]
-        with np.errstate(over="ignore", invalid="ignore"):  # normalize rejects a non-finite echo
-            s = echo(chunk, plan, model, antenna, out=block[: len(chunk)])
-        try:
-            rows = normalize(s, lambda i: describe(start + i))
-        except DegenerateMeasurementError as exc:  # name an overflowing phase as the cause
-            bad = ~np.isfinite(s).all(axis=(1, 2))  # normalize names the first such row
-            cause = phase_fault(chunk[bad.argmax()], plan) if bad.any() else None
-            if cause:
-                raise DegenerateMeasurementError(f"{exc}: {cause}") from None
-            raise
-        yield start, rows
+        s = echo(chunk, plan, model, antenna, out=block[: len(chunk)])
+        yield start, normalize(s, lambda i: describe(start + i))
 
 
 def build_dictionary(

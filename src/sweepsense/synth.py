@@ -24,6 +24,7 @@ from sweepsense.core import (
     SPEED_OF_LIGHT,
     ChannelAxis,
     ChirpConfig,
+    DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
     Measurement,
@@ -85,11 +86,13 @@ def _carrier(r: np.ndarray, plan: FrequencyPlan, freqs: np.ndarray) -> np.ndarra
     """exp(-j 4 pi f R / c) for each range of the (N, 1) column ``r``, shape (N, M).
 
     The sweep is uniform, so the carrier at point K a + b is that of f[K a]
-    times that of b * step.
+    times that of b * step. Only table columns past the plan's last point can
+    overflow, where the phase at f[-1] is finite.
     """
-    coarse = np.exp(-1j * _phase(freqs[::_K], r))
-    fine = np.exp(-1j * _phase(np.arange(_K) * plan.step, r))
-    carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = np.exp(-1j * _phase(freqs[::_K], r))
+        fine = np.exp(-1j * _phase(np.arange(_K) * plan.step, r))
+        carrier = (coarse[:, :, None] * fine[:, None, :]).reshape(-1, coarse.shape[1] * _K)
     return carrier[:, : plan.n_points]
 
 
@@ -122,6 +125,11 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     so each is computed once per distinct range or angle of the batch.
     The echoes are written into ``out``, an (N, 2, M) complex block, when
     one is given, and it is returned.
+
+    The first position of the batch that is not finite, not at z > 0 or of a
+    range that is 0 or overflows raises GeometryError, and the first whose
+    phase 4 pi f R / c is not finite at a frequency of the plan
+    DegenerateMeasurementError, naming it.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     if not (np.isfinite(positions).all() and (positions[:, 2] > 0.0).all()):
@@ -131,7 +139,15 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     freqs = frequency_grid(plan)
     thetas = model.beam_angle(freqs)
     rows = positions[:, None, :]  # (N, 1, 3) against a frequency axis
-    carrier = _per_distinct(lambda r: _carrier(r, plan, freqs), range_of(rows))
+    ranges = range_of(rows)
+    with np.errstate(over="ignore"):  # the phase grows with f and R: the top frequency decides
+        bad = ~np.isfinite(_phase(freqs[-1], ranges)).reshape(-1)
+    if bad.any():
+        where = tuple(positions[bad.argmax()].tolist())
+        raise DegenerateMeasurementError(
+            f"position {where}: the echo phase 4 pi f R / c is not finite for the plan's "
+            "frequencies")
+    carrier = _per_distinct(lambda r: _carrier(r, plan, freqs), ranges)
     if out is None:
         out = np.empty((len(rows), 2, plan.n_points), dtype=np.complex128)
     for c, axis in enumerate(ChannelAxis):
@@ -148,10 +164,9 @@ def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
                antenna: AntennaModel) -> np.ndarray:
     """Noiseless dual-channel measurement of ``targets``, shape (2, M).
 
-    Target echoes superpose linearly; an empty scene is all zeros. A sum
-    that is not finite raises ValueError naming the first target whose phase
-    4 pi f R / c is not finite at a frequency of the plan, or else the
-    reflectivities.
+    Target echoes superpose linearly; an empty scene is all zeros. ``echo``
+    rejects a target whose phase 4 pi f R / c is not finite; a sum that is
+    not finite raises ValueError naming the reflectivities.
     """
     positions = [t.position for t in targets]
     refl = np.array([(t.refl_x, t.refl_y) for t in targets], dtype=np.complex128)
@@ -159,22 +174,9 @@ def scene_echo(targets, plan: FrequencyPlan, model: DispersionModel,
         rows = echo(positions, plan, model, antenna)
         rows *= refl.reshape(-1, 2, 1)  # against the M axis
         clean = rows.sum(axis=0) + 0.0  # as in echo: no -0.0
-    if np.isfinite(clean).all():
-        return clean
-    for i, position in enumerate(positions):
-        cause = phase_fault(position, plan)
-        if cause:
-            raise ValueError(f"target {i} at {position}: {cause}")
-    raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
-
-
-def phase_fault(position, plan: FrequencyPlan) -> str | None:
-    """Why the echo at ``position`` is not finite, where its phase 4 pi f R / c is not finite
-    at a frequency of the plan; None where it is finite at every one."""
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(_phase(frequency_grid(plan), range_of(position))).all()
-    return None if finite else ("the echo phase 4 pi f R / c is not finite for the plan's "
-                                "frequencies")
+    if not np.isfinite(clean).all():
+        raise ValueError("the scene's echo is not finite: a reflectivity is too large or NaN")
+    return clean
 
 
 def noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:

@@ -954,16 +954,23 @@ class TestDegenerateDictionary:
 
 
 class TestExtremeMagnitudes:
-    @pytest.mark.parametrize("verb, edit, args, where", [
-        ("simulate", ("scene.targets.0.z_m", 1e200), [], "scene.targets[0]"),
-        ("sweep", ("scene.targets.0.z_m", 1e200), ["--snr", "0"], "scene.targets[0]"),
-        ("dict", ("grid.z_max_m", 1e200), [], "grid"),
-        ("probe", None, ["--span", "1.0", "--p0=0,0,1e200"], "probe geometry"),
-    ])
+    @pytest.mark.parametrize("verb, edit, args, where, position", [
+        ("simulate", ("scene.targets.0.z_m", 1e200), [], "scene.targets[0]",
+         "(0.0, 0.0, 1e+200)"),
+        ("sweep", ("scene.targets.0.z_m", 1e200), ["--snr", "0"], "scene.targets[0]",
+         "(0.0, 0.0, 1e+200)"),
+        ("dict", ("grid.z_max_m", 1e200), [], "grid", "(-0.25, -0.25, 1e+200)"),
+        ("probe", None, ["--span", "1.0", "--p0=0,0,1e200"], "probe geometry",
+         "(0.0, 0.0, 1e+200)"),
+        # the first offset along a direction axis: x = -1e300 at the reference's y and z
+        ("probe", None, ["--axis", "1,0,0", "--span", "1e300"], "probe geometry",
+         "(-1e+300, 0.0, 3.0)"),
+    ], ids=["simulate-edit0-args0-scene.targets[0]", "sweep-edit1-args1-scene.targets[0]",
+            "dict-edit2-args2-grid", "probe-None-args3-probe geometry", "probe-direction-axis"])
     def test_range_overflow_exits_2_writing_nothing(
-        self, tmp_path, config_path, capsys, verb, edit, args, where
+        self, tmp_path, config_path, capsys, verb, edit, args, where, position
     ):
-        # |p| = 1e200: x^2 + y^2 + z^2 overflows a double
+        # |p| = 1e200: x^2 + y^2 + z^2 overflows a double; the first such position is named
         cfg = base_config()
         if edit:
             _edit(cfg, *edit)
@@ -971,7 +978,7 @@ class TestExtremeMagnitudes:
         assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {where}: position has no finite nonzero range\n"
+            f"error: {where}: position {position} has no finite nonzero range\n"
         )
         assert captured.out == ""
         assert not out.exists()
@@ -996,6 +1003,10 @@ class TestExtremeMagnitudes:
         assert captured.out == ""
         assert not out.exists()
 
+    # 4 pi f R / c overflows at the largest double's frequency
+    PHASE_OVERFLOWS_AT_MAX = {"f_min_hz": 60e9, "f_max_hz": 1.7976931348623157e308,
+                              "n_points": 32}
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("verb, args", [
         ("simulate", []),
@@ -1003,30 +1014,40 @@ class TestExtremeMagnitudes:
     ])
     def test_echo_phase_overflow_exits_3_naming_the_target(self, tmp_path, config_path, capsys,
                                                           verb, args):
-        # 4 pi f R / c overflows at the largest double's frequency; every reflectivity is 1
-        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 1.7976931348623157e308,
-                                "n_points": 32})
+        # every reflectivity is 1
+        cfg = base_config(plan=self.PHASE_OVERFLOWS_AT_MAX)
         out = tmp_path / "out"
         assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: target 0 at (0.0, 0.0, 3.0): the echo phase 4 pi f R / c is not finite "
+            "error: position (0.0, 0.0, 3.0): the echo phase 4 pi f R / c is not finite "
             "for the plan's frequencies\n"
         )
         assert captured.out == ""
         assert not out.exists()
 
+    # centers 3e306 and 6e306 Hz: 4 pi f R / c overflows at f[1] for R = 3 m, while the
+    # carrier's coarse and fine tables (f[0] and one step) stay finite
+    PHASE_OVERFLOWS_AT_F1 = {"f_min_hz": 1.5e306, "f_max_hz": 7.5e306, "n_points": 2}
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("verb, row", [
-        ("dict", "grid index 0 at position (-0.25, -0.25, 2.75)"),
-        ("localize", "grid index 0 at position (-0.25, -0.25, 2.75)"),
-        ("localize --dict", "grid index 0 at position (-0.25, -0.25, 2.75)"),
-        ("probe", "reference p0"),
-    ], ids=["dict", "localize", "localize-dict", "probe"])
+    @pytest.mark.parametrize("verb, plan, position", [
+        ("dict", PHASE_OVERFLOWS_AT_MAX, "(-0.25, -0.25, 2.75)"),
+        ("localize", PHASE_OVERFLOWS_AT_MAX, "(-0.25, -0.25, 2.75)"),
+        ("localize --dict", PHASE_OVERFLOWS_AT_MAX, "(-0.25, -0.25, 2.75)"),
+        ("probe", PHASE_OVERFLOWS_AT_MAX, "(0.0, 0.0, 3.0)"),
+        ("simulate", PHASE_OVERFLOWS_AT_F1, "(0.0, 0.0, 3.0)"),
+        ("dict", PHASE_OVERFLOWS_AT_F1, "(-0.25, -0.25, 2.75)"),
+        ("localize", PHASE_OVERFLOWS_AT_F1, "(-0.25, -0.25, 2.75)"),
+        ("localize --dict", PHASE_OVERFLOWS_AT_F1, "(-0.25, -0.25, 2.75)"),
+        ("probe", PHASE_OVERFLOWS_AT_F1, "(0.0, 0.0, 3.0)"),
+        ("sweep", PHASE_OVERFLOWS_AT_F1, "(0.0, 0.0, 3.0)"),
+    ], ids=["dict", "localize", "localize-dict", "probe", "at-f1-simulate", "at-f1-dict",
+            "at-f1-localize", "at-f1-localize-dict", "at-f1-probe", "at-f1-sweep"])
     def test_echo_phase_overflow_exits_3_naming_the_row_and_the_phase(
-        self, tmp_path, config_path, capsys, verb, row
+        self, tmp_path, config_path, capsys, verb, plan, position
     ):
-        # the rows of a dictionary or a probe overflow as a scene's target does
+        # every verb names the first position whose phase overflows, as echo does
         verb, *flags = verb.split()
         args = _verb_args(verb, tmp_path, config_path)
         if flags:
@@ -1034,14 +1055,13 @@ class TestExtremeMagnitudes:
             assert cli.main(["dict", "--config", config_path(base_config(), "base.json"),
                              "--out", str(base_dict)]) == 0
             args += [*flags, str(base_dict)]
-        cfg = base_config(plan={"f_min_hz": 60e9, "f_max_hz": 1.7976931348623157e308,
-                                "n_points": 32})
         out = tmp_path / "out"
-        assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 3
+        assert cli.main([verb, "--config", config_path(base_config(plan=plan)), *args,
+                         "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {row} has a sample that is not finite: the echo phase 4 pi f R / c is not "
-            "finite for the plan's frequencies\n"
+            f"error: position {position}: the echo phase 4 pi f R / c is not finite for the "
+            "plan's frequencies\n"
         )
         assert captured.out == ""
         assert not out.exists()

@@ -388,6 +388,13 @@ def test_one_function_reports_a_cell_off_the_config():
     assert functions_holding(sources, "(from the config)") == ["core: check_rows"]
 
 
+def test_one_function_reports_an_echo_phase_fault():
+    # echo owns the echo-phase rule: a caller that searches for the cause again is a second
+    # owner
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert functions_holding(sources, "the echo phase 4 pi f R / c") == ["synth: echo"]
+
+
 @pytest.mark.parametrize("sources, found", [
     ({"a": "def f():\n    raise ValueError(f'x = {x} (from the config)')\n"}, ["a: f"]),
     ({"a": "class C:\n    def m(self):\n        return '(from the config)'\n"}, ["a: m"]),

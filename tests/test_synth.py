@@ -15,6 +15,7 @@ from sweepsense.core import (
     SPEED_OF_LIGHT,
     ChannelAxis,
     ChirpConfig,
+    DegenerateMeasurementError,
     FrequencyPlan,
     GeometryError,
     NoiseConfig,
@@ -456,6 +457,25 @@ class TestEcho:
     def test_rejects_positions_a_target_rejects(self, bad):
         with pytest.raises(GeometryError):
             echo([(0.0, 0.0, 3.0), bad], PLAN, MODEL, ANT)
+
+    def test_rejects_the_first_position_whose_phase_overflows(self):
+        # at f[-1] = 7.8625e305 Hz, 4 pi f R / c overflows beyond R of about 18 m
+        plan = FrequencyPlan(1e305, 1e306, 4)
+        model = LinearSineDispersion.for_plan(plan)
+        with pytest.raises(DegenerateMeasurementError) as exc:
+            echo([(0, 0, 3), (0, 0, 30), (0, 0, 40)], plan, model, ANT)
+        assert not isinstance(exc.value, GeometryError)
+        assert str(exc.value) == ("position (0.0, 0.0, 30.0): the echo phase 4 pi f R / c is "
+                                  "not finite for the plan's frequencies")
+        assert np.isfinite(echo([(0, 0, 3)], plan, model, ANT)).all()
+        assert echo(np.empty((0, 3)), plan, model, ANT).shape == (0, 2, 4)
+
+    def test_carrier_table_columns_past_the_plan_overflow_without_a_warning(self):
+        # one point at 5e306 Hz: the phase there is finite at R = 2 m, while the fine table's
+        # column for one step (1e307 Hz), which the plan does not use, overflows
+        plan = FrequencyPlan(1e300, 1e307, 1)
+        rows = echo([(0, 0, 2)], plan, LinearSineDispersion.for_plan(plan), ANT)
+        assert np.isfinite(rows).all()
 
 
 def rows_evaluated(monkeypatch, owner, name, arg) -> list:
