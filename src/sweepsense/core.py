@@ -199,9 +199,7 @@ class Target(Record):
         if len(pos) != 3:
             raise GeometryError("position must have exactly 3 components")
         object.__setattr__(self, "position", pos)
-        range_of(pos)  # GeometryError unless its range is finite and nonzero
-        if pos[2] <= 0.0:
-            raise GeometryError(f"target must lie in the forward half-space, z={pos[2]}")
+        range_of(pos)  # GeometryError unless z > 0 and its range is finite and nonzero
         if self.refl_y is None:
             object.__setattr__(self, "refl_y", complex(self.refl_x))
 
@@ -247,17 +245,19 @@ class Measurement(Record, hidden=("s_x", "s_y"), arrays={"s_x": complex, "s_y": 
 def range_of(position) -> float | np.ndarray:
     """Euclidean distance from the phase center; xyz on the last axis.
 
-    A range of 0, or one that overflows (|p| beyond about 1.34e154), raises GeometryError
-    naming the first such position.
+    This is the one check of the position rule: a position must have z > 0 and a range
+    that is finite and nonzero. The first that breaks it, by z <= 0, a NaN or inf (which
+    give a NaN or inf range), a range that underflows to 0 or one that overflows (|p|
+    beyond about 1.34e154), raises GeometryError naming it.
     """
     p = np.asarray(position, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     with np.errstate(over="ignore"):
         r = np.sqrt(x * x + y * y + z * z)
-    bad = ~((0.0 < r) & (r < math.inf)).reshape(-1)
+    bad = ~((z > 0.0) & (0.0 < r) & (r < math.inf)).reshape(-1)
     if bad.any():
         where = tuple(p.reshape(-1, 3)[bad.argmax()].tolist())
-        raise GeometryError(f"position {where} has no finite nonzero range")
+        raise GeometryError(f"position {where} needs z > 0 and a finite nonzero range")
     return r
 
 

@@ -30,10 +30,7 @@ class LinearSineDispersion(Record):
     theta_max: float  # rad
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.f_min < self.f_max):
-            raise ValueError("need 0 < f_min < f_max")
-        if math.isinf(self.f_max):
-            raise ValueError("f_max must be finite")
+        FrequencyPlan(self.f_min, self.f_max, 1)  # ValueError unless 0 < f_min < f_max < inf
         if not (-_HALF_PI < self.theta_min < self.theta_max < _HALF_PI):
             raise ValueError(
                 "need -pi/2 < theta_min < theta_max < pi/2, got "

@@ -20,7 +20,6 @@ import numpy as np
 from sweepsense.core import (
     DegenerateMeasurementError,
     FrequencyPlan,
-    GeometryError,
     HeaderError,
     Measurement,
     Record,
@@ -138,18 +137,15 @@ class PositionGrid(Record):
             if not lo <= hi:
                 raise ValueError(f"{name} must satisfy lo <= hi, got ({lo}, {hi})")
         ranges = (self.x_range, self.y_range, self.z_range)
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise ValueError("grid counts must all be >= 1")
-        if self.z_range[0] <= 0.0:
-            raise ValueError("z range must be strictly positive (forward half-space)")
-        range_of([max(r, key=abs) for r in ranges])  # GeometryError naming the farthest corner
         counts = (self.nx, self.ny, self.nz)
-        near = tuple(_nearest_zero(lo, hi, n) for (lo, hi), n in zip(ranges, counts))
-        try:
-            range_of(near)
-        except GeometryError:
-            raise GeometryError(f"the grid point nearest the origin, {near}, has a range "
-                                "that underflows to 0") from None
+        if min(counts) < 1:
+            raise ValueError("grid counts must all be >= 1")
+        # two grid points: the farthest corner, and z_lo with the x and y nearest 0. Every
+        # point has z >= z_lo, so once both pass range_of's rule each |coordinate| of a point
+        # lies between theirs, and so does its range
+        far = [r[0] if n == 1 else max(r, key=abs) for r, n in zip(ranges, counts)]
+        near = [_nearest_zero(lo, hi, n) for (lo, hi), n in zip(ranges[:2], counts)]
+        range_of([far, near + [self.z_range[0]]])
 
     @property
     def size(self) -> int:

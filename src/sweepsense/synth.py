@@ -126,20 +126,16 @@ def echo(positions, plan: FrequencyPlan, model: DispersionModel, antenna: Antenn
     The echoes are written into ``out``, an (N, 2, M) complex block, when
     one is given, and it is returned.
 
-    The first position of the batch that is not finite, not at z > 0 or of a
-    range that is 0 or overflows raises GeometryError, and the first whose
+    The first position of the batch that breaks ``range_of``'s rule (z > 0
+    and a finite nonzero range) raises GeometryError, and the first whose
     phase 4 pi f R / c is not finite at a frequency of the plan
     DegenerateMeasurementError, naming it.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if not (np.isfinite(positions).all() and (positions[:, 2] > 0.0).all()):
-        bad = ~np.isfinite(positions).all(axis=1) | (positions[:, 2] <= 0.0)
-        where = tuple(positions[bad.argmax()].tolist())
-        raise GeometryError(f"position {where} is not finite or not in the half-space z > 0")
-    freqs = frequency_grid(plan)
-    thetas = model.beam_angle(freqs)
     rows = positions[:, None, :]  # (N, 1, 3) against a frequency axis
     ranges = range_of(rows)
+    freqs = frequency_grid(plan)
+    thetas = model.beam_angle(freqs)
     with np.errstate(over="ignore"):  # the phase grows with f and R: the top frequency decides
         bad = ~np.isfinite(_phase(freqs[-1], ranges)).reshape(-1)
     if bad.any():

@@ -272,8 +272,8 @@ def test_a_beamwidth_that_is_not_a_normal_double_exits_2_naming_both_keys(
 def test_a_grid_point_whose_range_underflows_exits_2_naming_it(tmp_path, capsys, settings,
                                                                 point):
     # x^2 + y^2 + z^2 is 0 at that point, so the dictionary could not be built
-    every_verb_exits_2(tmp_path, capsys, settings, f"grid: the grid point nearest the origin, "
-                                                   f"{point}, has a range that underflows to 0")
+    every_verb_exits_2(tmp_path, capsys, settings,
+                       f"grid: position {point} needs z > 0 and a finite nonzero range")
 
 
 def test_a_grid_whose_samples_miss_the_origin_keeps_working(tmp_path, capsys):

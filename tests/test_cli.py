@@ -978,10 +978,22 @@ class TestExtremeMagnitudes:
         assert cli.main([verb, "--config", config_path(cfg), *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {where}: position {position} has no finite nonzero range\n"
+            f"error: {where}: position {position} needs z > 0 and a finite nonzero range\n"
         )
         assert captured.out == ""
         assert not out.exists()
+
+    def test_an_axis_of_count_1_ignores_its_far_bound(self, config_path, capsys):
+        # x's only sample is x_min, so x_max = 1e200 lies outside the grid
+        def dict_stdout(x_max):
+            cfg = base_config()
+            cfg["grid"].update(nx=1, x_max_m=x_max)
+            assert cli.main(["dict", "--config", config_path(cfg)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            return captured.out
+
+        assert dict_stdout(1e200) == dict_stdout(base_config()["grid"]["x_min_m"])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("verb, args", [
@@ -1308,7 +1320,7 @@ MALFORMED = [
     ("dict", "grid.x_min_m", 1.0, "grid: x_range must satisfy lo <= hi"),
     ("simulate", "antenna.length_m", 0, "antenna: antenna length must be positive"),
     ("simulate", "scene.targets.0.z_m", -1.0,
-     "scene.targets[0]: target must lie in the forward half-space"),
+     "scene.targets[0]: position (0.0, 0.0, -1.0) needs z > 0 and a finite nonzero range"),
     ("simulate", "scene.seed", -1, "scene: seed must fit in an unsigned 64-bit integer"),
     ("simulate", "dispersion.theta_max_deg", 95.0, "dispersion: need -pi/2 < theta_min"),
     ("compare", "architectures.2.fov_deg", 90.0, "architectures[2]: fov_deg must lie in (0, 90)"),
@@ -1319,7 +1331,8 @@ INVALID_SECTIONS = [
     ("plan.n_points", 0, "plan: n_points must be >= 1, got 0"),
     ("dispersion.theta_max_deg", 95.0, "dispersion: need -pi/2 < theta_min"),
     ("antenna.length_m", 0, "antenna: antenna length must be positive"),
-    ("scene.targets.0.z_m", -1.0, "scene.targets[0]: target must lie in the forward half-space"),
+    ("scene.targets.0.z_m", -1.0,
+     "scene.targets[0]: position (0.0, 0.0, -1.0) needs z > 0 and a finite nonzero range"),
     ("grid.nx", 0, "grid: grid counts must all be >= 1"),
     ("architectures.0.rf_chains", "x",
      "section 'architectures[0]': key 'rf_chains' must be an integer"),

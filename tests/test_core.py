@@ -103,7 +103,7 @@ class TestRangeOf:
     @pytest.mark.parametrize("pos", [(0.0, 0.0, 1e200), (1e154, 1e154, 1e154),
                                      [(0.0, 0.0, 3.0), (-1e300, 0.0, 1.0)]])
     def test_range_beyond_a_double_is_degenerate(self, pos):
-        with pytest.raises(GeometryError, match="no finite nonzero range"):
+        with pytest.raises(GeometryError, match="needs z > 0 and a finite nonzero range"):
             range_of(pos)
 
     def test_largest_finite_range(self):
@@ -119,16 +119,18 @@ class TestRangeOf:
     )
     @settings(max_examples=200, deadline=None)
     def test_rotation_invariance(self, x, y, z, a, b, c):
+        # a rotation can carry a point out of the half-space z > 0, where range_of rejects it
         p = np.array([x, y, z])
-        if np.linalg.norm(p) == 0.0:
-            return
         rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
         ry = np.array([[math.cos(b), 0, math.sin(b)], [0, 1, 0], [-math.sin(b), 0, math.cos(b)]])
         rx = np.array([[1, 0, 0], [0, math.cos(c), -math.sin(c)], [0, math.sin(c), math.cos(c)]])
         q = rz @ ry @ rx @ p
-        if np.linalg.norm(q) == 0.0:
-            return
-        assert range_of(q) == pytest.approx(range_of(p), rel=1e-10)
+        for point in (p, q):
+            if point[2] <= 0.0:
+                with pytest.raises(GeometryError, match="needs z > 0"):
+                    range_of(point)
+        if p[2] > 0.0 and q[2] > 0.0 and np.linalg.norm(p) > 0.0 and np.linalg.norm(q) > 0.0:
+            assert range_of(q) == pytest.approx(range_of(p), rel=1e-10)
 
 
 class TestChirpConfig:

@@ -68,7 +68,8 @@ class TestLinearSine:
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: LinearSineDispersion(66e9, 60e9, -1.0, 1.0), "need 0 < f_min < f_max"),
+    (lambda: LinearSineDispersion(66e9, 60e9, -1.0, 1.0),
+     "need 0 < f_min < f_max, got f_min=66000000000.0, f_max=60000000000.0"),
     (lambda: LookupTableDispersion(np.array([60e9, 66e9]), np.array([-1.0, 0.0, 1.0])),
      "need matching 1-D frequency/angle arrays with >= 2 rows"),
     (lambda: LookupTableDispersion(np.array([60e9]), np.array([0.0])),

@@ -314,12 +314,35 @@ class TestPositionGrid:
 
     def test_rejects_a_point_whose_range_underflows_on_an_axis_too_large_to_build(self):
         # 2**60 + 1 samples of [-1, 1] hold 0; numpy could not size the axis
-        with pytest.raises(GeometryError, match=r"nearest the origin, \(0\.0, 0\.0, 1e-200\)"):
+        with pytest.raises(GeometryError, match=r"^position \(0\.0, 0\.0, 1e-200\) needs z > 0"):
             PositionGrid((-1.0, 1.0), (0.0, 0.0), (1e-200, 1.0), nx=2**60 + 1, ny=1, nz=1)
 
     def test_a_point_near_the_origin_whose_range_is_a_double_is_kept(self):
         grid = PositionGrid((-1.0, 1.0), (0.0, 0.0), (1e-200, 1.0), nx=2, ny=1, nz=2)
         assert grid.points()[0].tolist() == [-1.0, 0.0, 1e-200]
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_an_axis_of_count_1_is_checked_at_its_one_sample(self, axis):
+        # the axis's only sample is lo; (0, 0, 3) is the grid's one point, far from 1e200
+        ranges = [(0.0, 0.0), (0.0, 0.0), (3.0, 3.0)]
+        ranges[axis] = (ranges[axis][0], 1e200)
+        grid = PositionGrid(*ranges, nx=1, ny=1, nz=1)
+        assert grid.points().tolist() == [[0.0, 0.0, 3.0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Target((0, 0, -1)),
+    # x takes -1, 0 and 1 and z -1, 1 and 3, so (0, 0, -1) is a point of the grid
+    lambda: PositionGrid((-1, 1), (0, 0), (-1, 3), 3, 1, 3),
+    lambda: echo([(0, 0, 3), (0, 0, -1)], PLAN8, MODEL8, ANT),
+    lambda: ambiguity_probe((0, 0, -1), "azimuth", np.linspace(-0.1, 0.1, 5), PLAN8, MODEL8,
+                            ANT),
+], ids=["Target", "PositionGrid", "echo", "ambiguity_probe"])
+def test_every_position_holder_reports_range_of_rule(make):
+    # one rule, one message, naming the position of the input that breaks the rule
+    with pytest.raises(GeometryError) as exc:
+        make()
+    assert str(exc.value) == "position (0.0, 0.0, -1.0) needs z > 0 and a finite nonzero range"
 
 
 class TestDictionary:

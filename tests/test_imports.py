@@ -6,7 +6,8 @@ the acceptance suite, every public method or property of a class is named as an 
 outside itself in the package or the acceptance suite, no parameter default of the
 package is passed by every call in it and the acceptance suite, every error class of
 the package is caught by its name somewhere in it or imported by the acceptance suite,
-one function of the package, ``core.check_rows``, reports a cell off the config's,
+one function of the package, ``core.check_rows``, reports a cell off the config's, and one,
+``core.range_of``, a position off the half-space z > 0 or of no finite nonzero range,
 the README's library layout lists every module, the package module itself exports
 nothing, no ``cmd_*`` verb of the CLI writes (``main`` writes their outputs), the
 ``sweepsense`` script and ``python -m sweepsense.cli`` launch one function of the CLI,
@@ -393,6 +394,13 @@ def test_one_function_reports_an_echo_phase_fault():
     # owner
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert functions_holding(sources, "the echo phase 4 pi f R / c") == ["synth: echo"]
+
+
+def test_one_function_reports_a_position_fault():
+    # range_of owns the position rule (z > 0, a finite nonzero range): a holder of positions
+    # that checks z or the range itself is a second owner
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert functions_holding(sources, "needs z > 0") == ["core: range_of"]
 
 
 @pytest.mark.parametrize("sources, found", [
